@@ -377,6 +377,28 @@ def bench_policy_rollout_parallel() -> Dict[str, float]:
     }
 
 
+def rollout_speedup_reference(metrics: Dict[str, float]) -> Dict[str, object]:
+    """The ``reference`` entries for the parallel rollout speedup.
+
+    On a machine with fewer CPUs than workers the speedup measures
+    contention, not parallelism, so it is recorded as ``null`` with the
+    reason (the CPU and worker counts) rather than as a number.  Both
+    keys are always written, so merging a later, measured run into a
+    baseline clears a stale reason.
+    """
+    if metrics["cpus"] < metrics["jobs"]:
+        return {
+            "rollout_parallel_speedup": None,
+            "rollout_parallel_speedup_unmeasured": {
+                "cpus": int(metrics["cpus"]), "jobs": int(metrics["jobs"]),
+            },
+        }
+    return {
+        "rollout_parallel_speedup": round(metrics["speedup"], 2),
+        "rollout_parallel_speedup_unmeasured": None,
+    }
+
+
 def write_rollout_svg(metrics: Dict[str, float], path: str) -> None:
     """Render the rollout-overhead bars (host / parallel / serial / pre-PR)."""
     from repro.viz.svg import bar_chart
@@ -631,9 +653,7 @@ def main(argv=None) -> int:
             "reference": {
                 "pre_parallel_rollout_overhead_x":
                     PRE_PARALLEL_ROLLOUT_OVERHEAD_X,
-                "rollout_parallel_speedup": round(
-                    results["policy_rollout_parallel"]["speedup"], 2
-                ),
+                **rollout_speedup_reference(results["policy_rollout_parallel"]),
             },
         }
         if args.rollout_svg:
@@ -674,9 +694,7 @@ def main(argv=None) -> int:
                 ),
                 "pre_parallel_rollout_overhead_x":
                     PRE_PARALLEL_ROLLOUT_OVERHEAD_X,
-                "rollout_parallel_speedup": round(
-                    results["policy_rollout_parallel"]["speedup"], 2
-                ),
+                **rollout_speedup_reference(results["policy_rollout_parallel"]),
             },
         }
         if args.rollout_svg:
@@ -704,7 +722,7 @@ def main(argv=None) -> int:
         if "policy_rollout_parallel" in results:
             pr = results["policy_rollout_parallel"]
             if pr["cpus"] < pr["jobs"]:
-                print(f"  rollout parallel gate skipped: "
+                print(f"  rollout parallel gate skipped, speedup unmeasured: "
                       f"{int(pr['cpus'])} CPU(s) < jobs={int(pr['jobs'])} "
                       f"(byte-identity still holds; wall-clock gate "
                       f"needs the cores)")

@@ -99,8 +99,8 @@ class StaticPool:
     """
 
     def __init__(self) -> None:
-        # one (payload, memo) slot, swapped atomically so concurrent
-        # thread-backend restores never see a payload/memo mismatch
+        # one (payload, memo) slot, swapped as a unit so a restore never
+        # sees a payload/memo mismatch
         self._entry: Optional[Tuple[bytes, Dict[int, object]]] = None
 
     def resolve(self, payload: bytes) -> Dict[int, object]:

@@ -33,7 +33,8 @@ grid across CI jobs.  ``--serve``/``--worker`` promote the same grid to
 a coordinator + remote-worker service with lease-based fault tolerance
 (crashed workers lose their leases, failed cells retry with backoff,
 stragglers are speculatively re-executed) whose results are
-byte-identical to the serial path.
+byte-identical to the serial path; the coordinator is a ``serve``
+instance holding the grid as one job, and workers lease over HTTP.
 
 ``serve`` runs the long-lived HTTP front door (REST + SSE) over the same
 sweep machinery: clients POST grids to ``/api/jobs``, stream progress
@@ -713,18 +714,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
         address = _parse_address_or_exit(args.status)
         try:
-            reply = svc.request(address, {"op": "status"})
+            code, doc, _ = svc.http_json(address, "GET", "/api/cluster")
         except (OSError, svc.ServiceError) as exc:
             raise SystemExit(
                 f"cannot reach coordinator at {address[0]}:{address[1]}: {exc}"
             )
-        status = reply.get("status", reply)
+        if code != 200:
+            raise SystemExit(f"{address[0]}:{address[1]} answered {code}: "
+                             f"{doc.get('error', '')}")
+        status = doc["queue"]
         if args.json:
             print(json.dumps(status, indent=2, sort_keys=True))
         else:
             print(svc.format_status_table(status))
         return 0
 
+    if args.serve:
+        host, port = _parse_address_or_exit(args.serve)
     try:
         cells = S.build_grid(args.grid, n_jobs=args.n_jobs, seed=args.seed)
     except ValueError as exc:
@@ -759,30 +765,42 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         ]
     cache = None if args.no_cache else S.ResultCache(args.cache_dir)
     if args.serve:
-        from repro.experiments import service as svc
+        import asyncio
 
-        host, port = _parse_address_or_exit(args.serve)
-        coordinator = svc.Coordinator(
-            cells,
-            host=host,
-            port=port,
-            queue_path=args.queue_path,
-            cache=cache,
-            lease_s=args.lease,
-            max_attempts=args.max_attempts,
-            steal_after_s=args.steal_after or None,
-        )
-        coordinator.start()
-        bound_host, bound_port = coordinator.address
-        verb = "resumed" if coordinator.resumed else "serving"
-        print(f"coordinator listening on {bound_host}:{bound_port} "
-              f"({verb} {len(cells)} cells; lease {args.lease:g}s)", flush=True)
+        from repro.experiments.jobs import JobManager
+        from repro.experiments.service import WorkQueue, cell_to_doc
+        from repro.server.app import Server
+
+        resumed = bool(args.queue_path) and os.path.exists(args.queue_path)
+        queue = WorkQueue.load(args.queue_path) if resumed else WorkQueue(
+            lease_s=args.lease, max_attempts=args.max_attempts,
+            steal_after_s=args.steal_after or None, path=args.queue_path)
+        # the grid is one job; remote workers do all the executing
+        manager = JobManager(cache=cache, workers=0, queue=queue,
+                             max_cells_per_job=max(1, len(cells)))
+        job = manager.submit({"cells": [cell_to_doc(c) for c in cells]})[0] \
+            if cells else None
+        server = Server(manager, host=host, port=port)
+
+        async def serve_grid() -> None:
+            await server.start()
+            print(f"coordinator listening on {server.host}:{server.port} "
+                  f"({'resumed' if resumed else 'serving'} {len(cells)} cells; "
+                  f"lease {args.lease:g}s)", flush=True)
+            serving = asyncio.ensure_future(server.serve())
+            # the reaper: expired leases are reclaimed even when no worker polls
+            while job is not None and job.active and not serving.done():
+                await asyncio.sleep(0.1)
+                manager.expire()
+            server.request_stop()
+            await serving
+
         try:
-            coordinator.wait()
-        finally:
-            coordinator.close()
-        outcomes = coordinator.outcomes()
-        status = coordinator.status()
+            asyncio.run(serve_grid())
+        except KeyboardInterrupt:
+            pass
+        outcomes = queue.outcomes()
+        status = queue.status_doc()
         print(f"service: {status['leases_granted']} leases, "
               f"{status['expirations']} expired, {status['steals']} stolen, "
               f"{status['duplicates']} duplicate completions, "
@@ -822,11 +840,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """Run the long-lived HTTP service (REST + SSE) over the sweep executor."""
     import asyncio
 
-    from repro.experiments.jobs import JobManager
+    from repro.experiments.jobs import JobManager, server_queue
     from repro.experiments.sweep import ResultCache
     from repro.server.app import Server, run_server
     from repro.server.jobstore import JobJournal, restore
 
+    if not 0 <= args.port <= 65535:
+        raise SystemExit(f"--port {args.port} is out of range 0-65535")
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     journal = JobJournal(args.jobstore) if args.jobstore else None
     manager = JobManager(
@@ -836,8 +856,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_queued_jobs=args.max_jobs,
         max_cells_per_job=args.max_cells,
         cell_timeout_s=args.timeout or None,
-        lease_s=args.lease,
-        max_attempts=args.max_attempts,
+        queue=server_queue(args.lease, args.max_attempts),
         journal=journal,
     )
     if args.jobstore:
@@ -1184,17 +1203,19 @@ def build_parser() -> argparse.ArgumentParser:
         "result cache (see docs/SWEEP_SERVICE.md)",
     )
     service.add_argument("--serve", default="", metavar="HOST:PORT",
-                         help="serve this grid as a coordinator (port 0 = "
-                              "pick a free port) and exit when it is done")
+                         help="serve this grid over HTTP as a coordinator "
+                              "(port 0 = pick a free port) and exit when it "
+                              "is done; SIGTERM drains it")
     service.add_argument("--worker", default="", metavar="HOST:PORT",
                          help="run as a worker pulling cells from a "
-                              "coordinator until its grid is done")
+                              "coordinator (or a `repro serve`) until its "
+                              "grid is done")
     service.add_argument("--status", default="", metavar="HOST:PORT",
                          help="print a coordinator's queue status and exit")
     service.add_argument("--json", action="store_true",
                          help="with --status: print the raw status document "
-                              "(the same serializer the server's "
-                              "/api/cluster uses) instead of the table")
+                              "(the queue block of the server's "
+                              "/api/cluster) instead of the table")
     service.add_argument("--queue-path", default="", metavar="PATH",
                          help="persist the coordinator's work queue to PATH "
                               "(an existing journal resumes the grid)")

@@ -6,7 +6,7 @@ This is the bridge between the async HTTP front door
 The server thread hands :class:`JobManager` parsed submissions; the
 manager turns each into a :class:`Job` — a list of content-addressed
 :class:`~repro.experiments.sweep.SweepCell` s — and enqueues the cells
-onto a single shared :class:`~repro.experiments.service.WorkQueue`:
+onto the one :class:`~repro.experiments.service.WorkQueue` it owns:
 
 * **Cells deduplicate across jobs.**  Two clients submitting overlapping
   grids share the overlapping cells' single execution (the queue is
@@ -20,12 +20,18 @@ onto a single shared :class:`~repro.experiments.service.WorkQueue`:
   cells' cache keys (or an explicit client ``idempotency_key``);
   re-submitting an in-flight or finished grid returns the existing job
   instead of queueing a duplicate.
-* **Executor threads** lease cells from the queue and run each one
-  through :func:`~repro.experiments.sweep.run_cells` — in a worker
-  *process* by default (``isolation='process'``: crash retry and
-  ``cell_timeout_s`` apply), or in-thread (``isolation='thread'``, used
-  by tests and by trace-streaming jobs, whose tracer records fan out to
-  the job's :class:`~repro.observability.stream.RecordStream`).
+* **One set of worker operations.**  :meth:`~JobManager.lease`,
+  ``renew``, ``complete`` and ``fail`` are the only way into the queue,
+  for the manager's executor threads (in-process) and remote ``repro
+  sweep --worker`` processes (``POST /api/queue``) alike.  An accepted
+  completion is cached once and fanned out to every job holding the cell.
+* **Executor threads** run leased cells through
+  :func:`~repro.experiments.sweep.run_cells` — in a worker *process* by
+  default (``isolation='process'``: crash retry and ``cell_timeout_s``
+  apply), or in-thread (``isolation='thread'``, used by tests).  They
+  alone get the cells of active trace-streaming jobs, and run them
+  in-process so tracer records reach the job's
+  :class:`~repro.observability.stream.RecordStream`.
 * **Bounded backlog.**  At most ``max_queued_jobs`` jobs may be active;
   beyond that submissions are rejected with a 503-shaped
   :class:`JobRejected` so the API edge can push back instead of queueing
@@ -48,7 +54,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro.experiments.serialize import canonical_json, result_to_dict
 from repro.experiments.service import (
@@ -196,8 +202,21 @@ def job_identity(keys: List[str], spec: Dict) -> str:
     return hashlib.sha256(canonical_json(doc).encode()).hexdigest()
 
 
+def server_queue(lease_s: float = 3600.0, max_attempts: int = 2,
+                 clock: Callable[[], float] = time.time) -> WorkQueue:
+    """The ``repro serve`` queue: long leases, quick retries, no stealing
+    (in-process executors cannot crash apart from the manager, so
+    speculative duplicates would only waste CPU)."""
+    return WorkQueue(lease_s=lease_s, max_attempts=max_attempts, backoff_s=0.2,
+                     backoff_cap_s=5.0, max_leases=1, clock=clock)
+
+
 class JobManager:
-    """Executes submitted jobs over one shared WorkQueue + ResultCache."""
+    """Executes submitted jobs over one WorkQueue + ResultCache.
+
+    The manager is the only owner of ``queue`` (default:
+    :func:`server_queue`): every transition happens under its lock.
+    """
 
     def __init__(
         self,
@@ -207,8 +226,7 @@ class JobManager:
         max_queued_jobs: int = 16,
         max_cells_per_job: int = 512,
         cell_timeout_s: Optional[float] = None,
-        lease_s: float = 3600.0,
-        max_attempts: int = 2,
+        queue: Optional[WorkQueue] = None,
         stream_capacity: int = 4096,
         journal: Optional[object] = None,
         clock: Callable[[], float] = time.time,
@@ -227,22 +245,13 @@ class JobManager:
         self.journal = journal  # anything with .append(doc); see server.jobstore
         self._clock = clock
         self._lock = threading.RLock()
-        # steal-free queue: in-process executors cannot crash independently
-        # of the manager, so speculative duplicates would only waste CPU
-        self.queue = WorkQueue(
-            lease_s=lease_s,
-            max_attempts=max_attempts,
-            backoff_s=0.2,
-            backoff_cap_s=5.0,
-            max_leases=1,
-            clock=clock,
-        )
+        self.queue = queue if queue is not None else server_queue(clock=clock)
         self.jobs: Dict[str, Job] = {}
         self.order: List[str] = []
         self._by_identity: Dict[str, str] = {}
         self.draining = False
         self.started = clock()
-        #: cells this manager actually executed (0 for a fully warm grid)
+        #: cells this manager's executors ran (0 for a fully warm grid)
         self.cells_executed = 0
         self._seq = 0
         self._wake = threading.Event()
@@ -265,9 +274,10 @@ class JobManager:
         return self
 
     def drain(self) -> None:
-        """Refuse new submissions; in-flight cells still land."""
+        """Refuse new submissions and leases; in-flight cells still land."""
         with self._lock:
             self.draining = True
+            self.queue.drain()
 
     def stop(self, timeout: Optional[float] = 30.0) -> None:
         """Drain, stop the executors, and wait for in-flight cells."""
@@ -277,6 +287,12 @@ class JobManager:
         for thread in self._threads:
             thread.join(timeout=timeout)
         self._threads = []
+
+    def busy(self) -> bool:
+        """True while any lease is out (reclaiming expired ones first)."""
+        with self._lock:
+            self.expire()
+            return self.queue.active_leases() > 0
 
     # -- submission ------------------------------------------------------------
 
@@ -294,6 +310,10 @@ class JobManager:
                 413,
                 f"grid has {len(cells)} cells; this server accepts at most "
                 f"{self.max_cells_per_job} per job",
+            )
+        if spec["stream"] and not self.workers:
+            raise JobRejected(
+                400, "'stream' jobs run in the server, which has no executors"
             )
         keys = [cache_key(c.config, c.workload) for c in cells]
         identity = ""
@@ -390,75 +410,143 @@ class JobManager:
         self._enqueue(job)
         self._wake.set()
 
+    # -- worker operations -----------------------------------------------------
+
+    def lease(self, worker: str, local: bool = False) -> Dict:
+        """Hand ``worker`` a cell (the ``lease`` op; reply as WorkQueue's).
+
+        Cells of an active ``stream: true`` job go only to the manager's
+        own executors (``local``), so their trace records reach the
+        job's stream.
+        """
+        with self._lock:
+            self.expire()
+            skip: FrozenSet[str] = frozenset()
+            if not local:
+                skip = skip.union(*(
+                    job.key_set for job in self.jobs.values()
+                    if job.active and job.spec.get("stream")
+                ))
+            reply = self.queue.lease(worker, skip=skip)
+            if "key" in reply:
+                event = {"phase": "started", "key": reply["key"],
+                         "tag": reply["cell"]["tag"], "worker": worker}
+                for job in self._holding(reply["key"]):
+                    job.stream.publish("cell", event)
+            return reply
+
+    def renew(self, key: str, lease_id: str) -> bool:
+        """Extend a live lease (the ``renew`` op); False if it was lost."""
+        with self._lock:
+            return self.queue.renew(key, lease_id)
+
+    def complete(
+        self,
+        key: str,
+        lease_id: str,
+        result_doc: Dict,
+        worker: str = "",
+        cached: bool = False,
+    ) -> Dict:
+        """Record a finished cell (the ``complete`` op).
+
+        The first completion is stored in the cache and fanned out to
+        every job holding the cell; later ones are acknowledged
+        duplicates.
+        """
+        with self._lock:
+            granted = self._granted(key, lease_id)
+            reply = self.queue.complete(
+                key, lease_id, result_doc, worker=worker, cached=cached
+            )
+            if reply.get("accepted"):
+                if self.cache is not None:
+                    self.cache.store(key, result_doc)
+                self._finished(key, granted, ok=True, from_cache=cached, error="")
+            return reply
+
+    def fail(
+        self, key: str, lease_id: str, error: str, requeue: bool = False
+    ) -> Dict:
+        """Record a failed attempt or a voluntary release (the ``fail`` op)."""
+        with self._lock:
+            granted = self._granted(key, lease_id)
+            reply = self.queue.fail(key, lease_id, error, requeue=requeue)
+            if reply.get("accepted"):
+                self._finished(key, granted, ok=False, from_cache=False,
+                               error=error)
+            return reply
+
+    def expire(self) -> int:
+        """Reclaim expired leases; settles any job a quarantine finished."""
+        with self._lock:
+            expired = self.queue.expire()
+            if expired:
+                for job in [j for j in self.jobs.values() if j.active]:
+                    self._refresh_job(job)
+            return expired
+
+    def _holding(self, key: str) -> List[Job]:
+        return [j for j in self.jobs.values() if j.active and key in j.key_set]
+
+    def _granted(self, key: str, lease_id: str) -> float:
+        entry = self.queue.entries.get(key)
+        lease = entry.leases.get(lease_id) if entry is not None else None
+        return lease["granted"] if lease else self._clock()
+
+    def _finished(self, key: str, granted: float, **outcome) -> None:
+        """Publish one cell's outcome to every job holding it."""
+        entry = self.queue.entries[key]
+        event = dict(
+            outcome, phase="finished", key=key, tag=entry.cell["tag"],
+            state=entry.state, error=_last_line(outcome["error"]),
+            duration_s=round(max(0.0, self._clock() - granted), 6),
+        )
+        for job in self._holding(key):
+            job.stream.publish("cell", event)
+            self._refresh_job(job)
+
     # -- execution -------------------------------------------------------------
 
     def _executor_loop(self, name: str) -> None:
         while not self._stop.is_set():
-            with self._lock:
-                reply = self.queue.lease(name)
-            if reply.get("done") or reply.get("wait"):
+            reply = self.lease(name, local=True)
+            if "key" not in reply:
                 # idle: wait for a submission (or backoff expiry) to wake us
                 retry = min(0.2, float(reply.get("retry_s", 0.2)) or 0.2)
                 self._wake.wait(retry)
                 self._wake.clear()
                 continue
             key = reply["key"]
-            lease_id = reply["lease_id"]
             cell = cell_from_doc(reply["cell"])
-            with self._lock:
-                streams = [
-                    job.stream
-                    for job in self.jobs.values()
-                    if job.active and key in job.key_set and job.spec.get("stream")
-                ]
-                for job in self.jobs.values():
-                    if job.active and key in job.key_set:
-                        job.stream.publish("cell", {
-                            "phase": "started", "key": key,
-                            "tag": cell.tag, "worker": name,
-                        })
-                self._current[name] = {"key": key, "tag": cell.tag}
+            self._current[name] = {"key": key, "tag": cell.tag}
             try:
-                outcome = self._execute(cell, key, streams)
+                outcome = self._execute(cell, key)
             finally:
                 self._current[name] = None
-            with self._lock:
-                if outcome.ok:
-                    self.queue.complete(
-                        key, lease_id, result_to_dict(outcome.result),
-                        worker=name, cached=outcome.from_cache,
-                    )
-                else:
-                    self.queue.fail(key, lease_id, outcome.error)
-                entry = self.queue.entries.get(key)
-                cell_state = entry.state if entry is not None else "unknown"
-                for job in list(self.jobs.values()):
-                    if not job.active or key not in job.key_set:
-                        continue
-                    job.stream.publish("cell", {
-                        "phase": "finished", "key": key, "tag": cell.tag,
-                        "ok": outcome.ok, "state": cell_state,
-                        "from_cache": outcome.from_cache,
-                        "duration_s": round(outcome.duration_s, 6),
-                        "error": _last_line(outcome.error),
-                    })
-                    self._refresh_job(job)
+            if outcome.ok:
+                self.complete(key, reply["lease_id"],
+                              result_to_dict(outcome.result), worker=name)
+            else:
+                self.fail(key, reply["lease_id"], outcome.error)
 
-    def _execute(self, cell: SweepCell, key: str, streams: List[RecordStream]):
+    def _execute(self, cell: SweepCell, key: str) -> CellOutcome:
         """Run one cell; trace-streaming cells run in-process with a tracer."""
         self.cells_executed += 1
+        with self._lock:
+            streams = [
+                job.stream for job in self._holding(key) if job.spec.get("stream")
+            ]
         if streams:
             return self._execute_streaming(cell, key, streams)
         jobs = 1 if self.isolation == "thread" else 2
         timeout = self.cell_timeout_s if jobs > 1 else None
-        [outcome] = run_cells(
-            [cell], jobs=jobs, cache=self.cache, timeout_s=timeout
-        )
+        [outcome] = run_cells([cell], jobs=jobs, timeout_s=timeout)
         return outcome
 
     def _execute_streaming(
         self, cell: SweepCell, key: str, streams: List[RecordStream]
-    ):
+    ) -> CellOutcome:
         """In-process execution with trace-bus fan-out to the job streams."""
         from repro.experiments.runner import run_experiment
         from repro.observability.trace import Tracer
@@ -471,20 +559,13 @@ class JobManager:
                 stream.publish("trace", doc)
 
         tracer.subscribe(fan_out)
-        started = time.perf_counter()
         try:
-            workload = cell.workload.materialize()
-            result = run_experiment(cell.config, workload, tracer=tracer)
-        except Exception:
-            return CellOutcome(
-                cell, None, error=traceback.format_exc(), key=key,
-                duration_s=time.perf_counter() - started,
+            result = run_experiment(
+                cell.config, cell.workload.materialize(), tracer=tracer
             )
-        if self.cache is not None:
-            self.cache.store(key, result_to_dict(result))
-        return CellOutcome(
-            cell, result, key=key, duration_s=time.perf_counter() - started,
-        )
+        except Exception:
+            return CellOutcome(cell, None, error=traceback.format_exc(), key=key)
+        return CellOutcome(cell, result, key=key)
 
     # -- job state -------------------------------------------------------------
 

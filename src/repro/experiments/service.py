@@ -1,36 +1,34 @@
-"""Distributed sweep service: a coordinator + remote workers over TCP.
+"""Distributed sweep service: the lease queue and the remote worker.
 
 :mod:`repro.experiments.sweep` fans a grid out over *local* worker
 processes.  This module promotes that executor to a small distributed
 service so one grid can scale across machines while sharing one
 content-addressed :class:`~repro.experiments.sweep.ResultCache`:
 
-* :class:`WorkQueue` — the coordinator's durable state machine.  Every
-  cell is tracked by its :func:`~repro.experiments.sweep.cache_key`
-  through ``pending -> leased -> done | quarantined``: leases are
-  time-bounded and reclaimed when they expire (a crashed or hung worker
-  just loses its lease), failures retry with exponential backoff until a
-  poison cell is quarantined after ``max_attempts``, and near the end of
-  a grid idle workers *steal* a speculative second lease on the
-  longest-running straggler (Wang/Joshi/Wornell-style task replication —
-  whichever attempt finishes first wins).  Completions are idempotent:
-  the first completion of a cell is canonical, and duplicate or late
-  completions (lease expiry followed by a slow worker reporting anyway)
-  are acknowledged but discarded deterministically.  The whole queue
+* :class:`WorkQueue` — the durable state machine.  Every cell is
+  tracked by its :func:`~repro.experiments.sweep.cache_key` through
+  ``pending -> leased -> done | quarantined``: leases are time-bounded
+  and reclaimed when they expire (a crashed or hung worker just loses
+  its lease), failures retry with exponential backoff until a poison
+  cell is quarantined after ``max_attempts``, and near the end of a grid
+  idle workers *steal* a speculative second lease on the longest-running
+  straggler (Wang/Joshi/Wornell-style task replication — whichever
+  attempt finishes first wins).  Completions are idempotent: the first
+  completion of a cell is canonical, and duplicate or late completions
+  (lease expiry followed by a slow worker reporting anyway) are
+  acknowledged but discarded deterministically.  The whole queue
   serializes to JSON, so a restarted coordinator resumes a half-done
   grid instead of recomputing it.
-* :class:`Coordinator` — a :mod:`socketserver` TCP server speaking a
-  JSON-lines protocol (one request line, one response line per
-  connection) that guards a :class:`WorkQueue` with a lock, pre-resolves
-  cache hits, stores completed results into its cache, and supports
-  graceful draining (stop granting leases, wait for in-flight cells).
-* :func:`run_worker` — the worker loop: lease a cell, execute it through
-  the existing :func:`~repro.experiments.sweep.run_cells` machinery
-  (jobs=1, with the worker's own cache), renew the lease from a
-  background thread while the cell runs, and report the serialized
-  result (or the failure traceback) back.  ``chaos`` specs inject
-  deterministic faults — SIGKILL or a hang right after a lease, or a
-  delayed completion — for the fault-injection tests and the CI smoke.
+* :func:`run_worker` — the worker loop: lease a cell over HTTP
+  (``POST /api/queue`` on a ``repro serve`` or ``repro sweep --serve``
+  server, whose :class:`~repro.experiments.jobs.JobManager` owns the
+  queue), execute it through the existing
+  :func:`~repro.experiments.sweep.run_cells` machinery (jobs=1, with
+  the worker's own cache), renew the lease from a background thread
+  while the cell runs, and report the serialized result (or the failure
+  traceback) back.  ``chaos`` specs inject deterministic faults —
+  SIGKILL or a hang right after a lease, or a delayed completion — for
+  the fault-injection tests and the CI smoke.
 
 Because every cell is deterministic and content-addressed, the service
 path is *byte-identical* to the serial ``run_cells`` path no matter how
@@ -48,11 +46,10 @@ import json
 import os
 import signal
 import socket
-import socketserver
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Collection, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from repro.experiments.serialize import (
     canonical_json,
@@ -81,9 +78,13 @@ QUARANTINED = "quarantined"
 
 _STATES = (PENDING, LEASED, DONE, QUARANTINED)
 
+#: cumulative counters (persisted in the journal, served in the status)
+_COUNTERS = ("leases_granted", "steals", "expirations", "completions",
+             "duplicates", "late_completions", "failures", "releases")
+
 
 class ServiceError(RuntimeError):
-    """A worker or client could not talk to the coordinator."""
+    """A worker or client could not talk to the server."""
 
 
 class WorkerShutdown(Exception):
@@ -102,6 +103,9 @@ class WorkerShutdown(Exception):
 
 # -- wire helpers -------------------------------------------------------------
 
+#: the server route that takes worker op documents
+QUEUE_ROUTE = "/api/queue"
+
 
 def parse_address(spec: str) -> Tuple[str, int]:
     """``'HOST:PORT'`` (or bare ``'PORT'``, meaning localhost) -> tuple."""
@@ -112,22 +116,48 @@ def parse_address(spec: str) -> Tuple[str, int]:
         port = int(port_text)
     except ValueError:
         raise ValueError(f"bad address {spec!r}; expected HOST:PORT")
-    if not host:
-        host = "127.0.0.1"
-    return host, port
+    if not 0 <= port <= 65535:
+        raise ValueError(f"bad address {spec!r}; port must be 0-65535")
+    return host or "127.0.0.1", port
 
 
-def request(address: Tuple[str, int], doc: Dict, timeout: float = 30.0) -> Dict:
-    """One protocol round-trip: connect, send one line, read one line."""
-    with socket.create_connection(address, timeout=timeout) as sock:
-        sock.settimeout(timeout)
-        fh = sock.makefile("rwb")
-        fh.write(json.dumps(doc).encode() + b"\n")
-        fh.flush()
-        line = fh.readline()
-    if not line:
-        raise ServiceError("coordinator closed the connection without replying")
-    return json.loads(line)
+def http_json(
+    address: Tuple[str, int],
+    method: str,
+    path: str,
+    doc: Optional[Dict] = None,
+    timeout: float = 30.0,
+    client_id: str = "",
+) -> Tuple[int, Dict, Dict[str, str]]:
+    """One HTTP round-trip to a ``repro serve`` / ``sweep --serve`` server.
+
+    Returns ``(status, reply document, headers)`` with lower-cased header
+    names.  A broken exchange raises :class:`ServiceError` (or
+    :class:`OSError` when the server cannot be reached at all).
+    """
+    import http.client  # lazy: the server side never needs the client
+
+    headers = {"X-Client-Id": client_id} if client_id else {}
+    body = None
+    if doc is not None:
+        body = json.dumps(doc).encode()
+        headers["Content-Type"] = "application/json"
+    conn = http.client.HTTPConnection(address[0], address[1], timeout=timeout)
+    try:
+        conn.request(method, path, body=body, headers=headers)
+        resp = conn.getresponse()
+        data = resp.read()
+        status = resp.status
+        reply_headers = {name.lower(): value for name, value in resp.getheaders()}
+    except http.client.HTTPException as exc:
+        raise ServiceError(f"broken HTTP exchange: {exc!r}") from None
+    finally:
+        conn.close()
+    try:
+        reply = json.loads(data)
+    except ValueError:
+        raise ServiceError(f"server answered {status} without a JSON body") from None
+    return status, reply, reply_headers
 
 
 def cell_to_doc(cell: SweepCell) -> Dict:
@@ -197,8 +227,9 @@ class QueueEntry:
 class WorkQueue:
     """Lease-based work queue over content-addressed sweep cells.
 
-    Single-threaded by design (the :class:`Coordinator` serializes access
-    with a lock); ``clock`` is injectable so tests and the hypothesis
+    Single-threaded by design (its owner,
+    :class:`~repro.experiments.jobs.JobManager`, serializes access with a
+    lock); ``clock`` is injectable so tests and the hypothesis
     state machine can drive logical time.  When ``path`` is set, every
     transition atomically rewrites the JSON journal, and
     :meth:`WorkQueue.load` rebuilds the queue — leases held by the dead
@@ -211,7 +242,8 @@ class WorkQueue:
       it *steals* — grants a speculative duplicate lease on the leased
       cell whose oldest lease has run longest, once that age exceeds
       ``steal_after_s`` (straggler re-execution; ``max_leases`` bounds
-      the replication factor).
+      the replication factor).  Keys in ``skip`` are neither leased nor
+      stolen.
     * ``complete`` is first-writer-wins: the first completion of a cell
       becomes its one canonical result (cells are deterministic, so any
       racing attempt computed identical bytes); later completions are
@@ -247,7 +279,7 @@ class WorkQueue:
         self.order: List[str] = []
         self.draining = False
         self.lease_seq = 0
-        # counters (persisted, surfaced by the status op)
+        # the _COUNTERS: journaled, and served in the status
         self.leases_granted = 0
         self.steals = 0
         self.expirations = 0
@@ -315,14 +347,7 @@ class WorkQueue:
             "finished": self.done,
             "draining": self.draining,
             "active_leases": self.active_leases(),
-            "leases_granted": self.leases_granted,
-            "steals": self.steals,
-            "expirations": self.expirations,
-            "completions": self.completions,
-            "duplicates": self.duplicates,
-            "late_completions": self.late_completions,
-            "failures": self.failures,
-            "releases": self.releases,
+            **self._counters(),
         }
         doc.update(self.counts())
         return doc
@@ -377,7 +402,7 @@ class WorkQueue:
             self._save()
         return expired
 
-    def lease(self, worker: str) -> Dict:
+    def lease(self, worker: str, skip: Collection[str] = ()) -> Dict:
         """Hand one cell to ``worker``; the reply doc mirrors the wire form.
 
         Returns ``{"done": true}`` when the grid is finished (or the
@@ -388,10 +413,10 @@ class WorkQueue:
         self.expire(now)
         if self.done or self.draining:
             return {"ok": True, "done": True}
-        entry = self._next_pending(now)
+        entry = self._next_pending(now, skip)
         stolen = False
         if entry is None:
-            entry = self._steal_candidate(now)
+            entry = self._steal_candidate(now, skip)
             stolen = entry is not None
         if entry is None:
             return {"ok": True, "wait": True, "retry_s": self._retry_hint(now)}
@@ -506,20 +531,23 @@ class WorkQueue:
 
     # -- internals ------------------------------------------------------------
 
-    def _next_pending(self, now: float) -> Optional[QueueEntry]:
+    def _next_pending(self, now: float, skip: Collection[str]) -> Optional[QueueEntry]:
         for key in self.order:
             entry = self.entries[key]
-            if entry.state == PENDING and entry.not_before <= now:
+            if entry.state == PENDING and entry.not_before <= now and key not in skip:
                 return entry
         return None
 
-    def _steal_candidate(self, now: float) -> Optional[QueueEntry]:
+    def _steal_candidate(
+        self, now: float, skip: Collection[str]
+    ) -> Optional[QueueEntry]:
         """The longest-running leased straggler eligible for re-execution."""
         best: Optional[QueueEntry] = None
         best_age = self.steal_after_s
         for key in self.order:
             entry = self.entries[key]
-            if entry.state != LEASED or len(entry.leases) >= self.max_leases:
+            if entry.state != LEASED or len(entry.leases) >= self.max_leases \
+                    or key in skip:
                 continue
             oldest = min(lease["granted"] for lease in entry.leases.values())
             age = now - oldest
@@ -566,18 +594,12 @@ class WorkQueue:
             "steal_after_s": self.steal_after_s,
             "max_leases": self.max_leases,
             "lease_seq": self.lease_seq,
-            "counters": {
-                "leases_granted": self.leases_granted,
-                "steals": self.steals,
-                "expirations": self.expirations,
-                "completions": self.completions,
-                "duplicates": self.duplicates,
-                "late_completions": self.late_completions,
-                "failures": self.failures,
-                "releases": self.releases,
-            },
+            "counters": self._counters(),
             "cells": [self.entries[key].to_doc() for key in self.order],
         }
+
+    def _counters(self) -> Dict[str, int]:
+        return {name: getattr(self, name) for name in _COUNTERS}
 
     def _save(self) -> None:
         if not self.path:
@@ -634,10 +656,10 @@ def _last_line(text: str) -> str:
 def format_status_table(doc: Dict) -> str:
     """Render a queue status document as the human-readable table.
 
-    The document is exactly :meth:`WorkQueue.status_doc` — the same
-    serialization ``repro sweep --status --json`` prints and the server's
-    ``GET /api/cluster`` embeds, so scripts parse one format and humans
-    read this table.
+    The document is exactly :meth:`WorkQueue.status_doc` — the ``queue``
+    block of the server's ``GET /api/cluster``, which ``repro sweep
+    --status --json`` prints, so scripts parse one format and humans read
+    this table.
     """
     lines = [
         f"cells: {doc['total']}  "
@@ -656,220 +678,6 @@ def format_status_table(doc: Dict) -> str:
         f"  releases        {doc.get('releases', 0)}",
     ]
     return "\n".join(lines)
-
-
-# -- the coordinator ----------------------------------------------------------
-
-
-#: protocol hardening defaults: a handler thread never waits longer than
-#: this for the request line, and never buffers more than this many bytes
-READ_TIMEOUT_S = 30.0
-MAX_REQUEST_BYTES = 1_048_576
-
-
-class _ServiceServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-    coordinator: "Coordinator"
-    read_timeout_s = READ_TIMEOUT_S
-    max_request_bytes = MAX_REQUEST_BYTES
-
-
-class _ServiceHandler(socketserver.StreamRequestHandler):
-    def handle(self) -> None:  # pragma: no cover - exercised over real sockets
-        server = self.server
-        limit = int(server.max_request_bytes)  # type: ignore[attr-defined]
-        # a stalled client trips the read timeout and the handler thread
-        # returns; an oversized request is cut off at the size limit and
-        # rejected — either way the thread is never pinned
-        self.connection.settimeout(server.read_timeout_s)  # type: ignore[attr-defined]
-        try:
-            line = self.rfile.readline(limit + 1)
-        except OSError:  # includes socket.timeout
-            return
-        if not line:
-            return
-        if len(line) > limit:
-            reply: Dict = {
-                "ok": False,
-                "error": f"request exceeds {limit} bytes",
-            }
-        else:
-            try:
-                doc = json.loads(line)
-            except ValueError:
-                reply = {"ok": False, "error": "request is not valid JSON"}
-            else:
-                reply = self.server.coordinator.dispatch(doc)  # type: ignore[attr-defined]
-        try:
-            self.wfile.write((json.dumps(reply, sort_keys=True) + "\n").encode())
-        except OSError:
-            pass
-
-
-class Coordinator:
-    """The sweep service's server side: a locked WorkQueue behind TCP.
-
-    Construction pre-resolves cache hits exactly like ``run_cells`` does
-    (cells that request a trace file bypass cache reads); accepted
-    completions are stored back into ``cache`` so the whole grid shares
-    one content-addressed store.  ``queue_path`` makes the queue durable:
-    if the journal already exists the grid resumes from it, with
-    ``add_cells`` deduplication absorbing the re-submitted cells.
-    """
-
-    def __init__(
-        self,
-        cells: Iterable[SweepCell],
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        queue_path: Union[str, os.PathLike] = "",
-        cache: Union[ResultCache, str, None] = None,
-        lease_s: float = 60.0,
-        max_attempts: int = 3,
-        backoff_s: float = 1.0,
-        backoff_cap_s: float = 60.0,
-        steal_after_s: Optional[float] = None,
-        clock: Callable[[], float] = time.time,
-        read_timeout_s: float = READ_TIMEOUT_S,
-        max_request_bytes: int = MAX_REQUEST_BYTES,
-    ) -> None:
-        if isinstance(cache, str):
-            cache = ResultCache(cache)
-        self.cache = cache
-        self._lock = threading.Lock()
-        self._clock = clock
-        if queue_path and os.path.exists(queue_path):
-            self.queue = WorkQueue.load(queue_path, clock=clock)
-            self.resumed = True
-        else:
-            self.queue = WorkQueue(
-                lease_s=lease_s,
-                max_attempts=max_attempts,
-                backoff_s=backoff_s,
-                backoff_cap_s=backoff_cap_s,
-                steal_after_s=steal_after_s,
-                clock=clock,
-                path=queue_path,
-            )
-            self.resumed = False
-        self.queue.add_cells(cells)
-        if self.cache is not None:
-            for key in self.queue.order:
-                entry = self.queue.entries[key]
-                if entry.state != PENDING:
-                    continue
-                if entry.cell["config"].get("trace_path"):
-                    continue  # must really run so the trace gets written
-                hit = self.cache.load(key)
-                if hit is not None:
-                    self.queue.mark_cached(key, result_to_dict(hit))
-        self._server = _ServiceServer((host, port), _ServiceHandler)
-        self._server.coordinator = self
-        self._server.read_timeout_s = read_timeout_s
-        self._server.max_request_bytes = max_request_bytes
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound (host, port) — resolves ``port=0`` to the real port."""
-        host, port = self._server.server_address[:2]
-        return str(host), int(port)
-
-    def start(self) -> "Coordinator":
-        """Serve requests on a background thread."""
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def dispatch(self, doc: Dict) -> Dict:
-        """Handle one protocol request (thread-safe)."""
-        op = doc.get("op")
-        with self._lock:
-            if op == "ping":
-                return {"ok": True, "pong": True}
-            if op == "lease":
-                return self.queue.lease(str(doc.get("worker", "")))
-            if op == "renew":
-                ok = self.queue.renew(doc.get("key", ""), doc.get("lease_id", ""))
-                return {"ok": ok}
-            if op == "complete":
-                reply = self.queue.complete(
-                    doc.get("key", ""),
-                    doc.get("lease_id", ""),
-                    doc.get("result", {}),
-                    worker=str(doc.get("worker", "")),
-                    cached=bool(doc.get("cached", False)),
-                )
-                if reply.get("accepted") and self.cache is not None:
-                    self.cache.store(doc["key"], doc["result"])
-                return reply
-            if op == "fail":
-                return self.queue.fail(
-                    doc.get("key", ""),
-                    doc.get("lease_id", ""),
-                    str(doc.get("error", "")),
-                    requeue=bool(doc.get("requeue", False)),
-                )
-            if op == "status":
-                return {"ok": True, "status": self.queue.status_doc()}
-            if op == "drain":
-                self.queue.drain()
-                return {"ok": True, "draining": True}
-            return {"ok": False, "error": f"unknown op {op!r}"}
-
-    def wait(self, timeout: Optional[float] = None, poll_s: float = 0.1) -> bool:
-        """Block until the grid is done (or drained); False on timeout.
-
-        The wait loop doubles as the lease reaper: expired leases are
-        reclaimed even while no worker is polling.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            with self._lock:
-                self.queue.expire()
-                finished = self.queue.done or (
-                    self.queue.draining and self.queue.active_leases() == 0
-                )
-            if finished:
-                return True
-            if deadline is not None and time.monotonic() >= deadline:
-                return False
-            time.sleep(poll_s)
-
-    def drain(self) -> None:
-        """Graceful shutdown: stop granting leases, let in-flight cells land."""
-        with self._lock:
-            self.queue.drain()
-
-    def outcomes(self) -> List[CellOutcome]:
-        """Per-cell outcomes in input order (thread-safe snapshot)."""
-        with self._lock:
-            return self.queue.outcomes()
-
-    def status(self) -> Dict:
-        """The queue's status snapshot (thread-safe)."""
-        with self._lock:
-            return self.queue.status_doc()
-
-    def close(self) -> None:
-        """Stop serving and release the socket."""
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-    def __enter__(self) -> "Coordinator":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 # -- the worker ---------------------------------------------------------------
@@ -915,7 +723,7 @@ class WorkerStats:
     completed: int = 0
     cached: int = 0
     failed: int = 0
-    rejected: int = 0  # completions the coordinator discarded as duplicates
+    rejected: int = 0  # completions the server discarded as duplicates
     released: int = 0  # in-flight leases handed back on SIGTERM/SIGINT
     #: signal number that stopped the loop early (0 = ran to completion)
     stopped_by_signal: int = 0
@@ -932,13 +740,16 @@ def run_worker(
     request_timeout: float = 30.0,
     handle_signals: bool = True,
 ) -> WorkerStats:
-    """Pull cells from a coordinator until the grid is done.
+    """Pull cells from a server's queue until its grid is done.
 
-    Each leased cell executes through :func:`run_cells` (jobs=1, with the
-    worker's own ``cache``) while a daemon thread renews the lease every
-    third of its deadline; the serialized result (or the traceback) is
-    then reported back.  Transient connection errors retry; a coordinator
-    that disappears *after* this worker did real work is treated as a
+    Every op is one ``POST /api/queue`` carrying ``X-Client-Id: <worker
+    id>``.  Each leased cell executes through :func:`run_cells` (jobs=1,
+    with the worker's own ``cache``) while a daemon thread renews the
+    lease every third of its deadline; the serialized result (or the
+    traceback) is then reported back.  A 429 is waited out for its
+    ``Retry-After`` and retried — the server is pacing this worker, not
+    failing it.  Transient connection errors retry; a server that
+    disappears *after* this worker did real work is treated as a
     finished grid (it exits once everything is done).
 
     SIGTERM/SIGINT stop the loop gracefully (``handle_signals``, main
@@ -955,6 +766,19 @@ def run_worker(
     def _on_signal(signum, frame) -> None:
         raise WorkerShutdown(signum)
 
+    def op(doc: Dict) -> Dict:
+        while True:
+            status, reply, headers = http_json(
+                address, "POST", QUEUE_ROUTE, doc,
+                timeout=request_timeout, client_id=stats.worker_id,
+            )
+            if status == 429:
+                time.sleep(float(headers.get("retry-after") or poll_s))
+                continue
+            if status != 200:
+                raise ServiceError(f"server answered {status}: {reply.get('error')}")
+            return reply
+
     previous = {}
     if handle_signals and threading.current_thread() is threading.main_thread():
         for sig in (signal.SIGTERM, signal.SIGINT):
@@ -967,14 +791,11 @@ def run_worker(
     try:
         while True:
             try:
-                reply = request(
-                    address, {"op": "lease", "worker": stats.worker_id},
-                    timeout=request_timeout,
-                )
+                reply = op({"op": "lease", "worker": stats.worker_id})
             except (OSError, ServiceError) as exc:
                 connect_failures += 1
                 if stats.leases and connect_failures >= 3:
-                    break  # grid finished and the coordinator went away
+                    break  # grid finished and the server went away
                 if connect_failures >= 20:
                     raise ServiceError(
                         f"cannot reach coordinator at {address[0]}:{address[1]}: {exc}"
@@ -1003,10 +824,8 @@ def run_worker(
             def _renew(key: str = key, lease_id: str = lease_id) -> None:
                 while not stop.wait(renew_every):
                     try:
-                        request(address, {
-                            "op": "renew", "key": key, "lease_id": lease_id,
-                            "worker": stats.worker_id,
-                        }, timeout=request_timeout)
+                        op({"op": "renew", "key": key, "lease_id": lease_id,
+                            "worker": stats.worker_id})
                     except (OSError, ServiceError):
                         return
             renewer = threading.Thread(target=_renew, daemon=True)
@@ -1030,7 +849,7 @@ def run_worker(
                     "lease_id": lease_id, "error": outcome.error,
                 }
             try:
-                ack = request(address, msg, timeout=request_timeout)
+                ack = op(msg)
             except (OSError, ServiceError):
                 in_flight = None
                 continue  # the lease will expire and the cell be re-run
@@ -1050,15 +869,15 @@ def run_worker(
         if in_flight is not None:
             key, lease_id = in_flight
             try:
-                request(address, {
+                op({
                     "op": "fail", "worker": stats.worker_id, "key": key,
                     "lease_id": lease_id, "requeue": True,
                     "error": f"worker {stats.worker_id} shutting down "
                              f"(signal {shutdown.signum})",
-                }, timeout=request_timeout)
+                })
                 stats.released += 1
             except (OSError, ServiceError):
-                pass  # coordinator gone too; the lease will expire
+                pass  # server gone too; the lease will expire
     finally:
         for sig, handler in previous.items():
             signal.signal(sig, handler)

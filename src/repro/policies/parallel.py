@@ -20,10 +20,9 @@ order) is unchanged from serial, which makes decisions, traces, and
 results byte-identical across ``jobs`` values.  The CI ``policy-bench``
 job ``cmp``-gates exactly that.
 
-Backends: ``process`` (the default where :func:`os.fork` exists, falling
-back to ``spawn``), ``thread`` (no true parallelism under the GIL, but
-the same code path — the fallback where processes are unavailable), and
-``serial`` (``jobs=1``; also what small epochs degrade to).
+Backends: a process pool (forked where :func:`os.fork` exists, else
+spawned) for ``jobs > 1``, and serial in-process scoring for ``jobs=1``,
+for an epoch without candidates, and wherever the pool cannot start.
 """
 
 from __future__ import annotations
@@ -95,29 +94,19 @@ def _worker_main(conn) -> None:
 class ForkScorer:
     """Persistent branch-scoring pool, reused across decision epochs.
 
-    ``jobs`` is the worker count; ``jobs <= 1`` scores everything
-    in-process.  ``mode`` picks the backend: ``"auto"`` (processes where
-    available, else threads), ``"process"``, ``"thread"``, or
-    ``"serial"``.  Pass the host :class:`SnapshotSession`'s pool so
-    in-process restores share the live run's static objects.
+    ``jobs`` is the worker-process count; ``jobs <= 1`` (or a pool that
+    cannot start) scores everything in-process.  Pass the host
+    :class:`SnapshotSession`'s pool so in-process restores share the
+    live run's static objects.
 
     Use as a context manager (or call :meth:`close`) so worker processes
     don't outlive the experiment; they are daemonic as a backstop.
     """
 
-    def __init__(
-        self,
-        jobs: int = 1,
-        mode: str = "auto",
-        pool: Optional[StaticPool] = None,
-    ) -> None:
-        if mode not in ("auto", "process", "thread", "serial"):
-            raise ValueError(f"unknown fork-scorer mode {mode!r}")
+    def __init__(self, jobs: int = 1, pool: Optional[StaticPool] = None) -> None:
         self.jobs = max(1, int(jobs))
-        self.mode = mode
         self._pool = pool if pool is not None else StaticPool()
         self._workers: List[Tuple[object, object]] = []  # (process, conn)
-        self._executor = None  # thread backend, created lazily
 
     # -- backends -------------------------------------------------------------
 
@@ -146,15 +135,6 @@ class ForkScorer:
             return False
         return True
 
-    def _ensure_executor(self):
-        if self._executor is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.jobs, thread_name_prefix="fork-scorer"
-            )
-        return self._executor
-
     # -- the epoch entry point -------------------------------------------------
 
     def score_epoch(
@@ -169,13 +149,9 @@ class ForkScorer:
         ``candidate_scores`` in candidate order, so the driver's serial
         reduction applies unchanged regardless of backend or ``jobs``.
         """
-        if self.jobs <= 1 or not candidates or self.mode == "serial":
-            return self._score_serial(snap, candidates, rcfg)
-        if self.mode in ("process", "auto") and self._start_workers():
+        if self.jobs > 1 and candidates and self._start_workers():
             return self._score_process(snap, candidates, rcfg)
-        if self.mode == "process":
-            raise RuntimeError("process fork-scorer backend unavailable")
-        return self._score_thread(snap, candidates, rcfg)
+        return self._score_serial(snap, candidates, rcfg)
 
     def _score_serial(self, snap, candidates, rcfg):
         base = score_fork(snap, None, rcfg, pool=self._pool)
@@ -206,19 +182,10 @@ class ForkScorer:
                 scores[idx] = tuple(s)
         return base, scores
 
-    def _score_thread(self, snap, candidates, rcfg):
-        executor = self._ensure_executor()
-        futures = [
-            executor.submit(score_fork, snap, a, rcfg, self._pool)
-            for a in candidates
-        ]
-        base = score_fork(snap, None, rcfg, pool=self._pool)
-        return base, [f.result() for f in futures]
-
     # -- teardown --------------------------------------------------------------
 
     def close(self) -> None:
-        """Stop workers and release the thread pool (idempotent)."""
+        """Stop the worker processes (idempotent)."""
         for proc, conn in self._workers:
             try:
                 conn.send(None)
@@ -231,9 +198,6 @@ class ForkScorer:
                 proc.terminate()
                 proc.join(timeout=1.0)
         self._workers.clear()
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
 
     def __enter__(self) -> "ForkScorer":
         return self

@@ -8,6 +8,7 @@ documents, and pumps SSE frames).
 Routes::
 
     POST /api/jobs              submit a grid/cells document → job id
+    POST /api/queue             worker op: lease/renew/complete/fail
     GET  /api/jobs              one summary row per job
     GET  /api/jobs/{id}         status, progress, per-cell outcomes
     GET  /api/jobs/{id}/result  the outcome document (--out rendering)
@@ -22,9 +23,15 @@ Edge behavior (documented for clients in ``docs/SERVER.md``):
   with ``Retry-After``;
 * the job backlog is bounded — full → **503**; draining → **503**;
 * request size/time limits from :mod:`repro.server.http` → 408/413/431;
-* SIGTERM/SIGINT → drain: stop accepting, let in-flight cells land,
-  close SSE streams, exit.  With a job journal configured, unfinished
-  jobs resume on restart (:mod:`repro.server.jobstore`).
+* SIGTERM/SIGINT → drain: refuse new jobs and leases, close SSE
+  streams, keep answering workers until every outstanding lease has
+  landed (or the grace period ends), then close and exit.  With a job
+  journal configured, unfinished jobs resume on restart
+  (:mod:`repro.server.jobstore`).
+
+Worker traffic (``repro sweep --worker``) is ordinary requests on
+``POST /api/queue``, so it passes the same limiter, size and time
+checks as job submissions.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ import traceback
 from typing import Dict, Optional, Set
 
 from repro.experiments.jobs import Job, JobManager, JobRejected
+from repro.experiments.service import QUEUE_ROUTE
 from repro.server import sse
 from repro.server.http import (
     HttpError,
@@ -42,7 +50,6 @@ from repro.server.http import (
     error_response,
     json_response,
     read_request,
-    response,
     sse_preamble,
 )
 from repro.server.ratelimit import RateLimiter
@@ -81,6 +88,7 @@ class Server:
 
     async def start(self) -> None:
         """Bind and start accepting (resolves ``port=0`` to the real port)."""
+        self._stop_requested = asyncio.Event()
         self._server = await asyncio.start_server(
             self._handle, self.host, self.port
         )
@@ -90,8 +98,8 @@ class Server:
         """Run until SIGTERM/SIGINT, then drain gracefully."""
         if self._server is None:
             await self.start()
+        assert self._stop_requested is not None
         loop = asyncio.get_running_loop()
-        self._stop_requested = asyncio.Event()
         for sig in (signal.SIGTERM, signal.SIGINT):
             try:
                 loop.add_signal_handler(sig, self._stop_requested.set)
@@ -120,6 +128,11 @@ class Server:
         self.manager.drain()
         for wakeup in list(self._sse_wakeups):
             wakeup.set()
+        # workers holding leases report back through the still-open listener
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + self.shutdown_grace_s
+        while self.manager.busy() and loop.time() < deadline:
+            await asyncio.sleep(0.05)
         if self._server is not None:
             self._server.close()
             try:
@@ -208,6 +221,12 @@ class Server:
             if method == "GET":
                 return json_response(200, {"jobs": self.manager.jobs_doc()})
             raise HttpError(405, f"{method} not allowed on {path}")
+        if path == QUEUE_ROUTE:
+            if method != "POST":
+                raise HttpError(405, f"{method} not allowed on {path}")
+            # queue transitions touch the cache (disk) — off the event loop
+            reply = await asyncio.to_thread(self._queue_op, request.json())
+            return json_response(200, reply)
         if path == "/api/cluster":
             self._require_get(method, path)
             return json_response(200, self._cluster_doc())
@@ -257,6 +276,34 @@ class Server:
             "progress": self.manager.job_status_doc(job)["progress"],
         }
         return json_response(202 if created else 200, body)
+
+    def _queue_op(self, doc: object) -> Dict:
+        """Apply one worker op document to the manager's queue."""
+        if not isinstance(doc, dict):
+            raise HttpError(400, "request body must be a JSON object")
+        op = doc.get("op")
+        worker = _text(doc, "worker")
+        if op == "lease":
+            return self.manager.lease(worker)
+        key, lease_id = _text(doc, "key"), _text(doc, "lease_id")
+        if op == "renew":
+            return {"ok": self.manager.renew(key, lease_id)}
+        if op == "complete":
+            result = doc.get("result")
+            if not isinstance(result, dict):
+                raise HttpError(400, "'result' must be a JSON object")
+            return self.manager.complete(
+                key, lease_id, result, worker=worker,
+                cached=bool(doc.get("cached", False)),
+            )
+        if op == "fail":
+            return self.manager.fail(
+                key, lease_id, _text(doc, "error"),
+                requeue=bool(doc.get("requeue", False)),
+            )
+        raise HttpError(
+            400, f"unknown op {op!r}; expected lease, renew, complete or fail"
+        )
 
     def _result(self, job: Job) -> bytes:
         doc = self.manager.job_result_doc(job)
@@ -327,6 +374,13 @@ class Server:
         finally:
             job.stream.remove_waiter(wake)
             self._sse_wakeups.discard(wakeup)
+
+
+def _text(doc: Dict, name: str) -> str:
+    value = doc.get(name, "")
+    if not isinstance(value, str):
+        raise HttpError(400, f"{name!r} must be a string")
+    return value
 
 
 async def run_server(server: Server) -> None:

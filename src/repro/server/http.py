@@ -10,9 +10,11 @@ the hardening the service edge needs —
 * the body is bounded by ``max_body_bytes`` (→ 413) and must carry an
   exact ``Content-Length`` (no chunked encoding — clients here are
   simple scripts and test harnesses),
-* every read is wrapped in a timeout (a stalled client gets its
-  connection closed instead of pinning the handler), mirroring the
-  coordinator's JSON-lines hardening in ``experiments/service.py``.
+* every read is wrapped in a timeout (a stalled client gets a 408 and
+  its connection closed instead of pinning the handler).
+
+These checks guard every route alike — job submissions and the
+``POST /api/queue`` worker operations.
 
 Responses are rendered by :func:`response` / :func:`json_response`.
 JSON bodies use ``indent=2, sort_keys=True`` + trailing newline — the

@@ -405,8 +405,8 @@ class TestRollout:
         assert (tmp_path / "serial.jsonl").read_bytes() == \
             (tmp_path / f"j{jobs}.jsonl").read_bytes()
 
-    def test_thread_backend_matches_serial(self, tmp_path):
-        """The GIL fallback goes through the same reduction."""
+    def test_process_pool_matches_serial(self, tmp_path):
+        """The process pool goes through the same reduction as serial."""
         from repro.checkpoint import SnapshotSession
         from repro.observability.trace import Tracer
         from repro.policies.parallel import ForkScorer
@@ -422,9 +422,10 @@ class TestRollout:
         assert candidates, "pinned cell must produce candidates by t=80"
         snap = SnapshotSession(sim).snapshot()
         rcfg = RolloutConfig(epoch_s=10.0, branches=4)
-        with ForkScorer(1) as serial, ForkScorer(2, mode="thread") as threaded:
+        with ForkScorer(1) as serial, ForkScorer(2) as pooled:
             base_a, scores_a = serial.score_epoch(snap, candidates, rcfg)
-            base_b, scores_b = threaded.score_epoch(snap, candidates, rcfg)
+            base_b, scores_b = pooled.score_epoch(snap, candidates, rcfg)
+            assert len(pooled._workers) == 2  # really scored in the pool
         assert base_a == base_b
         assert scores_a == scores_b
 

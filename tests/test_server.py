@@ -8,7 +8,8 @@ Four layers:
 * :class:`TestJobManager` — the job manager against the in-process
   work queue: cross-job cell dedupe, cache pre-resolution (a warm grid
   completes at submit with zero ``run_experiment`` calls), idempotent
-  resubmission, bounded backlog;
+  resubmission, bounded backlog, completions fanned out to every job
+  holding the cell;
 * :class:`TestServerHTTP` — a real asyncio server on a loopback port
   driven by ``http.client``: the full POST → SSE → GET loop
   byte-identical to serial ``run_cells``, four concurrent clients
@@ -41,8 +42,10 @@ from repro.experiments.jobs import (
     JobRejected,
     RUNNING,
     parse_job_spec,
+    server_queue,
 )
 from repro.experiments.runner import ExperimentConfig
+from repro.experiments.serialize import result_to_dict
 from repro.experiments.service import cell_to_doc
 from repro.experiments.sweep import (
     ResultCache,
@@ -327,7 +330,8 @@ class TestJobManager:
             raise RuntimeError("injected cell failure")
 
         monkeypatch.setattr(sweep_mod, "run_experiment", flaky)
-        manager = make_manager(tmp_path, max_attempts=1).start()
+        manager = make_manager(
+            tmp_path, queue=server_queue(max_attempts=1)).start()
         try:
             spec = {"cells": [cell_to_doc(CELLS[0])]}
             job, _ = manager.submit(spec)
@@ -344,6 +348,36 @@ class TestJobManager:
             assert job.state == JOB_DONE
         finally:
             manager.stop()
+
+    def test_completion_fans_out_and_caches_once(self, tmp_path):
+        """A remote-style completion settles every job holding the cell
+        and lands in the result cache; a second one is a duplicate."""
+        cache = ResultCache(tmp_path / "cache")
+        manager = make_manager(tmp_path, cache=cache, workers=0)
+        job_a, _ = manager.submit({"cells": [cell_to_doc(CELLS[0])]})
+        job_b, _ = manager.submit(
+            {"cells": [cell_to_doc(c) for c in CELLS[:2]]})
+        grant = manager.lease("remote")
+        assert grant["key"] == job_a.keys[0]
+        result = result_to_dict(run_cells([CELLS[0]])[0].result)
+        ack = manager.complete(grant["key"], grant["lease_id"], result,
+                               worker="remote")
+        assert ack["accepted"]
+        assert job_a.state == JOB_DONE and job_b.active
+        assert manager.job_status_doc(job_b)["progress"]["done"] == 1
+        assert len(cache) == 1 and manager.cells_executed == 0
+        again = manager.complete(grant["key"], grant["lease_id"], result)
+        assert again == {"ok": True, "accepted": False, "reason": "duplicate"}
+        events, _, _ = job_b.stream.read_since(0)
+        finished = [e.data for e in events
+                    if e.kind == "cell" and e.data["phase"] == "finished"]
+        assert [f["key"] for f in finished] == [grant["key"]]
+
+    def test_stream_jobs_need_an_executor(self, tmp_path):
+        manager = make_manager(tmp_path, workers=0)
+        with pytest.raises(JobRejected) as err:
+            manager.submit({"cells": [cell_to_doc(CELLS[0])], "stream": True})
+        assert err.value.status == 400
 
     def test_journal_restore_resumes_unfinished_job(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -679,6 +713,50 @@ class TestServerHTTP:
                 assert "run.config" in types and "run.summary" in types
                 assert all("t" in t and "data" in t for t in traces)
                 assert events[-1][0] == "done"
+        finally:
+            manager.stop()
+
+    def test_stream_job_cells_are_never_leased_to_remote_workers(
+        self, tmp_path
+    ):
+        """A remote worker polling POST /api/queue is handed the plain
+        job's cell but never the ``stream: true`` job's, which runs in
+        the server so its trace records reach the SSE stream."""
+        manager = make_manager(tmp_path, workers=1)  # executors start later
+        try:
+            with ServerThread(manager) as st:
+                def lease():
+                    status, _, data = st.request(
+                        "POST", "/api/queue",
+                        body={"op": "lease", "worker": "remote"})
+                    assert status == 200
+                    return json.loads(data)
+
+                status, _, data = st.request(
+                    "POST", "/api/jobs",
+                    body={"cells": [cell_to_doc(CELLS[0])], "stream": True},
+                )
+                stream_job = json.loads(data)["id"]
+                assert lease().get("wait")  # the only cell is the stream job's
+                st.request("POST", "/api/jobs",
+                           body={"cells": [cell_to_doc(CELLS[1])]})
+                grant = lease()
+                assert grant["key"] not in manager.jobs[stream_job].keys
+                assert lease().get("wait")
+                manager.start()
+                events = st.stream_events(f"/api/jobs/{stream_job}/events")
+                assert events[-1][0] == "done"
+                assert any(k == "trace" for k, _, _ in events)
+                started = [d for k, _, d in events
+                           if k == "cell" and d["phase"] == "started"]
+                assert [d["worker"] for d in started] == ["exec-0"]
+                # hand the plain cell back so the drain has nothing to wait on
+                status, _, data = st.request("POST", "/api/queue", body={
+                    "op": "fail", "worker": "remote", "key": grant["key"],
+                    "lease_id": grant["lease_id"], "requeue": True,
+                    "error": "remote worker going away",
+                })
+                assert json.loads(data)["accepted"]
         finally:
             manager.stop()
 

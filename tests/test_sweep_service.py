@@ -14,18 +14,25 @@ Three layers:
   quarantined.  Each op dimension is drawn independently (the
   ``tests/invariants`` shrinking convention), so counterexamples shrink
   toward the shortest readable schedule.
-* :class:`TestServiceIntegration` — real coordinator + real workers over
-  TCP: a worker SIGKILLed mid-cell (via the CLI's ``--chaos`` injection),
-  a frozen worker whose lease is reclaimed, a straggler whose delayed
-  completion arrives as a duplicate, a coordinator restart resuming a
-  half-done journal, shard parity with offline ``shard K/M`` — each
-  ending byte-identical to the serial ``run_cells`` path.
+* :class:`TestServiceIntegration` — what ``repro sweep --serve`` runs (a
+  real HTTP :class:`~repro.server.app.Server` over a ``JobManager``
+  holding the grid as one job) + real workers leasing over
+  ``POST /api/queue``: a worker SIGKILLed mid-cell (via the CLI's
+  ``--chaos`` injection), a frozen worker whose lease is reclaimed, a
+  straggler whose delayed completion arrives as a duplicate, a
+  coordinator restart resuming a half-done journal, shard parity with
+  offline ``shard K/M`` — each ending byte-identical to the serial
+  ``run_cells`` path.  :class:`TestProtocolHardening` covers the HTTP
+  edge the workers share with job clients (408, 413, 431, 429).
 """
 
 from __future__ import annotations
 
+import asyncio
+import http.client
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -36,6 +43,7 @@ import pytest
 
 import repro
 from repro.core.config import DareConfig
+from repro.experiments.jobs import JobManager
 from repro.experiments.runner import ExperimentConfig
 from repro.experiments.serialize import result_to_dict, result_to_json
 from repro.experiments.service import (
@@ -43,14 +51,14 @@ from repro.experiments.service import (
     LEASED,
     PENDING,
     QUARANTINED,
+    QUEUE_ROUTE,
     ChaosSpec,
-    Coordinator,
     WorkQueue,
     cell_from_doc,
     cell_to_doc,
+    http_json,
     parse_address,
     parse_chaos,
-    request,
     run_worker,
 )
 from repro.experiments.sweep import (
@@ -62,6 +70,7 @@ from repro.experiments.sweep import (
     run_cells,
     shard_cells,
 )
+from repro.server.app import Server
 
 try:
     from hypothesis import given, settings
@@ -126,6 +135,22 @@ class TestWire:
         assert parse_address(":7341") == ("127.0.0.1", 7341)
         with pytest.raises(ValueError, match="bad address"):
             parse_address("host:notaport")
+        assert parse_address("127.0.0.1:0") == ("127.0.0.1", 0)
+        assert parse_address(":65535") == ("127.0.0.1", 65535)
+        for spec in ("127.0.0.1:99999", "127.0.0.1:-5", "65536"):
+            with pytest.raises(ValueError, match="port must be 0-65535"):
+                parse_address(spec)
+
+    def test_cli_rejects_out_of_range_ports(self):
+        from repro.cli import main
+
+        for argv in (["sweep", "--serve", "127.0.0.1:99999"],
+                     ["sweep", "--worker", "127.0.0.1:99999"],
+                     ["sweep", "--status", "127.0.0.1:-5"]):
+            with pytest.raises(SystemExit, match="port must be 0-65535"):
+                main(argv)
+        with pytest.raises(SystemExit, match="--port 99999 is out of range"):
+            main(["serve", "--port", "99999"])
 
     def test_parse_chaos(self):
         assert parse_chaos("") == ChaosSpec()
@@ -457,7 +482,7 @@ def test_queue_state_machine_random_interleavings(n_cells, ops):
     assert counts[DONE] == len(done_results)
 
 
-# -- integration: real coordinator + real workers over TCP --------------------
+# -- integration: real HTTP server + real workers ------------------------------
 
 _SRC = str(Path(repro.__file__).resolve().parents[1])
 
@@ -466,6 +491,87 @@ def _worker_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
     return env
+
+
+class GridServer:
+    """What ``repro sweep --serve`` runs, in-process: a :class:`Server`
+    over ``JobManager(workers=0)`` holding ``cells`` as one job, with its
+    event loop on a daemon thread.  Unlike the CLI it keeps serving after
+    the grid is done, until :meth:`close` (or :meth:`drain`)."""
+
+    def __init__(self, cells, cache=None, queue_path="", server_kwargs=None,
+                 **queue_kwargs):
+        self.resumed = bool(queue_path) and os.path.exists(queue_path)
+        if self.resumed:
+            queue = WorkQueue.load(queue_path)
+        else:
+            queue = WorkQueue(path=queue_path, **queue_kwargs)
+        self.manager = JobManager(cache=cache, workers=0, queue=queue)
+        self.job, _ = self.manager.submit(
+            {"cells": [cell_to_doc(c) for c in cells]})
+        self.server = Server(self.manager, port=0, **(server_kwargs or {}))
+        self._loop = None
+        self._ready = threading.Event()
+        self._thread = threading.Thread(
+            target=lambda: asyncio.run(self._main()), daemon=True)
+
+    async def _main(self):
+        await self.server.start()
+        self._loop = asyncio.get_running_loop()
+        self._ready.set()
+        await self.server.serve()
+
+    def start(self) -> "GridServer":
+        self._thread.start()
+        assert self._ready.wait(10), "server failed to start"
+        return self
+
+    def __enter__(self) -> "GridServer":
+        return self.start()
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    @property
+    def address(self):
+        return ("127.0.0.1", self.server.port)
+
+    @property
+    def queue(self) -> WorkQueue:
+        return self.manager.queue
+
+    def op(self, doc: dict) -> dict:
+        """One worker op over ``POST /api/queue``."""
+        status, reply, _ = http_json(self.address, "POST", QUEUE_ROUTE, doc)
+        assert status == 200, reply
+        return reply
+
+    def wait(self, timeout=None) -> bool:
+        """Block until the grid is done or a drain has landed; like the
+        CLI's loop, this reaps expired leases while it waits."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while self.job.active and self._thread.is_alive():
+            if deadline is not None and time.monotonic() >= deadline:
+                return False
+            time.sleep(0.1)
+            self.manager.expire()
+        return True
+
+    def drain(self) -> None:
+        """What SIGTERM does: stop granting leases, land in-flight ones."""
+        self._loop.call_soon_threadsafe(self.server.request_stop)
+
+    def close(self) -> None:
+        if self._thread.is_alive():
+            self.drain()
+            self._thread.join(60)
+
+    def outcomes(self):
+        with self.manager._lock:
+            return self.queue.outcomes()
+
+    def status(self) -> dict:
+        return self.manager.cluster_doc()["queue"]
 
 
 def _spawn_cli_worker(port: int, *extra: str) -> subprocess.Popen:
@@ -486,23 +592,23 @@ def _worker_thread(address, results: list, **kwargs):
     return thread
 
 
-def _service_jsons(coordinator: Coordinator) -> list:
-    return [result_to_json(o.result) for o in coordinator.outcomes()]
+def _service_jsons(server: GridServer) -> list:
+    return [result_to_json(o.result) for o in server.outcomes()]
 
 
 class TestServiceIntegration:
     def test_two_workers_match_serial_bytes(self, serial_docs):
         serial = [result_to_json(run_cells([c])[0].result) for c in CELLS[:3]]
-        with Coordinator(CELLS[:3], lease_s=10.0) as coordinator:
+        with GridServer(CELLS[:3], lease_s=10.0) as server:
             stats: list = []
             threads = [
-                _worker_thread(coordinator.address, stats, worker_id=f"w{i}")
+                _worker_thread(server.address, stats, worker_id=f"w{i}")
                 for i in range(2)
             ]
-            assert coordinator.wait(timeout=60.0)
+            assert server.wait(timeout=60.0)
             for thread in threads:
                 thread.join(timeout=10.0)
-            assert _service_jsons(coordinator) == serial
+            assert _service_jsons(server) == serial
         assert sum(s.completed for s in stats) == 3
 
     def test_worker_sigkill_mid_cell_grid_still_byte_identical(self):
@@ -511,19 +617,19 @@ class TestServiceIntegration:
         byte-identical to the serial path."""
         cells = list(CELLS[:3])
         serial = [result_to_json(r) for r in results_of(run_cells(cells))]
-        with Coordinator(cells, lease_s=1.5) as coordinator:
-            port = coordinator.address[1]
-            chaos = _spawn_cli_worker(port, "--chaos", "kill-after-lease:1")
-            chaos.wait(timeout=30.0)
+        with GridServer(cells, lease_s=1.5) as server:
+            chaos = _spawn_cli_worker(server.address[1],
+                                      "--chaos", "kill-after-lease:1")
+            chaos.communicate(timeout=30.0)
             assert chaos.returncode == -9  # died by its own SIGKILL, mid-cell
-            status = coordinator.status()
+            status = server.status()
             assert status["leased"] >= 1  # the orphaned lease is still held
             stats: list = []
-            thread = _worker_thread(coordinator.address, stats, worker_id="survivor")
-            assert coordinator.wait(timeout=60.0)
+            thread = _worker_thread(server.address, stats, worker_id="survivor")
+            assert server.wait(timeout=60.0)
             thread.join(timeout=10.0)
-            assert _service_jsons(coordinator) == serial
-            status = coordinator.status()
+            assert _service_jsons(server) == serial
+            status = server.status()
             # the dead worker's cell was recovered by expiry or by stealing
             assert status["expirations"] + status["steals"] >= 1
             assert status["quarantined"] == 0
@@ -531,23 +637,22 @@ class TestServiceIntegration:
     def test_frozen_worker_lease_reclaimed_and_late_complete_discarded(self):
         cells = list(CELLS[:2])
         serial = [result_to_json(r) for r in results_of(run_cells(cells))]
-        with Coordinator(cells, lease_s=0.4, steal_after_s=0.2) as coordinator:
-            address = coordinator.address
+        with GridServer(cells, lease_s=0.4, steal_after_s=0.2) as server:
             # a frozen worker: leases a cell by hand and never executes it
-            frozen = request(address, {"op": "lease", "worker": "frozen"})
+            frozen = server.op({"op": "lease", "worker": "frozen"})
             assert "lease_id" in frozen
             stats: list = []
-            thread = _worker_thread(address, stats, worker_id="healthy")
-            assert coordinator.wait(timeout=60.0)
+            thread = _worker_thread(server.address, stats, worker_id="healthy")
+            assert server.wait(timeout=60.0)
             thread.join(timeout=10.0)
-            assert _service_jsons(coordinator) == serial
+            assert _service_jsons(server) == serial
             # the thawed worker finally reports: discarded as a duplicate
-            late = request(address, {
+            late = server.op({
                 "op": "complete", "worker": "frozen", "key": frozen["key"],
                 "lease_id": frozen["lease_id"], "result": {"m": "bogus"},
             })
             assert late["accepted"] is False and late["reason"] == "duplicate"
-            status = coordinator.status()
+            status = server.status()
             assert status["duplicates"] == 1
             assert status["expirations"] + status["steals"] >= 1
 
@@ -556,20 +661,20 @@ class TestServiceIntegration:
         attempt wins and the straggler's completion is the duplicate."""
         cells = [CELLS[0]]
         serial = [result_to_json(r) for r in results_of(run_cells(cells))]
-        with Coordinator(cells, lease_s=0.3, steal_after_s=60.0) as coordinator:
+        with GridServer(cells, lease_s=0.3, steal_after_s=60.0) as server:
             stats_slow: list = []
             slow = _worker_thread(
-                coordinator.address, stats_slow, worker_id="straggler",
+                server.address, stats_slow, worker_id="straggler",
                 chaos=ChaosSpec("delay-complete", delay_s=2.5),
             )
             time.sleep(0.1)  # let the straggler take the lease first
             stats_fast: list = []
-            fast = _worker_thread(coordinator.address, stats_fast, worker_id="fast")
-            assert coordinator.wait(timeout=60.0)
+            fast = _worker_thread(server.address, stats_fast, worker_id="fast")
+            assert server.wait(timeout=60.0)
             slow.join(timeout=15.0)
             fast.join(timeout=15.0)
-            assert _service_jsons(coordinator) == serial
-            status = coordinator.status()
+            assert _service_jsons(server) == serial
+            status = server.status()
             assert status["completions"] == 1
             assert status["duplicates"] + status["late_completions"] >= 1
         [slow_stats] = stats_slow
@@ -581,16 +686,16 @@ class TestServiceIntegration:
                                       scheduler="no-such-scheduler")
         bad = SweepCell(bad_config, WorkloadSpec("wl1", N_JOBS, SEED), tag="bad")
         cells = [bad, CELLS[1]]
-        with Coordinator(cells, lease_s=10.0, max_attempts=2,
-                         backoff_s=0.05) as coordinator:
+        with GridServer(cells, lease_s=10.0, max_attempts=2,
+                        backoff_s=0.05) as server:
             stats: list = []
-            thread = _worker_thread(coordinator.address, stats, worker_id="w")
-            assert coordinator.wait(timeout=60.0)
+            thread = _worker_thread(server.address, stats, worker_id="w")
+            assert server.wait(timeout=60.0)
             thread.join(timeout=10.0)
-            outcomes = coordinator.outcomes()
+            outcomes = server.outcomes()
             assert not outcomes[0].ok and "no-such-scheduler" in outcomes[0].error
             assert outcomes[1].ok  # the grid survived the poison cell
-            status = coordinator.status()
+            status = server.status()
             assert status["quarantined"] == 1 and status["failures"] == 2
         [worker_stats] = stats
         assert worker_stats.failed == 2  # initial attempt + one backoff retry
@@ -598,18 +703,21 @@ class TestServiceIntegration:
     def test_coordinator_restart_resumes_half_done_grid(self, tmp_path, serial_docs):
         cells = list(CELLS[:3])
         serial = [result_to_json(run_cells([c])[0].result) for c in cells]
-        queue_path = tmp_path / "queue.json"
-        first = Coordinator(cells, queue_path=queue_path, lease_s=10.0).start()
-        # one cell completes, one is left mid-lease; then the coordinator dies
-        grant = request(first.address, {"op": "lease", "worker": "w1"})
-        request(first.address, {
+        queue_path = str(tmp_path / "queue.json")
+        first = GridServer(cells, queue_path=queue_path, lease_s=10.0).start()
+        # one cell completes, one is left mid-lease; then the server dies
+        grant = first.op({"op": "lease", "worker": "w1"})
+        first.op({
             "op": "complete", "worker": "w1", "key": grant["key"],
             "lease_id": grant["lease_id"], "result": serial_docs[grant["key"]],
         })
-        request(first.address, {"op": "lease", "worker": "w1"})  # in flight
-        first.close()  # hard stop: no drain, the journal is all that survives
+        first.op({"op": "lease", "worker": "w1"})  # in flight
+        # stop without waiting for the in-flight lease: the journal is
+        # all that survives
+        first.server.shutdown_grace_s = 0.0
+        first.close()
 
-        second = Coordinator(cells, queue_path=queue_path, lease_s=10.0)
+        second = GridServer(cells, queue_path=queue_path, lease_s=10.0)
         assert second.resumed
         status = second.status()
         assert status["finished"] is False
@@ -635,57 +743,102 @@ class TestServiceIntegration:
             shard = shard_cells(cells, (k, 2))
             shard_keys = [cache_key(c.config, c.workload) for c in shard]
             serial = [result_to_json(r) for r in results_of(run_cells(shard))]
-            with Coordinator(shard, lease_s=10.0) as coordinator:
-                assert coordinator.queue.order == shard_keys
+            with GridServer(shard, lease_s=10.0) as server:
+                assert server.queue.order == shard_keys
                 stats: list = []
-                thread = _worker_thread(coordinator.address, stats)
-                assert coordinator.wait(timeout=60.0)
+                thread = _worker_thread(server.address, stats)
+                assert server.wait(timeout=60.0)
                 thread.join(timeout=10.0)
-                assert _service_jsons(coordinator) == serial
+                assert _service_jsons(server) == serial
             seen_keys.extend(shard_keys)
         assert sorted(seen_keys) == sorted(KEYS)  # the shards partition the grid
 
     def test_workers_share_the_coordinator_cache(self, tmp_path):
         cells = list(CELLS[:2])
         cache = ResultCache(tmp_path / "cache")
-        with Coordinator(cells, cache=cache, lease_s=10.0) as coordinator:
+        with GridServer(cells, cache=cache, lease_s=10.0) as server:
             stats: list = []
-            thread = _worker_thread(coordinator.address, stats)
-            assert coordinator.wait(timeout=60.0)
+            thread = _worker_thread(server.address, stats)
+            assert server.wait(timeout=60.0)
             thread.join(timeout=10.0)
         assert len(cache) == 2  # accepted completions landed in the shared cache
         # a warm re-serve resolves everything from cache: no leases granted
-        with Coordinator(cells, cache=cache, lease_s=10.0) as coordinator:
-            assert coordinator.wait(timeout=10.0)
-            outcomes = coordinator.outcomes()
+        with GridServer(cells, cache=cache, lease_s=10.0) as server:
+            assert server.wait(timeout=10.0)
+            outcomes = server.outcomes()
             assert all(o.from_cache for o in outcomes)
-            assert coordinator.status()["leases_granted"] == 0
+            assert server.status()["leases_granted"] == 0
 
     def test_drain_is_graceful(self):
         cells = list(CELLS[:2])
-        with Coordinator(cells, lease_s=10.0) as coordinator:
-            grant = request(coordinator.address, {"op": "lease", "worker": "w1"})
-            coordinator.drain()
-            reply = request(coordinator.address, {"op": "lease", "worker": "w2"})
+        with GridServer(cells, lease_s=10.0) as server:
+            grant = server.op({"op": "lease", "worker": "w1"})
+            server.drain()
+            reply = server.op({"op": "lease", "worker": "w2"})
             assert reply.get("done")  # new work is refused while draining
-            assert not coordinator.wait(timeout=0.3)  # still one lease in flight
-            ack = request(coordinator.address, {
+            assert not server.wait(timeout=0.3)  # still one lease in flight
+            ack = server.op({
                 "op": "complete", "worker": "w1", "key": grant["key"],
                 "lease_id": grant["lease_id"], "result": {"m": 1},
             })
             assert ack["accepted"]  # in-flight work still lands
-            assert coordinator.wait(timeout=10.0)  # leases drained
+            assert server.wait(timeout=10.0)  # leases drained: server exits
+            assert server.queue.counts()[PENDING] == 1  # never leased
+
+    def test_cli_coordinator_drains_on_sigterm(self, tmp_path):
+        """`repro sweep --serve` + a real SIGTERM: no new leases, the
+        in-flight one still lands over the open listener, then the
+        coordinator prints its summaries for what finished and exits."""
+        import signal as signal_mod
+
+        out = tmp_path / "out.json"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "sweep", "--grid", "smoke",
+             "--n-jobs", str(N_JOBS), "--no-cache", "--serve", "127.0.0.1:0",
+             "--out", str(out)],
+            env=_worker_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            banner = proc.stdout.readline()
+            assert banner.startswith("coordinator listening on 127.0.0.1:")
+            address = ("127.0.0.1", int(banner.split(":")[1].split()[0]))
+            grant = http_json(address, "POST", QUEUE_ROUTE,
+                              {"op": "lease", "worker": "w1"})[1]
+            proc.send_signal(signal_mod.SIGTERM)
+            deadline = time.monotonic() + 30.0
+            while not http_json(address, "GET", "/api/healthz")[1]["draining"]:
+                assert time.monotonic() < deadline, "never started draining"
+                time.sleep(0.05)
+            assert http_json(address, "POST", QUEUE_ROUTE,
+                             {"op": "lease", "worker": "w2"})[1].get("done")
+            result = run_cells([cell_from_doc(grant["cell"])])[0].result
+            ack = http_json(address, "POST", QUEUE_ROUTE, {
+                "op": "complete", "worker": "w1", "key": grant["key"],
+                "lease_id": grant["lease_id"], "result": result_to_dict(result),
+            })[1]
+            assert ack["accepted"]
+            stdout, _ = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 1  # the never-leased cell counts as failed
+        assert "service: 1 leases, 0 expired" in stdout
+        assert "sweep: 2 cells, 1 failed (cache off)" in stdout
+        cells = json.loads(out.read_text())["cells"]
+        assert [c["ok"] for c in cells].count(True) == 1
 
     def test_status_op_and_cli(self, capsys):
         from repro.cli import main
 
-        with Coordinator(list(CELLS[:2]), lease_s=10.0) as coordinator:
-            host, port = coordinator.address
-            # machine-readable: the raw status_doc serializer, parseable
+        with GridServer(list(CELLS[:2]), lease_s=10.0) as server:
+            host, port = server.address
+            # machine-readable: the /api/cluster queue block, parseable
             assert main(["sweep", "--status", f"{host}:{port}", "--json"]) == 0
             doc = json.loads(capsys.readouterr().out)
             assert doc["total"] == 2 and doc["pending"] == 2
-            assert doc == coordinator.status()  # one shared serializer
+            assert doc == server.status()  # one shared serializer
             # default: the human table
             assert main(["sweep", "--status", f"{host}:{port}"]) == 0
             table = capsys.readouterr().out
@@ -694,17 +847,23 @@ class TestServiceIntegration:
             main(["sweep", "--status", f"{host}:{port}"])
 
     def test_unknown_op_and_bad_json_are_rejected(self):
-        import socket as socket_mod
-
-        with Coordinator(list(CELLS[:1])) as coordinator:
-            reply = request(coordinator.address, {"op": "explode"})
-            assert not reply["ok"] and "unknown op" in reply["error"]
-            with socket_mod.create_connection(coordinator.address, timeout=5) as s:
-                fh = s.makefile("rwb")
-                fh.write(b"this is not json\n")
-                fh.flush()
-                reply = json.loads(fh.readline())
-            assert not reply["ok"] and "JSON" in reply["error"]
+        with GridServer(list(CELLS[:1])) as server:
+            status, reply, _ = http_json(
+                server.address, "POST", QUEUE_ROUTE, {"op": "explode"})
+            assert status == 400 and "unknown op" in reply["error"]
+            status, reply, _ = http_json(
+                server.address, "POST", QUEUE_ROUTE,
+                {"op": "renew", "key": ["not", "a", "string"]})
+            assert status == 400 and "'key' must be a string" in reply["error"]
+            conn = http.client.HTTPConnection(*server.address, timeout=5)
+            conn.request("POST", QUEUE_ROUTE, body=b"this is not json")
+            resp = conn.getresponse()
+            assert resp.status == 400
+            assert "not valid JSON" in json.loads(resp.read())["error"]
+            conn.close()
+            # the route only takes POSTs
+            status, _, _ = http_json(server.address, "GET", QUEUE_ROUTE)
+            assert status == 405
 
 
 # -- voluntary release (graceful worker shutdown) -----------------------------
@@ -762,38 +921,68 @@ class TestVoluntaryRelease:
         assert reloaded.entries[grant["key"]].state == PENDING
 
 
-# -- protocol hardening: stalled and oversized clients ------------------------
+# -- edge hardening: stalled, oversized, and rate-limited clients ------------
 
 
 class TestProtocolHardening:
     def test_oversized_request_line_rejected(self):
-        import socket as socket_mod
+        with GridServer(list(CELLS[:1])) as server:
+            with socket.create_connection(server.address, timeout=5) as s:
+                s.sendall(b"GET /" + b"x" * 70_000 + b" HTTP/1.1\r\n\r\n")
+                reply = s.makefile("rb").readline()
+            assert reply.startswith(b"HTTP/1.1 431")
+            # the server survived to answer the next client
+            assert http_json(server.address, "GET", "/api/healthz")[0] == 200
 
-        with Coordinator(list(CELLS[:1]),
-                         max_request_bytes=1024) as coordinator:
-            with socket_mod.create_connection(
-                    coordinator.address, timeout=5) as s:
-                fh = s.makefile("rwb")
-                fh.write(b'{"op": "ping", "pad": "' + b"x" * 4096 + b'"}\n')
-                fh.flush()
-                reply = json.loads(fh.readline())
-            assert not reply["ok"] and "exceeds 1024 bytes" in reply["error"]
-            # the handler thread survived to serve the next client
-            assert request(coordinator.address, {"op": "ping"})["ok"]
+    def test_oversized_worker_body_gets_413(self):
+        with GridServer(list(CELLS[:1]),
+                        server_kwargs={"max_body_bytes": 1024}) as server:
+            status, reply, _ = http_json(server.address, "POST", QUEUE_ROUTE, {
+                "op": "complete", "key": KEYS[0], "lease_id": "L0",
+                "result": {"pad": "x" * 4096},
+            })
+            assert status == 413 and "exceeds 1024 bytes" in reply["error"]
+            assert server.status()["completions"] == 0
+            # a normal-sized op on the same route is still served
+            assert server.op({"op": "renew", "key": KEYS[0],
+                              "lease_id": "L0"}) == {"ok": False}
 
     def test_stalled_connection_closed_after_read_timeout(self):
-        import socket as socket_mod
-
-        with Coordinator(list(CELLS[:1]),
-                         read_timeout_s=0.3) as coordinator:
+        with GridServer(list(CELLS[:1]),
+                        server_kwargs={"request_timeout_s": 0.3}) as server:
             start = time.monotonic()
-            with socket_mod.create_connection(
-                    coordinator.address, timeout=10) as s:
-                # send nothing: the handler must hang up, not pin a thread
-                line = s.makefile("rb").readline()
-            assert line == b""  # connection closed without a reply
+            with socket.create_connection(server.address, timeout=10) as s:
+                # send nothing: the handler answers 408 and hangs up
+                reply = s.makefile("rb").read()
+            assert reply.startswith(b"HTTP/1.1 408")
             assert time.monotonic() - start < 8.0
-            assert request(coordinator.address, {"op": "ping"})["ok"]
+            assert http_json(server.address, "GET", "/api/healthz")[0] == 200
+
+    def test_rate_limited_worker_waits_and_retries(self):
+        """A 429 paces a worker; it is never a connection failure.  The
+        first 25 requests from the worker are refused — more than the 20
+        failures that would make it give up — and it still finishes."""
+        from repro.server.ratelimit import RateLimiter
+
+        class Refuse25(RateLimiter):
+            def check(self, client):
+                if client == "paced" and self.limited < 25:
+                    self.limited += 1
+                    return False, 0.02
+                return super().check(client)
+
+        cells = list(CELLS[:2])
+        serial = [result_to_json(r) for r in results_of(run_cells(cells))]
+        with GridServer(cells, lease_s=10.0) as server:
+            server.server.limiter = Refuse25()
+            started = time.monotonic()
+            stats = run_worker(server.address, worker_id="paced",
+                               no_cache=True, poll_s=0.05)
+            assert time.monotonic() - started >= 25 * 0.02  # it waited
+            assert server.wait(timeout=10.0)
+            assert _service_jsons(server) == serial
+            assert server.server.limiter.limited == 25
+        assert stats.completed == 2 and stats.failed == 0
 
 
 # -- graceful worker shutdown under a real signal -----------------------------
@@ -808,13 +997,13 @@ class TestWorkerGracefulShutdown:
 
         cells = list(CELLS[:2])
         serial = [result_to_json(r) for r in results_of(run_cells(cells))]
-        with Coordinator(cells, lease_s=30.0) as coordinator:
-            address = coordinator.address
+        with GridServer(cells, lease_s=30.0) as server:
+            address = server.address
 
             def fire_once_leased():
                 deadline = time.monotonic() + 30.0
                 while time.monotonic() < deadline:
-                    if coordinator.status()[LEASED] >= 1:
+                    if server.status()[LEASED] >= 1:
                         time.sleep(0.3)  # let run_worker set in_flight
                         os.kill(os.getpid(), signal_mod.SIGTERM)
                         return
@@ -827,15 +1016,15 @@ class TestWorkerGracefulShutdown:
                                chaos="delay-complete:30")
             assert stats.stopped_by_signal == signal_mod.SIGTERM
             assert stats.released == 1
-            status = coordinator.status()
+            status = server.status()
             assert status["releases"] == 1 and status["failures"] == 0
             assert status[LEASED] == 0 and status["finished"] is False
             assert status[PENDING] >= 1  # the released cell, uncharged
             results: list = []
             thread = _worker_thread(address, results, worker_id="healthy")
-            assert coordinator.wait(timeout=60.0)
+            assert server.wait(timeout=60.0)
             thread.join(timeout=10.0)
-            assert _service_jsons(coordinator) == serial
+            assert _service_jsons(server) == serial
 
     def test_cli_worker_sigterm_exits_cleanly_and_releases(self):
         """The acceptance scenario with a real process: SIGTERM a CLI
@@ -843,13 +1032,13 @@ class TestWorkerGracefulShutdown:
         import signal as signal_mod
 
         cells = list(CELLS[:2])
-        with Coordinator(cells, lease_s=30.0) as coordinator:
-            port = coordinator.address[1]
+        with GridServer(cells, lease_s=30.0) as server:
+            port = server.address[1]
             proc = _spawn_cli_worker(port, "--chaos", "delay-complete:30")
             try:
                 deadline = time.monotonic() + 30.0
                 while time.monotonic() < deadline:
-                    if coordinator.status()[LEASED] >= 1:
+                    if server.status()[LEASED] >= 1:
                         break
                     time.sleep(0.05)
                 else:
@@ -863,7 +1052,7 @@ class TestWorkerGracefulShutdown:
                     proc.communicate()
             assert proc.returncode == 0  # graceful exit, not a crash
             assert b"worker" in out  # it got far enough to print stats
-            status = coordinator.status()
+            status = server.status()
             assert status["releases"] == 1
             assert status[LEASED] == 0 and status[PENDING] >= 1
             assert status["failures"] == 0
