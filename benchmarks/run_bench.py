@@ -250,12 +250,12 @@ def bench_snapshot_restore(n_jobs: int) -> Dict[str, float]:
     snapshot_s = best_of(lambda: take_snapshot(sim), rounds=10)
     snap = take_snapshot(sim)
     sim.close()
-    restore_s = best_of(lambda: snap.fork().close(), rounds=10)
+    restore_s = best_of(lambda: snap.restore().close(), rounds=10)
     return {
         "wall_s": snapshot_s + restore_s,
         "snapshot_s": snapshot_s,
         "restore_s": restore_s,
-        "snapshot_bytes": float(len(snap.payload)),
+        "snapshot_bytes": float(len(snap.payload) + len(snap.static_payload)),
     }
 
 

@@ -1,15 +1,10 @@
-"""Simulation checkpoints: snapshot/restore/fork and what-if patches.
+"""Simulation checkpoints: snapshot/restore and what-if patches.
 
 See ``docs/CHECKPOINT.md`` for the snapshot format, the determinism
 contract, and the sweep prefix-sharing heuristic built on top of it.
 """
 
-from repro.checkpoint.incremental import (
-    DELTA_FORMAT,
-    DeltaSnapshot,
-    SnapshotSession,
-    StaticPool,
-)
+from repro.checkpoint.incremental import SnapshotSession, snapshot
 from repro.checkpoint.patches import (
     FlipPolicy,
     KillNode,
@@ -17,14 +12,12 @@ from repro.checkpoint.patches import (
     PinReplica,
     parse_patch,
 )
-from repro.checkpoint.snapshot import SNAPSHOT_FORMAT, Snapshot, snapshot
+from repro.checkpoint.snapshot import SNAPSHOT_FORMAT, Snapshot, StaticPool
 
 __all__ = [
     "SNAPSHOT_FORMAT",
-    "DELTA_FORMAT",
     "Snapshot",
     "snapshot",
-    "DeltaSnapshot",
     "SnapshotSession",
     "StaticPool",
     "Patch",

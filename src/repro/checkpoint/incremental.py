@@ -1,5 +1,6 @@
-"""Incremental (delta) snapshots for repeated same-run forking.
+"""Taking snapshots: the per-run :class:`SnapshotSession`.
 
+Every :class:`~repro.checkpoint.snapshot.Snapshot` is taken by a session.
 The rollout engine snapshots the same live simulation once per decision
 epoch, and most of what it pickles never changes between epochs: the
 frozen :class:`ExperimentConfig`, the synthesized workload, the cluster
@@ -7,45 +8,41 @@ topology, and the HDFS file tree (INodes and Blocks are immutable once
 ``Simulation.__init__`` has created them — HDFS files are read-only and
 replica locations live in the DataNode maps, not on the blocks).
 
-:class:`SnapshotSession` exploits that: it pickles those *static* roots
-once, records the pickle-memo index every static object landed at, and
-then pickles each epoch's *delta* payload with every static object
-replaced by a bare-``int`` persistent id (its memo index).  Restoring a
-:class:`DeltaSnapshot` unpickles the static payload once per process
-(cached in a :class:`StaticPool`), reads the resulting memo to map
-indices back to objects, and resolves the delta's int tokens against it.
-Because the static objects are genuinely immutable, every fork restored
-from the same session may *share* them — with the pool and with each
-other — without any cross-talk.
+A session pickles those *static* roots once, records the pickle-memo
+index every static object landed at, and then pickles each snapshot's
+*delta* payload with every static object replaced by that index.  A
+one-shot :func:`snapshot` is a session of one that also embeds the trace
+prefix, for checkpoints that are saved to disk or forked per what-if
+cell.
 
 Dirty detection: the session fingerprints the file tree
 (``(len(files), len(blocks))``) at every :meth:`SnapshotSession.snapshot`
 and transparently rebases (re-pickles the static payload) if it changed,
 so a future mid-run file creation degrades to correct-but-slower rather
-than corrupting forks.  ``check=True`` additionally verifies every delta
-snapshot against a classic full snapshot: both are restored and
-re-pickled with the same tokenless pickler, and the byte streams must
-match exactly.
+than corrupting forks.  ``check=True`` additionally verifies every
+snapshot against the plain tokenless pickle of the live run: both are
+materialized and re-pickled, and the byte streams must match exactly.
 """
 
 from __future__ import annotations
 
 import io
-import pickle
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.checkpoint.snapshot import (
+    SNAPSHOT_FORMAT,
+    Snapshot,
+    StaticPool,
     _SimulationPickler,
-    _SimulationUnpickler,
-    snapshot as full_snapshot,
+    _unpickler,
 )
 from repro.experiments.runner import Simulation
 from repro.experiments.serialize import config_to_dict
-from repro.observability.trace import NULL_TRACER, Tracer
+from repro.observability.trace import NULL_TRACER, JsonlSink
 
-#: format tag carried by delta snapshots (full snapshots use format 1)
-DELTA_FORMAT = 2
+#: former name of the per-epoch snapshot; ``e2e_bench/layers.py`` still
+#: wraps ``DeltaSnapshot.restore`` by it
+DeltaSnapshot = Snapshot
 
 
 def _static_roots(sim: Simulation) -> Tuple:
@@ -68,103 +65,11 @@ def _file_tree_version(sim: Simulation) -> Tuple[int, int]:
     return (len(sim.namenode.files), len(sim.namenode.blocks))
 
 
-def _pickle_static(roots: Tuple) -> Tuple[bytes, Dict[int, Tuple[int, object]]]:
-    """Pickle the static roots; return (payload, pickle memo).
-
-    The memo maps ``id(obj) -> (memo_index, obj)``; keeping it (and thus
-    a reference to every memoized object) alive is what keeps the
-    ``id()`` keys valid for the session's lifetime.
-    """
+def _dumps(sim: Simulation, static_ids: Optional[Dict[int, int]] = None) -> bytes:
+    """Pickle ``sim``, tokening out the objects in ``static_ids``."""
     buffer = io.BytesIO()
-    pickler = _SimulationPickler(buffer)
-    pickler.dump(roots)
-    return buffer.getvalue(), pickler.memo.copy()
-
-
-def _unpickle_static(payload: bytes) -> Dict[int, object]:
-    """Unpickle a static payload; return its memo as {index: object}."""
-    unpickler = _SimulationUnpickler(io.BytesIO(payload), NULL_TRACER)
-    unpickler.load()
-    return unpickler.memo.copy()
-
-
-class StaticPool:
-    """Restore-side cache of unpickled static payloads.
-
-    Keyed by payload bytes, so a session rebase (new static payload)
-    naturally misses and re-populates.  Holding one pool per process —
-    host or pool worker — means the static graph is unpickled once and
-    shared by every subsequent fork, which is safe because the objects
-    are immutable.
-    """
-
-    def __init__(self) -> None:
-        # one (payload, memo) slot, swapped as a unit so a restore never
-        # sees a payload/memo mismatch
-        self._entry: Optional[Tuple[bytes, Dict[int, object]]] = None
-
-    def resolve(self, payload: bytes) -> Dict[int, object]:
-        """The {memo-index: object} map for ``payload``, cached."""
-        entry = self._entry
-        if entry is None or entry[0] != payload:
-            entry = (payload, _unpickle_static(payload))
-            self._entry = entry
-        return entry[1]
-
-
-@dataclass
-class DeltaSnapshot:
-    """One epoch's mutable state, pickled against a static payload.
-
-    Unlike :class:`~repro.checkpoint.snapshot.Snapshot` this is an
-    in-memory handoff between the rollout driver and its fork scorers —
-    it carries no trace prefix and has no disk round-trip.
-    """
-
-    format: int
-    #: simulation time the snapshot was taken at
-    time: float
-    #: engine callbacks fired before the snapshot
-    events_processed: int
-    #: the cell's full config (serialize.config_to_dict), for inspection
-    config: Dict
-    #: the source tracer's firehose flag, reproduced on restore
-    engine_events: bool
-    #: whether the source run had an enabled tracer
-    traced: bool
-    #: the delta-pickled Simulation graph (static objects tokened out)
-    payload: bytes
-    #: the static payload the delta's int tokens resolve against
-    static_payload: bytes
-
-    def restore(
-        self,
-        tracer: Optional[Tracer] = None,
-        pool: Optional[StaticPool] = None,
-    ) -> Simulation:
-        """Materialize an independent fork of the snapshotted simulation.
-
-        Forks share the (immutable) static objects — with each other when
-        the same ``pool`` is passed, and with the live host simulation
-        when the pool belongs to its :class:`SnapshotSession`.  Without a
-        ``tracer`` the fork gets an enabled sinkless bus when the source
-        was traced, else the null tracer.
-        """
-        if tracer is None:
-            if self.traced:
-                tracer = Tracer(engine_events=self.engine_events)
-            else:
-                tracer = NULL_TRACER
-        static_map = (pool or StaticPool()).resolve(self.static_payload)
-        sim = _SimulationUnpickler(
-            io.BytesIO(self.payload), tracer, static_map
-        ).load()
-        if sim.checker is not None and tracer.enabled:
-            sim.checker.attach(tracer)
-        return sim
-
-    #: forking is restoring — every call yields an independent copy
-    fork = restore
+    _SimulationPickler(buffer, static_ids).dump(sim)
+    return buffer.getvalue()
 
 
 class SnapshotSession:
@@ -196,8 +101,11 @@ class SnapshotSession:
 
     def _rebase(self) -> None:
         """(Re-)pickle the static payload from the live simulation."""
-        roots = _static_roots(self.sim)
-        self._static_payload, self._memo = _pickle_static(roots)
+        buffer = io.BytesIO()
+        pickler = _SimulationPickler(buffer)
+        pickler.dump(_static_roots(self.sim))
+        self._static_payload = buffer.getvalue()
+        self._memo = pickler.memo.copy()  # id(obj) -> (memo_index, obj)
         self._static_ids = {
             obj_id: entry[0] for obj_id, entry in self._memo.items()
         }
@@ -209,54 +117,65 @@ class SnapshotSession:
             {entry[0]: entry[1] for entry in self._memo.values()},
         )
 
-    def snapshot(self) -> DeltaSnapshot:
-        """Freeze the current state as a :class:`DeltaSnapshot`.
+    def snapshot(self) -> Snapshot:
+        """Freeze the current state as a :class:`Snapshot`.
 
-        Same calling contract as :func:`repro.checkpoint.snapshot`: only
-        between ``run()`` calls, never from inside an event callback.
+        Only between ``run()`` calls, never from inside an event
+        callback.  Never touches the trace sink: the snapshot carries no
+        trace prefix.
         """
         if self._version is None or _file_tree_version(self.sim) != self._version:
             self._rebase()
-        buffer = io.BytesIO()
-        _SimulationPickler(buffer, self._static_ids).dump(self.sim)
         tracer = self.sim.tracer
-        snap = DeltaSnapshot(
-            format=DELTA_FORMAT,
+        snap = Snapshot(
+            format=SNAPSHOT_FORMAT,
             time=self.sim.engine.now,
             events_processed=self.sim.engine.events_processed,
             config=config_to_dict(self.sim.config),
             engine_events=tracer.engine_events,
             traced=tracer.enabled,
-            payload=buffer.getvalue(),
+            payload=_dumps(self.sim, self._static_ids),
             static_payload=self._static_payload,
         )
         if self.check:
             self._self_check(snap)
         return snap
 
-    def _self_check(self, snap: DeltaSnapshot) -> None:
-        """Assert delta-restore ≡ full-snapshot-restore, byte-for-byte.
+    def _self_check(self, snap: Snapshot) -> None:
+        """Assert snapshot-restore ≡ plain pickle round trip, byte-for-byte.
 
-        Both restored simulations are re-pickled with the plain
-        (tokenless) pickler; the streams must match exactly.  Costs a
-        full snapshot + two restores + two pickles per epoch, which is
-        why it rides the ``--check-invariants`` flag.
+        The snapshot is restored from its own payloads (a fresh pool, so
+        a static object mutated behind the session's back shows up); the
+        live run is pickled with the tokenless pickler and unpickled.
+        Both graphs are re-pickled the same way and the streams must
+        match exactly.  Costs a pickle round trip of the live run, a
+        restore and two re-pickles per epoch, which is why it rides the
+        ``--check-invariants`` flag.
         """
-        full = full_snapshot(self.sim)
-        delta_sim = snap.restore(tracer=NULL_TRACER)
-        full_sim = full.restore(tracer=NULL_TRACER)
-        delta_bytes = _repickle(delta_sim)
-        full_bytes = _repickle(full_sim)
-        if delta_bytes != full_bytes:
+        restored = _dumps(snap.restore(tracer=NULL_TRACER))
+        live = _dumps(_unpickler(_dumps(self.sim), NULL_TRACER).load())
+        if restored != live:
             raise AssertionError(
-                "delta snapshot diverged from full snapshot at "
+                "snapshot diverged from the live run at "
                 f"t={snap.time}: restored graphs re-pickle to different "
-                f"bytes ({len(delta_bytes)} vs {len(full_bytes)})"
+                f"bytes ({len(restored)} vs {len(live)})"
             )
 
 
-def _repickle(sim: Simulation) -> bytes:
-    """Pickle a restored simulation with the plain tokenless pickler."""
-    buffer = io.BytesIO()
-    _SimulationPickler(buffer).dump(sim)
-    return buffer.getvalue()
+def snapshot(sim: Simulation) -> Snapshot:
+    """Freeze a (typically paused) simulation, embedding its trace prefix.
+
+    A one-shot :class:`SnapshotSession`; same calling contract.  The
+    source simulation is left fully usable; its trace sink is flushed so
+    the embedded prefix covers every record emitted so far.
+    """
+    snap = SnapshotSession(sim).snapshot()
+    tracer = sim.tracer
+    if tracer.enabled:
+        for sink in tracer._sinks:
+            if isinstance(sink, JsonlSink):
+                sink.flush()
+                with open(sink.path, "rb") as fh:
+                    snap.trace_prefix = fh.read()
+                break
+    return snap

@@ -1,6 +1,6 @@
-"""Deterministic snapshot/restore/fork of a live :class:`Simulation`.
+"""The snapshot format: one class, one pickle path, one restore.
 
-A snapshot pickles the entire simulator object graph mid-run — engine
+A :class:`Snapshot` freezes a live :class:`Simulation` mid-run — engine
 clock and event heap (every event action is a typed intent: a
 ``functools.partial`` over a bound method or a ``__slots__`` callable,
 never a closure), NameNode/DataNode block maps and budgets,
@@ -11,7 +11,16 @@ aliasing the simulator relies on (heap entries are the same ``Event``
 objects the running attempts hold; tasks back-reference their jobs), so
 a restored run continues exactly where the original paused.
 
-Two objects are *excluded* from the payload and re-wired on restore:
+The graph is stored as two payloads.  The *static* payload pickles the
+subsystems that never change after setup (config, workload, topology,
+HDFS file tree); the *delta* payload pickles everything else, with each
+static object replaced by a bare-``int`` persistent id — its memo index
+in the static payload.  Restore unpickles the static payload through a
+:class:`StaticPool` and resolves the delta's tokens against it, so forks
+restored through one pool share the immutable static objects.  Snapshots
+are taken by :mod:`repro.checkpoint.incremental`.
+
+Two objects are *excluded* from both payloads and re-wired on restore:
 
 * the shared :class:`Tracer` (it holds an open file handle); every
   component's reference is replaced by a persistent-id token and resolved
@@ -19,9 +28,10 @@ Two objects are *excluded* from the payload and re-wired on restore:
 * the sampling profiler (wall-clock state, meaningless after restore).
 
 Determinism contract: a restored (or forked) run produces a JSONL trace
-byte-identical to the cold run from the same seed.  The snapshot embeds
-the flushed trace-prefix bytes of the source run's sink, restore writes
-them to the new trace path, and the resumed run appends — so the file is
+byte-identical to the cold run from the same seed.  A one-shot
+:func:`~repro.checkpoint.incremental.snapshot` embeds the flushed
+trace-prefix bytes of the source run's sink, restore writes them to the
+new trace path, and the resumed run appends — so the file is
 indistinguishable from one written in a single pass.
 """
 
@@ -30,15 +40,14 @@ from __future__ import annotations
 import io
 import pickle
 from dataclasses import asdict, dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.experiments.runner import Simulation
-from repro.experiments.serialize import config_to_dict
 from repro.observability.profiling import CallbackProfiler
 from repro.observability.trace import NULL_TRACER, JsonlSink, Tracer
 
 #: bump when the pickled payload layout changes shape
-SNAPSHOT_FORMAT = 1
+SNAPSHOT_FORMAT = 2
 
 _TOKEN_TRACER = "tracer"
 _TOKEN_NULL_TRACER = "null-tracer"
@@ -48,12 +57,11 @@ _TOKEN_PROFILER = "profiler"
 class _SimulationPickler(pickle.Pickler):
     """Pickler that tokens out the shared tracer and the profiler.
 
-    ``static_ids`` (used by the incremental-snapshot layer) additionally
-    tokens out objects pickled in an earlier *static* payload: it maps
-    ``id(obj)`` to that payload's pickle-memo index, and any object found
-    in it is emitted as a bare-``int`` persistent id instead of being
-    re-pickled.  The lookups below are ordered hottest-first — this
-    method runs once per object in the graph.
+    ``static_ids`` additionally tokens out objects pickled in the static
+    payload: it maps ``id(obj)`` to that payload's pickle-memo index, and
+    any object found in it is emitted as a bare-``int`` persistent id
+    instead of being re-pickled.  The lookups below are ordered
+    hottest-first — this method runs once per object in the graph.
     """
 
     def __init__(
@@ -77,40 +85,52 @@ class _SimulationPickler(pickle.Pickler):
         return None
 
 
-class _SimulationUnpickler(pickle.Unpickler):
-    """Unpickler that resolves tracer tokens to the restore-time bus.
+def _unpickler(
+    payload: bytes,
+    tracer: Tracer,
+    static_map: Optional[Dict[int, object]] = None,
+) -> pickle.Unpickler:
+    """An unpickler that resolves every persistent id through one dict.
 
-    ``static_map`` resolves the ``int`` persistent ids written by a
-    delta-snapshot pickler: it maps static-payload memo indices to the
-    already-unpickled static objects (see
-    :mod:`repro.checkpoint.incremental`).
+    Tracer tokens resolve to the restore-time bus; the ``int`` ids of a
+    delta payload resolve through ``static_map`` (static-payload memo
+    index -> already-unpickled static object).  The dict's own
+    ``__getitem__`` serves as ``persistent_load``, so the thousands of
+    static references in a delta cost a C lookup each, not a Python call.
+    """
+    tokens: Dict[object, object] = dict(static_map or ())
+    tokens[_TOKEN_TRACER] = tracer
+    tokens[_TOKEN_NULL_TRACER] = NULL_TRACER
+    tokens[_TOKEN_PROFILER] = None
+    unpickler = pickle.Unpickler(io.BytesIO(payload))
+    unpickler.persistent_load = tokens.__getitem__
+    return unpickler
+
+
+class StaticPool:
+    """Restore-side cache of unpickled static payloads.
+
+    Keyed by payload bytes, so a session rebase (new static payload)
+    naturally misses and re-populates.  Holding one pool per process —
+    host or pool worker — means the static graph is unpickled once and
+    shared by every subsequent fork, which is safe because the objects
+    are immutable.
     """
 
-    def __init__(
-        self,
-        buffer: io.BytesIO,
-        tracer: Tracer,
-        static_map: Optional[Dict[int, object]] = None,
-    ) -> None:
-        super().__init__(buffer)
-        self._tracer = tracer
-        self._static_map = static_map if static_map is not None else {}
+    def __init__(self) -> None:
+        # one (payload, memo) slot, swapped as a unit so a restore never
+        # sees a payload/memo mismatch
+        self._entry: Optional[Tuple[bytes, Dict[int, object]]] = None
 
-    def persistent_load(self, pid) -> object:
-        if type(pid) is int:
-            try:
-                return self._static_map[pid]
-            except KeyError:
-                raise pickle.UnpicklingError(
-                    f"unknown static object token {pid!r}"
-                ) from None
-        if pid == _TOKEN_TRACER:
-            return self._tracer
-        if pid == _TOKEN_NULL_TRACER:
-            return NULL_TRACER
-        if pid == _TOKEN_PROFILER:
-            return None
-        raise pickle.UnpicklingError(f"unknown persistent id {pid!r}")
+    def resolve(self, payload: bytes) -> Dict[int, object]:
+        """The {memo-index: object} map for ``payload``, cached."""
+        entry = self._entry
+        if entry is None or entry[0] != payload:
+            unpickler = _unpickler(payload, NULL_TRACER)
+            unpickler.load()
+            entry = (payload, unpickler.memo.copy())
+            self._entry = entry
+        return entry[1]
 
 
 @dataclass
@@ -128,28 +148,35 @@ class Snapshot:
     engine_events: bool
     #: whether the source run had an enabled tracer
     traced: bool
-    #: the pickled Simulation object graph
+    #: the delta-pickled Simulation graph (static objects tokened out)
     payload: bytes
-    #: flushed JSONL bytes of the source run's trace file, if it had one
-    trace_prefix: Optional[bytes]
-
-    # -- restore / fork ------------------------------------------------------
+    #: the static payload the delta's int tokens resolve against
+    static_payload: bytes
+    #: flushed JSONL bytes of the source run's trace file, if embedded
+    trace_prefix: Optional[bytes] = None
 
     def restore(
-        self, trace_path: str = "", tracer: Optional[Tracer] = None
+        self,
+        trace_path: str = "",
+        tracer: Optional[Tracer] = None,
+        pool: Optional[StaticPool] = None,
     ) -> Simulation:
         """Materialize an independent live Simulation from the snapshot.
 
         Each call unpickles a fresh copy, so calling repeatedly *forks*:
-        the copies share nothing and can be run (and patched) separately.
+        the copies share nothing mutable and can be run (and patched)
+        separately.  Forks share the immutable static objects — with each
+        other when the same ``pool`` is passed, and with the live host
+        when the pool belongs to its
+        :class:`~repro.checkpoint.incremental.SnapshotSession`.
 
         ``trace_path`` continues the source run's trace there: the
         embedded prefix is written first and the resumed run appends,
-        yielding a file byte-identical to a cold run's.  Requires the
-        source run to have traced to a file.  Without ``trace_path`` the
-        run is restored with an enabled (but sinkless) bus when the
-        source was traced, else with the null tracer.  An explicit
-        ``tracer`` overrides all of that.
+        yielding a file byte-identical to a cold run's.  Requires a
+        snapshot with a trace prefix.  Without ``trace_path`` the run is
+        restored with an enabled (but sinkless) bus when the source was
+        traced, else with the null tracer.  An explicit ``tracer``
+        overrides all of that.
         """
         if tracer is None:
             if trace_path:
@@ -166,15 +193,13 @@ class Snapshot:
                 tracer = Tracer(engine_events=self.engine_events)
             else:
                 tracer = NULL_TRACER
-        sim = _SimulationUnpickler(io.BytesIO(self.payload), tracer).load()
+        static_map = (pool or StaticPool()).resolve(self.static_payload)
+        sim = _unpickler(self.payload, tracer, static_map).load()
         if sim.checker is not None and tracer.enabled:
             # the invariant checker's ring sink and record subscription
             # lived on the old bus; re-attach them to the new one
             sim.checker.attach(tracer)
         return sim
-
-    #: forking is restoring — every call yields an independent copy
-    fork = restore
 
     # -- disk round-trip -----------------------------------------------------
 
@@ -201,34 +226,3 @@ class Snapshot:
                 f"{doc.get('format') if isinstance(doc, dict) else type(doc).__name__!r}"
             )
         return cls(**doc)
-
-
-def snapshot(sim: Simulation) -> Snapshot:
-    """Freeze a (typically paused) simulation into a :class:`Snapshot`.
-
-    Safe to call between :meth:`Simulation.run` invocations — i.e. never
-    from inside an event callback.  The source simulation is left fully
-    usable; its trace sink is flushed so the embedded prefix covers every
-    record emitted so far.
-    """
-    tracer = sim.tracer
-    prefix: Optional[bytes] = None
-    if tracer.enabled:
-        for sink in tracer._sinks:
-            if isinstance(sink, JsonlSink):
-                sink.flush()
-                with open(sink.path, "rb") as fh:
-                    prefix = fh.read()
-                break
-    buffer = io.BytesIO()
-    _SimulationPickler(buffer).dump(sim)
-    return Snapshot(
-        format=SNAPSHOT_FORMAT,
-        time=sim.engine.now,
-        events_processed=sim.engine.events_processed,
-        config=config_to_dict(sim.config),
-        engine_events=tracer.engine_events,
-        traced=tracer.enabled,
-        payload=buffer.getvalue(),
-        trace_prefix=prefix,
-    )

@@ -79,7 +79,7 @@ MAX_SCALE_NODES = 100_000
 MESOSCALE_FLOOR = 25_000
 
 
-def _scale_spec_or_exit(nodes: int, mesoscale: bool, check_invariants: bool):
+def _scale_spec_or_exit(nodes: int, mesoscale: bool):
     """Validate a --nodes request and build its spec, or exit with advice."""
     from repro.cluster.cluster import scale_spec
 
@@ -87,12 +87,6 @@ def _scale_spec_or_exit(nodes: int, mesoscale: bool, check_invariants: bool):
         raise SystemExit(
             f"--nodes {nodes:,} exceeds the supported maximum of "
             f"{MAX_SCALE_NODES:,} (the scaling benches gate up to 100k)"
-        )
-    if mesoscale and check_invariants:
-        raise SystemExit(
-            "--mesoscale and --check-invariants are incompatible: the strict "
-            "invariant sweep audits every TaskTracker, and mesoscale pools "
-            "idle trackers away; drop one of the two flags"
         )
     if nodes > MESOSCALE_FLOOR and not mesoscale:
         raise SystemExit(
@@ -114,9 +108,7 @@ def _cluster_spec(args: argparse.Namespace):
         if mesoscale:
             raise SystemExit("--mesoscale requires --nodes (scale clusters only)")
         return _CLUSTERS[args.cluster]
-    return _scale_spec_or_exit(
-        nodes, mesoscale, getattr(args, "check_invariants", False)
-    )
+    return _scale_spec_or_exit(nodes, mesoscale)
 
 
 def _policy(args: argparse.Namespace) -> DareConfig:
@@ -494,8 +486,7 @@ def cmd_replay_whatif(args: argparse.Namespace) -> int:
     """Reconstruct a traced run to time t, apply patches, resume live."""
     import dataclasses
 
-    from repro.checkpoint import parse_patch
-    from repro.checkpoint.snapshot import snapshot as take_snapshot
+    from repro.checkpoint import parse_patch, snapshot
     from repro.experiments.runner import Simulation, make_tracer
     from repro.experiments.serialize import config_from_dict
 
@@ -522,7 +513,7 @@ def cmd_replay_whatif(args: argparse.Namespace) -> int:
 
     base = Simulation(config, workload, tracer=make_tracer(config))
     base.run(until=args.at)
-    snap = take_snapshot(base)
+    snap = snapshot(base)
     base.close()
     print(f"reconstructed to t={snap.time:.1f}s "
           f"({snap.events_processed} events replayed)")
@@ -570,19 +561,19 @@ def _checkpoint_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def cmd_checkpoint_save(args: argparse.Namespace) -> int:
     """Run a cell up to a time horizon and save the frozen state."""
-    from repro.checkpoint.snapshot import snapshot as take_snapshot
+    from repro.checkpoint import snapshot
     from repro.experiments.runner import Simulation, make_tracer
 
     workload = _workload(args)
     config = _checkpoint_config(args)
     sim = Simulation(config, workload, tracer=make_tracer(config))
     sim.run(until=args.at)
-    snap = take_snapshot(sim)
+    snap = snapshot(sim)
     sim.close()
     snap.save(args.out)
     print(f"checkpoint written: {args.out}")
     print(f"  t={snap.time:.1f}s, {snap.events_processed} events, "
-          f"{len(snap.payload)} state bytes"
+          f"{len(snap.payload) + len(snap.static_payload)} state bytes"
           + (f", {len(snap.trace_prefix)} trace-prefix bytes"
              if snap.trace_prefix is not None else ""))
     return 0
@@ -738,10 +729,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.nodes or args.mesoscale:
         # re-run the whole grid on a synthetic scale cluster; validated
         # up front so an infeasible combination dies here with advice,
-        # not mid-sweep with an OOM or a silent invariant skip
+        # not mid-sweep with an OOM
         if not args.nodes:
             raise SystemExit("--mesoscale requires --nodes (scale clusters only)")
-        spec = _scale_spec_or_exit(args.nodes, args.mesoscale, args.check_invariants)
+        spec = _scale_spec_or_exit(args.nodes, args.mesoscale)
         cells = [
             c._replace(config=dataclasses.replace(c.config, cluster_spec=spec))
             for c in cells

@@ -364,7 +364,8 @@ class JobManager:
         """
         with self._lock:
             job.stream = RecordStream(self.stream_capacity)
-            self._seq = max(self._seq, int(job.id[1:5]))
+            # ids are f"j{seq:04d}-{hash}": the digits run up to the dash
+            self._seq = max(self._seq, int(job.id[1:].split("-", 1)[0]))
             self._register(job)
             if state in (JOB_DONE, JOB_FAILED):
                 job.state = state

@@ -340,14 +340,6 @@ class Simulation:
         self.config = config
         self.workload = workload
         self.tracer = tracer
-        if config.cluster_spec.mesoscale and config.check_invariants:
-            # the strict sweep audits every TaskTracker's slot accounting;
-            # mesoscale pools idle trackers away, so the audit would
-            # silently skip exactly the nodes it is meant to cover
-            raise ValueError(
-                "check_invariants requires every node event-accurate; "
-                "disable mesoscale (or drop the invariant checks)"
-            )
         if tracer.enabled:
             _trace_run_config(tracer, config, workload)
 

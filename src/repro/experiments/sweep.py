@@ -612,8 +612,7 @@ def run_fork_cells(
     """
     import dataclasses
 
-    from repro.checkpoint import parse_patch
-    from repro.checkpoint.snapshot import snapshot as take_snapshot
+    from repro.checkpoint import parse_patch, snapshot
     from repro.experiments.runner import Simulation, make_tracer
 
     cells = list(cells)
@@ -665,7 +664,7 @@ def run_fork_cells(
             try:
                 warm = Simulation(config, workload, tracer=make_tracer(config))
                 warm.run(until=fork_time)
-                snap = take_snapshot(warm)
+                snap = snapshot(warm)
                 warm.close()
             except Exception:
                 error = traceback.format_exc()
@@ -679,7 +678,7 @@ def run_fork_cells(
             started = time.perf_counter()
             try:
                 if snap is not None:
-                    sim = snap.fork()
+                    sim = snap.restore()
                 else:
                     sim = Simulation(config, workload, tracer=make_tracer(config))
                     sim.run(until=fork_time)

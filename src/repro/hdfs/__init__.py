@@ -21,7 +21,7 @@ from repro.hdfs.block import Block, DEFAULT_BLOCK_SIZE
 from repro.hdfs.inode import INode
 from repro.hdfs.datanode import DataNode
 from repro.hdfs.namenode import NameNode
-from repro.hdfs.placement import DefaultPlacementPolicy, PlacementPolicy
+from repro.hdfs.placement import DefaultPlacementPolicy
 from repro.hdfs.protocol import DatanodeCommand, DNA_DYNREPL, DNA_INVALIDATE
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "INode",
     "DataNode",
     "NameNode",
-    "PlacementPolicy",
     "DefaultPlacementPolicy",
     "DatanodeCommand",
     "DNA_DYNREPL",

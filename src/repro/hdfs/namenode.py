@@ -9,7 +9,7 @@ from repro.hdfs.block import DEFAULT_BLOCK_SIZE, Block
 from repro.hdfs.datanode import DataNode
 from repro.hdfs.inode import INode
 from repro.hdfs.ordered_set import OrderedSet
-from repro.hdfs.placement import DefaultPlacementPolicy, PlacementPolicy
+from repro.hdfs.placement import DefaultPlacementPolicy
 from repro.hdfs.protocol import DNA_DYNREPL, DNA_INVALIDATE, DatanodeCommand
 from repro.observability.trace import HDFS_HEARTBEAT, NULL_TRACER, Tracer
 
@@ -116,7 +116,6 @@ class NameNode:
     def __init__(
         self,
         cluster: Cluster,
-        placement: Optional[PlacementPolicy] = None,
         block_size: int = DEFAULT_BLOCK_SIZE,
         tracer: Tracer = NULL_TRACER,
     ) -> None:
@@ -141,7 +140,7 @@ class NameNode:
         self.datanodes: Dict[int, DataNode] = {
             n.node_id: DataNode(n, tracer=tracer) for n in cluster.slaves
         }
-        self.placement: PlacementPolicy = placement or DefaultPlacementPolicy(
+        self.placement = DefaultPlacementPolicy(
             cluster.slave_ids,
             cluster.topology,
             cluster.streams.python("hdfs.placement"),

@@ -1,4 +1,4 @@
-"""Initial (static) replica placement policies.
+"""Initial (static) replica placement.
 
 ``DefaultPlacementPolicy`` mirrors Hadoop's rack-aware default: first replica
 on the writer's node (or a random node for files loaded from outside the
@@ -13,7 +13,8 @@ draws ``randrange(n_candidates)`` and resolves the k-th eligible node with
 a bisect over per-rack sorted id arrays.  ``random.Random.choice(seq)`` and
 ``randrange(len(seq))`` consume the identical underlying ``_randbelow``
 stream, so placements are byte-identical to the candidate-list
-implementation — the determinism suite holds this property.
+implementation — ``tests/test_properties_scale.py`` holds this property
+against a candidate-list oracle.
 """
 
 from __future__ import annotations
@@ -42,19 +43,7 @@ def _kth_excluding(ids: List[int], skip_sorted: List[int], k: int) -> int:
     return ids[idx]
 
 
-class PlacementPolicy:
-    """Interface: choose target nodes for a new block's replicas."""
-
-    def choose_targets(
-        self,
-        n_replicas: int,
-        writer: Optional[int] = None,
-    ) -> List[int]:
-        """Return ``n_replicas`` distinct node ids."""
-        raise NotImplementedError
-
-
-class DefaultPlacementPolicy(PlacementPolicy):
+class DefaultPlacementPolicy:
     """Hadoop's default rack-aware placement."""
 
     def __init__(
@@ -65,17 +54,11 @@ class DefaultPlacementPolicy(PlacementPolicy):
     ) -> None:
         if not slave_ids:
             raise ValueError("no slave nodes to place replicas on")
-        self.slave_ids = list(slave_ids)
+        # the order-statistic draws index ascending id lists
+        self.slave_ids = sorted(slave_ids)
         self.topology = topology
         self._rng = rng
         self._id_set = frozenset(self.slave_ids)
-        # the order-statistic fast path requires candidate lists in ascending
-        # order; callers passing an unsorted id sequence (none in the tree,
-        # but the constructor accepts any Sequence) fall back to explicit
-        # candidate lists, which consume the same rng stream
-        self._ascending = all(
-            a < b for a, b in zip(self.slave_ids, self.slave_ids[1:])
-        )
         self._rack_ids: Dict[int, List[int]] = {}
         rack_of = topology.rack_of
         for n in self.slave_ids:
@@ -86,9 +69,6 @@ class DefaultPlacementPolicy(PlacementPolicy):
         n_cand = len(self.slave_ids) - len(ex)
         if n_cand <= 0:
             return None
-        if not self._ascending:
-            candidates = [n for n in self.slave_ids if n not in exclude]
-            return self._rng.choice(candidates)
         k = self._rng.randrange(n_cand)
         return _kth_excluding(self.slave_ids, sorted(ex), k)
 
@@ -101,13 +81,6 @@ class DefaultPlacementPolicy(PlacementPolicy):
         n_cand = len(rack_ids) - len(ex)
         if n_cand <= 0:
             return None
-        if not self._ascending:
-            candidates = [
-                n
-                for n in self.slave_ids
-                if n not in exclude and rack_of[n] == rack
-            ]
-            return self._rng.choice(candidates)
         k = self._rng.randrange(n_cand)
         return _kth_excluding(rack_ids, sorted(ex), k)
 
@@ -118,14 +91,6 @@ class DefaultPlacementPolicy(PlacementPolicy):
         n_cand = len(self.slave_ids) - len(skip)
         if n_cand <= 0:
             return None
-        if not self._ascending:
-            rack_of = self.topology.rack_of
-            candidates = [
-                n
-                for n in self.slave_ids
-                if n not in exclude and rack_of[n] != rack
-            ]
-            return self._rng.choice(candidates)
         k = self._rng.randrange(n_cand)
         return _kth_excluding(self.slave_ids, sorted(skip), k)
 

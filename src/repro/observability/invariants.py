@@ -16,8 +16,11 @@ After **every** record, scoped to the node the record names:
 * **Policy coherence** — every block a DARE policy tracks is a live dynamic
   replica on its node; ElephantTrap access counts are non-negative and the
   ring holds no duplicates.
-* **Slot accounting** — a TaskTracker's free map/reduce slots stay within
-  ``[0, capacity]`` (busy slots never exceed capacity).
+* **Slot accounting** — a node's free map/reduce slots in the
+  JobTracker's :class:`~repro.mapreduce.slots.SlotStore` stay within
+  ``[0, capacity]`` (busy slots never exceed capacity).  The store covers
+  every slave, including nodes the mesoscale pool holds without a
+  TaskTracker.
 
 After every ``scarlett.epoch`` record (and in full sweeps when a Scarlett
 service is wired in):
@@ -295,18 +298,17 @@ class InvariantChecker:
     def _check_slots(self, node_id: int, record: Optional[TraceRecord]) -> None:
         if self.jobtracker is None:
             return
-        tt = self.jobtracker.tasktrackers.get(node_id)
-        if tt is None:
-            return
-        if not (0 <= tt.free_map_slots <= tt.node.map_slots):
+        # the slot store covers every node, pooled (mesoscale) or not
+        slots = self.jobtracker.slots
+        free, cap = slots.free_map[node_id], slots.cap_map[node_id]
+        if not 0 <= free <= cap:
             self._fail(
-                f"node {node_id}: free map slots {tt.free_map_slots} outside "
-                f"[0, {tt.node.map_slots}]",
+                f"node {node_id}: free map slots {free} outside [0, {cap}]",
                 record,
             )
-        if not (0 <= tt.free_reduce_slots <= tt.node.reduce_slots):
+        free, cap = slots.free_reduce[node_id], slots.cap_reduce[node_id]
+        if not 0 <= free <= cap:
             self._fail(
-                f"node {node_id}: free reduce slots {tt.free_reduce_slots} outside "
-                f"[0, {tt.node.reduce_slots}]",
+                f"node {node_id}: free reduce slots {free} outside [0, {cap}]",
                 record,
             )

@@ -2,7 +2,7 @@
 
 The rollout driver's epoch loop is embarrassingly parallel: the no-op
 branch and every candidate branch restore from the *same*
-:class:`~repro.checkpoint.incremental.DeltaSnapshot` and run to their
+:class:`~repro.checkpoint.snapshot.Snapshot` and run to their
 horizon independently.  :class:`ForkScorer` exploits that with a
 persistent pool of worker processes (forked once, reused across epochs
 to amortize spawn): each epoch the snapshot bytes are shipped to every
@@ -30,13 +30,13 @@ from __future__ import annotations
 import multiprocessing as mp
 from typing import List, Optional, Tuple
 
-from repro.checkpoint.incremental import DeltaSnapshot, StaticPool
+from repro.checkpoint.snapshot import Snapshot, StaticPool
 from repro.metrics.locality import mean_job_locality
 from repro.policies.rollout import Action, RolloutConfig, _unclamp, apply_action
 
 
 def score_fork(
-    snap: DeltaSnapshot,
+    snap: Snapshot,
     action: Optional[Action],
     rcfg: RolloutConfig,
     pool: Optional[StaticPool] = None,
@@ -139,7 +139,7 @@ class ForkScorer:
 
     def score_epoch(
         self,
-        snap: DeltaSnapshot,
+        snap: Snapshot,
         candidates: List[Action],
         rcfg: RolloutConfig,
     ) -> Tuple[Tuple, List[Tuple]]:

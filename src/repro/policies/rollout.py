@@ -1,10 +1,10 @@
 """The checkpoint-fork rollout engine (rollout-greedy policy).
 
 At every decision epoch the driver pauses the live
-:class:`~repro.experiments.runner.Simulation`, snapshots it via
-:func:`repro.checkpoint.snapshot`, and forks one branch per candidate
-action (plus the no-op branch).  Candidates are the hottest
-remotely-read blocks since the last epoch, paired with their hottest
+:class:`~repro.experiments.runner.Simulation`, snapshots it through a
+:class:`~repro.checkpoint.incremental.SnapshotSession`, and forks one
+branch per candidate action (plus the no-op branch).  Candidates are the
+hottest remotely-read blocks since the last epoch, paired with their hottest
 remote reader — observed through a trace-bus subscriber
 (:class:`FeatureTap`), so the engine needs an enabled tracer but zero
 hooks inside the simulator.  Each fork applies its action through

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.config import DareConfig
 from repro.core.manager import DareReplicationService
+from repro.mapreduce.slots import SlotStore
 from repro.observability.invariants import InvariantChecker, InvariantViolation
 from repro.observability.trace import (
     BLOCK_REPLICATED,
@@ -35,22 +36,13 @@ def remote_target(namenode, block_id):
     raise AssertionError("block replicated everywhere; enlarge the cluster")
 
 
-class SlotStub:
-    """Duck-typed TaskTracker/JobTracker pair for slot-invariant tests."""
-
-    class _Node:
-        map_slots = 2
-        reduce_slots = 2
-
-    def __init__(self, free_map=2, free_reduce=2):
-        self.node = self._Node()
-        self.free_map_slots = free_map
-        self.free_reduce_slots = free_reduce
-
-
 class JtStub:
-    def __init__(self, tasktrackers):
-        self.tasktrackers = tasktrackers
+    """Duck-typed JobTracker: the slot store the checker audits."""
+
+    def __init__(self, namenode):
+        self.slots = SlotStore(namenode.cluster.spec.n_nodes)
+        for node_id in namenode.datanodes:
+            self.slots.register(node_id, map_slots=2, reduce_slots=2)
 
 
 class TestHealthyState:
@@ -126,7 +118,8 @@ class TestSeededCorruption:
     def test_slot_overflow_is_caught(self, loaded_namenode):
         tracer = Tracer()
         node = next(iter(loaded_namenode.datanodes))
-        jt = JtStub({node: SlotStub(free_map=-1)})
+        jt = JtStub(loaded_namenode)
+        jt.slots.free_map[node] = -1
         InvariantChecker(
             loaded_namenode, jobtracker=jt, full_sweep_every=1
         ).attach(tracer)
@@ -150,13 +143,12 @@ class TestSeededCorruption:
     def test_violation_carries_trace_tail(self, loaded_namenode):
         tracer = Tracer()
         node = next(iter(loaded_namenode.datanodes))
-        stub = SlotStub()
-        jt = JtStub({node: stub})
+        jt = JtStub(loaded_namenode)
         InvariantChecker(
             loaded_namenode, jobtracker=jt, full_sweep_every=1
         ).attach(tracer)
         tracer.emit(BLOCK_REPLICATED, 0.5, node=node, block=7, bytes=1)
-        stub.free_map_slots = 99  # corrupt between records
+        jt.slots.free_map[node] = 99  # corrupt between records
         with pytest.raises(InvariantViolation) as exc_info:
             tracer.emit(HEARTBEAT, 1.0, node=node)
         violation = exc_info.value

@@ -1,8 +1,9 @@
 """Mesoscale promotion/demotion invariants, checked on live simulations.
 
 The mesoscale pool replaces idle TaskTrackers with bare slot-capacity
-entries, so the usual per-tracker invariant sweep cannot see those nodes.
-This suite checks the pool's own contract instead, on running
+entries.  The runtime invariant checker audits those entries through the
+JobTracker's slot store like any other node's; this suite checks the
+pool's own contract on top, on running
 :class:`~repro.experiments.runner.Simulation` objects — mid-run and after
 drain:
 
@@ -12,10 +13,11 @@ drain:
 * pooled members never hold an occupied slot (work implies promotion);
 * an explicitly mis-sequenced promote/demote raises instead of corrupting
   the pool;
-* and — the strongest property — a mesoscale run produces **identical**
-  results to the batched-but-accurate mode on the same seed, because
-  promotion is driven by the same beat decisions the accurate tracker
-  would have made.
+* a mesoscale run produces **identical** results to the
+  batched-but-accurate mode on the same seed, because promotion is driven
+  by the same beat decisions the accurate tracker would have made;
+* and a checked mesoscale run matches an unchecked one, while a corrupted
+  pooled node's slot count fails the check.
 
 ``INVARIANT_EXAMPLES`` scales the randomized sweep (default 6; CI's
 nightly job sets 500).
@@ -33,6 +35,7 @@ from repro.cluster.cluster import scale_spec
 from repro.core.config import DareConfig
 from repro.experiments.runner import ExperimentConfig, Simulation, run_experiment
 from repro.experiments.serialize import result_to_dict
+from repro.observability.invariants import InvariantViolation
 from repro.workloads.swim import synthesize_wl1
 
 N_RANDOM = int(os.environ.get("INVARIANT_EXAMPLES", "6"))
@@ -147,13 +150,41 @@ def test_mis_sequenced_promote_and_demote_raise() -> None:
     sim.close()
 
 
-def test_mesoscale_rejects_strict_invariant_checking() -> None:
-    spec = scale_spec(100, mesoscale=True)
-    workload = synthesize_wl1(np.random.default_rng(3), n_jobs=4)
-    config = ExperimentConfig(
-        cluster_spec=spec, scheduler="fifo",
+def _meso_config(check_invariants: bool) -> ExperimentConfig:
+    return ExperimentConfig(
+        cluster_spec=scale_spec(200, mesoscale=True), scheduler="fair",
         dare=DareConfig.elephant_trap(), seed=3,
-        check_invariants=True,
+        check_invariants=check_invariants,
     )
-    with pytest.raises(ValueError, match="event-accurate"):
-        Simulation(config, workload)
+
+
+def test_checked_mesoscale_cell_matches_unchecked() -> None:
+    """The invariant checker audits pooled nodes without perturbing them."""
+    results = {}
+    for checked in (False, True):
+        workload = synthesize_wl1(np.random.default_rng(3), n_jobs=8)
+        d = result_to_dict(run_experiment(_meso_config(checked), workload))
+        # differ by construction: the config flag and the checker's tallies
+        d.pop("config")
+        results[checked] = (
+            d.pop("trace_records_checked"), d.pop("invariant_sweeps"), d
+        )
+    assert results[False][:2] == (0, 0)
+    assert min(results[True][:2]) > 0, "the checked run never audited"
+    assert results[True][2] == results[False][2]
+
+
+def test_corrupted_pooled_node_slots_raise() -> None:
+    workload = synthesize_wl1(np.random.default_rng(3), n_jobs=8)
+    sim = Simulation(_meso_config(True), workload)
+    sim.run(until=40.0)
+    jt = sim.jobtracker
+    pooled = min(
+        nid for hub in jt.hubs for nid in hub.member_ids
+        if nid not in hub.accurate
+    )
+    assert pooled not in jt.tasktrackers
+    jt.slots.free_map[pooled] = jt.slots.cap_map[pooled] + 1
+    with pytest.raises(InvariantViolation, match=f"node {pooled}: free map slots"):
+        sim.checker.check_now()
+    sim.close()

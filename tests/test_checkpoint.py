@@ -15,15 +15,18 @@ import numpy as np
 import pytest
 
 from repro.checkpoint import (
-    DELTA_FORMAT,
+    SNAPSHOT_FORMAT,
     Snapshot,
     SnapshotSession,
     StaticPool,
     parse_patch,
     snapshot,
 )
+from repro.checkpoint.incremental import _dumps
+from repro.checkpoint.snapshot import _unpickler
 from repro.core.config import DareConfig
 from repro.experiments.runner import ExperimentConfig, Simulation, make_tracer
+from repro.observability.trace import NULL_TRACER, JsonlSink
 from repro.workloads.swim import synthesize_wl1
 
 POLICIES = {
@@ -71,7 +74,7 @@ def _snapshot_at(config, t):
 
 
 def _finish_fork(snap, trace_path, patch=""):
-    sim = snap.fork(trace_path=str(trace_path))
+    sim = snap.restore(trace_path=str(trace_path))
     if patch:
         parse_patch(patch).apply(sim)
     sim.run()
@@ -166,6 +169,10 @@ def test_load_rejects_unknown_format(tmp_path):
     path.write_bytes(pickle.dumps({"format": 999}))
     with pytest.raises(ValueError, match="unsupported snapshot format"):
         Snapshot.load(str(path))
+    # checkpoints written before snapshots carried a static payload
+    path.write_bytes(pickle.dumps({"format": 1, "payload": b""}))
+    with pytest.raises(ValueError, match="unsupported snapshot format 1"):
+        Snapshot.load(str(path))
 
 
 def test_restore_with_trace_requires_a_traced_source(tmp_path):
@@ -177,7 +184,7 @@ def test_restore_with_trace_requires_a_traced_source(tmp_path):
     with pytest.raises(ValueError, match="no trace prefix"):
         snap.restore(trace_path=str(tmp_path / "out.jsonl"))
     # without a trace path the restore works and finishes the run
-    fork = snap.fork()
+    fork = snap.restore()
     fork.run()
     assert fork.finished
 
@@ -211,7 +218,7 @@ def test_policy_flip_patch_swaps_the_service(tmp_path):
     snap = _snapshot_at(
         _config("lru", "fair", tmp_path / "warm.jsonl", check_invariants=True), 30.0
     )
-    sim = snap.fork(trace_path=str(tmp_path / "flip.jsonl"))
+    sim = snap.restore(trace_path=str(tmp_path / "flip.jsonl"))
     live_before = {
         node_id: [
             bid for bid in dn.dynamic_blocks if bid not in dn.pending_deletion
@@ -238,7 +245,7 @@ def test_policy_flip_patch_swaps_the_service(tmp_path):
 
 def test_pin_patch_makes_the_block_local(tmp_path):
     snap = _snapshot_at(_config("off", "fifo", tmp_path / "warm.jsonl"), 20.0)
-    sim = snap.fork()
+    sim = snap.restore()
     block_id = next(iter(sim.namenode.blocks))
     target = next(
         n for n in sorted(sim.namenode.datanodes)
@@ -307,7 +314,7 @@ def test_fork_cells_shared_prefix_matches_cold_path(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# incremental (delta) snapshots: the rollout engine's per-epoch fast path
+# session snapshots: the rollout engine's per-epoch fast path
 # ---------------------------------------------------------------------------
 
 
@@ -319,23 +326,57 @@ def _session_sim(**overrides):
 
 
 def test_delta_snapshot_round_trips_like_a_full_snapshot():
-    """Delta-restored and full-restored forks finish byte-identically."""
+    """Session-restored and tokenless-pickled forks finish identically."""
     from repro.experiments.serialize import result_to_json
 
     sim = _session_sim()
     session = SnapshotSession(sim, check=True)  # self-check every epoch
     for until in (30.0, 40.0):
         delta = session.snapshot()
-        full = snapshot(sim)
-        assert delta.format == DELTA_FORMAT
-        assert delta.time == full.time == sim.now
+        full = _dumps(sim)  # the whole live graph, no static tokens
+        assert delta.format == SNAPSHOT_FORMAT
+        assert delta.time == sim.now
         # the delta payload really is a delta, not a second full pickle
-        assert len(delta.payload) < len(full.payload)
-        a, b = delta.restore(), full.restore()
+        assert len(delta.payload) < len(full)
+        a = delta.restore()
+        b = _unpickler(full, NULL_TRACER).load()
         a.run()
         b.run()
         assert result_to_json(a.finalize()) == result_to_json(b.finalize())
         sim.run(until=until)
+    sim.close()
+
+
+def test_self_check_catches_a_mutated_static_object():
+    """A static object changed behind the session's back fails loudly."""
+    sim = _session_sim()
+    session = SnapshotSession(sim, check=True)
+    session.snapshot()
+    # renaming an INode leaves the file-tree version alone, so the session
+    # keeps its stale static payload instead of rebasing
+    inode = next(iter(sim.namenode.files.values()))
+    inode.name = inode.name + "-renamed"
+    sim.run(until=30.0)
+    with pytest.raises(AssertionError, match="re-pickle to different bytes"):
+        session.snapshot()
+    sim.close()
+
+
+def test_session_snapshot_never_touches_the_trace_sink(tmp_path, monkeypatch):
+    """Only the one-shot snapshot() embeds a trace prefix."""
+    sim = _session_sim(trace_path=str(tmp_path / "run.jsonl"))
+    session = SnapshotSession(sim, check=True)
+
+    def boom(self):
+        raise AssertionError("the session flushed the trace sink")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(JsonlSink, "flush", boom)
+        snap = session.snapshot()
+    assert snap.trace_prefix is None
+    with pytest.raises(ValueError, match="no trace prefix"):
+        snap.restore(trace_path=str(tmp_path / "fork.jsonl"))
+    assert snapshot(sim).trace_prefix
     sim.close()
 
 

@@ -6,9 +6,9 @@ inputs:
 
 * ``_kth_excluding`` (the placement order statistic) against filtering
   the candidate list;
-* the full :class:`DefaultPlacementPolicy` fast path against its own
-  candidate-list fallback driven by an identically seeded RNG — the two
-  must consume the same ``_randbelow`` stream draw for draw;
+* the full :class:`DefaultPlacementPolicy` against a candidate-list
+  oracle driven by an identically seeded RNG — the two must consume the
+  same ``_randbelow`` stream draw for draw;
 * the NameNode's rack-sharded replica indexes (``rack_counts``, the
   per-node reverse index, the incremental under-replicated set) against
   recomputation from the membership, across random mutation sequences
@@ -50,6 +50,28 @@ def test_kth_excluding_matches_list_filter(data):
     assert _kth_excluding(ids, skip, k) == remaining[k]
 
 
+class _CandidateListPlacement(DefaultPlacementPolicy):
+    """Oracle: each draw materialises its O(N) candidate list."""
+
+    def _random_slave(self, exclude):
+        candidates = [n for n in self.slave_ids if n not in exclude]
+        return self._rng.choice(candidates) if candidates else None
+
+    def _random_slave_in_rack(self, rack, exclude):
+        rack_of = self.topology.rack_of
+        candidates = [
+            n for n in self.slave_ids if n not in exclude and rack_of[n] == rack
+        ]
+        return self._rng.choice(candidates) if candidates else None
+
+    def _random_slave_off_rack(self, rack, exclude):
+        rack_of = self.topology.rack_of
+        candidates = [
+            n for n in self.slave_ids if n not in exclude and rack_of[n] != rack
+        ]
+        return self._rng.choice(candidates) if candidates else None
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.integers(0, 2**31 - 1),
@@ -63,10 +85,9 @@ def test_placement_fast_path_matches_candidate_list(seed, n_nodes, rf):
     fast = DefaultPlacementPolicy(
         cluster.slave_ids, cluster.topology, random.Random(seed)
     )
-    ref = DefaultPlacementPolicy(
+    ref = _CandidateListPlacement(
         cluster.slave_ids, cluster.topology, random.Random(seed)
     )
-    ref._ascending = False  # force the explicit candidate-list fallback
     writers = random.Random(seed + 1)
     for _ in range(20):
         writer = writers.choice([None, 0] + cluster.slave_ids)

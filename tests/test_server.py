@@ -38,6 +38,7 @@ from repro.core.config import DareConfig
 from repro.experiments.jobs import (
     JOB_DONE,
     JOB_FAILED,
+    Job,
     JobManager,
     JobRejected,
     RUNNING,
@@ -427,6 +428,17 @@ class TestJobManager:
         job2 = revived.jobs[job.id]
         assert job2.state == JOB_DONE and job2.stream.closed
         assert doc_to_text(revived.job_result_doc(job2)) == expected
+
+    def test_job_ids_continue_past_j9999_after_adoption(self, tmp_path):
+        submitted, _ = make_manager(tmp_path, workers=0).submit(
+            {"cells": [cell_to_doc(CELLS[0])]}
+        )
+        revived = make_manager(tmp_path, workers=0)
+        doc = dict(submitted.to_doc(), id="j10000-274884d0cc85")
+        revived.adopt(Job.from_doc(doc), JOB_DONE)
+        job, created = revived.submit({"cells": [cell_to_doc(CELLS[1])]})
+        assert created
+        assert job.id.startswith("j10001-")
 
     def test_torn_journal_tail_is_ignored(self, tmp_path):
         journal_path = tmp_path / "jobs.jsonl"
