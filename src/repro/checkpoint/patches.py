@@ -110,15 +110,15 @@ class FlipPolicy(Patch):
         service = DareReplicationService(
             self.dare, sim.namenode, sim.streams, tracer=sim.tracer
         )
-        for node_id, state in service.states.items():
-            dn = sim.namenode.datanode(node_id)
-            for bid, block in dn.dynamic_blocks.items():
-                if bid not in dn.pending_deletion:
-                    state.policy.add(block)
-            # a shrunken budget grandfathers existing replicas: they stay
-            # until the policy evicts them to admit new ones
-            if dn.dynamic_bytes_used > dn.dynamic_capacity_bytes:
-                dn.dynamic_capacity_bytes = dn.dynamic_bytes_used
+        if self.dare.enabled:
+            for node_id, dn in sim.namenode.datanodes.items():
+                for bid, block in dn.dynamic_blocks.items():
+                    if bid not in dn.pending_deletion:
+                        service.node_state(node_id).policy.add(block)
+                # a shrunken budget grandfathers existing replicas: they
+                # stay until the policy evicts them to admit new ones
+                if dn.dynamic_bytes_used > dn.dynamic_capacity_bytes:
+                    dn.dynamic_capacity_bytes = dn.dynamic_bytes_used
         sim.dare = service
         sim.jobtracker.dare = service
         if sim.checker is not None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import List, NamedTuple, Optional
 
 import numpy as np
@@ -163,12 +164,14 @@ class Cluster:
         """Node ids of the workers."""
         return [n.node_id for n in self.slaves]
 
-    @property
+    # node slot counts never change after __init__: sum them once (the
+    # slowdown metric reads both totals once per job)
+    @cached_property
     def total_map_slots(self) -> int:
         """Cluster-wide map slot count."""
         return sum(n.map_slots for n in self.slaves)
 
-    @property
+    @cached_property
     def total_reduce_slots(self) -> int:
         """Cluster-wide reduce slot count."""
         return sum(n.reduce_slots for n in self.slaves)

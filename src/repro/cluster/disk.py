@@ -65,7 +65,9 @@ class DiskModel:
             bw = self._rng.normal(p.burst_mean, p.burst_sigma)
         else:
             bw = self._rng.normal(p.mean, p.sigma)
-        return float(np.clip(bw, p.lo, p.hi))
+        # min/max rather than np.clip: same float, without NumPy's
+        # per-call dispatch (one call per node at cluster build)
+        return min(max(float(bw), p.lo), p.hi)
 
     def sample_nodes(self, n: int) -> np.ndarray:
         """Per-node steady bandwidths for an ``n``-node cluster."""

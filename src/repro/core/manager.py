@@ -19,7 +19,7 @@ from repro.hdfs.block import Block
 from repro.hdfs.namenode import NameNode
 from repro.observability.trace import NULL_TRACER, REPLICATION_ABANDONED, Tracer
 from repro.policies.base import PolicyContext
-from repro.policies.registry import create_policy
+from repro.policies.registry import create_policy, policy_factory
 from repro.simulation.rng import RandomStreams
 
 
@@ -90,19 +90,22 @@ class DareReplicationService:
         config.validate()
         self.config = config
         self.namenode = namenode
+        self.streams = streams
         self.tracer = tracer
+        #: per-node state, built by :meth:`node_state` on the node's first
+        #: map task or forced replica (most nodes of a large cluster never
+        #: run a map, and the algorithms act only "if a map task is
+        #: scheduled")
         self.states: Dict[int, NodeReplicaState] = {}
         #: cluster-wide singletons shared by this service's policy plugins
         #: (e.g. the learned policy's AccessStats); see PolicyContext.shared
         self.shared: Dict[str, object] = {}
         if config.enabled:
+            # resolve the name now: an unknown policy fails at set-up,
+            # not at the first map task
+            policy_factory(config.policy.value)
             budget = ReplicationBudget(config.budget)
             self.per_node_budget_bytes = budget.apply(namenode)
-            for node_id in namenode.datanodes:
-                self.states[node_id] = NodeReplicaState(
-                    node_id,
-                    _make_policy(config, node_id, streams, namenode, self.shared),
-                )
         else:
             self.per_node_budget_bytes = 0
         #: total replica insertions piggybacked on remote reads
@@ -112,6 +115,24 @@ class DareReplicationService:
 
     # -- the hook ------------------------------------------------------------
 
+    def node_state(self, node_id: int) -> NodeReplicaState:
+        """``node_id``'s state, built on first use.
+
+        Every policy draws from its own named stream, so building it at
+        the node's first map task rather than at set-up changes no draw.
+        """
+        try:
+            return self.states[node_id]
+        except KeyError:
+            pass
+        state = self.states[node_id] = NodeReplicaState(
+            node_id,
+            _make_policy(
+                self.config, node_id, self.streams, self.namenode, self.shared
+            ),
+        )
+        return state
+
     def on_map_task(self, node_id: int, block: Block, data_local: bool, now: float) -> bool:
         """Called when a map task is scheduled on ``node_id`` for ``block``.
 
@@ -120,7 +141,7 @@ class DareReplicationService:
         """
         if not self.config.enabled:
             return False
-        state = self.states[node_id]
+        state = self.node_state(node_id)
         policy = state.policy
         if state.observe is not None:
             # feature-aware plugins see every access before deciding
@@ -146,7 +167,7 @@ class DareReplicationService:
         """
         if not self.config.enabled:
             return False
-        return self._try_replicate(self.states[node_id], block, now, forced=True)
+        return self._try_replicate(self.node_state(node_id), block, now, forced=True)
 
     def _try_replicate(
         self, state: NodeReplicaState, block: Block, now: float, forced: bool = False

@@ -40,6 +40,9 @@ def popularity_indices(
     for node_id in sorted(namenode.datanodes):
         dn = namenode.datanodes[node_id]
         pi = 0.0
+        if not (dn.static_blocks or dn.dynamic_blocks):
+            pis.append(pi)  # most nodes of a large cluster store nothing
+            continue
         for bid in dn.stored_block_ids():
             block = namenode.block(bid)
             pi += block.size_bytes * file_pop[block.file_id]

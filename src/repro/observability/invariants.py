@@ -15,7 +15,8 @@ After **every** record, scoped to the node the record names:
   blocks the node actually stores.
 * **Policy coherence** — every block a DARE policy tracks is a live dynamic
   replica on its node; ElephantTrap access counts are non-negative and the
-  ring holds no duplicates.
+  ring holds no duplicates.  A node that has not run a map task has no
+  policy yet, which counts as a policy tracking nothing.
 * **Slot accounting** — a node's free map/reduce slots in the
   JobTracker's :class:`~repro.mapreduce.slots.SlotStore` stay within
   ``[0, capacity]`` (busy slots never exceed capacity).  The store covers
@@ -225,14 +226,17 @@ class InvariantChecker:
     def _check_policy(
         self, dn: "DataNode", record: Optional[TraceRecord], strict: bool
     ) -> None:
-        if self.dare is None or not self.dare.states:
+        if self.dare is None or not self.dare.config.enabled:
             return
-        state = self.dare.states.get(dn.node_id)
-        if state is None or not dn.node.alive:
+        if not dn.node.alive:
             # a failed node's policy state is frozen garbage; it can never
             # be consulted again (dead nodes don't heartbeat)
             return
-        tracked = _tracked_ids(state.policy)
+        # a node that never ran a map task has no state yet: its policy
+        # tracks nothing
+        state = self.dare.states.get(dn.node_id)
+        policy = state.policy if state is not None else None
+        tracked = _tracked_ids(policy) if policy is not None else set()
         live = {bid for bid in dn.dynamic_blocks if bid not in dn.pending_deletion}
         phantom = tracked - live
         if phantom:
@@ -247,16 +251,16 @@ class InvariantChecker:
                 f"dynamic replicas are {sorted(live)}",
                 record,
             )
-        ring_blocks = getattr(state.policy, "ring_blocks", None)
+        ring_blocks = getattr(policy, "ring_blocks", None)
         if ring_blocks is not None:
             ids = [b.block_id for b in ring_blocks()]
             if len(ids) != len(set(ids)):
                 self._fail(f"node {dn.node_id}: ElephantTrap ring has duplicates", record)
             for bid in ids:
-                if state.policy.access_count(bid) < 0:
+                if policy.access_count(bid) < 0:
                     self._fail(
                         f"node {dn.node_id}: block {bid} has negative access "
-                        f"count {state.policy.access_count(bid)}",
+                        f"count {policy.access_count(bid)}",
                         record,
                     )
 

@@ -69,16 +69,20 @@ def service_names() -> Tuple[str, ...]:
     return tuple(sorted(_SERVICES))
 
 
-def create_policy(name: str, ctx: PolicyContext):
-    """Build the node policy registered under ``name``."""
+def policy_factory(name: str) -> PolicyFactory:
+    """The node-policy factory registered under ``name``."""
     try:
-        factory = _POLICIES[name]
+        return _POLICIES[name]
     except KeyError:
         raise UnknownPolicyError(
             f"unknown replication policy {name!r} "
             f"(registered: {', '.join(policy_names())})"
         ) from None
-    return factory(ctx)
+
+
+def create_policy(name: str, ctx: PolicyContext):
+    """Build the node policy registered under ``name``."""
+    return policy_factory(name)(ctx)
 
 
 def create_service(name: str, config, **parts):

@@ -145,6 +145,8 @@ class FeatureTap:
         fetch is already paid for.)
         """
         out: List[Action] = []
+        if not sim.dare.config.enabled:
+            return out
         hot = sorted(self.by_block.items(), key=lambda kv: (-kv[1], kv[0]))
         nodes = sorted(self.by_node.items(), key=lambda kv: (-kv[1], kv[0]))
         for block_id, _count in hot:
@@ -154,8 +156,6 @@ class FeatureTap:
             if block is None:
                 continue
             for node_id, _n in nodes:
-                if node_id not in sim.dare.states:
-                    continue
                 dn = sim.namenode.datanode(node_id)
                 if dn.has_block(block_id):
                     continue

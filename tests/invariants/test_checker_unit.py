@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.core.config import DareConfig
@@ -110,10 +112,30 @@ class TestSeededCorruption:
             loaded_namenode, dare=service, full_sweep_every=1
         ).attach(tracer)
         # the policy tracks a block its DataNode never stored
-        node = next(iter(service.states))
-        service.states[node].policy.add(loaded_namenode.blocks[0])
+        node = next(iter(loaded_namenode.datanodes))
+        service.node_state(node).policy.add(loaded_namenode.blocks[0])
         with pytest.raises(InvariantViolation, match="no live dynamic replica"):
             tracer.emit(HEARTBEAT, 1.0, node=node)
+
+    def test_untracked_replica_on_a_node_without_state_is_caught(
+        self, loaded_namenode, streams
+    ):
+        tracer = Tracer()
+        service = make_service(loaded_namenode, streams, tracer)
+        checker = InvariantChecker(loaded_namenode, dare=service, full_sweep_every=1)
+        # no node has run a map task, so no node has a policy; a dynamic
+        # replica inserted behind DARE's back is tracked by nobody
+        block = loaded_namenode.blocks[0]
+        node = remote_target(loaded_namenode, block.block_id)
+        loaded_namenode.datanodes[node].insert_dynamic(block, 1.0)
+        assert not service.states
+        with pytest.raises(
+            InvariantViolation,
+            match=re.escape(
+                f"policy tracks [] but live dynamic replicas are [{block.block_id}]"
+            ),
+        ):
+            checker.check_now()
 
     def test_slot_overflow_is_caught(self, loaded_namenode):
         tracer = Tracer()

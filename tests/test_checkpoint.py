@@ -215,8 +215,9 @@ def test_kill_patch_diverges_from_unpatched_run(tmp_path):
 
 
 def test_policy_flip_patch_swaps_the_service(tmp_path):
+    # past the first job's arrival: a live dynamic replica exists to carry
     snap = _snapshot_at(
-        _config("lru", "fair", tmp_path / "warm.jsonl", check_invariants=True), 30.0
+        _config("lru", "fair", tmp_path / "warm.jsonl", check_invariants=True), 60.0
     )
     sim = snap.restore(trace_path=str(tmp_path / "flip.jsonl"))
     live_before = {
@@ -229,12 +230,15 @@ def test_policy_flip_patch_swaps_the_service(tmp_path):
     assert sim.dare is sim.jobtracker.dare
     assert sim.checker is not None and sim.checker.dare is sim.dare
     assert sim.config.dare.policy.value == "greedy-lru"  # config is history
+    assert any(live_before.values())
     for node_id, live in live_before.items():
-        tracked = sorted(sim.dare.states[node_id].policy.tracked_blocks()) \
-            if hasattr(sim.dare.states[node_id].policy, "tracked_blocks") \
-            else sorted(
-                b.block_id for b in sim.dare.states[node_id].policy.ring_blocks()
-            )
+        state = sim.dare.states.get(node_id)
+        if state is None:
+            tracked = []  # no policy built on this node: it tracks nothing
+        elif hasattr(state.policy, "tracked_blocks"):
+            tracked = sorted(state.policy.tracked_blocks())
+        else:
+            tracked = sorted(b.block_id for b in state.policy.ring_blocks())
         assert tracked == sorted(live), \
             f"node {node_id}: live replicas not carried into the new policy"
     sim.run()

@@ -1,12 +1,16 @@
 """Unit tests: the DARE replication service (budget + policy + NameNode)."""
 
+import numpy as np
 import pytest
 
+from repro.cluster.cluster import scale_spec
 from repro.core.budget import ReplicationBudget
 from repro.core.config import DareConfig
 from repro.core.manager import DareReplicationService
+from repro.experiments.runner import ExperimentConfig, Simulation
 from repro.hdfs.block import DEFAULT_BLOCK_SIZE
 from repro.simulation.rng import RandomStreams
+from repro.workloads.swim import synthesize_wl1
 
 
 def make_service(namenode, config):
@@ -144,12 +148,30 @@ class TestElephantTrapService:
     def test_per_node_coin_streams_differ(self, loaded_namenode):
         cfg = DareConfig.elephant_trap(p=0.5, threshold=1, budget=1.0)
         svc = make_service(loaded_namenode, cfg)
-        ids = list(svc.states)
+        ids = list(loaded_namenode.datanodes)[:2]
         seq = {
-            nid: [svc.states[nid].policy._rng.random() for _ in range(8)]
-            for nid in ids[:2]
+            nid: [svc.node_state(nid).policy._rng.random() for _ in range(8)]
+            for nid in ids
         }
         assert seq[ids[0]] != seq[ids[1]]
+
+
+class TestLazyNodeState:
+    def test_states_are_built_only_on_nodes_that_run_maps(self):
+        """A node's policy exists once the node has run a map task, and
+        not before: a 2,000-node cell builds about a dozen, not 1,999."""
+        config = ExperimentConfig(
+            cluster_spec=scale_spec(2000, mesoscale=True),
+            scheduler="fair",
+            dare=DareConfig.elephant_trap(),
+        )
+        workload = synthesize_wl1(np.random.default_rng(20110926), n_jobs=10)
+        sim = Simulation(config, workload)
+        assert not sim.dare.states
+        sim.run()
+        ran_maps = {r.node_id for r in sim.collector.map_records}
+        assert 0 < len(ran_maps) < len(sim.namenode.datanodes)
+        assert set(sim.dare.states) == ran_maps
 
 
 class TestInvariants:

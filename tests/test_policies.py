@@ -253,11 +253,13 @@ class TestPluginStateCheckpointing:
         cold_result = cold.finalize()
 
         warm = Simulation(config, _workload(), tracer=make_tracer(config))
-        warm.run(until=30.0)
+        # past the first job's arrival: node policies exist at the snapshot
+        warm.run(until=60.0)
         fork = snapshot(warm).restore()
 
         shared = fork.dare.shared["access_stats"]
         assert isinstance(shared, AccessStats)
+        assert fork.dare.states
         for state in fork.dare.states.values():
             assert state.policy.stats is shared
             assert state.observe is not None  # re-resolved after unpickling
