@@ -114,9 +114,9 @@ class Job:
     def reduces_schedulable(self) -> bool:
         """Reduces launch once the map phase finishes (no early shuffle).
 
-        Pure counter arithmetic: this is evaluated for every active job on
-        every heartbeat's reduce-assignment round, and a per-reduce state
-        scan here dominated end-to-end profiles.  A reduce is PENDING iff
+        Pure counter arithmetic, evaluated when the scheduler re-files the
+        job in its ready lists (:meth:`repro.scheduling.base.Scheduler.job_changed`)
+        and once per reduce pick on a ready job.  A reduce is PENDING iff
         it is neither running nor finished (failure requeue restores both
         the state and the running counter), so the counters are exact.
         """

@@ -205,13 +205,14 @@ class JobTracker:
 
     def pending_work_units(self) -> int:
         """Upper bound on tasks the scheduler could place right now."""
+        scheduler = self.scheduler
         total = 0
-        speculative = self.speculation is not None
-        for job in self.scheduler.active_jobs:
+        for job in scheduler.map_ready:
             total += len(job.pending_maps)
-            if job.reduces_schedulable:
-                total += len(job.reduces) - job.running_reduces - job.finished_reduces
-            if speculative:
+        for job in scheduler.reduce_ready:
+            total += len(job.reduces) - job.running_reduces - job.finished_reduces
+        if self.speculation is not None:
+            for job in scheduler.active_jobs:
                 total += job.running_maps
         return total
 
@@ -229,7 +230,7 @@ class JobTracker:
             seen: set = set()
             locs_by_id = nn._locs_by_id
             rack_of = nn._rack_of
-            for job in self.scheduler.active_jobs:
+            for job in self.scheduler.map_ready:
                 for bid in job.pending_block_ids:
                     for nid in locs_by_id[bid]:
                         if nid not in seen:
@@ -342,6 +343,7 @@ class JobTracker:
         if job.first_task_time is None:
             job.first_task_time = now
         job.take_map(task)
+        self.scheduler.job_changed(job)
         self.sched_version += 1
         job.locality_counts[locality] += 1
         task.state = TaskState.RUNNING
@@ -482,6 +484,7 @@ class JobTracker:
             self.speculative_won += 1
         job.running_maps -= 1
         job.finished_maps += 1
+        self.scheduler.job_changed(job)
         self.sched_version += 1
         if self.tracer.enabled:
             self.tracer.emit(
@@ -508,6 +511,7 @@ class JobTracker:
         task.node_id = node_id
         task.start_time = now
         job.running_reduces += 1
+        self.scheduler.job_changed(job)
         self.sched_version += 1
         tt.occupy_reduce_slot()
         input_bytes = job.inode.size_bytes
@@ -611,6 +615,7 @@ class JobTracker:
                 task.source_node = None
             else:
                 job.running_reduces -= 1
+            self.scheduler.job_changed(job)
             requeued += 1
         running.clear()
         self.tasks_requeued += requeued

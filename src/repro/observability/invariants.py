@@ -39,6 +39,10 @@ throttled by ``full_sweep_every`` records, a full sweep additionally asserts:
   (:meth:`~repro.hdfs.namenode.NameNode.check_integrity`).
 * **Strict policy sync** — on every live node the policy-tracked set equals
   the set of live dynamic replicas exactly.
+* **Scheduler ready lists** (when a JobTracker is wired in) — the
+  scheduler's ``map_ready`` and ``reduce_ready`` lists equal a full scan
+  of ``active_jobs`` for a pending map and for schedulable reduces,
+  order included.
 
 A failed check raises :class:`InvariantViolation` carrying the offending
 record and the recent trace tail.
@@ -109,7 +113,8 @@ class InvariantChecker:
         The replication service, when DARE policy coherence should be
         checked.
     jobtracker:
-        The compute master, when slot accounting should be checked.
+        The compute master, when slot accounting and the scheduler's
+        ready lists should be checked.
     scarlett:
         The epoch-based proactive baseline, when its budget accounting
         should be checked.
@@ -178,6 +183,7 @@ class InvariantChecker:
         for node_id in self.namenode.datanodes:
             self._check_node(node_id, record, strict=True)
         self._check_scarlett(record)
+        self._check_ready_lists(record)
 
     # -- the checks ----------------------------------------------------------------
 
@@ -298,6 +304,27 @@ class InvariantChecker:
                         f"recorded on live node {node_id} but not stored there",
                         record,
                     )
+
+    def _check_ready_lists(self, record: Optional[TraceRecord]) -> None:
+        if self.jobtracker is None:
+            return
+        scheduler = self.jobtracker.scheduler
+        active = scheduler.active_jobs
+        for name, ready, scan in (
+            ("map_ready", scheduler.map_ready, [j for j in active if j.has_pending_maps]),
+            (
+                "reduce_ready",
+                scheduler.reduce_ready,
+                [j for j in active if j.reduces_schedulable],
+            ),
+        ):
+            if ready != scan:
+                self._fail(
+                    f"scheduler: {name} holds jobs "
+                    f"{[j.spec.job_id for j in ready]} but a full scan of "
+                    f"active_jobs finds {[j.spec.job_id for j in scan]}",
+                    record,
+                )
 
     def _check_slots(self, node_id: int, record: Optional[TraceRecord]) -> None:
         if self.jobtracker is None:

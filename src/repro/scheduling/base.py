@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.mapreduce.job import Job
@@ -23,11 +24,23 @@ class Scheduler:
     The JobTracker calls :meth:`pick_map` / :meth:`pick_reduce` repeatedly
     during a heartbeat while the offering node has free slots; returning
     ``None`` ends the assignment round for that slot type.
+
+    Besides ``active_jobs`` the scheduler keeps two *ready lists*, both in
+    submission order: ``map_ready`` (active jobs with a pending map) and
+    ``reduce_ready`` (active jobs whose reduces are schedulable).  A
+    scheduler picks only from these lists, never by filtering
+    ``active_jobs``.  They are updated on state changes rather than
+    re-derived per pick, so anything that edits a job's task counters
+    (``pending_maps``, ``finished_maps``, ``running_reduces``, ...) must
+    call :meth:`job_changed` afterwards — the JobTracker does so after
+    every launch, map completion and requeue.
     """
 
     def __init__(self) -> None:
         self.jobtracker: Optional["JobTracker"] = None
         self.active_jobs: List[Job] = []
+        self.map_ready: List[Job] = []
+        self.reduce_ready: List[Job] = []
 
     def bind(self, jobtracker: "JobTracker") -> None:
         """Attach to a JobTracker (called once by its constructor)."""
@@ -44,13 +57,28 @@ class Scheduler:
     def job_added(self, job: Job) -> None:
         """A job was submitted."""
         self.active_jobs.append(job)
+        self.job_changed(job)
 
     def job_finished(self, job: Job) -> None:
         """A job completed; drop it from consideration."""
-        try:
-            self.active_jobs.remove(job)
-        except ValueError:  # pragma: no cover - defensive
-            pass
+        for jobs in (self.active_jobs, self.map_ready, self.reduce_ready):
+            if job in jobs:
+                jobs.remove(job)
+
+    def job_changed(self, job: Job) -> None:
+        """Re-file an active ``job`` in both ready lists after a state change."""
+        self._refile(self.map_ready, job, job.has_pending_maps)
+        self._refile(self.reduce_ready, job, job.reduces_schedulable)
+
+    def _refile(self, ready: List[Job], job: Job, wanted: bool) -> None:
+        if wanted:
+            if job not in ready:
+                # submission rank is the position in active_jobs; a job
+                # joins a ready list rarely (submission, map phase done,
+                # requeue), so the O(active) index lookups stay cheap
+                insort(ready, job, key=self.active_jobs.index)
+        elif job in ready:
+            ready.remove(job)
 
     # -- picking ---------------------------------------------------------------
 

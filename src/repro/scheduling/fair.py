@@ -47,9 +47,9 @@ class FairScheduler(Scheduler):
 
     def _map_order(self):
         """Jobs with pending maps, fewest running tasks first (max-min)."""
-        jobs = [j for j in self.active_jobs if j.has_pending_maps]
-        jobs.sort(key=lambda j: (j.running_maps, j.submit_time, j.spec.job_id))
-        return jobs
+        return sorted(
+            self.map_ready, key=lambda j: (j.running_maps, j.submit_time, j.spec.job_id)
+        )
 
     def _allowed_level(self, job: Job, now: float) -> Locality:
         """Highest (worst) locality level this job may currently launch at."""
@@ -84,8 +84,10 @@ class FairScheduler(Scheduler):
 
     def pick_reduce(self, node_id: int, now: float) -> Optional[ReducePick]:
         """Fair order over jobs with schedulable reduces."""
-        jobs = [j for j in self.active_jobs if j.reduces_schedulable]
-        jobs.sort(key=lambda j: (j.running_reduces, j.submit_time, j.spec.job_id))
+        jobs = sorted(
+            self.reduce_ready,
+            key=lambda j: (j.running_reduces, j.submit_time, j.spec.job_id),
+        )
         for job in jobs:
             task = job.next_pending_reduce()
             if task is not None:

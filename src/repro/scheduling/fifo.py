@@ -20,9 +20,7 @@ class FifoScheduler(Scheduler):
 
     def pick_map(self, node_id: int, now: float) -> Optional[MapPick]:
         """Head-of-line job's best task for this node, if any."""
-        for job in self.active_jobs:
-            if not job.has_pending_maps:
-                continue
+        for job in self.map_ready:
             found = job.find_pending_map(node_id, self.namenode, Locality.REMOTE)
             if found is not None:
                 task, locality = found
@@ -31,7 +29,7 @@ class FifoScheduler(Scheduler):
 
     def pick_reduce(self, node_id: int, now: float) -> Optional[ReducePick]:
         """Head-of-line job with schedulable reduces."""
-        for job in self.active_jobs:
+        for job in self.reduce_ready:
             task = job.next_pending_reduce()
             if task is not None:
                 return job, task

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
 import pytest
 
 from repro.core.config import DareConfig
 from repro.core.manager import DareReplicationService
+from repro.experiments.runner import ExperimentConfig, Simulation
 from repro.mapreduce.slots import SlotStore
 from repro.observability.invariants import InvariantChecker, InvariantViolation
 from repro.observability.trace import (
@@ -16,6 +18,8 @@ from repro.observability.trace import (
     TASK_SCHEDULED,
     Tracer,
 )
+from repro.scheduling.base import Scheduler
+from repro.workloads.swim import synthesize_wl2
 
 
 def make_service(namenode, streams, tracer, policy="lru", budget_blocks=3):
@@ -39,12 +43,26 @@ def remote_target(namenode, block_id):
 
 
 class JtStub:
-    """Duck-typed JobTracker: the slot store the checker audits."""
+    """Duck-typed JobTracker: the slot store and (empty) scheduler the
+    checker audits."""
 
     def __init__(self, namenode):
         self.slots = SlotStore(namenode.cluster.spec.n_nodes)
         for node_id in namenode.datanodes:
             self.slots.register(node_id, map_slots=2, reduce_slots=2)
+        self.scheduler = Scheduler()
+
+
+def _sim_with_pending_maps():
+    """A FIFO run paused while eight submitted jobs all have pending maps."""
+    workload = synthesize_wl2(np.random.default_rng(5), n_jobs=20)
+    sim = Simulation(
+        ExperimentConfig(scheduler="fifo", dare=DareConfig.elephant_trap(), seed=5),
+        workload,
+    )
+    sim.run(until=70.0)
+    assert len(sim.scheduler.map_ready) >= 3
+    return sim
 
 
 class TestHealthyState:
@@ -179,3 +197,16 @@ class TestSeededCorruption:
         assert any(r.type == BLOCK_REPLICATED for r in violation.tail)
         assert "trace tail" in str(violation)
         assert "block.replicated" in str(violation)
+
+    @pytest.mark.parametrize("corruption", ["drop", "swap"])
+    def test_ready_list_drift_is_caught(self, corruption):
+        sim = _sim_with_pending_maps()
+        checker = InvariantChecker(sim.namenode, dare=sim.dare, jobtracker=sim.jobtracker)
+        checker.check_now()  # the untouched lists equal the full scan
+        ready = sim.scheduler.map_ready
+        if corruption == "drop":
+            del ready[1]
+        else:
+            ready[0], ready[1] = ready[1], ready[0]
+        with pytest.raises(InvariantViolation, match="scheduler: map_ready"):
+            checker.check_now()

@@ -173,6 +173,10 @@ def test_load_rejects_unknown_format(tmp_path):
     path.write_bytes(pickle.dumps({"format": 1, "payload": b""}))
     with pytest.raises(ValueError, match="unsupported snapshot format 1"):
         Snapshot.load(str(path))
+    # checkpoints written before the scheduler kept ready-job lists
+    path.write_bytes(pickle.dumps({"format": 2, "payload": b""}))
+    with pytest.raises(ValueError, match="unsupported snapshot format 2"):
+        Snapshot.load(str(path))
 
 
 def test_restore_with_trace_requires_a_traced_source(tmp_path):

@@ -122,7 +122,9 @@ class TestFairSharing:
         for j in (j0, j1):
             j.finished_maps = j.n_maps
             j.pending_maps.clear()
+            jt.scheduler.job_changed(j)
         j0.running_reduces = 1
+        jt.scheduler.job_changed(j0)
         job, _ = jt.scheduler.pick_reduce(1, now=1.0)
         assert job is j1
 

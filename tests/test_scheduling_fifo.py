@@ -94,6 +94,7 @@ class TestFifoReduces:
         jobs = submit(jt, "hot")
         assert jt.scheduler.pick_reduce(1, now=1.0) is None
         jobs[0].finished_maps = jobs[0].n_maps
+        jt.scheduler.job_changed(jobs[0])
         pick = jt.scheduler.pick_reduce(1, now=2.0)
         assert pick is not None
         job, task = pick
@@ -104,5 +105,6 @@ class TestFifoReduces:
         for j in jobs:
             j.finished_maps = j.n_maps
             j.pending_maps.clear()
+            jt.scheduler.job_changed(j)
         job, _ = jt.scheduler.pick_reduce(1, now=2.0)
         assert job is jobs[0]

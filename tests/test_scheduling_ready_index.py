@@ -1,0 +1,242 @@
+"""The schedulers' ready-job lists against the full-scan pickers they replace.
+
+``Scheduler.map_ready`` / ``reduce_ready`` are kept current by the
+JobTracker's ``job_changed`` calls instead of being re-derived by a scan
+of ``active_jobs`` on every pick.  The oracle schedulers below are those
+scans, kept as the reference: traces must match byte for byte on cells
+where speculation fires and failures requeue attempts.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List
+
+import numpy as np
+import pytest
+
+import repro.experiments.runner as runner
+from repro.cluster.cluster import scale_spec
+from repro.core.config import DareConfig
+from repro.core.manager import DareReplicationService
+from repro.experiments.runner import ExperimentConfig, run_experiment
+from repro.mapreduce.job import JobSpec
+from repro.mapreduce.jobtracker import JobTracker
+from repro.mapreduce.runtime import TaskTimeModel
+from repro.mapreduce.task import Locality
+from repro.mapreduce.tasktracker import TaskTracker
+from repro.scheduling.fair import FairScheduler, SkipCountFairScheduler
+from repro.scheduling.fifo import FifoScheduler
+from repro.simulation.engine import Engine
+from repro.simulation.rng import RandomStreams
+from repro.workloads.swim import synthesize_wl1, synthesize_wl2
+
+# -- oracles: pick by filtering active_jobs on every call ---------------------
+
+
+class _ScanFifo(FifoScheduler):
+    def pick_map(self, node_id, now):
+        for job in self.active_jobs:
+            if not job.has_pending_maps:
+                continue
+            found = job.find_pending_map(node_id, self.namenode, Locality.REMOTE)
+            if found is not None:
+                task, locality = found
+                return job, task, locality
+        return None
+
+    def pick_reduce(self, node_id, now):
+        for job in self.active_jobs:
+            task = job.next_pending_reduce()
+            if task is not None:
+                return job, task
+        return None
+
+
+class _ScanFairOrder:
+    """The Fair orderings as full scans (mixed in ahead of a Fair class)."""
+
+    def _map_order(self):
+        jobs = [j for j in self.active_jobs if j.has_pending_maps]
+        jobs.sort(key=lambda j: (j.running_maps, j.submit_time, j.spec.job_id))
+        return jobs
+
+    def pick_reduce(self, node_id, now):
+        jobs = [j for j in self.active_jobs if j.reduces_schedulable]
+        jobs.sort(key=lambda j: (j.running_reduces, j.submit_time, j.spec.job_id))
+        for job in jobs:
+            task = job.next_pending_reduce()
+            if task is not None:
+                return job, task
+        return None
+
+
+class _ScanFair(_ScanFairOrder, FairScheduler):
+    pass
+
+
+class _ScanSkipCount(_ScanFairOrder, SkipCountFairScheduler):
+    pass
+
+
+_ORACLES = {"fifo": _ScanFifo, "fair": _ScanFair, "fair-skip": _ScanSkipCount}
+
+
+def _scan_pending_work_units(self) -> int:
+    total = 0
+    speculative = self.speculation is not None
+    for job in self.scheduler.active_jobs:
+        total += len(job.pending_maps)
+        if job.reduces_schedulable:
+            total += len(job.reduces) - job.running_reduces - job.finished_reduces
+        if speculative:
+            total += job.running_maps
+    return total
+
+
+def _scan_hot_nodes_by_rack(self) -> Dict[int, List[int]]:
+    nn = self.namenode
+    key = (self.sched_version, len(nn.command_log))
+    if key != self._hot_cache_key:
+        by_rack: Dict[int, List[int]] = {}
+        seen: set = set()
+        locs_by_id = nn._locs_by_id
+        rack_of = nn._rack_of
+        for job in self.scheduler.active_jobs:
+            for bid in job.pending_block_ids:
+                for nid in locs_by_id[bid]:
+                    if nid not in seen:
+                        seen.add(nid)
+                        by_rack.setdefault(rack_of[nid], []).append(nid)
+        for nids in by_rack.values():
+            nids.sort()
+        self._hot_by_rack = by_rack
+        self._hot_cache_key = key
+    return self._hot_by_rack
+
+
+def _use_full_scans(monkeypatch):
+    """From here on, every scheduler pick and hub read is a full scan."""
+    monkeypatch.setattr(
+        runner, "make_scheduler", lambda name, fair_delay_s=None: _ORACLES[name]()
+    )
+    monkeypatch.setattr(JobTracker, "pending_work_units", _scan_pending_work_units)
+    monkeypatch.setattr(JobTracker, "hot_nodes_by_rack", _scan_hot_nodes_by_rack)
+
+
+SEED = 5
+FAILURES = ((40.0, 3), (90.0, 7), (150.0, 11))
+
+
+def _paper_cell(scheduler, trace_path):
+    config = ExperimentConfig(
+        scheduler=scheduler,
+        dare=DareConfig.elephant_trap(),
+        seed=SEED,
+        speculative=True,
+        failures=FAILURES,
+        trace_path=str(trace_path),
+    )
+    workload = synthesize_wl2(np.random.default_rng(SEED), n_jobs=60)
+    return run_experiment(config, workload)
+
+
+def _mesoscale_cell(trace_path):
+    config = ExperimentConfig(
+        cluster_spec=scale_spec(150, mesoscale=True),
+        scheduler="fair",
+        dare=DareConfig.elephant_trap(),
+        seed=SEED,
+        trace_path=str(trace_path),
+    )
+    workload = synthesize_wl1(np.random.default_rng(SEED), n_jobs=30)
+    return run_experiment(config, workload)
+
+
+@pytest.mark.parametrize("scheduler", sorted(_ORACLES))
+def test_ready_lists_match_full_scans_under_failures_and_speculation(
+    scheduler, tmp_path, monkeypatch
+):
+    listed = _paper_cell(scheduler, tmp_path / "listed.jsonl")
+    # failures requeue attempts in every cell, re-admitting their jobs;
+    # of these cells only FIFO's launches speculative duplicates
+    assert listed.tasks_requeued > 0
+    if scheduler == "fifo":
+        assert listed.speculative_launched > 0
+    _use_full_scans(monkeypatch)
+    _paper_cell(scheduler, tmp_path / "scanned.jsonl")
+    assert (tmp_path / "listed.jsonl").read_bytes() == (
+        tmp_path / "scanned.jsonl"
+    ).read_bytes()
+
+
+def test_ready_lists_match_full_scans_on_mesoscale_hubs(tmp_path, monkeypatch):
+    _mesoscale_cell(tmp_path / "listed.jsonl")
+    _use_full_scans(monkeypatch)
+    _mesoscale_cell(tmp_path / "scanned.jsonl")
+    assert (tmp_path / "listed.jsonl").read_bytes() == (
+        tmp_path / "scanned.jsonl"
+    ).read_bytes()
+
+
+# -- submission order survives a requeue --------------------------------------
+
+
+@pytest.fixture
+def jt(small_cluster, loaded_namenode):
+    """A FIFO JobTracker whose trackers only beat when the test says so."""
+    streams = RandomStreams(31)
+    dare = DareReplicationService(DareConfig.off(), loaded_namenode, streams)
+    tm = TaskTimeModel(small_cluster, loaded_namenode, streams.python("tm"))
+    jt = JobTracker(small_cluster, loaded_namenode, Engine(), FifoScheduler(), tm, dare)
+    for node in small_cluster.slaves:
+        jt.tasktrackers[node.node_id] = TaskTracker(
+            node, jt, jt.engine, 1.0, managed=True
+        )
+        jt._running_by_node[node.node_id] = {}
+    return jt
+
+
+def _launch_every_map(jt, job, now):
+    """Place all of ``job``'s maps through the scheduler (it is head of line)."""
+    for tt in jt.tasktrackers.values():
+        while job.pending_maps and tt.free_map_slots > 0:
+            picked, task, locality = jt.scheduler.pick_map(tt.node_id, now)
+            assert picked is job
+            jt._launch_map(job, task, locality, tt, now)
+    assert not job.pending_maps
+
+
+def test_requeued_map_returns_its_job_ahead_of_later_submissions(jt):
+    a = jt.submit(JobSpec(0, 0.0, "warm"))
+    b = jt.submit(JobSpec(1, 1.0, "hot"))
+    scheduler = jt.scheduler
+    _launch_every_map(jt, a, 2.0)
+    assert scheduler.map_ready == [b]
+
+    node = a.maps[0].node_id
+    assert jt.requeue_tasks_from(node) >= 1
+    assert scheduler.map_ready == [a, b]
+    job, task, _ = scheduler.pick_map(node, now=3.0)
+    assert job is a and task in a.pending_maps
+
+
+def test_requeued_reduce_returns_its_job_ahead_of_later_submissions(jt):
+    a = jt.submit(JobSpec(0, 0.0, "warm", n_reduces=1))
+    b = jt.submit(JobSpec(1, 1.0, "hot", n_reduces=1))
+    scheduler = jt.scheduler
+    _launch_every_map(jt, a, 2.0)
+    _launch_every_map(jt, b, 2.0)
+    jt.engine.run(until=1000.0)  # map completions only: no heartbeats
+    assert a.maps_done and b.maps_done
+    assert scheduler.reduce_ready == [a, b]
+
+    tt = next(iter(jt.tasktrackers.values()))
+    job, rtask = scheduler.pick_reduce(tt.node_id, now=1000.0)
+    assert job is a
+    jt._launch_reduce(a, rtask, tt, 1000.0)
+    assert scheduler.reduce_ready == [b]
+
+    assert jt.requeue_tasks_from(tt.node_id) == 1
+    assert scheduler.reduce_ready == [a, b]
+    job, rtask = scheduler.pick_reduce(tt.node_id, now=1001.0)
+    assert job is a and rtask is a.reduces[0]
