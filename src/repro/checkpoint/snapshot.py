@@ -47,7 +47,7 @@ from repro.observability.profiling import CallbackProfiler
 from repro.observability.trace import NULL_TRACER, JsonlSink, Tracer
 
 #: bump when the pickled payload layout changes shape
-SNAPSHOT_FORMAT = 3
+SNAPSHOT_FORMAT = 4
 
 _TOKEN_TRACER = "tracer"
 _TOKEN_NULL_TRACER = "null-tracer"

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional, Set
 
 from repro.cluster.node import Node
 from repro.hdfs.block import Block
@@ -28,7 +28,10 @@ class DataNode:
 
     Outgoing control-plane messages (``DNA_DYNREPL`` announcements and
     ``DNA_INVALIDATE`` confirmations) accumulate in :attr:`outbox` and are
-    drained by the next heartbeat.
+    drained by the next heartbeat.  :attr:`control` is the NameNode's set,
+    shared by every DataNode on the rack, of nodes with queued control
+    traffic: the two methods that grow a queue add this node to it, and
+    the NameNode removes it when the queues are emptied.
     """
 
     __slots__ = (
@@ -39,6 +42,7 @@ class DataNode:
         "dynamic_capacity_bytes",
         "pending_deletion",
         "outbox",
+        "control",
         "disk_writes",
         "blocks_replicated",
         "blocks_evicted",
@@ -50,6 +54,7 @@ class DataNode:
         node: Node,
         dynamic_capacity_bytes: int = 0,
         tracer: Tracer = NULL_TRACER,
+        control: Optional[Set[int]] = None,
     ) -> None:
         self.node = node
         self.static_blocks: Dict[int, Block] = {}
@@ -61,6 +66,9 @@ class DataNode:
         #: checkpoint restore)
         self.pending_deletion: OrderedSet[int] = OrderedSet()
         self.outbox: List[DatanodeCommand] = []
+        #: ids of the rack's nodes with a non-empty outbox or pending
+        #: deletions (owned by the NameNode; a private set when standalone)
+        self.control: Set[int] = control if control is not None else set()
         # lifetime counters for the disk-write / thrashing analyses
         self.disk_writes = 0
         self.blocks_replicated = 0
@@ -129,6 +137,7 @@ class DataNode:
         self.disk_writes += 1
         self.blocks_replicated += 1
         self.outbox.append(DatanodeCommand.dynrepl(self.node_id, block.block_id, now))
+        self.control.add(self.node_id)
         if self.tracer.enabled:
             self.tracer.emit(
                 BUDGET_CHARGE,
@@ -165,6 +174,7 @@ class DataNode:
         self.dynamic_bytes_used -= block.size_bytes
         self.blocks_evicted += 1
         self.outbox.append(DatanodeCommand.invalidate(self.node_id, block_id, now))
+        self.control.add(self.node_id)
         if self.tracer.enabled:
             self.tracer.emit(
                 BUDGET_REFUND,

@@ -137,8 +137,16 @@ class NameNode:
         self._locations: Dict[int, ReplicaSet] = {}
         #: dense block-id -> ReplicaSet, aliasing _locations' values
         self._locs_by_id: List[ReplicaSet] = []
+        #: rack -> ids of its nodes with queued control traffic (a
+        #: non-empty outbox or pending deletions); each set is shared with
+        #: the rack's DataNodes, which add themselves when a queue grows
+        self.control_by_rack: List[Set[int]] = [
+            set() for _ in range(cluster.topology.n_racks)
+        ]
+        control, rack_of = self.control_by_rack, self._rack_of
         self.datanodes: Dict[int, DataNode] = {
-            n.node_id: DataNode(n, tracer=tracer) for n in cluster.slaves
+            n.node_id: DataNode(n, tracer=tracer, control=control[rack_of[n.node_id]])
+            for n in cluster.slaves
         }
         self.placement = DefaultPlacementPolicy(
             cluster.slave_ids,
@@ -263,12 +271,14 @@ class NameNode:
                 elif cmd.op == DNA_INVALIDATE:
                     self._locations[cmd.block_id].discard(node_id)
             self.command_log.extend(cmds)
+            dn.control.discard(node_id)
         else:
             cmds = []
         # physical lazy deletion happens when the node is idle enough to
         # heartbeat, matching "blocks marked for deletion are lazily removed"
         if dn.pending_deletion:
             dn.complete_deletions()
+            dn.control.discard(node_id)
         if self.tracer.enabled:
             self.tracer.emit(
                 HDFS_HEARTBEAT, now, node=node_id, commands=len(cmds)
@@ -316,6 +326,7 @@ class NameNode:
         dn.static_blocks.clear()
         dn.dynamic_blocks.clear()
         dn.pending_deletion.clear()
+        dn.control.discard(node_id)
         dn.dynamic_bytes_used = 0
         return lost
 

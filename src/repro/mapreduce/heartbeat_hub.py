@@ -12,23 +12,27 @@ when they have something to do:
   (the JobTracker maintains that set per rack, invalidated whenever the
   schedule or the block map changes), keeping data-local placement sharp;
 * remaining free-slot members are offered work only while the cluster-wide
-  pending-work budget lasts, so an idle 100k-node cluster costs O(racks)
-  per tick rather than O(N) no-op scheduler calls.
+  pending-work budget lasts.  A tick with no budget left visits only the
+  rack's control set (the NameNode's per-rack set of nodes with queued
+  control traffic), not every member, so an idle 100k-node cluster costs
+  O(racks) per tick rather than O(N) member visits.
 
 In ``mesoscale`` mode the hub is also an aggregate actor over its idle
 members: nodes start *pooled* — no TaskTracker object at all, slot capacity
-tracked only in the :class:`~repro.mapreduce.slots.SlotStore` — and are
-*promoted* to event-accurate TaskTrackers the moment they are offered work
-or carry control traffic.  A promoted node is *demoted* back into the pool
-only when provably inert: every slot free, no stored blocks, no pending
-deletions, no queued control messages, and no in-flight attempts.  The
-promotion/demotion counters and the invariant assertions in
-:meth:`demote` are exercised by the mesoscale property suite.
+tracked only in the :class:`~repro.mapreduce.slots.SlotStore`.  A pooled
+member is offered work without a tracker and is *promoted* to an
+event-accurate TaskTracker only when a scheduler pick places a task on it;
+a control-only beat needs no tracker either.  A promoted node is *demoted*
+back into the pool only when provably inert: every slot free, no stored
+blocks, no pending deletions, no queued control messages, and no
+in-flight attempts.  The promotion/demotion counters and the invariant
+assertions in :meth:`demote` are exercised by the mesoscale property
+suite.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.mapreduce.tasktracker import TaskTracker
 from repro.simulation.engine import Engine
@@ -139,6 +143,17 @@ class HeartbeatHub:
 
     # -- the tick -----------------------------------------------------------
 
+    def _beat(self, node_id: int, tt: Optional[TaskTracker]) -> None:
+        """One member heartbeat; a pooled member beats without a tracker.
+
+        Like :meth:`TaskTracker.beat`, a dead node stays silent.  The
+        JobTracker promotes a pooled member right before its first launch.
+        """
+        if tt is not None:
+            tt.beat()
+        elif self.jobtracker.cluster.nodes[node_id].alive:
+            self.jobtracker.heartbeat(node_id, None, self.promote)
+
     def _tick(self) -> None:
         jt = self.jobtracker
         nn = jt.namenode
@@ -155,24 +170,26 @@ class HeartbeatHub:
             for nid in jt.hot_nodes_by_rack().get(self.rack, ()):
                 if free_map[nid] <= 0 and free_reduce[nid] <= 0:
                     continue
-                tt = trackers.get(nid)
-                if tt is None:
-                    tt = self.promote(nid)
                 before = jt.sched_version
-                tt.beat()
+                self._beat(nid, trackers.get(nid))
                 budget -= jt.sched_version - before
 
-        for nid in self.member_ids:
+        # without budget only members with queued control traffic beat.  A
+        # beat queues traffic only on its own node (the DARE hook acts on
+        # the node that launched the map), which the walk has passed, so a
+        # sorted copy of the rack's control set taken now misses nobody
+        if budget > 0:
+            walk: Sequence[int] = self.member_ids
+        else:
+            walk = sorted(nn.control_by_rack[self.rack])
+        for nid in walk:
             dn = datanodes[nid]
             control = bool(dn.outbox) or bool(dn.pending_deletion)
             offer = budget > 0 and (free_map[nid] > 0 or free_reduce[nid] > 0)
             if not control and not offer:
                 continue
-            tt = trackers.get(nid)
-            if tt is None:
-                tt = self.promote(nid)
             before = jt.sched_version
-            tt.beat()
+            self._beat(nid, trackers.get(nid))
             if offer:
                 launched = jt.sched_version - before
                 # an offer that placed nothing still consumes budget, so a

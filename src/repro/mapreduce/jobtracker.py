@@ -24,7 +24,7 @@ from repro.mapreduce.speculation import SpeculationPolicy
 from repro.mapreduce.task import Locality, MapTask, ReduceTask, TaskState
 from repro.mapreduce.tasktracker import TaskTracker
 from repro.metrics.traffic import TrafficMeter
-from repro.observability.trace import NULL_TRACER, TASK_FINISHED, TASK_SCHEDULED, Tracer
+from repro.observability.trace import HEARTBEAT, NULL_TRACER, TASK_FINISHED, TASK_SCHEDULED, Tracer
 from repro.simulation.engine import Engine
 from repro.simulation.events import Event
 
@@ -265,37 +265,64 @@ class JobTracker:
 
     # -- the heartbeat ---------------------------------------------------------
 
-    def heartbeat(self, tt: TaskTracker) -> None:
-        """Handle one TaskTracker heartbeat: control plane, then work."""
+    def heartbeat(
+        self,
+        node_id: int,
+        tt: Optional[TaskTracker] = None,
+        promote: Optional[Callable[[int], TaskTracker]] = None,
+    ) -> None:
+        """Handle one heartbeat from ``node_id``: control plane, work, record.
+
+        ``tt`` is the node's TaskTracker.  A pooled mesoscale member has
+        none; its hub passes ``promote`` instead, which builds the tracker
+        right before the first launch, so an offer that places nothing
+        builds nothing.
+        """
         now = self.engine.now
-        node_id = tt.node_id
         # the heartbeat carries the DataNode's block reports: DARE replicas
         # and invalidations become visible to the scheduler here
         self.namenode.process_heartbeat(node_id, now)
         scheduler = self.scheduler
-        while tt.free_map_slots > 0:
+        free_map = self.slots.free_map
+        free_reduce = self.slots.free_reduce
+        while free_map[node_id] > 0:
             pick = scheduler.pick_map(node_id, now)
             if pick is None:
                 break
+            if tt is None:
+                tt = promote(node_id)
             job, task, locality = pick
             self._launch_map(job, task, locality, tt, now)
-        while tt.free_reduce_slots > 0:
+        while free_reduce[node_id] > 0:
             pick = scheduler.pick_reduce(node_id, now)
             if pick is None:
                 break
+            if tt is None:
+                tt = promote(node_id)
             job, rtask = pick
             self._launch_reduce(job, rtask, tt, now)
         if self.speculation is not None:
-            while tt.free_map_slots > 0:
+            while free_map[node_id] > 0:
                 candidate = self.speculation.pick_candidate(
                     self.scheduler.active_jobs,
                     now,
-                    tt.node_id,
+                    node_id,
                     self._has_duplicate,
                 )
                 if candidate is None:
                     break
+                if tt is None:
+                    tt = promote(node_id)
                 self._launch_speculative(candidate, tt, now)
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.emit(
+                HEARTBEAT,
+                now,
+                node=node_id,
+                free_map_slots=free_map[node_id],
+                free_reduce_slots=free_reduce[node_id],
+            )
 
     # -- map tasks ------------------------------------------------------------
 

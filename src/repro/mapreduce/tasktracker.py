@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.cluster.node import Node
-from repro.observability.trace import HEARTBEAT
 from repro.simulation.engine import Engine
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -22,8 +21,8 @@ class TaskTracker:
     start times differ.
 
     The heartbeat chain is the simulator's highest-frequency periodic
-    process, so its dispatch is inlined: the tracer reference and event
-    label are computed once, and the chain re-arms a single reusable
+    process, so its dispatch is inlined: the event label is computed
+    once, and the chain re-arms a single reusable
     :class:`~repro.simulation.events.Event` via ``Engine.reschedule_in``
     instead of allocating one per beat.  Firing times, labels, and sequence
     numbers are identical to naive per-beat scheduling, so traces (even with
@@ -42,7 +41,6 @@ class TaskTracker:
         "node_id",
         "jobtracker",
         "engine",
-        "tracer",
         "interval_s",
         "slots",
         "heartbeats_sent",
@@ -65,7 +63,6 @@ class TaskTracker:
         self.node_id = node.node_id
         self.jobtracker = jobtracker
         self.engine = engine
-        self.tracer = jobtracker.tracer
         self.interval_s = interval_s
         self.slots = jobtracker.slots
         self.heartbeats_sent = 0
@@ -92,16 +89,7 @@ class TaskTracker:
         if not self.node.alive:
             return  # a dead TaskTracker stops heartbeating
         self.heartbeats_sent += 1
-        self.jobtracker.heartbeat(self)
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.emit(
-                HEARTBEAT,
-                self.engine.now,
-                node=self.node_id,
-                free_map_slots=self.free_map_slots,
-                free_reduce_slots=self.free_reduce_slots,
-            )
+        self.jobtracker.heartbeat(self.node_id, self)
 
     def _heartbeat(self) -> None:
         self.beat()

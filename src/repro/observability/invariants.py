@@ -43,6 +43,13 @@ throttled by ``full_sweep_every`` records, a full sweep additionally asserts:
   scheduler's ``map_ready`` and ``reduce_ready`` lists equal a full scan
   of ``active_jobs`` for a pending map and for schedulable reduces,
   order included.
+* **Per-rack control sets** — each of the NameNode's ``control_by_rack``
+  sets holds exactly the rack's nodes whose DataNode has a non-empty
+  ``outbox`` or ``pending_deletion``, and every DataNode's ``control``
+  slot is its rack's set (the rack hubs' idle walk visits only these).
+* **Work implies promotion** (mesoscale hubs) — every hub member outside
+  ``hub.accurate`` has no TaskTracker, all slots free and no in-flight
+  attempt.
 
 A failed check raises :class:`InvariantViolation` carrying the offending
 record and the recent trace tail.
@@ -50,7 +57,7 @@ record and the recent trace tail.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional, Set
+from typing import TYPE_CHECKING, Iterable, List, Optional, Set
 
 from repro.observability.trace import (
     HDFS_HEARTBEAT,
@@ -113,8 +120,8 @@ class InvariantChecker:
         The replication service, when DARE policy coherence should be
         checked.
     jobtracker:
-        The compute master, when slot accounting and the scheduler's
-        ready lists should be checked.
+        The compute master, when slot accounting, the scheduler's ready
+        lists and the mesoscale pool should be checked.
     scarlett:
         The epoch-based proactive baseline, when its budget accounting
         should be checked.
@@ -184,6 +191,8 @@ class InvariantChecker:
             self._check_node(node_id, record, strict=True)
         self._check_scarlett(record)
         self._check_ready_lists(record)
+        self._check_control_sets(record)
+        self._check_pool(record)
 
     # -- the checks ----------------------------------------------------------------
 
@@ -323,6 +332,52 @@ class InvariantChecker:
                     f"scheduler: {name} holds jobs "
                     f"{[j.spec.job_id for j in ready]} but a full scan of "
                     f"active_jobs finds {[j.spec.job_id for j in scan]}",
+                    record,
+                )
+
+    def _check_control_sets(self, record: Optional[TraceRecord]) -> None:
+        nn = self.namenode
+        held = nn.control_by_rack
+        rack_of = nn._rack_of
+        scan: List[Set[int]] = [set() for _ in held]
+        for node_id, dn in nn.datanodes.items():
+            rack = rack_of[node_id]
+            if dn.control is not held[rack]:
+                self._fail(
+                    f"node {node_id}: DataNode control set is not rack {rack}'s",
+                    record,
+                )
+            if dn.outbox or dn.pending_deletion:
+                scan[rack].add(node_id)
+        for rack, (ids, found) in enumerate(zip(held, scan)):
+            if ids != found:
+                self._fail(
+                    f"rack {rack}: control set holds {sorted(ids)} but the "
+                    f"DataNodes with queued control traffic are {sorted(found)}",
+                    record,
+                )
+
+    def _check_pool(self, record: Optional[TraceRecord]) -> None:
+        jt = self.jobtracker
+        if jt is None:
+            return
+        slots = jt.slots
+        for hub in jt.hubs:
+            if not hub.mesoscale:
+                continue
+            for node_id in hub.member_ids:
+                if node_id in hub.accurate:
+                    continue
+                if node_id in jt.tasktrackers:
+                    problem = "has a TaskTracker"
+                elif not slots.all_free(node_id):
+                    problem = "holds occupied slots"
+                elif jt._running_by_node.get(node_id):
+                    problem = "has in-flight attempts"
+                else:
+                    continue
+                self._fail(
+                    f"pooled node {node_id} {problem} (work implies promotion)",
                     record,
                 )
 

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from repro.cluster.cluster import scale_spec
 from repro.core.config import DareConfig
 from repro.core.manager import DareReplicationService
 from repro.experiments.runner import ExperimentConfig, Simulation
@@ -43,14 +44,15 @@ def remote_target(namenode, block_id):
 
 
 class JtStub:
-    """Duck-typed JobTracker: the slot store and (empty) scheduler the
-    checker audits."""
+    """Duck-typed JobTracker: the slot store, (empty) scheduler and (no)
+    rack hubs the checker audits."""
 
     def __init__(self, namenode):
         self.slots = SlotStore(namenode.cluster.spec.n_nodes)
         for node_id in namenode.datanodes:
             self.slots.register(node_id, map_slots=2, reduce_slots=2)
         self.scheduler = Scheduler()
+        self.hubs = []
 
 
 def _sim_with_pending_maps():
@@ -63,6 +65,21 @@ def _sim_with_pending_maps():
     sim.run(until=70.0)
     assert len(sim.scheduler.map_ready) >= 3
     return sim
+
+
+def _sim_with_control_traffic():
+    """A FIFO LRU run paused while nodes 3, 4 and 7 have queued traffic."""
+    workload = synthesize_wl2(np.random.default_rng(5), n_jobs=20)
+    sim = Simulation(
+        ExperimentConfig(scheduler="fifo", dare=DareConfig.greedy_lru(), seed=5),
+        workload,
+    )
+    sim.run(until=68.0)
+    queued = [
+        n for n, dn in sim.namenode.datanodes.items() if dn.outbox or dn.pending_deletion
+    ]
+    assert queued
+    return sim, queued
 
 
 class TestHealthyState:
@@ -209,4 +226,44 @@ class TestSeededCorruption:
         else:
             ready[0], ready[1] = ready[1], ready[0]
         with pytest.raises(InvariantViolation, match="scheduler: map_ready"):
+            checker.check_now()
+
+    @pytest.mark.parametrize("corruption", ["drop", "add"])
+    def test_control_set_drift_is_caught(self, corruption):
+        sim, queued = _sim_with_control_traffic()
+        checker = InvariantChecker(sim.namenode, dare=sim.dare, jobtracker=sim.jobtracker)
+        checker.check_now()  # the untouched sets equal the DataNode scan
+        nn = sim.namenode
+        if corruption == "drop":
+            node = queued[0]
+            nn.datanodes[node].control.discard(node)
+        else:
+            node = next(n for n in nn.datanodes if n not in queued)
+            nn.datanodes[node].control.add(node)
+        with pytest.raises(InvariantViolation, match="control set holds"):
+            checker.check_now()
+
+    def test_occupied_slot_on_a_pooled_node_is_caught(self):
+        workload = synthesize_wl2(np.random.default_rng(5), n_jobs=60)
+        sim = Simulation(
+            ExperimentConfig(
+                cluster_spec=scale_spec(120, mesoscale=True),
+                scheduler="fifo",
+                dare=DareConfig.greedy_lru(),
+                seed=5,
+            ),
+            workload,
+        )
+        sim.run(until=40.0)
+        jt = sim.jobtracker
+        checker = InvariantChecker(sim.namenode, dare=sim.dare, jobtracker=jt)
+        checker.check_now()
+        pooled = min(
+            nid for hub in jt.hubs for nid in hub.member_ids if nid not in hub.accurate
+        )
+        # still inside [0, capacity], so the per-node slot check passes it
+        jt.slots.free_map[pooled] -= 1
+        with pytest.raises(
+            InvariantViolation, match=f"pooled node {pooled} holds occupied slots"
+        ):
             checker.check_now()

@@ -27,7 +27,7 @@ from repro.checkpoint.snapshot import _unpickler
 from repro.core.config import DareConfig
 from repro.experiments.runner import ExperimentConfig, Simulation, make_tracer
 from repro.observability.trace import NULL_TRACER, JsonlSink
-from repro.workloads.swim import synthesize_wl1
+from repro.workloads.swim import synthesize_wl1, synthesize_wl2
 
 POLICIES = {
     "off": DareConfig.off(),
@@ -162,6 +162,22 @@ def test_snapshot_survives_disk_round_trip(tmp_path):
         (tmp_path / "cold.jsonl").read_bytes()
 
 
+def test_restore_shares_each_racks_control_set():
+    """A restored NameNode and its DataNodes hold one control set per rack."""
+    workload = synthesize_wl2(np.random.default_rng(5), n_jobs=20)
+    sim = Simulation(
+        ExperimentConfig(scheduler="fifo", dare=POLICIES["lru"], seed=5), workload
+    )
+    sim.run(until=68.0)  # nodes with replica announcements still queued
+    queued = [set(ids) for ids in sim.namenode.control_by_rack]
+    assert any(queued)
+    nn = snapshot(sim).restore().namenode
+    sim.close()
+    assert [set(ids) for ids in nn.control_by_rack] == queued
+    for node_id, dn in nn.datanodes.items():
+        assert dn.control is nn.control_by_rack[nn._rack_of[node_id]]
+
+
 def test_load_rejects_unknown_format(tmp_path):
     import pickle
 
@@ -176,6 +192,10 @@ def test_load_rejects_unknown_format(tmp_path):
     # checkpoints written before the scheduler kept ready-job lists
     path.write_bytes(pickle.dumps({"format": 2, "payload": b""}))
     with pytest.raises(ValueError, match="unsupported snapshot format 2"):
+        Snapshot.load(str(path))
+    # checkpoints written before the NameNode kept per-rack control sets
+    path.write_bytes(pickle.dumps({"format": 3, "payload": b""}))
+    with pytest.raises(ValueError, match="unsupported snapshot format 3"):
         Snapshot.load(str(path))
 
 

@@ -91,6 +91,25 @@ class TestHeartbeatControlPlane:
         assert outsider not in nn.locations(blk.block_id)
         assert blk.block_id not in dn.dynamic_blocks  # physically dropped
 
+    def test_control_set_tracks_queued_traffic(self, loaded_namenode):
+        nn = loaded_namenode
+        blk = nn.file("hot").blocks[0]
+        outsider = next(
+            nid for nid in nn.datanodes if nid not in nn.locations(blk.block_id)
+        )
+        dn = nn.datanode(outsider)
+        queued = nn.control_by_rack[nn._rack_of[outsider]]
+        assert dn.control is queued and outsider not in queued
+        dn.dynamic_capacity_bytes = DEFAULT_BLOCK_SIZE
+        dn.insert_dynamic(blk, 1.0)
+        assert outsider in queued
+        nn.process_heartbeat(outsider, 2.0)
+        assert outsider not in queued
+        dn.mark_for_deletion(blk.block_id, 3.0)
+        assert outsider in queued
+        nn.fail_node(outsider)  # a dead node's queued messages are dropped
+        assert outsider not in queued
+
     def test_command_log_records_applied_messages(self, loaded_namenode):
         nn = loaded_namenode
         blk = nn.file("hot").blocks[0]
