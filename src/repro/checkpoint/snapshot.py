@@ -7,9 +7,10 @@ never a closure), NameNode/DataNode block maps and budgets,
 JobTracker/TaskTracker slots and in-flight attempts, policy state
 (greedy LRU order, ElephantTrap clock hand and counts, Scarlett epoch
 accounting), and every RNG stream.  Pickle memoization preserves the
-aliasing the simulator relies on (heap entries are the same ``Event``
-objects the running attempts hold; tasks back-reference their jobs), so
-a restored run continues exactly where the original paused.
+aliasing the simulator relies on (each heap entry's ``Event`` is the same
+object the running attempt or heartbeat chain holds; tasks
+back-reference their jobs), so a restored run continues exactly where
+the original paused.
 
 The graph is stored as two payloads.  The *static* payload pickles the
 subsystems that never change after setup (config, workload, topology,
@@ -47,7 +48,7 @@ from repro.observability.profiling import CallbackProfiler
 from repro.observability.trace import NULL_TRACER, JsonlSink, Tracer
 
 #: bump when the pickled payload layout changes shape
-SNAPSHOT_FORMAT = 4
+SNAPSHOT_FORMAT = 5
 
 _TOKEN_TRACER = "tracer"
 _TOKEN_NULL_TRACER = "null-tracer"

@@ -155,14 +155,17 @@ def _workload(args: argparse.Namespace) -> Workload:
         return synthesize_wl1(rng, n_jobs=args.jobs)
     if name == "wl2":
         return synthesize_wl2(rng, n_jobs=args.jobs)
-    if name.endswith(".json"):
-        from repro.workloads.swim_io import load_workload
+    try:
+        if name.endswith(".json"):
+            from repro.workloads.swim_io import load_workload
 
-        return load_workload(name)
-    if name.endswith((".tsv", ".txt")):
-        from repro.workloads.swim_io import load_swim_trace
+            return load_workload(name)
+        if name.endswith((".tsv", ".txt")):
+            from repro.workloads.swim_io import load_swim_trace
 
-        return load_swim_trace(name, rng)
+            return load_swim_trace(name, rng)
+    except ValueError as exc:
+        raise SystemExit(f"bad workload {name!r}: {exc}")
     raise SystemExit(
         f"unknown workload {name!r} (expected wl1, wl2, *.json, or *.tsv)"
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from math import isfinite
 from typing import List, NamedTuple, Optional, Set, Tuple
 
 from repro.hdfs.inode import INode
@@ -28,13 +29,24 @@ class JobSpec(NamedTuple):
     output_ratio: float = 0.2
 
     def validate(self) -> "JobSpec":
-        """Raise on malformed entries; return self."""
+        """Raise on malformed entries; return self.
+
+        ``nan`` and ``inf`` pass a ``< 0`` test, so the float fields are
+        checked for finiteness too: a job submitted at ``inf`` never
+        arrives, and the heartbeats waiting for it never stop.
+        """
+        if not isfinite(self.submit_time):
+            raise ValueError(f"job {self.job_id}: non-finite submit time")
         if self.submit_time < 0:
             raise ValueError(f"job {self.job_id}: negative submit time")
+        if not (isfinite(self.map_cpu_s) and isfinite(self.reduce_cpu_s)):
+            raise ValueError(f"job {self.job_id}: non-finite cpu time")
         if self.map_cpu_s < 0 or self.reduce_cpu_s < 0:
             raise ValueError(f"job {self.job_id}: negative cpu time")
         if self.n_reduces < 0:
             raise ValueError(f"job {self.job_id}: negative reduce count")
+        if not (isfinite(self.shuffle_ratio) and isfinite(self.output_ratio)):
+            raise ValueError(f"job {self.job_id}: non-finite data ratio")
         if self.shuffle_ratio < 0 or self.output_ratio < 0:
             raise ValueError(f"job {self.job_id}: negative data ratio")
         return self

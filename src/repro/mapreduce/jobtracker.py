@@ -283,9 +283,13 @@ class JobTracker:
         # and invalidations become visible to the scheduler here
         self.namenode.process_heartbeat(node_id, now)
         scheduler = self.scheduler
+        # a pick over an empty ready list returns None and changes nothing
+        # (see Scheduler), so an idle heartbeat never calls the scheduler
+        map_ready = scheduler.map_ready
+        reduce_ready = scheduler.reduce_ready
         free_map = self.slots.free_map
         free_reduce = self.slots.free_reduce
-        while free_map[node_id] > 0:
+        while map_ready and free_map[node_id] > 0:
             pick = scheduler.pick_map(node_id, now)
             if pick is None:
                 break
@@ -293,7 +297,7 @@ class JobTracker:
                 tt = promote(node_id)
             job, task, locality = pick
             self._launch_map(job, task, locality, tt, now)
-        while free_reduce[node_id] > 0:
+        while reduce_ready and free_reduce[node_id] > 0:
             pick = scheduler.pick_reduce(node_id, now)
             if pick is None:
                 break

@@ -22,11 +22,12 @@ class TaskTracker:
 
     The heartbeat chain is the simulator's highest-frequency periodic
     process, so its dispatch is inlined: the event label is computed
-    once, and the chain re-arms a single reusable
-    :class:`~repro.simulation.events.Event` via ``Engine.reschedule_in``
-    instead of allocating one per beat.  Firing times, labels, and sequence
-    numbers are identical to naive per-beat scheduling, so traces (even with
-    the ``engine.event`` firehose on) do not change.
+    once, and :meth:`beat`, the event's own action, re-arms a single
+    reusable :class:`~repro.simulation.events.Event` via
+    ``Engine.reschedule_in`` instead of allocating one per beat.  Firing
+    times, labels, and sequence numbers are identical to naive per-beat
+    scheduling, so traces (even with the ``engine.event`` firehose on) do
+    not change.
 
     Slot counts live in the JobTracker's :class:`~repro.mapreduce.slots.
     SlotStore` (dense arrays indexed by node id); this class reads and
@@ -71,7 +72,7 @@ class TaskTracker:
             self._hb_event = None
         else:
             self._hb_event = engine.schedule(
-                engine.now + start_offset_s, self._heartbeat, f"hb-start:{node.hostname}"
+                engine.now + start_offset_s, self.beat, f"hb-start:{node.hostname}"
             )
 
     @property
@@ -85,16 +86,19 @@ class TaskTracker:
         return self.slots.free_reduce[self.node_id]
 
     def beat(self) -> None:
-        """One heartbeat: control plane, slot offers, trace record."""
+        """One heartbeat: control plane, slot offers, trace record.
+
+        A tracker with its own heartbeat event re-arms it for the next
+        beat; a hub-managed one has none and is beaten by its hub.
+        """
         if not self.node.alive:
             return  # a dead TaskTracker stops heartbeating
         self.heartbeats_sent += 1
-        self.jobtracker.heartbeat(self.node_id, self)
-
-    def _heartbeat(self) -> None:
-        self.beat()
-        if self.node.alive and not self.jobtracker.finished:
-            self.engine.reschedule_in(self.interval_s, self._hb_event, self._hb_label)
+        jobtracker = self.jobtracker
+        jobtracker.heartbeat(self.node_id, self)
+        event = self._hb_event
+        if event is not None and not jobtracker.finished:
+            self.engine.reschedule_in(self.interval_s, event, self._hb_label)
 
     # -- slot accounting (called by the JobTracker) -----------------------
 

@@ -34,6 +34,12 @@ class Scheduler:
     (``pending_maps``, ``finished_maps``, ``running_reduces``, ...) must
     call :meth:`job_changed` afterwards — the JobTracker does so after
     every launch, map completion and requeue.
+
+    Because a scheduler picks only from the ready lists, a pick over an
+    empty list returns ``None`` and changes nothing: no delay clock
+    starts and no skip count grows.  The JobTracker relies on this and
+    asks for a map only while ``map_ready`` is non-empty, and for a
+    reduce only while ``reduce_ready`` is.
     """
 
     def __init__(self) -> None:

@@ -83,42 +83,47 @@ class Engine:
     # call per event fired, for chained periodic processes), so both inline
     # EventQueue.push — including the Event construction, via __new__ plus
     # slot stores, which skips the __init__ call frame.  Any change here
-    # must be mirrored in EventQueue.push/repush.
+    # must be mirrored in EventQueue.push/repush.  The guards are written
+    # ``not x >= y`` so that a NaN time or delay, which would silently
+    # break heap order, is rejected too.
 
     def schedule(self, time: float, action: Callable[[], None], label: str = "") -> Event:
         """Schedule ``action`` at absolute simulation time ``time``."""
-        if time < self.now:
+        if not time >= self.now:
             raise SimulationError(
                 f"cannot schedule {label!r} at t={time} in the past (now={self.now})"
             )
         queue = self._queue
+        seq = queue._seq
         ev: Event = _new_event(Event)
         ev.time = time
-        ev.seq = queue._seq
+        ev.seq = seq
         ev.action = action
         ev.label = label
         ev.cancelled = False
         ev.fired = False
-        queue._seq += 1
+        queue._seq = seq + 1
         queue._live += 1
-        _heappush(queue._heap, ev)
+        _heappush(queue._heap, (time, seq, ev))
         return ev
 
     def schedule_in(self, delay: float, action: Callable[[], None], label: str = "") -> Event:
         """Schedule ``action`` ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"negative delay {delay} for {label!r}")
         queue = self._queue
+        seq = queue._seq
+        time = self.now + delay
         ev: Event = _new_event(Event)
-        ev.time = self.now + delay
-        ev.seq = queue._seq
+        ev.time = time
+        ev.seq = seq
         ev.action = action
         ev.label = label
         ev.cancelled = False
         ev.fired = False
-        queue._seq += 1
+        queue._seq = seq + 1
         queue._live += 1
-        _heappush(queue._heap, ev)
+        _heappush(queue._heap, (time, seq, ev))
         return ev
 
     def reschedule_in(
@@ -131,7 +136,7 @@ class Engine:
         ``seq`` — without allocating a new :class:`Event` every period.
         ``label`` of ``None`` keeps the event's current label.
         """
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"negative delay {delay} for {event.label!r}")
         return self._queue.repush(event, self.now + delay, label)
 
@@ -171,13 +176,13 @@ class Engine:
                 processed = self.events_processed
                 try:
                     while heap and not self._stopped:
-                        ev = heappop(heap)
+                        time, _, ev = heappop(heap)
                         if ev.cancelled:
                             queue._cancelled -= 1
                             continue
                         ev.fired = True
                         queue._live -= 1
-                        self.now = ev.time
+                        self.now = time
                         processed += 1
                         if processed > limit:
                             raise SimulationError(

@@ -6,6 +6,10 @@ events scheduled earlier run earlier among ties — this gives the simulator
 deterministic, insertion-ordered tie-breaking, which matters for
 reproducibility of heartbeat races.
 
+The heap holds ``(time, seq, event)`` tuples rather than the events
+themselves, so ``heapq`` compares keys in C; ``seq`` is unique, so a
+comparison never reaches the :class:`Event`.
+
 Cancellation is lazy (O(1)): a cancelled event stays in the heap until it
 reaches the top.  To keep pop/peek O(log live) amortized on cancel-heavy
 workloads — speculative execution and failure unwinding can cancel most of
@@ -57,11 +61,6 @@ class Event:
         """Mark the event so the engine skips it (lazy deletion)."""
         self.cancelled = True
 
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
         return f"<Event t={self.time:.3f} seq={self.seq} {self.label!r}{state}>"
@@ -78,7 +77,8 @@ class EventQueue:
     __slots__ = ("_heap", "_seq", "_live", "_cancelled", "compactions")
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        #: ``(time, seq, event)`` entries; see the module docstring
+        self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
         self._live = 0
         #: cancelled events still sitting in the heap
@@ -100,10 +100,11 @@ class EventQueue:
 
     def push(self, time: float, action: Callable[[], None], label: str = "") -> Event:
         """Schedule ``action`` at ``time`` and return the event handle."""
-        ev = Event(time, self._seq, action, label)
-        self._seq += 1
+        seq = self._seq
+        ev = Event(time, seq, action, label)
+        self._seq = seq + 1
         self._live += 1
-        heapq.heappush(self._heap, ev)
+        heapq.heappush(self._heap, (time, seq, ev))
         return ev
 
     def repush(self, event: Event, time: float, label: Optional[str] = None) -> Event:
@@ -123,15 +124,16 @@ class EventQueue:
             raise ValueError(
                 f"repush of {event!r}: only a fired event can be re-armed"
             )
+        seq = self._seq
         event.time = time
-        event.seq = self._seq
+        event.seq = seq
         if label is not None:
             event.label = label
         event.cancelled = False
         event.fired = False
-        self._seq += 1
+        self._seq = seq + 1
         self._live += 1
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, seq, event))
         return event
 
     def cancel(self, event: Event) -> None:
@@ -162,7 +164,7 @@ class EventQueue:
         the same live events pops them identically.
         """
         heap = self._heap
-        heap[:] = [ev for ev in heap if not ev.cancelled]
+        heap[:] = [entry for entry in heap if not entry[2].cancelled]
         heapq.heapify(heap)
         self._cancelled = 0
         self.compactions += 1
@@ -171,7 +173,7 @@ class EventQueue:
         """Pop and return the earliest live event, or None if empty."""
         heap = self._heap
         while heap:
-            ev = heapq.heappop(heap)
+            ev = heapq.heappop(heap)[2]
             if ev.cancelled:
                 self._cancelled -= 1
                 continue
@@ -183,10 +185,10 @@ class EventQueue:
     def peek_time(self) -> Optional[float]:
         """Time of the earliest live event without removing it."""
         heap = self._heap
-        while heap and heap[0].cancelled:
+        while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
             self._cancelled -= 1
-        return heap[0].time if heap else None
+        return heap[0][0] if heap else None
 
     def clear(self) -> None:
         """Drop all events."""

@@ -66,7 +66,8 @@ def parse_swim_lines(lines) -> List[dict]:
                     "output_bytes": int(float(parts[5])),
                 }
             )
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
+            # OverflowError: int(float("inf")) in a byte field
             raise SwimParseError(f"line {lineno}: {exc}") from exc
     if not rows:
         raise SwimParseError("trace contains no job lines")

@@ -197,6 +197,11 @@ def test_load_rejects_unknown_format(tmp_path):
     path.write_bytes(pickle.dumps({"format": 3, "payload": b""}))
     with pytest.raises(ValueError, match="unsupported snapshot format 3"):
         Snapshot.load(str(path))
+    # checkpoints written before the event heap held (time, seq, event)
+    # tuples and TaskTracker.beat re-armed its own heartbeat event
+    path.write_bytes(pickle.dumps({"format": 4, "payload": b""}))
+    with pytest.raises(ValueError, match="unsupported snapshot format 4"):
+        Snapshot.load(str(path))
 
 
 def test_restore_with_trace_requires_a_traced_source(tmp_path):

@@ -27,6 +27,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["run", "--workload", "wl9", "--jobs", "5"])
 
+    def test_non_finite_trace_rejected(self, tmp_path):
+        # a NaN submit time used to keep the run going until killed
+        trace = tmp_path / "t.tsv"
+        trace.write_text("j0\t0\t0\t1000000000\t1\t1\nj1\tnan\t1\t1000\t1\t1\n")
+        with pytest.raises(SystemExit, match="non-finite submit time"):
+            main(["run", "--workload", str(trace), "--nodes", "20"])
+
 
 class TestCommands:
     def test_probe(self, capsys):

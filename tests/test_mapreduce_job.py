@@ -25,6 +25,14 @@ class TestJobSpec:
             {"n_reduces": -1},
             {"shuffle_ratio": -0.1},
             {"output_ratio": -0.1},
+            # nan and inf pass a ``< 0`` test; a NaN submit time used to
+            # reach the event heap and hang the run
+            {"submit_time": float("nan")},
+            {"submit_time": float("inf")},
+            {"map_cpu_s": float("nan")},
+            {"reduce_cpu_s": float("inf")},
+            {"shuffle_ratio": float("nan")},
+            {"output_ratio": float("inf")},
         ],
     )
     def test_validate_rejects(self, kw):

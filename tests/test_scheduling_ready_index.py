@@ -5,11 +5,16 @@ JobTracker's ``job_changed`` calls instead of being re-derived by a scan
 of ``active_jobs`` on every pick.  The oracle schedulers below are those
 scans, kept as the reference: traces must match byte for byte on cells
 where speculation fires and failures requeue attempts.
+
+``JobTracker.heartbeat`` asks for a map only while ``map_ready`` is
+non-empty, and for a reduce only while ``reduce_ready`` is.  A second
+oracle is the heartbeat from before those guards, which asks on every
+free slot; the same cells must match it byte for byte as well.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 import pytest
@@ -24,6 +29,7 @@ from repro.mapreduce.jobtracker import JobTracker
 from repro.mapreduce.runtime import TaskTimeModel
 from repro.mapreduce.task import Locality
 from repro.mapreduce.tasktracker import TaskTracker
+from repro.observability.trace import HEARTBEAT
 from repro.scheduling.fair import FairScheduler, SkipCountFairScheduler
 from repro.scheduling.fifo import FifoScheduler
 from repro.simulation.engine import Engine
@@ -123,6 +129,90 @@ def _use_full_scans(monkeypatch):
     monkeypatch.setattr(JobTracker, "hot_nodes_by_rack", _scan_hot_nodes_by_rack)
 
 
+# -- oracle: the heartbeat that asks the scheduler on every free slot ----------
+
+
+def _unguarded_heartbeat(
+    self,
+    node_id: int,
+    tt: Optional[TaskTracker] = None,
+    promote: Optional[Callable[[int], TaskTracker]] = None,
+) -> None:
+    """Handle one heartbeat from ``node_id``: control plane, work, record.
+
+    ``tt`` is the node's TaskTracker.  A pooled mesoscale member has
+    none; its hub passes ``promote`` instead, which builds the tracker
+    right before the first launch, so an offer that places nothing
+    builds nothing.
+    """
+    now = self.engine.now
+    # the heartbeat carries the DataNode's block reports: DARE replicas
+    # and invalidations become visible to the scheduler here
+    self.namenode.process_heartbeat(node_id, now)
+    scheduler = self.scheduler
+    free_map = self.slots.free_map
+    free_reduce = self.slots.free_reduce
+    while free_map[node_id] > 0:
+        pick = scheduler.pick_map(node_id, now)
+        if pick is None:
+            break
+        if tt is None:
+            tt = promote(node_id)
+        job, task, locality = pick
+        self._launch_map(job, task, locality, tt, now)
+    while free_reduce[node_id] > 0:
+        pick = scheduler.pick_reduce(node_id, now)
+        if pick is None:
+            break
+        if tt is None:
+            tt = promote(node_id)
+        job, rtask = pick
+        self._launch_reduce(job, rtask, tt, now)
+    if self.speculation is not None:
+        while free_map[node_id] > 0:
+            candidate = self.speculation.pick_candidate(
+                self.scheduler.active_jobs,
+                now,
+                node_id,
+                self._has_duplicate,
+            )
+            if candidate is None:
+                break
+            if tt is None:
+                tt = promote(node_id)
+            self._launch_speculative(candidate, tt, now)
+    tracer = self.tracer
+    if tracer.enabled:
+        tracer.emit(
+            HEARTBEAT,
+            now,
+            node=node_id,
+            free_map_slots=free_map[node_id],
+            free_reduce_slots=free_reduce[node_id],
+        )
+
+
+def _use_unguarded_heartbeat(monkeypatch):
+    """From here on, every heartbeat offers each free slot to the scheduler."""
+    monkeypatch.setattr(JobTracker, "heartbeat", _unguarded_heartbeat)
+
+
+def _assert_oracles_agree(cell, tmp_path, monkeypatch):
+    """Run ``cell(trace_path)`` as is and under each oracle; traces must match.
+
+    Returns the unpatched run's result.
+    """
+    result = cell(tmp_path / "listed.jsonl")
+    listed = (tmp_path / "listed.jsonl").read_bytes()
+    for use_oracle in (_use_full_scans, _use_unguarded_heartbeat):
+        trace = tmp_path / f"{use_oracle.__name__}.jsonl"
+        with monkeypatch.context() as patch:
+            use_oracle(patch)
+            cell(trace)
+        assert trace.read_bytes() == listed, use_oracle.__name__
+    return result
+
+
 SEED = 5
 FAILURES = ((40.0, 3), (90.0, 7), (150.0, 11))
 
@@ -156,44 +246,41 @@ def _mesoscale_cell(trace_path):
 def test_ready_lists_match_full_scans_under_failures_and_speculation(
     scheduler, tmp_path, monkeypatch
 ):
-    listed = _paper_cell(scheduler, tmp_path / "listed.jsonl")
+    listed = _assert_oracles_agree(
+        lambda trace: _paper_cell(scheduler, trace), tmp_path, monkeypatch
+    )
     # failures requeue attempts in every cell, re-admitting their jobs;
     # of these cells only FIFO's launches speculative duplicates
     assert listed.tasks_requeued > 0
     if scheduler == "fifo":
         assert listed.speculative_launched > 0
-    _use_full_scans(monkeypatch)
-    _paper_cell(scheduler, tmp_path / "scanned.jsonl")
-    assert (tmp_path / "listed.jsonl").read_bytes() == (
-        tmp_path / "scanned.jsonl"
-    ).read_bytes()
 
 
 def test_ready_lists_match_full_scans_on_mesoscale_hubs(tmp_path, monkeypatch):
-    _mesoscale_cell(tmp_path / "listed.jsonl")
-    _use_full_scans(monkeypatch)
-    _mesoscale_cell(tmp_path / "scanned.jsonl")
-    assert (tmp_path / "listed.jsonl").read_bytes() == (
-        tmp_path / "scanned.jsonl"
-    ).read_bytes()
+    _assert_oracles_agree(_mesoscale_cell, tmp_path, monkeypatch)
 
 
 # -- submission order survives a requeue --------------------------------------
 
 
-@pytest.fixture
-def jt(small_cluster, loaded_namenode):
-    """A FIFO JobTracker whose trackers only beat when the test says so."""
+def _jobtracker(cluster, namenode, scheduler):
+    """A JobTracker whose trackers only beat when the test says so."""
     streams = RandomStreams(31)
-    dare = DareReplicationService(DareConfig.off(), loaded_namenode, streams)
-    tm = TaskTimeModel(small_cluster, loaded_namenode, streams.python("tm"))
-    jt = JobTracker(small_cluster, loaded_namenode, Engine(), FifoScheduler(), tm, dare)
-    for node in small_cluster.slaves:
+    dare = DareReplicationService(DareConfig.off(), namenode, streams)
+    tm = TaskTimeModel(cluster, namenode, streams.python("tm"))
+    jt = JobTracker(cluster, namenode, Engine(), scheduler, tm, dare)
+    for node in cluster.slaves:
         jt.tasktrackers[node.node_id] = TaskTracker(
             node, jt, jt.engine, 1.0, managed=True
         )
         jt._running_by_node[node.node_id] = {}
     return jt
+
+
+@pytest.fixture
+def jt(small_cluster, loaded_namenode):
+    """A FIFO JobTracker whose trackers only beat when the test says so."""
+    return _jobtracker(small_cluster, loaded_namenode, FifoScheduler())
 
 
 def _launch_every_map(jt, job, now):
@@ -240,3 +327,73 @@ def test_requeued_reduce_returns_its_job_ahead_of_later_submissions(jt):
     assert scheduler.reduce_ready == [a, b]
     job, rtask = scheduler.pick_reduce(tt.node_id, now=1001.0)
     assert job is a and rtask is a.reduces[0]
+
+
+# -- a pick over empty ready lists is a no-op ----------------------------------
+
+
+@pytest.mark.parametrize(
+    "scheduler", [FifoScheduler, FairScheduler, SkipCountFairScheduler]
+)
+def test_picks_over_empty_ready_lists_return_none_and_change_nothing(
+    scheduler, small_cluster, loaded_namenode
+):
+    jt = _jobtracker(small_cluster, loaded_namenode, scheduler())
+    done = jt.submit(JobSpec(0, 0.0, "warm", n_reduces=1))
+    trackers = list(jt.tasktrackers.values())
+    for task, tt in zip(list(done.pending_maps), trackers):
+        jt._launch_map(done, task, Locality.REMOTE, tt, 0.0)
+    jt.engine.run(until=1000.0)  # map completions only: no heartbeats
+    fresh = jt.submit(JobSpec(1, 1000.0, "hot"))
+    picker = jt.scheduler
+    assert picker.map_ready == [fresh] and picker.reduce_ready == [done]
+
+    # the ready lists are a picker's only input: emptied, they must yield
+    # nothing, although ``fresh`` has pending maps and ``done`` a pending
+    # reduce.  Walking ``fresh`` would launch it, start its delay clock
+    # (Fair) or add a skip (skip-count Fair)
+    picker.map_ready.clear()
+    picker.reduce_ready.clear()
+    waits = [job.delay_wait_started for job in jt.jobs]
+    for tt in trackers:
+        assert picker.pick_map(tt.node_id, 1001.0) is None
+        assert picker.pick_reduce(tt.node_id, 1001.0) is None
+    assert [job.delay_wait_started for job in jt.jobs] == waits
+
+
+def test_heartbeat_asks_for_each_slot_type_only_while_its_list_has_jobs(
+    jt, monkeypatch
+):
+    scheduler = jt.scheduler
+    asked = []
+
+    def logged(name):
+        pick = getattr(scheduler, name)
+
+        def wrapper(*args):
+            asked.append(name)
+            return pick(*args)
+
+        return wrapper
+
+    for name in ("pick_map", "pick_reduce"):
+        monkeypatch.setattr(scheduler, name, logged(name))
+    trackers = list(jt.tasktrackers.values())
+
+    def beat_all():
+        asked.clear()
+        for tt in trackers:
+            jt.heartbeat(tt.node_id, tt)
+
+    beat_all()  # nothing submitted: both lists empty
+    assert asked == []
+
+    job = jt.submit(JobSpec(0, 0.0, "warm", n_reduces=1))
+    beat_all()  # maps pending, no reduce schedulable yet
+    assert not job.pending_maps and job.running_maps == len(job.maps)
+    assert "pick_map" in asked and "pick_reduce" not in asked
+
+    jt.engine.run(until=1000.0)  # map completions only: no heartbeats
+    beat_all()  # the reduce is schedulable, no map is pending
+    assert job.running_reduces == 1
+    assert "pick_reduce" in asked and "pick_map" not in asked

@@ -36,6 +36,19 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             engine.schedule_in(-1.0, lambda: None)
 
+    def test_nan_time_or_delay_raises(self, engine):
+        # a NaN key compares false both ways and would break heap order
+        nan = float("nan")
+        with pytest.raises(SimulationError):
+            engine.schedule(nan, lambda: None)
+        with pytest.raises(SimulationError):
+            engine.schedule_in(nan, lambda: None)
+        ev = engine.schedule(1.0, lambda: None)
+        engine.run()
+        with pytest.raises(SimulationError):
+            engine.reschedule_in(nan, ev)
+        assert engine.pending == 0
+
     def test_cancel_prevents_firing(self, engine):
         fired = []
         ev = engine.schedule(1.0, lambda: fired.append(1))

@@ -1,6 +1,8 @@
 """Unit tests: event objects and the event queue."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.simulation.events import COMPACT_MIN_CANCELLED, Event, EventQueue
 
@@ -9,17 +11,112 @@ def _noop():
     pass
 
 
+#: few distinct times, so most pops break a tie on ``seq``
+_TIME_SET = (0.0, 0.5, 1.0, 2.0)
+_TIMES = st.sampled_from(_TIME_SET)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), _TIMES),
+        st.tuples(st.just("cancel"), st.integers(0, 1 << 16)),
+        st.tuples(st.just("pop"), st.none()),
+        st.tuples(st.just("repush"), st.tuples(st.integers(0, 1 << 16), _TIMES)),
+        st.tuples(st.just("churn"), st.none()),
+        st.tuples(st.just("compact"), st.none()),
+        st.tuples(st.just("peek"), st.none()),
+    ),
+    max_size=80,
+)
+
+
 class TestEventOrdering:
     def test_earlier_time_sorts_first(self):
-        a = Event(1.0, 5, _noop)
-        b = Event(2.0, 1, _noop)
-        assert a < b
+        # the later event gets the smaller seq, so only time can order them
+        q = EventQueue()
+        b = q.push(2.0, _noop)
+        a = q.push(1.0, _noop)
+        assert b.seq < a.seq
+        assert q.pop() is a
+        assert q.pop() is b
 
     def test_ties_break_by_sequence(self):
-        a = Event(1.0, 1, _noop)
-        b = Event(1.0, 2, _noop)
-        assert a < b
-        assert not (b < a)
+        q = EventQueue()
+        a = q.push(1.0, _noop)
+        b = q.push(1.0, _noop)
+        assert a.seq < b.seq
+        assert q.pop() is a
+        assert q.pop() is b
+
+    @settings(max_examples=200, deadline=None)
+    @given(_OPS)
+    # a compaction must re-heapify what it keeps
+    @example([("push", 0.5), ("push", 0.5), ("churn", None)])
+    # a re-pushed event ties after events pushed before it
+    @example([("push", 1.0), ("push", 1.0), ("pop", None), ("repush", (0, 1.0))])
+    def test_pops_follow_time_then_seq_under_churn(self, ops):
+        """Interleaved push, cancel, pop and re-push of a popped event.
+
+        Every pop must return the live event that is least by
+        ``(time, seq)``.  A ``churn`` step cancels enough fresh events to
+        force a compaction and a ``compact`` step forces one outright;
+        neither may disturb that order.
+        """
+        q = EventQueue()
+        made = []  # every event ever pushed, in push order
+        live = set()
+        fired = []  # popped and not yet re-pushed
+        seq = 0
+
+        def pop_and_check():
+            ev = q.pop()
+            if not live:
+                assert ev is None
+                return
+            assert ev is min(live, key=lambda e: (e.time, e.seq))
+            live.remove(ev)
+            fired.append(ev)
+
+        for op, arg in ops:
+            if op == "push":
+                ev = q.push(arg, _noop)
+                assert ev.seq == seq
+                seq += 1
+                made.append(ev)
+                live.add(ev)
+            elif op == "cancel" and made:
+                # any event: pending, already cancelled, or already fired
+                ev = made[arg % len(made)]
+                q.cancel(ev)
+                live.discard(ev)
+            elif op == "pop":
+                pop_and_check()
+            elif op == "repush" and fired:
+                index, time = arg
+                ev = fired.pop(index % len(fired))
+                q.repush(ev, time)
+                assert ev.seq == seq
+                seq += 1
+                live.add(ev)
+            elif op == "churn":
+                # fresh events at every time sit on every level of the
+                # heap, so the compaction removes entries throughout it
+                before = q.compactions
+                doomed = [
+                    q.push(_TIME_SET[i % len(_TIME_SET)], _noop)
+                    for i in range(COMPACT_MIN_CANCELLED + len(live) + 1)
+                ]
+                seq += len(doomed)
+                for ev in doomed:
+                    q.cancel(ev)
+                made.extend(doomed)
+                assert q.compactions > before
+            elif op == "compact":
+                q.compact()
+            elif op == "peek":
+                assert q.peek_time() == min((e.time for e in live), default=None)
+            assert len(q) == len(live)
+        while live:
+            pop_and_check()
+        assert q.pop() is None
 
     def test_repr_mentions_label(self):
         ev = Event(1.0, 0, _noop, "my-label")

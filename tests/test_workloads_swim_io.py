@@ -1,5 +1,7 @@
 """Unit tests: SWIM trace parsing and workload (de)serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,10 @@ class TestParsing:
         with pytest.raises(SwimParseError, match="no job"):
             parse_swim_lines(["# only comments"])
 
+    def test_infinite_byte_field_rejected(self):
+        with pytest.raises(SwimParseError, match="line 1"):
+            parse_swim_lines(["j0\t0\t0\tinf\t1\t1"])
+
 
 class TestConversion:
     @pytest.fixture
@@ -104,6 +110,14 @@ class TestConversion:
         result = run_experiment(ExperimentConfig(cluster_spec=SMALL_SPEC), wl)
         assert result.n_jobs == 4
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_submit_time_rejected(self, tmp_path, bad):
+        # such a trace used to schedule a NaN/inf submission and never end
+        trace = tmp_path / "fb.tsv"
+        trace.write_text(SAMPLE.replace("job1\t12\t", f"job1\t{bad}\t"))
+        with pytest.raises(ValueError, match="job 1: non-finite submit time"):
+            load_swim_trace(trace, np.random.default_rng(3))
+
 
 class TestRoundTrip:
     def test_save_load_identity(self, tmp_path):
@@ -123,6 +137,19 @@ class TestRoundTrip:
         a = run_experiment(ExperimentConfig(cluster_spec=SMALL_SPEC), wl)
         b = run_experiment(ExperimentConfig(cluster_spec=SMALL_SPEC), loaded)
         assert a.gmtt_s == b.gmtt_s
+
+    @pytest.mark.parametrize(
+        "field", ["submit_time", "map_cpu_s", "reduce_cpu_s", "shuffle_ratio"]
+    )
+    def test_non_finite_field_rejected(self, tmp_path, field):
+        wl = synthesize_wl1(np.random.default_rng(7), n_jobs=5)
+        path = tmp_path / "wl.json"
+        save_workload(wl, path)
+        doc = json.loads(path.read_text())
+        doc["jobs"][2][field] = float("nan")
+        path.write_text(json.dumps(doc))  # json writes (and reads) bare NaN
+        with pytest.raises(ValueError, match="non-finite"):
+            load_workload(path)
 
     def test_bad_format_version_rejected(self, tmp_path):
         path = tmp_path / "wl.json"
