@@ -436,11 +436,7 @@ def bench_scale_one(name: str) -> Dict[str, float]:
 
     by_name = {n: (nodes, mode) for n, nodes, mode in SCALE_BENCHES}
     n_nodes, mode = by_name[name]
-    spec = scale_spec(
-        n_nodes,
-        mesoscale=(mode == "meso"),
-        hb_batch=True if mode == "batch" else None,
-    )
+    spec = scale_spec(n_nodes, mesoscale=(mode == "meso"))
     workload = synthesize_wl1(np.random.default_rng(20110926), n_jobs=SCALE_JOBS)
     config = ExperimentConfig(
         cluster_spec=spec, scheduler="fair",

@@ -48,7 +48,7 @@ from repro.observability.profiling import CallbackProfiler
 from repro.observability.trace import NULL_TRACER, JsonlSink, Tracer
 
 #: bump when the pickled payload layout changes shape
-SNAPSHOT_FORMAT = 5
+SNAPSHOT_FORMAT = 6
 
 _TOKEN_TRACER = "tracer"
 _TOKEN_NULL_TRACER = "null-tracer"

@@ -8,7 +8,7 @@ Four subcommands cover the library's workflows::
     python -m repro synth --workload wl2 --jobs 300 --out wl2.json
     python -m repro figures --jobs 200 --only fig7,fig11
     python -m repro sweep --grid all --jobs 4 --cache-dir .sweep-cache
-    python -m repro sweep --grid all --serve :7341 --queue-path queue.json
+    python -m repro sweep --grid all --serve :7341 --jobstore jobs.jsonl
     python -m repro sweep --worker HOST:7341
     python -m repro serve --port 8750 --cache-dir .sweep-cache
     python -m repro replay verify trace.jsonl
@@ -764,16 +764,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         from repro.experiments.jobs import JobManager
         from repro.experiments.service import WorkQueue, cell_to_doc
         from repro.server.app import Server
+        from repro.server.jobstore import restore
 
-        resumed = bool(args.queue_path) and os.path.exists(args.queue_path)
-        queue = WorkQueue.load(args.queue_path) if resumed else WorkQueue(
-            lease_s=args.lease, max_attempts=args.max_attempts,
-            steal_after_s=args.steal_after or None, path=args.queue_path)
+        journal = _jobstore_or_exit(args, cache)
+        queue = WorkQueue(lease_s=args.lease, max_attempts=args.max_attempts,
+                          steal_after_s=args.steal_after or None)
         # the grid is one job; remote workers do all the executing
         manager = JobManager(cache=cache, workers=0, queue=queue,
-                             max_cells_per_job=max(1, len(cells)))
-        job = manager.submit({"cells": [cell_to_doc(c) for c in cells]})[0] \
-            if cells else None
+                             max_cells_per_job=max(1, len(cells)),
+                             journal=journal)
+        if journal is not None:
+            restore(manager, args.jobstore)
+        job, created = manager.submit(
+            {"cells": [cell_to_doc(c) for c in cells]}) if cells else (None, True)
+        resumed = not created  # the journal already held this grid
         server = Server(manager, host=host, port=port)
 
         async def serve_grid() -> None:
@@ -793,7 +797,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             asyncio.run(serve_grid())
         except KeyboardInterrupt:
             pass
-        outcomes = queue.outcomes()
+        outcomes = manager.outcomes(job) if job is not None else []
         status = queue.status_doc()
         print(f"service: {status['leases_granted']} leases, "
               f"{status['expirations']} expired, {status['steals']} stolen, "
@@ -830,6 +834,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 1 if n_failed else 0
 
 
+def _jobstore_or_exit(args: argparse.Namespace, cache):
+    """The ``--jobstore`` journal, or None; it needs the result cache,
+    which holds the results of the jobs it restores."""
+    from repro.server.jobstore import JobJournal
+
+    if not args.jobstore:
+        return None
+    if cache is None:
+        raise SystemExit(
+            "--jobstore needs the result cache: a restored job's results "
+            "come back from it (drop --no-cache)"
+        )
+    return JobJournal(args.jobstore)
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the long-lived HTTP service (REST + SSE) over the sweep executor."""
     import asyncio
@@ -837,12 +856,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.experiments.jobs import JobManager, server_queue
     from repro.experiments.sweep import ResultCache
     from repro.server.app import Server, run_server
-    from repro.server.jobstore import JobJournal, restore
+    from repro.server.jobstore import restore
 
     if not 0 <= args.port <= 65535:
         raise SystemExit(f"--port {args.port} is out of range 0-65535")
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    journal = JobJournal(args.jobstore) if args.jobstore else None
+    journal = _jobstore_or_exit(args, cache)
     manager = JobManager(
         cache=cache,
         workers=args.workers,
@@ -853,7 +872,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         queue=server_queue(args.lease, args.max_attempts),
         journal=journal,
     )
-    if args.jobstore:
+    if journal is not None:
         adopted = restore(manager, args.jobstore)
         if adopted:
             print(f"restored {adopted} job(s) from {args.jobstore}", flush=True)
@@ -1210,9 +1229,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="with --status: print the raw status document "
                               "(the queue block of the server's "
                               "/api/cluster) instead of the table")
-    service.add_argument("--queue-path", default="", metavar="PATH",
-                         help="persist the coordinator's work queue to PATH "
-                              "(an existing journal resumes the grid)")
+    service.add_argument("--jobstore", default="", metavar="PATH",
+                         help="journal the coordinator's grid to PATH; a "
+                              "restart with the same journal and cache "
+                              "re-runs only the unfinished cells")
     service.add_argument("--lease", type=float, default=60.0, metavar="SECONDS",
                          help="lease duration; an unrenewed lease this old "
                               "is reclaimed (default 60)")

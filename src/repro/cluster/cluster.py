@@ -46,10 +46,9 @@ class ClusterSpec(NamedTuple):
     #: O(N) per-node network model instead of the O(N^2) pairwise matrix
     #: (required beyond ~10k nodes; different draws, so opt-in)
     lite_network: bool = False
-    #: per-rack batched heartbeat hubs instead of per-node heartbeat events
-    hb_batch: bool = False
-    #: pool idle nodes into aggregate rack actors (implies hb_batch);
-    #: nodes with tasks, replicas, or control traffic stay event-accurate
+    #: per-rack heartbeat hubs instead of per-node heartbeat events, with
+    #: idle nodes pooled into them; nodes with tasks, replicas, or control
+    #: traffic stay event-accurate
     mesoscale: bool = False
 
 
@@ -200,16 +199,14 @@ def scale_spec(
     n_nodes: int,
     *,
     mesoscale: bool = False,
-    hb_batch: Optional[bool] = None,
     heartbeat_s: float = 3.0,
     name: Optional[str] = None,
 ) -> ClusterSpec:
     """A dedicated-family spec sized for 10k-100k-node scale runs.
 
     Uses the CCT hardware models with the O(N) lite network path and
-    ~40-node racks (production-like striping).  ``mesoscale`` pools idle
-    nodes into rack hubs; ``hb_batch`` (default: follows ``mesoscale``)
-    batches heartbeats while keeping every node event-accurate.
+    ~40-node racks (production-like striping).  ``mesoscale`` replaces
+    the per-node heartbeat chains with rack hubs that pool idle nodes.
     """
     if n_nodes < 2:
         raise ValueError("scale spec needs a master and at least one slave")
@@ -225,6 +222,5 @@ def scale_spec(
         storage_bytes=2 * 10**12,
         dedicated_racks=max(1, n_nodes // SCALE_NODES_PER_RACK),
         lite_network=True,
-        hb_batch=mesoscale if hb_batch is None else hb_batch,
         mesoscale=mesoscale,
     )

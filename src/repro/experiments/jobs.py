@@ -25,12 +25,14 @@ onto the one :class:`~repro.experiments.service.WorkQueue` it owns:
   for the manager's executor threads (in-process) and remote ``repro
   sweep --worker`` processes (``POST /api/queue``) alike.  An accepted
   completion is cached once and fanned out to every job holding the cell.
-* **Executor threads** run leased cells through
-  :func:`~repro.experiments.sweep.run_cells` — in a worker *process* by
-  default (``isolation='process'``: crash retry and ``cell_timeout_s``
-  apply), or in-thread (``isolation='thread'``, used by tests).  They
-  alone get the cells of active trace-streaming jobs, and run them
-  in-process so tracer records reach the job's
+* **Executor threads** run each leased cell once — in a child
+  *process* by default (``isolation='process'``, through
+  :func:`~repro.experiments.sweep.run_cell_in_child`, bounded by
+  ``cell_timeout_s``), or in-thread (``isolation='thread'``, used by
+  tests).  A failed execution is a failed attempt, so the queue's
+  ``max_attempts`` is the one retry count.  The executors alone get the
+  cells of active trace-streaming jobs, and run them in-process so
+  tracer records reach the job's
   :class:`~repro.observability.stream.RecordStream`.
 * **Bounded backlog.**  At most ``max_queued_jobs`` jobs may be active;
   beyond that submissions are rejected with a 503-shaped
@@ -56,7 +58,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
 
-from repro.experiments.serialize import canonical_json, result_to_dict
+from repro.experiments.serialize import canonical_json, result_from_dict, result_to_dict
 from repro.experiments.service import (
     DONE,
     PENDING,
@@ -71,6 +73,7 @@ from repro.experiments.sweep import (
     SweepCell,
     build_grid,
     cache_key,
+    run_cell_in_child,
     run_cells,
 )
 from repro.observability.stream import RecordStream
@@ -522,32 +525,38 @@ class JobManager:
             cell = cell_from_doc(reply["cell"])
             self._current[name] = {"key": key, "tag": cell.tag}
             try:
-                outcome = self._execute(cell, key)
+                result_doc, error = self._execute(cell, key)
+            except Exception:  # e.g. the OS refused a child process
+                result_doc, error = None, traceback.format_exc()
             finally:
                 self._current[name] = None
-            if outcome.ok:
-                self.complete(key, reply["lease_id"],
-                              result_to_dict(outcome.result), worker=name)
+            if result_doc is not None:
+                self.complete(key, reply["lease_id"], result_doc, worker=name)
             else:
-                self.fail(key, reply["lease_id"], outcome.error)
+                self.fail(key, reply["lease_id"], error)
 
-    def _execute(self, cell: SweepCell, key: str) -> CellOutcome:
-        """Run one cell; trace-streaming cells run in-process with a tracer."""
+    def _execute(self, cell: SweepCell, key: str) -> Tuple[Optional[Dict], str]:
+        """Run one cell once: ``(result document, "")`` or ``(None, error)``.
+
+        Trace-streaming cells run in-process with a tracer.
+        """
         self.cells_executed += 1
         with self._lock:
             streams = [
                 job.stream for job in self._holding(key) if job.spec.get("stream")
             ]
         if streams:
-            return self._execute_streaming(cell, key, streams)
-        jobs = 1 if self.isolation == "thread" else 2
-        timeout = self.cell_timeout_s if jobs > 1 else None
-        [outcome] = run_cells([cell], jobs=jobs, timeout_s=timeout)
-        return outcome
+            return self._execute_streaming(cell, streams)
+        if self.isolation == "process":
+            return run_cell_in_child(cell, self.cell_timeout_s)
+        [outcome] = run_cells([cell])
+        if outcome.ok:
+            return result_to_dict(outcome.result), ""
+        return None, outcome.error
 
     def _execute_streaming(
-        self, cell: SweepCell, key: str, streams: List[RecordStream]
-    ) -> CellOutcome:
+        self, cell: SweepCell, streams: List[RecordStream]
+    ) -> Tuple[Optional[Dict], str]:
         """In-process execution with trace-bus fan-out to the job streams."""
         from repro.experiments.runner import run_experiment
         from repro.observability.trace import Tracer
@@ -565,8 +574,8 @@ class JobManager:
                 cell.config, cell.workload.materialize(), tracer=tracer
             )
         except Exception:
-            return CellOutcome(cell, None, error=traceback.format_exc(), key=key)
-        return CellOutcome(cell, result, key=key)
+            return None, traceback.format_exc()
+        return result_to_dict(result), ""
 
     # -- job state -------------------------------------------------------------
 
@@ -650,6 +659,30 @@ class JobManager:
                 "cells": cells,
             }
 
+    def _settled(self, key: str) -> Tuple[Optional[Dict], str, bool]:
+        """A cell's ``(result document, error, from_cache)``: from its
+        queue entry, else from the cache (a restored finished job's cells
+        have no entry)."""
+        entry = self.queue.entries.get(key)
+        if entry is not None and (entry.result is not None or entry.error):
+            return entry.result, entry.error, entry.from_cache
+        if self.cache is not None:
+            hit = self.cache.load(key)
+            if hit is not None:
+                return result_to_dict(hit), "", True
+        return None, "", False
+
+    def outcome(self, cell: SweepCell, key: str) -> CellOutcome:
+        """One settled cell as a :class:`CellOutcome`."""
+        with self._lock:
+            result_doc, error, from_cache = self._settled(key)
+        result = None if result_doc is None else result_from_dict(result_doc)
+        return CellOutcome(cell, result, error=error, from_cache=from_cache, key=key)
+
+    def outcomes(self, job: Job) -> List[CellOutcome]:
+        """One outcome per job cell, in submission order."""
+        return [self.outcome(cell, key) for cell, key in zip(job.cells, job.keys)]
+
     def job_result_doc(self, job: Job) -> Optional[Dict]:
         """The finished job's outcome document (``--out`` shape, no
         provenance) — byte-identical to the serial ``run_cells`` path for
@@ -659,16 +692,7 @@ class JobManager:
         with self._lock:
             cell_docs = []
             for cell, key in zip(job.cells, job.keys):
-                result_doc = None
-                error = ""
-                entry = self.queue.entries.get(key)
-                if entry is not None:
-                    result_doc = entry.result
-                    error = entry.error
-                if result_doc is None and self.cache is not None and not error:
-                    hit = self.cache.load(key)
-                    if hit is not None:
-                        result_doc = result_to_dict(hit)
+                result_doc, error, _ = self._settled(key)
                 cell_docs.append({
                     "tag": cell.tag,
                     "x": cell.x,

@@ -56,16 +56,21 @@ def cluster_spec_to_dict(spec: ClusterSpec) -> Dict:
     # scale-mode flags are omitted at their defaults so pre-existing specs
     # serialize (and content-address) exactly as before they were added;
     # cluster_spec_from_dict restores absent keys via the NamedTuple
-    # defaults
-    for flag in ("lite_network", "hb_batch", "mesoscale"):
+    # defaults.  Mesoscale specs still carry the retired "hb_batch" key
+    # (mesoscale always batched heartbeats), so their cache keys and
+    # trace headers are unchanged
+    for flag in ("lite_network", "mesoscale"):
         if not d[flag]:
             del d[flag]
+    if spec.mesoscale:
+        d["hb_batch"] = True
     return d
 
 
 def cluster_spec_from_dict(d: Dict) -> ClusterSpec:
     """Inverse of :func:`cluster_spec_to_dict`."""
     d = dict(d)
+    d.pop("hb_batch", None)
     d["network"] = NetworkParams(**d["network"])
     d["disk"] = DiskParams(**d["disk"])
     d["cpu_stall_range"] = tuple(d["cpu_stall_range"])

@@ -1,11 +1,12 @@
 """Distributed sweep service: the lease queue and the remote worker.
 
-:mod:`repro.experiments.sweep` fans a grid out over *local* worker
-processes.  This module promotes that executor to a small distributed
-service so one grid can scale across machines while sharing one
+Every cell scheduler in the repo — local ``run_cells(jobs > 1)``,
+``repro serve`` and ``repro sweep --serve`` — is a
+:class:`~repro.experiments.jobs.JobManager` over this module's queue.
+Remote workers let one grid scale across machines while sharing one
 content-addressed :class:`~repro.experiments.sweep.ResultCache`:
 
-* :class:`WorkQueue` — the durable state machine.  Every cell is
+* :class:`WorkQueue` — the lease state machine.  Every cell is
   tracked by its :func:`~repro.experiments.sweep.cache_key` through
   ``pending -> leased -> done | quarantined``: leases are time-bounded
   and reclaimed when they expire (a crashed or hung worker just loses
@@ -16,9 +17,10 @@ content-addressed :class:`~repro.experiments.sweep.ResultCache`:
   attempt finishes first wins).  Completions are idempotent: the first
   completion of a cell is canonical, and duplicate or late completions
   (lease expiry followed by a slow worker reporting anyway) are
-  acknowledged but discarded deterministically.  The whole queue
-  serializes to JSON, so a restarted coordinator resumes a half-done
-  grid instead of recomputing it.
+  acknowledged but discarded deterministically.  The queue lives in
+  memory: a restarted server rebuilds it from its job journal
+  (:mod:`repro.server.jobstore`), and the result cache resolves the
+  cells that already finished.
 * :func:`run_worker` — the worker loop: lease a cell over HTTP
   (``POST /api/queue`` on a ``repro serve`` or ``repro sweep --serve``
   server, whose :class:`~repro.experiments.jobs.JobManager` owns the
@@ -52,14 +54,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Collection, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from repro.experiments.serialize import (
-    canonical_json,
     config_from_dict,
     config_to_dict,
-    result_from_dict,
     result_to_dict,
 )
 from repro.experiments.sweep import (
-    CellOutcome,
     ResultCache,
     SweepCell,
     WorkloadSpec,
@@ -67,7 +66,7 @@ from repro.experiments.sweep import (
     run_cells,
 )
 
-#: queue journal / wire format version
+#: queue status document format version
 QUEUE_FORMAT = 1
 
 #: cell states
@@ -78,7 +77,7 @@ QUARANTINED = "quarantined"
 
 _STATES = (PENDING, LEASED, DONE, QUARANTINED)
 
-#: cumulative counters (persisted in the journal, served in the status)
+#: cumulative counters (served in the status)
 _COUNTERS = ("leases_granted", "steals", "expirations", "completions",
              "duplicates", "late_completions", "failures", "releases")
 
@@ -188,7 +187,7 @@ class QueueEntry:
     """One cell's lifecycle record inside the :class:`WorkQueue`."""
 
     key: str
-    cell: Dict  # cell_to_doc form (journal-safe)
+    cell: Dict  # cell_to_doc form (wire-safe)
     state: str = PENDING
     attempts: int = 0
     #: earliest wall-clock time the cell may be leased again (backoff)
@@ -196,32 +195,12 @@ class QueueEntry:
     #: active leases: lease_id -> {"worker", "granted", "deadline"}
     leases: Dict[str, Dict] = field(default_factory=dict)
     error: str = ""
-    #: one line per failed attempt, for the journal/status
+    #: one line per failed attempt
     history: List[str] = field(default_factory=list)
     result: Optional[Dict] = None
     from_cache: bool = False
     duplicates: int = 0
     completed_by: str = ""
-
-    def to_doc(self) -> Dict:
-        return {
-            "key": self.key,
-            "cell": self.cell,
-            "state": self.state,
-            "attempts": self.attempts,
-            "not_before": self.not_before,
-            "leases": self.leases,
-            "error": self.error,
-            "history": self.history,
-            "result": self.result,
-            "from_cache": self.from_cache,
-            "duplicates": self.duplicates,
-            "completed_by": self.completed_by,
-        }
-
-    @classmethod
-    def from_doc(cls, doc: Dict) -> "QueueEntry":
-        return cls(**doc)
 
 
 class WorkQueue:
@@ -230,11 +209,7 @@ class WorkQueue:
     Single-threaded by design (its owner,
     :class:`~repro.experiments.jobs.JobManager`, serializes access with a
     lock); ``clock`` is injectable so tests and the hypothesis
-    state machine can drive logical time.  When ``path`` is set, every
-    transition atomically rewrites the JSON journal, and
-    :meth:`WorkQueue.load` rebuilds the queue — leases held by the dead
-    coordinator's workers are reclaimed to ``pending`` on load (without
-    charging an attempt: the restart was not the cell's fault).
+    state machine can drive logical time.
 
     Transitions:
 
@@ -265,7 +240,6 @@ class WorkQueue:
         steal_after_s: Optional[float] = None,
         max_leases: int = 2,
         clock: Callable[[], float] = time.time,
-        path: Union[str, os.PathLike, None] = None,
     ) -> None:
         self.lease_s = lease_s
         self.max_attempts = max_attempts
@@ -274,12 +248,11 @@ class WorkQueue:
         self.steal_after_s = lease_s / 2.0 if steal_after_s is None else steal_after_s
         self.max_leases = max_leases
         self._clock = clock
-        self.path = os.fspath(path) if path is not None else ""
         self.entries: Dict[str, QueueEntry] = {}
         self.order: List[str] = []
         self.draining = False
         self.lease_seq = 0
-        # the _COUNTERS: journaled, and served in the status
+        # the _COUNTERS, served in the status
         self.leases_granted = 0
         self.steals = 0
         self.expirations = 0
@@ -306,8 +279,6 @@ class WorkQueue:
             self.entries[key] = QueueEntry(key=key, cell=cell_to_doc(cell))
             self.order.append(key)
             added += 1
-        if added:
-            self._save()
         return added
 
     def mark_cached(self, key: str, result_doc: Dict) -> None:
@@ -319,7 +290,6 @@ class WorkQueue:
         entry.result = result_doc
         entry.from_cache = True
         entry.error = ""
-        self._save()
 
     # -- queries --------------------------------------------------------------
 
@@ -352,21 +322,6 @@ class WorkQueue:
         doc.update(self.counts())
         return doc
 
-    def outcomes(self) -> List[CellOutcome]:
-        """One :class:`CellOutcome` per cell, in input order."""
-        out = []
-        for key in self.order:
-            entry = self.entries[key]
-            result = None if entry.result is None else result_from_dict(entry.result)
-            out.append(CellOutcome(
-                cell=cell_from_doc(entry.cell),
-                result=result,
-                error=entry.error,
-                from_cache=entry.from_cache,
-                key=key,
-            ))
-        return out
-
     # -- transitions ----------------------------------------------------------
 
     def expire(self, now: Optional[float] = None) -> int:
@@ -378,7 +333,6 @@ class WorkQueue:
         """
         now = self._clock() if now is None else now
         expired = 0
-        dirty = False
         for entry in self.entries.values():
             if entry.state != LEASED:
                 continue
@@ -390,7 +344,6 @@ class WorkQueue:
                 del entry.leases[lid]
                 expired += 1
                 self.expirations += 1
-                dirty = True
                 if not entry.leases:
                     self._attempt_failed(
                         entry,
@@ -398,8 +351,6 @@ class WorkQueue:
                         f"after {self.lease_s:g}s",
                         now,
                     )
-        if dirty:
-            self._save()
         return expired
 
     def lease(self, worker: str, skip: Collection[str] = ()) -> Dict:
@@ -431,7 +382,6 @@ class WorkQueue:
         self.leases_granted += 1
         if stolen:
             self.steals += 1
-        self._save()
         return {
             "ok": True,
             "cell": entry.cell,
@@ -448,7 +398,6 @@ class WorkQueue:
         if entry is None or entry.state != LEASED or lease_id not in entry.leases:
             return False
         entry.leases[lease_id]["deadline"] = self._clock() + self.lease_s
-        self._save()
         return True
 
     def complete(
@@ -466,7 +415,6 @@ class WorkQueue:
         if entry.state == DONE:
             entry.duplicates += 1
             self.duplicates += 1
-            self._save()
             return {"ok": True, "accepted": False, "reason": "duplicate"}
         if lease_id not in entry.leases:
             # expired/stolen lease reporting late — the result is still the
@@ -479,7 +427,6 @@ class WorkQueue:
         entry.leases = {}
         entry.completed_by = worker
         self.completions += 1
-        self._save()
         return {"ok": True, "accepted": True}
 
     def fail(
@@ -513,21 +460,17 @@ class WorkQueue:
             if not entry.leases:
                 entry.state = PENDING
                 entry.not_before = now
-            self._save()
             return {"ok": True, "accepted": True, "state": entry.state}
         self.failures += 1
         if entry.leases:
             entry.history.append(_last_line(error))
-            self._save()
             return {"ok": True, "accepted": True, "state": entry.state}
         self._attempt_failed(entry, error, now)
-        self._save()
         return {"ok": True, "accepted": True, "state": entry.state}
 
     def drain(self) -> None:
         """Stop granting leases; in-flight cells may still complete."""
         self.draining = True
-        self._save()
 
     # -- internals ------------------------------------------------------------
 
@@ -581,71 +524,8 @@ class WorkQueue:
             entry.not_before = now + backoff
             entry.error = ""
 
-    # -- persistence ----------------------------------------------------------
-
-    def to_doc(self) -> Dict:
-        """The full queue as journal-safe plain data."""
-        return {
-            "format": QUEUE_FORMAT,
-            "lease_s": self.lease_s,
-            "max_attempts": self.max_attempts,
-            "backoff_s": self.backoff_s,
-            "backoff_cap_s": self.backoff_cap_s,
-            "steal_after_s": self.steal_after_s,
-            "max_leases": self.max_leases,
-            "lease_seq": self.lease_seq,
-            "counters": self._counters(),
-            "cells": [self.entries[key].to_doc() for key in self.order],
-        }
-
     def _counters(self) -> Dict[str, int]:
         return {name: getattr(self, name) for name in _COUNTERS}
-
-    def _save(self) -> None:
-        if not self.path:
-            return
-        tmp = f"{self.path}.{os.getpid()}.tmp"
-        with open(tmp, "w") as fh:
-            fh.write(canonical_json(self.to_doc()) + "\n")
-        os.replace(tmp, self.path)
-
-    @classmethod
-    def load(
-        cls,
-        path: Union[str, os.PathLike],
-        clock: Callable[[], float] = time.time,
-    ) -> "WorkQueue":
-        """Rebuild a queue from its journal (coordinator restart).
-
-        Leases granted by the previous coordinator are reclaimed to
-        ``pending`` immediately — their workers are gone or will report
-        late, and late completions are handled by first-writer-wins.
-        """
-        with open(path) as fh:
-            doc = json.load(fh)
-        if doc.get("format") != QUEUE_FORMAT:
-            raise ValueError(f"unsupported queue format {doc.get('format')!r}")
-        queue = cls(
-            lease_s=doc["lease_s"],
-            max_attempts=doc["max_attempts"],
-            backoff_s=doc["backoff_s"],
-            backoff_cap_s=doc["backoff_cap_s"],
-            steal_after_s=doc["steal_after_s"],
-            max_leases=doc["max_leases"],
-            clock=clock,
-            path=path,
-        )
-        queue.lease_seq = doc["lease_seq"]
-        for name, value in doc["counters"].items():
-            setattr(queue, name, value)
-        for cell_doc in doc["cells"]:
-            entry = QueueEntry.from_doc(cell_doc)
-            if entry.state == LEASED:
-                entry.leases = {}
-                entry.state = PENDING
-            queue.entries[entry.key] = entry
-            queue.order.append(entry.key)
-        return queue
 
 
 def _last_line(text: str) -> str:

@@ -6,11 +6,12 @@ is deterministic given its :class:`~repro.experiments.runner.ExperimentConfig`
 and workload spec, which makes the grid embarrassingly parallel *and*
 perfectly cacheable:
 
-* :func:`run_cells` fans cells out over worker processes (``jobs > 1``)
-  or runs them in-process (``jobs == 1``, the byte-identical serial
-  path).  Every worker derives all randomness from the cell's own seeds,
-  so results do not depend on worker count, scheduling order, or cache
-  state.
+* :func:`run_cells` runs cells in-process (``jobs == 1``, the
+  byte-identical serial path) or hands them to an in-process
+  :class:`~repro.experiments.jobs.JobManager` with ``jobs`` executors
+  (``jobs > 1``), the scheduler ``repro serve`` runs.  Every cell
+  derives all randomness from its own seeds, so results do not depend
+  on worker count, scheduling order, or cache state.
 * :class:`ResultCache` stores each result under a SHA-256 of the cell's
   canonical identity — config + workload spec + ``CACHE_VERSION`` (a
   code-relevant version tag, bumped whenever a simulator change is
@@ -19,11 +20,12 @@ perfectly cacheable:
   result (``trace_path``, profiler settings) are excluded from the key;
   cells that request a trace file bypass cache *reads* so the trace is
   actually written.
-* A worker that raises reports the cell failed with its traceback; a
-  worker that *dies* (signal, hard crash) is retried once and then
-  marked failed with its exit code — either way the rest of the sweep
-  keeps going.  ``timeout_s`` bounds each cell's wall time; a timed-out
-  worker is terminated and the cell marked failed.
+* :func:`run_cell_in_child` runs one cell in a child process, which
+  reports its result, its traceback, or (by dying) its exit code.
+  ``timeout_s`` bounds the cell's wall time; a timed-out child is
+  terminated.  It retries nothing: the manager's work queue retries a
+  failed cell and then quarantines it, and the rest of the sweep keeps
+  going.
 * :func:`shard_cells` splits a cell list into ``K/M`` round-robin
   shards for CI fan-out; the M shards partition the grid exactly.
 
@@ -38,10 +40,10 @@ import json
 import multiprocessing as mp
 import os
 import sys
+import threading
 import time
 import traceback
-from dataclasses import dataclass, field
-from multiprocessing.connection import wait as _conn_wait
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Callable,
@@ -387,11 +389,48 @@ def _stop(proc: mp.process.BaseProcess) -> None:
         proc.join(timeout=2.0)
 
 
-@dataclass
-class _Running:
-    proc: mp.process.BaseProcess
-    conn: object
-    started: float = field(default_factory=time.perf_counter)
+def run_cell_in_child(
+    cell: SweepCell, timeout_s: Optional[float] = None
+) -> Tuple[Optional[Dict], str]:
+    """Run one cell in a forked child: ``(result document, "")`` or
+    ``(None, error)``.
+
+    The error is the child's traceback, the timeout, or the exit code of
+    a child that died without reporting.  Nothing is retried here: the
+    caller's work queue owns the retry count.
+    """
+    ctx = mp.get_context()
+    recv_conn, send_conn = ctx.Pipe(duplex=False)
+    proc = ctx.Process(
+        target=_worker_main,
+        args=(send_conn, config_to_dict(cell.config), tuple(cell.workload)),
+        daemon=True,
+    )
+    started = time.perf_counter()
+    proc.start()
+    send_conn.close()
+    try:
+        # a sibling forked meanwhile may hold the pipe's write end, so a
+        # dead child shows up as a dead process, not as end-of-file
+        while not recv_conn.poll(0.1):
+            if not proc.is_alive() and not recv_conn.poll(0):
+                return None, f"worker died (exit code {proc.exitcode})"
+            if timeout_s is not None and time.perf_counter() - started > timeout_s:
+                return None, f"cell timed out after {timeout_s:g}s and was terminated"
+        try:
+            status, payload = recv_conn.recv()
+        except (EOFError, OSError):  # died mid-send
+            status, payload = "died", ""
+        proc.join(timeout=5.0)
+        if status == "ok":
+            # rebuilt rather than kept as unpickled: a server holds every
+            # result document, and an unpickled one is ~20% larger
+            # (over-allocated lists, its own copy of every key string)
+            return result_to_dict(result_from_dict(payload)), ""
+        return None, payload or f"worker died (exit code {proc.exitcode})"
+    finally:
+        recv_conn.close()
+        _stop(proc)
 
 
 def run_cells(
@@ -400,18 +439,18 @@ def run_cells(
     cache: Union[ResultCache, str, Path, None] = None,
     no_cache: bool = False,
     timeout_s: Optional[float] = None,
-    crash_retries: int = 1,
     progress: Optional[ProgressFn] = None,
 ) -> List[CellOutcome]:
     """Run every cell, in input order, and return one outcome per cell.
 
     ``jobs == 1`` executes in-process (identical to calling
-    ``run_experiment`` in a loop); ``jobs > 1`` fans out over worker
-    processes.  ``cache`` may be a :class:`ResultCache` or a directory
-    path; ``no_cache`` disables it entirely.  ``timeout_s`` bounds each
-    cell's wall time (workers only).  A crashed worker is retried
-    ``crash_retries`` times before its cell is marked failed; a worker
-    that raises a Python exception fails immediately with the traceback.
+    ``run_experiment`` in a loop).  ``jobs > 1`` submits the cells as one
+    job to an in-process :class:`~repro.experiments.jobs.JobManager`
+    with ``jobs`` executors, each running its cells in a child process:
+    its work queue retries a failed cell once and then reports it with
+    the last error.  ``cache`` may be a :class:`ResultCache` or a
+    directory path; ``no_cache`` disables it entirely.  ``timeout_s``
+    bounds each cell's wall time (child processes only).
     """
     cells = list(cells)
     if isinstance(cache, (str, Path)):
@@ -421,7 +460,6 @@ def run_cells(
 
     total = len(cells)
     outcomes: List[Optional[CellOutcome]] = [None] * total
-    keys = [cache_key(c.config, c.workload) for c in cells]
     done = 0
     run_durations: List[float] = []
 
@@ -436,6 +474,11 @@ def run_cells(
             eta = mean * (total - done) / max(1, jobs)
             progress(outcome, done, total, eta)
 
+    if jobs > 1 and cells:
+        _run_on_manager(cells, jobs, cache, timeout_s, finish)
+        return outcomes  # type: ignore[return-value]
+
+    keys = [cache_key(c.config, c.workload) for c in cells]
     pending: List[int] = []
     for i, cell in enumerate(cells):
         # a cell that writes a trace must actually run, so skip cache reads
@@ -446,105 +489,79 @@ def run_cells(
                 continue
         pending.append(i)
 
-    if jobs <= 1:
-        memo: Dict[WorkloadSpec, Workload] = {}
-        for i in pending:
-            cell = cells[i]
-            started = time.perf_counter()
-            try:
-                if cell.workload not in memo:
-                    memo[cell.workload] = cell.workload.materialize()
-                result = run_experiment(cell.config, memo[cell.workload])
-            except Exception:
-                finish(i, CellOutcome(
-                    cell, None, error=traceback.format_exc(), key=keys[i],
-                    duration_s=time.perf_counter() - started,
-                ))
-                continue
-            if cache is not None:
-                cache.store(keys[i], result_to_dict(result))
+    memo: Dict[WorkloadSpec, Workload] = {}
+    for i in pending:
+        cell = cells[i]
+        started = time.perf_counter()
+        try:
+            if cell.workload not in memo:
+                memo[cell.workload] = cell.workload.materialize()
+            result = run_experiment(cell.config, memo[cell.workload])
+        except Exception:
             finish(i, CellOutcome(
-                cell, result, key=keys[i],
+                cell, None, error=traceback.format_exc(), key=keys[i],
                 duration_s=time.perf_counter() - started,
             ))
-        return outcomes  # type: ignore[return-value]
-
-    ctx = mp.get_context()
-    queue: List[int] = list(pending)
-    attempts: Dict[int, int] = {i: 0 for i in pending}
-    running: Dict[int, _Running] = {}
-    try:
-        while queue or running:
-            while queue and len(running) < jobs:
-                i = queue.pop(0)
-                recv_conn, send_conn = ctx.Pipe(duplex=False)
-                proc = ctx.Process(
-                    target=_worker_main,
-                    args=(
-                        send_conn,
-                        config_to_dict(cells[i].config),
-                        tuple(cells[i].workload),
-                    ),
-                    daemon=True,
-                )
-                proc.start()
-                send_conn.close()
-                running[i] = _Running(proc, recv_conn)
-            _conn_wait([r.conn for r in running.values()], timeout=0.1)
-            now = time.perf_counter()
-            for i, r in list(running.items()):
-                msg = None
-                if r.conn.poll():
-                    try:
-                        msg = r.conn.recv()
-                    except (EOFError, OSError):
-                        msg = None  # died mid-send: treat as a crash
-                elif r.proc.is_alive():
-                    if timeout_s is not None and now - r.started > timeout_s:
-                        _stop(r.proc)
-                        r.conn.close()
-                        del running[i]
-                        finish(i, CellOutcome(
-                            cells[i], None, key=keys[i],
-                            error=(f"cell timed out after {timeout_s:g}s "
-                                   "and was terminated"),
-                            duration_s=now - r.started,
-                        ))
-                    continue
-                duration = now - r.started
-                r.conn.close()
-                r.proc.join(timeout=5.0)
-                exitcode = r.proc.exitcode
-                _stop(r.proc)
-                del running[i]
-                if msg is None:  # dead worker, no report
-                    attempts[i] += 1
-                    if attempts[i] <= crash_retries:
-                        queue.append(i)
-                    else:
-                        finish(i, CellOutcome(
-                            cells[i], None, key=keys[i],
-                            error=(f"worker died (exit code {exitcode}) "
-                                   f"on {attempts[i]} attempt(s)"),
-                            duration_s=duration,
-                        ))
-                elif msg[0] == "ok":
-                    if cache is not None:
-                        cache.store(keys[i], msg[1])
-                    finish(i, CellOutcome(
-                        cells[i], result_from_dict(msg[1]), key=keys[i],
-                        duration_s=duration,
-                    ))
-                else:
-                    finish(i, CellOutcome(
-                        cells[i], None, error=msg[1], key=keys[i],
-                        duration_s=duration,
-                    ))
-    finally:
-        for r in running.values():
-            _stop(r.proc)
-            r.conn.close()
+            continue
+        if cache is not None:
+            cache.store(keys[i], result_to_dict(result))
+        finish(i, CellOutcome(
+            cell, result, key=keys[i],
+            duration_s=time.perf_counter() - started,
+        ))
     return outcomes  # type: ignore[return-value]
+
+
+def _run_on_manager(
+    cells: List[SweepCell],
+    jobs: int,
+    cache: Optional[ResultCache],
+    timeout_s: Optional[float],
+    finish: Callable[[int, CellOutcome], None],
+) -> None:
+    """``run_cells``' parallel path: one job on an in-process JobManager.
+
+    Cells the cache resolves at submission are reported first; the rest
+    are reported as the job's stream announces them finished, and any
+    whose announcement the bounded stream dropped when the job settles.
+    """
+    from repro.experiments.jobs import JobManager
+    from repro.experiments.service import DONE, QUARANTINED, cell_to_doc
+
+    manager = JobManager(cache=cache, workers=jobs, cell_timeout_s=timeout_s,
+                         max_cells_per_job=len(cells))
+    job, _ = manager.submit({"cells": [cell_to_doc(c) for c in cells]})
+    unreported: Dict[str, List[int]] = {}
+    for i, key in enumerate(job.keys):
+        unreported.setdefault(key, []).append(i)
+
+    def report(key: str, duration_s: float = 0.0) -> None:
+        for i in unreported.pop(key, ()):
+            outcome = manager.outcome(cells[i], key)
+            outcome.duration_s = duration_s
+            finish(i, outcome)
+
+    for key in list(unreported):
+        if manager.queue.entries[key].state == DONE:
+            report(key)
+    wake = threading.Event()
+    job.stream.add_waiter(wake.set)
+    manager.start()
+    try:
+        seq, closed = 0, False
+        while not closed:
+            wake.clear()
+            events, _, closed = job.stream.read_since(seq)
+            for seq, kind, data in events:
+                if kind == "cell" and data["phase"] == "finished" \
+                        and data["state"] in (DONE, QUARANTINED):
+                    report(data["key"], data["duration_s"])
+            if not closed:
+                wake.wait()
+    finally:
+        manager.stop()
+    for key in list(unreported):
+        report(key)
 
 
 # -- prefix-sharing fork cells ------------------------------------------------

@@ -17,9 +17,10 @@ when they have something to do:
   control traffic), not every member, so an idle 100k-node cluster costs
   O(racks) per tick rather than O(N) member visits.
 
-In ``mesoscale`` mode the hub is also an aggregate actor over its idle
-members: nodes start *pooled* — no TaskTracker object at all, slot capacity
-tracked only in the :class:`~repro.mapreduce.slots.SlotStore`.  A pooled
+Hubs exist only in ``mesoscale`` mode, where the hub is also an aggregate
+actor over its idle members: nodes start *pooled* — no TaskTracker object
+at all, slot capacity tracked only in the
+:class:`~repro.mapreduce.slots.SlotStore`.  A pooled
 member is offered work without a tracker and is *promoted* to an
 event-accurate TaskTracker only when a scheduler pick places a task on it;
 a control-only beat needs no tracker either.  A promoted node is *demoted*
@@ -50,7 +51,6 @@ class HeartbeatHub:
         "jobtracker",
         "engine",
         "interval_s",
-        "mesoscale",
         "accurate",
         "ticks",
         "promotions",
@@ -67,7 +67,6 @@ class HeartbeatHub:
         engine: Engine,
         interval_s: float,
         start_offset_s: float = 0.0,
-        mesoscale: bool = False,
     ) -> None:
         if interval_s <= 0:
             raise ValueError("heartbeat interval must be positive")
@@ -76,17 +75,11 @@ class HeartbeatHub:
         self.jobtracker = jobtracker
         self.engine = engine
         self.interval_s = interval_s
-        self.mesoscale = mesoscale
         #: node ids with a live (event-accurate) TaskTracker
         self.accurate: set = set()
         self.ticks = 0
         self.promotions = 0
         self.demotions = 0
-        if not mesoscale:
-            # batched-but-accurate mode: every member gets a TaskTracker,
-            # only the per-node heartbeat events are replaced by the hub
-            for nid in self.member_ids:
-                self._materialize(nid)
         self._hb_label = f"hbhub:r{rack}"
         self._hb_event = engine.schedule(
             engine.now + start_offset_s, self._tick, f"hbhub-start:r{rack}"
@@ -197,10 +190,9 @@ class HeartbeatHub:
                 # deferring (e.g. fair-share delay scheduling)
                 budget -= launched if launched else 1
 
-        if self.mesoscale:
-            for nid in sorted(self.accurate):
-                if self._demotable(nid):
-                    self.demote(nid)
+        for nid in sorted(self.accurate):
+            if self._demotable(nid):
+                self.demote(nid)
 
         if not jt.finished:
             self.engine.reschedule_in(self.interval_s, self._hb_event, self._hb_label)

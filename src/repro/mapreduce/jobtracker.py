@@ -139,7 +139,7 @@ class JobTracker:
         for node in cluster.slaves:
             self.slots.register(node.node_id, node.map_slots, node.reduce_slots)
         self.tasktrackers: Dict[int, TaskTracker] = {}
-        #: per-rack batched heartbeat actors (hb_batch / mesoscale modes)
+        #: per-rack heartbeat actors (mesoscale mode)
         self.hubs: List[HeartbeatHub] = []
         #: bumped on every schedule-state change (launch, completion,
         #: submission, requeue); the hubs use deltas across a beat to count
@@ -169,16 +169,14 @@ class JobTracker:
         """Create the heartbeat chain: per-slave trackers, or rack hubs.
 
         Event-accurate mode (the default) creates one TaskTracker per slave
-        with staggered heartbeats.  When the cluster spec asks for batched
-        heartbeats (``hb_batch`` or ``mesoscale``), one
-        :class:`HeartbeatHub` per rack replaces the per-node events; in
-        mesoscale the hubs also pool their members (TaskTrackers
-        materialise on promotion).
+        with staggered heartbeats.  In ``mesoscale`` mode one
+        :class:`HeartbeatHub` per rack replaces the per-node events and
+        pools its members (TaskTrackers materialise on promotion).
         """
         rng = self.cluster.streams.python("mapreduce.heartbeat-offsets")
         spec = self.cluster.spec
         hb = spec.heartbeat_s
-        if spec.hb_batch or spec.mesoscale:
+        if spec.mesoscale:
             by_rack: Dict[int, List[int]] = {}
             for node in self.cluster.slaves:
                 by_rack.setdefault(int(node.rack), []).append(node.node_id)
@@ -191,7 +189,6 @@ class JobTracker:
                         self.engine,
                         hb,
                         start_offset_s=rng.uniform(0.0, hb),
-                        mesoscale=spec.mesoscale,
                     )
                 )
             return

@@ -363,8 +363,6 @@ class InvariantChecker:
             return
         slots = jt.slots
         for hub in jt.hubs:
-            if not hub.mesoscale:
-                continue
             for node_id in hub.member_ids:
                 if node_id in hub.accurate:
                     continue

@@ -22,6 +22,8 @@ Edge behavior (documented for clients in ``docs/SERVER.md``):
   (``X-Client-Id`` header, else peer address) — empty bucket → **429**
   with ``Retry-After``;
 * the job backlog is bounded — full → **503**; draining → **503**;
+* a submitted cell may not name a file for the server to write (a
+  non-empty ``trace_path``) → **400**;
 * request size/time limits from :mod:`repro.server.http` → 408/413/431;
 * SIGTERM/SIGINT → drain: refuse new jobs and leases, close SSE
   streams, keep answering workers until every outstanding lease has
@@ -266,6 +268,15 @@ class Server:
 
     async def _submit(self, request: Request) -> bytes:
         doc = request.json()
+        cells = doc.get("cells") if isinstance(doc, dict) else None
+        if isinstance(cells, list) and any(
+            isinstance(cell, dict) and isinstance(cell.get("config"), dict)
+            and cell["config"].get("trace_path")
+            for cell in cells
+        ):
+            # the executor would write the trace wherever the client says
+            raise HttpError(400, "cells submitted over HTTP may not set "
+                                 "'trace_path'; stream trace records instead")
         # submission touches the cache (disk) — keep it off the event loop
         job, created = await asyncio.to_thread(self.manager.submit, doc)
         body = {

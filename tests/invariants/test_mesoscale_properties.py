@@ -13,9 +13,10 @@ drain:
 * pooled members never hold an occupied slot (work implies promotion);
 * an explicitly mis-sequenced promote/demote raises instead of corrupting
   the pool;
-* a mesoscale run produces **identical** results to the
-  batched-but-accurate mode on the same seed, because promotion is driven
-  by the same beat decisions the accurate tracker would have made;
+* a mesoscale run produces **identical** results to hubs whose members
+  all hold a TaskTracker (the oracle of the deleted batched-accurate
+  mode) on the same seed, because promotion is driven by the same beat
+  decisions the accurate tracker would have made;
 * and a checked mesoscale run matches an unchecked one, while a corrupted
   pooled node's slot count fails the check.
 
@@ -37,13 +38,14 @@ from repro.experiments.runner import ExperimentConfig, Simulation, run_experimen
 from repro.experiments.serialize import result_to_dict
 from repro.observability.invariants import InvariantViolation
 from repro.workloads.swim import synthesize_wl1
+from tests.conftest import materialize_hubs
 
 N_RANDOM = int(os.environ.get("INVARIANT_EXAMPLES", "6"))
 
 
 def _build(n_nodes: int, n_jobs: int, seed: int, *,
-           mesoscale: bool = True, scheduler: str = "fair") -> Simulation:
-    spec = scale_spec(n_nodes, mesoscale=mesoscale, hb_batch=True)
+           scheduler: str = "fair") -> Simulation:
+    spec = scale_spec(n_nodes, mesoscale=True)
     workload = synthesize_wl1(np.random.default_rng(seed), n_jobs=n_jobs)
     config = ExperimentConfig(
         cluster_spec=spec, scheduler=scheduler,
@@ -55,7 +57,7 @@ def _build(n_nodes: int, n_jobs: int, seed: int, *,
 def _check_hub_invariants(sim: Simulation) -> None:
     jt = sim.jobtracker
     hubs = jt.hubs
-    assert hubs, "batched mode must create rack hubs"
+    assert hubs, "mesoscale mode must create rack hubs"
     rack_of = sim.cluster.topology.rack_of
 
     seen: set = set()
@@ -67,13 +69,7 @@ def _check_hub_invariants(sim: Simulation) -> None:
         assert all(int(rack_of[nid]) == hub.rack for nid in members)
 
         assert hub.accurate <= members
-        if hub.mesoscale:
-            assert hub.promotions - hub.demotions == len(hub.accurate)
-        else:
-            # batched-but-accurate: everyone materialised at construction,
-            # never through the counted promote path
-            assert hub.accurate == members
-            assert hub.promotions == hub.demotions == 0
+        assert hub.promotions - hub.demotions == len(hub.accurate)
 
         for nid in members:
             if nid in hub.accurate:
@@ -108,19 +104,18 @@ def test_random_mesoscale_run_preserves_pool_invariants(case: int) -> None:
 
 
 @pytest.mark.parametrize("scheduler", ["fifo", "fair"])
-def test_mesoscale_matches_batched_accurate(scheduler: str) -> None:
+def test_mesoscale_matches_batched_accurate(scheduler: str, monkeypatch) -> None:
     """Pooling idle trackers must not change a single result metric."""
+    config = ExperimentConfig(
+        cluster_spec=scale_spec(200, mesoscale=True), scheduler=scheduler,
+        dare=DareConfig.elephant_trap(), seed=7,
+    )
     results = {}
-    for mode in ("batch", "meso"):
-        spec = scale_spec(200, mesoscale=(mode == "meso"), hb_batch=True)
+    for mode in ("meso", "batch"):
+        if mode == "batch":
+            materialize_hubs(monkeypatch)
         workload = synthesize_wl1(np.random.default_rng(7), n_jobs=10)
-        config = ExperimentConfig(
-            cluster_spec=spec, scheduler=scheduler,
-            dare=DareConfig.elephant_trap(), seed=7,
-        )
-        d = result_to_dict(run_experiment(config, workload))
-        d.pop("config")  # differs by construction (the mesoscale flag)
-        results[mode] = d
+        results[mode] = result_to_dict(run_experiment(config, workload))
     assert results["meso"] == results["batch"]
 
 

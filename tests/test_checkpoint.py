@@ -202,6 +202,11 @@ def test_load_rejects_unknown_format(tmp_path):
     path.write_bytes(pickle.dumps({"format": 4, "payload": b""}))
     with pytest.raises(ValueError, match="unsupported snapshot format 4"):
         Snapshot.load(str(path))
+    # checkpoints written while ClusterSpec carried hb_batch and hubs a
+    # mesoscale flag
+    path.write_bytes(pickle.dumps({"format": 5, "payload": b""}))
+    with pytest.raises(ValueError, match="unsupported snapshot format 5"):
+        Snapshot.load(str(path))
 
 
 def test_restore_with_trace_requires_a_traced_source(tmp_path):

@@ -128,6 +128,18 @@ class TestSweepCommand:
         with pytest.raises(SystemExit):
             main(["sweep", "--grid", "fig99"])
 
+    @pytest.mark.parametrize("command", [
+        ["serve", "--port", "0"],
+        ["sweep", "--grid", "smoke", "--n-jobs", "6", "--serve", "127.0.0.1:0"],
+    ], ids=["serve", "sweep-serve"])
+    def test_jobstore_without_cache_exits(self, command, tmp_path):
+        # a restored job's results come back from the cache; without one
+        # every finished cell would be answered as an empty failure
+        jobstore = tmp_path / "jobs.jsonl"
+        with pytest.raises(SystemExit, match="--jobstore needs the result cache"):
+            main([*command, "--jobstore", str(jobstore), "--no-cache"])
+        assert not jobstore.exists()
+
     def test_trace_dir_produces_verifiable_traces(self, tmp_path, capsys):
         trace_dir = tmp_path / "traces"
         assert main(["sweep", "--grid", "smoke", "--n-jobs", "6", "--no-cache",

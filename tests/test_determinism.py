@@ -16,6 +16,7 @@ from repro.core.config import DareConfig
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.replay import diff_traces
 from repro.workloads.swim import synthesize_wl1
+from tests.conftest import materialize_hubs
 
 POLICIES = {
     "off": DareConfig.off(),
@@ -69,17 +70,15 @@ def test_engine_event_firehose_is_reproducible(tmp_path):
     assert diff.identical
 
 
-# -- scale modes: batched heartbeats and mesoscale are deterministic too ------
+# -- scale modes: per-node chains and rack hubs are deterministic too ---------
 
 
 def _run_scale_cell(mode, trace_path, n_nodes=150):
     from repro.cluster.cluster import scale_spec
 
-    spec = scale_spec(
-        n_nodes,
-        mesoscale=(mode == "meso"),
-        hb_batch=True if mode == "batch" else None,
-    )
+    # "batch" runs the hubs with every member materialised (the oracle of
+    # the deleted batched-accurate mode, installed by the test)
+    spec = scale_spec(n_nodes, mesoscale=(mode != "accurate"))
     rng = np.random.default_rng(SEED)
     workload = synthesize_wl1(rng, n_jobs=N_JOBS)
     config = ExperimentConfig(
@@ -93,8 +92,10 @@ def _run_scale_cell(mode, trace_path, n_nodes=150):
 
 
 @pytest.mark.parametrize("mode", ["accurate", "batch", "meso"])
-def test_scale_cell_trace_is_reproducible(mode, tmp_path):
+def test_scale_cell_trace_is_reproducible(mode, tmp_path, monkeypatch):
     """scale_spec clusters replay byte-identically in every heartbeat mode."""
+    if mode == "batch":
+        materialize_hubs(monkeypatch)
     a = tmp_path / "a.jsonl"
     b = tmp_path / "b.jsonl"
     _run_scale_cell(mode, a)

@@ -22,6 +22,7 @@ from repro.experiments.runner import ExperimentConfig, Simulation, run_experimen
 from repro.mapreduce.heartbeat_hub import HeartbeatHub
 from repro.observability.trace import TASK_SCHEDULED, Tracer
 from repro.workloads.swim import synthesize_wl1, synthesize_wl2
+from tests.conftest import materialize_hubs
 
 # -- oracle: walk every member, promote before every beat ---------------------
 
@@ -67,10 +68,9 @@ def _seed_tick(self) -> None:
             # deferring (e.g. fair-share delay scheduling)
             budget -= launched if launched else 1
 
-    if self.mesoscale:
-        for nid in sorted(self.accurate):
-            if self._demotable(nid):
-                self.demote(nid)
+    for nid in sorted(self.accurate):
+        if self._demotable(nid):
+            self.demote(nid)
 
     if not jt.finished:
         self.engine.reschedule_in(self.interval_s, self._hb_event, self._hb_label)
@@ -81,9 +81,9 @@ N_NODES = 120
 FAILURES = ((40.0, 3), (90.0, 7), (150.0, 11))
 
 
-def _config(scheduler, policy, *, mesoscale=True, trace_path="", **overrides):
+def _config(scheduler, policy, *, trace_path="", **overrides):
     return ExperimentConfig(
-        cluster_spec=scale_spec(N_NODES, mesoscale=mesoscale, hb_batch=True),
+        cluster_spec=scale_spec(N_NODES, mesoscale=True),
         scheduler=scheduler,
         dare=policy,
         seed=SEED,
@@ -96,11 +96,10 @@ def _workload():
     return synthesize_wl2(np.random.default_rng(SEED), n_jobs=60)
 
 
-def _hub_cell(scheduler, policy, mesoscale, trace_path):
+def _hub_cell(scheduler, policy, trace_path):
     config = _config(
         scheduler,
         policy,
-        mesoscale=mesoscale,
         trace_path=trace_path,
         speculative=True,
         failures=FAILURES,
@@ -109,6 +108,8 @@ def _hub_cell(scheduler, policy, mesoscale, trace_path):
     return run_experiment(config, _workload())
 
 
+#: (scheduler, policy, pooled): an unpooled cell runs every hub with all
+#: its members materialised, the oracle of the deleted batched-accurate mode
 _CELLS = [
     ("fifo", "lru", True),
     ("fair", "lru", True),
@@ -117,12 +118,14 @@ _CELLS = [
 ]
 
 
-@pytest.mark.parametrize("scheduler,policy,mesoscale", _CELLS)
+@pytest.mark.parametrize("scheduler,policy,pooled", _CELLS)
 def test_hub_traces_match_the_full_member_walk(
-    scheduler, policy, mesoscale, tmp_path, monkeypatch
+    scheduler, policy, pooled, tmp_path, monkeypatch
 ):
+    if not pooled:
+        materialize_hubs(monkeypatch)
     dare = DareConfig.greedy_lru() if policy == "lru" else DareConfig.elephant_trap()
-    result = _hub_cell(scheduler, dare, mesoscale, tmp_path / "idle.jsonl")
+    result = _hub_cell(scheduler, dare, tmp_path / "idle.jsonl")
     # failures requeue attempts, stragglers get duplicates and DARE queues
     # control traffic in every cell; the plain Fair cell never evicts
     assert result.tasks_requeued > 0
@@ -131,7 +134,7 @@ def test_hub_traces_match_the_full_member_walk(
     if scheduler != "fair":
         assert result.blocks_evicted > 0
     monkeypatch.setattr(HeartbeatHub, "_tick", _seed_tick)
-    _hub_cell(scheduler, dare, mesoscale, tmp_path / "walked.jsonl")
+    _hub_cell(scheduler, dare, tmp_path / "walked.jsonl")
     assert (tmp_path / "idle.jsonl").read_bytes() == (
         tmp_path / "walked.jsonl"
     ).read_bytes()

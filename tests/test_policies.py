@@ -441,6 +441,71 @@ class TestRollout:
         assert 0.0 <= h1[0] <= 1.0 and h1[2] <= -sim.engine.now
         sim.close()
 
+    def _epoch(self):
+        """A pinned epoch: (simulation, snapshot, candidates, config)."""
+        from repro.checkpoint import SnapshotSession
+        from repro.observability.trace import Tracer
+        from repro.policies.rollout import FeatureTap
+
+        config = ExperimentConfig(dare=DareConfig.greedy_lru(), seed=7)
+        sim = Simulation(config, _workload(n_jobs=32, seed=7), tracer=Tracer())
+        tap = FeatureTap()
+        sim.tracer.subscribe(tap)
+        sim.run(until=80.0)
+        candidates = tap.candidates(sim, 4)
+        assert len(candidates) >= 2, "pinned cell must produce candidates by t=80"
+        snap = SnapshotSession(sim).snapshot()
+        return sim, snap, candidates, RolloutConfig(epoch_s=10.0, branches=4)
+
+    @pytest.mark.skipif(
+        __import__("multiprocessing").get_start_method() != "fork",
+        reason="the exit is monkeypatched into fork-inherited workers",
+    )
+    def test_worker_exit_mid_epoch_raises_naming_its_pid(self, monkeypatch):
+        """A pool worker that dies while scoring fails the epoch loudly
+        instead of leaving the host waiting on its pipe."""
+        import os
+
+        from repro.policies import parallel
+        from repro.policies.parallel import ForkScorer
+
+        sim, snap, candidates, rcfg = self._epoch()
+        host, real = os.getpid(), parallel.score_fork
+
+        def exit_in_worker(snap, action, rcfg, pool=None):
+            # candidates are dealt round-robin: worker 0 scores the first
+            if os.getpid() != host and action == candidates[0]:
+                os._exit(3)
+            return real(snap, action, rcfg, pool=pool)
+
+        monkeypatch.setattr(parallel, "score_fork", exit_in_worker)
+        with ForkScorer(2) as scorer:
+            assert scorer._start_workers()
+            pid = scorer._workers[0][0].pid
+            with pytest.raises(RuntimeError, match=f"pid={pid} died mid-epoch"):
+                scorer.score_epoch(snap, candidates, rcfg)
+        sim.close()
+
+    def test_pool_that_cannot_start_falls_back_to_serial(self, monkeypatch):
+        """When the OS refuses a worker process, scoring runs in-process
+        and gives exactly the serial scores."""
+        import multiprocessing as mp
+
+        from repro.policies.parallel import ForkScorer
+
+        sim, snap, candidates, rcfg = self._epoch()
+        with ForkScorer(1) as serial:
+            expected = serial.score_epoch(snap, candidates, rcfg)
+
+        def refuse(self):
+            raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(mp.process.BaseProcess, "start", refuse)
+        with ForkScorer(2) as scorer:
+            assert scorer.score_epoch(snap, candidates, rcfg) == expected
+            assert scorer._workers == []  # nothing was left half-started
+        sim.close()
+
     def test_worker_loop_scores_chunks_and_ships_failures(self):
         """`_worker_main` run in-process over a real pipe: one good chunk
         answered ("ok", scores), a poisoned one answered ("err", ...) so

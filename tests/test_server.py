@@ -21,6 +21,7 @@ Four layers:
 
 from __future__ import annotations
 
+import dataclasses
 import http.client
 import json
 import os
@@ -374,6 +375,38 @@ class TestJobManager:
                     if e.kind == "cell" and e.data["phase"] == "finished"]
         assert [f["key"] for f in finished] == [grant["key"]]
 
+    @pytest.mark.skipif(
+        __import__("multiprocessing").get_start_method() != "fork",
+        reason="the crash is monkeypatched into fork-inherited children",
+    )
+    def test_crashing_cell_runs_once_per_queue_attempt(self, tmp_path, monkeypatch):
+        """The queue's max_attempts is the only retry count: a cell whose
+        child dies starts one child per attempt, then is quarantined with
+        the exit code."""
+        import multiprocessing as mp
+
+        import repro.experiments.sweep as sweep_mod
+
+        children = mp.Value("i", 0)
+
+        def die(*args, **kwargs):
+            with children.get_lock():
+                children.value += 1
+            os._exit(3)
+
+        monkeypatch.setattr(sweep_mod, "run_experiment", die)
+        manager = make_manager(tmp_path, workers=1, isolation="process",
+                               queue=server_queue(max_attempts=2)).start()
+        try:
+            job, _ = manager.submit({"cells": [cell_to_doc(CELLS[0])]})
+            wait_for(lambda: not job.active, what="job failure")
+        finally:
+            manager.stop()
+        assert job.state == JOB_FAILED
+        assert children.value == 2
+        entry = manager.queue.entries[job.keys[0]]
+        assert entry.state == "quarantined" and "exit code 3" in entry.error
+
     def test_stream_jobs_need_an_executor(self, tmp_path):
         manager = make_manager(tmp_path, workers=0)
         with pytest.raises(JobRejected) as err:
@@ -708,6 +741,26 @@ class TestServerHTTP:
             assert st.request("GET", "/api/nope")[0] == 404
             assert st.request("DELETE", "/api/cluster")[0] == 405
             assert st.request("PUT", "/api/jobs")[0] == 405
+
+    def test_submitted_cell_may_not_choose_a_trace_path(self, tmp_path):
+        """The executor writes a cell's trace where its config says, so a
+        client must not be able to name that file."""
+        target = tmp_path / "chosen-by-client.jsonl"
+        traced = CELLS[0]._replace(config=dataclasses.replace(
+            CELLS[0].config, trace_path=str(target)))
+        manager = make_manager(tmp_path).start()
+        try:
+            with ServerThread(manager) as st:
+                status, _, data = st.request(
+                    "POST", "/api/jobs",
+                    body={"cells": [cell_to_doc(CELLS[1]), cell_to_doc(traced)]},
+                )
+                assert status == 400
+                assert "trace_path" in json.loads(data)["error"]
+                assert not manager.jobs
+        finally:
+            manager.stop()
+        assert not target.exists()
 
     def test_sse_streams_trace_records(self, tmp_path):
         manager = make_manager(tmp_path).start()

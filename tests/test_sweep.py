@@ -1,4 +1,8 @@
-"""The sweep executor: cache semantics, sharding, crash/timeout isolation."""
+"""The sweep executor: cache semantics, sharding, crash/timeout isolation.
+
+``run_cells(jobs > 1)`` runs on an in-process JobManager, so its failure
+tests also pin the job queue's retry policy for local sweeps.
+"""
 
 import json
 import multiprocessing as mp
@@ -341,10 +345,12 @@ class TestFailures:
             os._exit(3)
 
         monkeypatch.setattr(sweep_mod, "run_experiment", die)
-        [outcome] = run_cells([_cell()], jobs=2, crash_retries=1)
+        [outcome] = run_cells([_cell()], jobs=2)
         assert not outcome.ok
         assert "worker died" in outcome.error and "exit code 3" in outcome.error
-        assert calls.value == 2  # first attempt + one retry
+        # the job queue's two attempts are the only retry count: one child
+        # per attempt, then the cell is quarantined with the last error
+        assert calls.value == 2
 
     @needs_fork
     def test_worker_crash_does_not_poison_other_cells(self, monkeypatch):
@@ -357,11 +363,30 @@ class TestFailures:
 
         monkeypatch.setattr(sweep_mod, "run_experiment", die_on_fair)
         outcomes = run_cells(
-            [_cell(tag="dies", scheduler="fair"), _cell(tag="lives")],
-            jobs=2, crash_retries=0,
+            [_cell(tag="dies", scheduler="fair"), _cell(tag="lives")], jobs=2,
         )
         assert not outcomes[0].ok and "worker died" in outcomes[0].error
         assert outcomes[1].ok
+
+    def test_parallel_outcomes_follow_input_order(self, tmp_path):
+        """The job-queue path returns one outcome per input cell, in input
+        order, duplicates included, and reports each exactly once."""
+        a, b = _cell(tag="a"), _cell(tag="b", seed=SEED + 1)
+        dup = _cell(tag="dup-of-a")
+        cache = ResultCache(tmp_path)
+        run_cells([b], cache=cache)  # b resolves from the cache at submit
+        seen = []
+        outcomes = run_cells(
+            [a, b, dup], jobs=2, cache=cache,
+            progress=lambda o, done, total, eta: seen.append((o.cell.tag, done)),
+        )
+        assert [o.cell.tag for o in outcomes] == ["a", "b", "dup-of-a"]
+        assert [o.from_cache for o in outcomes] == [False, True, False]
+        assert result_to_json(outcomes[0].result) == \
+            result_to_json(outcomes[2].result)
+        assert sorted(tag for tag, _ in seen) == ["a", "b", "dup-of-a"]
+        assert [done for _, done in seen] == [1, 2, 3]
+        assert seen[0][0] == "b"  # cache hits are reported first
 
     @needs_fork
     def test_timeout_kills_cell(self, monkeypatch):

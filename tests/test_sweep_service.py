@@ -5,8 +5,8 @@ Three layers:
 * :class:`TestWorkQueue` — deterministic unit tests of the lease state
   machine under an injected fake clock: expiry + reclaim, renewal,
   duplicate/late completion resolution, exponential backoff and poison
-  quarantine, work stealing, drain, and journal persistence across a
-  coordinator restart.
+  quarantine, work stealing, drain, and a coordinator restart from its
+  job journal and result cache.
 * ``test_queue_state_machine_*`` — a hypothesis property over random
   interleavings of lease/complete/fail/expire/renew: the queue never
   loses a cell, never double-counts a completion, keeps each canonical
@@ -20,7 +20,8 @@ Three layers:
   ``POST /api/queue``: a worker SIGKILLed mid-cell (via the CLI's
   ``--chaos`` injection), a frozen worker whose lease is reclaimed, a
   straggler whose delayed completion arrives as a duplicate, a
-  coordinator restart resuming a half-done journal, shard parity with
+  coordinator restart resuming a half-done grid from its job journal
+  and result cache, shard parity with
   offline ``shard K/M`` — each ending byte-identical to the serial
   ``run_cells`` path.  :class:`TestProtocolHardening` covers the HTTP
   edge the workers share with job clients (408, 413, 431, 429).
@@ -71,6 +72,7 @@ from repro.experiments.sweep import (
     shard_cells,
 )
 from repro.server.app import Server
+from repro.server.jobstore import JobJournal, restore
 
 try:
     from hypothesis import given, settings
@@ -112,6 +114,13 @@ class FakeClock:
 
     def advance(self, dt: float) -> None:
         self.t += dt
+
+
+def make_manager(clock, tmp_path, **kwargs) -> JobManager:
+    """A manager with no executors over an empty :func:`make_queue`
+    queue, caching into ``tmp_path``."""
+    return JobManager(cache=ResultCache(tmp_path / "cache"), workers=0,
+                      queue=make_queue(clock, n_cells=0), clock=clock, **kwargs)
 
 
 def make_queue(clock, n_cells: int = 2, **kwargs) -> WorkQueue:
@@ -351,45 +360,61 @@ class TestWorkQueue:
         assert q.complete(grant["key"], grant["lease_id"], {"m": 1})["accepted"]
         assert q.active_leases() == 0
 
-    def test_journal_round_trip_and_restart(self, tmp_path):
+    def test_journal_round_trip_and_restart(self, tmp_path, serial_docs):
+        """A restarted manager rebuilds its queue from the job journal:
+        the completed cell comes back from the result cache, the
+        in-flight lease and the failed attempt are gone, and only the
+        unfinished cells run again."""
         clock = FakeClock()
-        path = tmp_path / "queue.json"
-        q = make_queue(clock, n_cells=3, path=path)
-        done = q.lease("w1")
-        q.complete(done["key"], done["lease_id"], {"m": "kept"}, worker="w1")
-        q.lease("w1")  # left in flight when the coordinator dies
-        grant = q.lease("w1")
-        q.fail(grant["key"], grant["lease_id"], "boom")  # backing off
+        path = tmp_path / "jobs.jsonl"
+        spec = {"cells": [cell_to_doc(c) for c in CELLS[:3]]}
+        first = make_manager(clock, tmp_path, journal=JobJournal(path))
+        job, _ = first.submit(spec)
+        done = first.lease("w1")
+        first.complete(done["key"], done["lease_id"], serial_docs[done["key"]],
+                       worker="w1")
+        first.lease("w1")  # left in flight when the coordinator dies
+        grant = first.lease("w1")
+        first.fail(grant["key"], grant["lease_id"], "boom")  # backing off
 
-        q2 = WorkQueue.load(path, clock=clock)
-        assert q2.order == q.order
-        assert q2.lease_seq == q.lease_seq
-        assert q2.completions == 1 and q2.failures == 1
+        second = make_manager(clock, tmp_path, journal=JobJournal(path))
+        assert restore(second, path) == 1
+        job2, created = second.submit(spec)
+        assert not created and job2.id == job.id
+        q2 = second.queue
+        assert q2.order == first.queue.order
         done_entry = q2.entries[done["key"]]
-        assert done_entry.state == DONE and done_entry.result == {"m": "kept"}
-        # the in-flight lease was reclaimed without charging an attempt
+        assert done_entry.state == DONE and done_entry.from_cache
+        assert done_entry.result == serial_docs[done["key"]]
         counts = q2.counts()
         assert counts[PENDING] == 2 and counts[LEASED] == 0
         assert q2.active_leases() == 0
+        assert all(e.attempts == 0 for e in q2.entries.values())
         # the half-done grid runs to completion after the restart
-        clock.advance(10.0)
-        while not q2.done:
-            grant = q2.lease("w2")
-            q2.complete(grant["key"], grant["lease_id"], {"m": grant["key"][:4]})
-        assert q2.entries[done["key"]].result == {"m": "kept"}  # not recomputed
+        for _ in range(2):
+            grant = second.lease("w2")
+            second.complete(grant["key"], grant["lease_id"],
+                            serial_docs[grant["key"]])
+        assert not job2.active and q2.completions == 2
+        assert [o.ok for o in second.outcomes(job2)] == [True] * 3
 
     def test_journal_rejects_unknown_format(self, tmp_path):
-        path = tmp_path / "queue.json"
-        path.write_text('{"format": 99}')
-        with pytest.raises(ValueError, match="unsupported queue format"):
-            WorkQueue.load(path)
+        """A job journal with an unreadable line before its tail fails
+        the restart loudly instead of dropping the jobs after it."""
+        path = tmp_path / "jobs.jsonl"
+        path.write_text('{"format": 99\n'
+                        '{"event": "state", "id": "j0001-x", "state": "done"}\n')
+        with pytest.raises(ValueError):
+            restore(make_manager(FakeClock(), tmp_path), path)
 
-    def test_outcomes_preserve_input_order(self, serial_docs):
-        q = make_queue(FakeClock(), n_cells=3)
-        grants = {g["key"]: g["lease_id"] for g in (q.lease("w") for _ in range(3))}
+    def test_outcomes_preserve_input_order(self, tmp_path, serial_docs):
+        manager = make_manager(FakeClock(), tmp_path)
+        job, _ = manager.submit({"cells": [cell_to_doc(c) for c in CELLS[:3]]})
+        grants = {g["key"]: g["lease_id"]
+                  for g in (manager.lease("w") for _ in range(3))}
         for key in (KEYS[2], KEYS[0], KEYS[1]):  # complete out of input order
-            assert q.complete(key, grants[key], serial_docs[key])["accepted"]
-        outcomes = q.outcomes()
+            assert manager.complete(key, grants[key], serial_docs[key])["accepted"]
+        outcomes = manager.outcomes(job)
         assert [o.key for o in outcomes] == list(KEYS[:3])
         assert all(o.ok and not o.from_cache for o in outcomes)
 
@@ -497,18 +522,19 @@ class GridServer:
     """What ``repro sweep --serve`` runs, in-process: a :class:`Server`
     over ``JobManager(workers=0)`` holding ``cells`` as one job, with its
     event loop on a daemon thread.  Unlike the CLI it keeps serving after
-    the grid is done, until :meth:`close` (or :meth:`drain`)."""
+    the grid is done, until :meth:`close` (or :meth:`drain`).  With a
+    ``jobstore`` it first restores the journal, as ``--jobstore`` does."""
 
-    def __init__(self, cells, cache=None, queue_path="", server_kwargs=None,
+    def __init__(self, cells, cache=None, jobstore="", server_kwargs=None,
                  **queue_kwargs):
-        self.resumed = bool(queue_path) and os.path.exists(queue_path)
-        if self.resumed:
-            queue = WorkQueue.load(queue_path)
-        else:
-            queue = WorkQueue(path=queue_path, **queue_kwargs)
-        self.manager = JobManager(cache=cache, workers=0, queue=queue)
-        self.job, _ = self.manager.submit(
+        journal = JobJournal(jobstore) if jobstore else None
+        self.manager = JobManager(cache=cache, workers=0, journal=journal,
+                                  queue=WorkQueue(**queue_kwargs))
+        if journal is not None:
+            restore(self.manager, jobstore)
+        self.job, created = self.manager.submit(
             {"cells": [cell_to_doc(c) for c in cells]})
+        self.resumed = not created
         self.server = Server(self.manager, port=0, **(server_kwargs or {}))
         self._loop = None
         self._ready = threading.Event()
@@ -567,8 +593,7 @@ class GridServer:
             self._thread.join(60)
 
     def outcomes(self):
-        with self.manager._lock:
-            return self.queue.outcomes()
+        return self.manager.outcomes(self.job)
 
     def status(self) -> dict:
         return self.manager.cluster_doc()["queue"]
@@ -703,8 +728,9 @@ class TestServiceIntegration:
     def test_coordinator_restart_resumes_half_done_grid(self, tmp_path, serial_docs):
         cells = list(CELLS[:3])
         serial = [result_to_json(run_cells([c])[0].result) for c in cells]
-        queue_path = str(tmp_path / "queue.json")
-        first = GridServer(cells, queue_path=queue_path, lease_s=10.0).start()
+        jobstore = str(tmp_path / "jobs.jsonl")
+        first = GridServer(cells, cache=ResultCache(tmp_path / "cache"),
+                           jobstore=jobstore, lease_s=10.0).start()
         # one cell completes, one is left mid-lease; then the server dies
         grant = first.op({"op": "lease", "worker": "w1"})
         first.op({
@@ -712,24 +738,25 @@ class TestServiceIntegration:
             "lease_id": grant["lease_id"], "result": serial_docs[grant["key"]],
         })
         first.op({"op": "lease", "worker": "w1"})  # in flight
-        # stop without waiting for the in-flight lease: the journal is
-        # all that survives
+        # stop without waiting for the in-flight lease: the journal and
+        # the cache are all that survive
         first.server.shutdown_grace_s = 0.0
         first.close()
 
-        second = GridServer(cells, queue_path=queue_path, lease_s=10.0)
+        second = GridServer(cells, cache=ResultCache(tmp_path / "cache"),
+                            jobstore=jobstore, lease_s=10.0)
         assert second.resumed
         status = second.status()
         assert status["finished"] is False
-        assert status[DONE] == 1  # the completed cell survived the restart
-        assert status[LEASED] == 0  # the in-flight lease was reclaimed
+        assert status[DONE] == 1  # the completed cell came back from the cache
+        assert status[LEASED] == 0  # the in-flight lease was not journaled
         with second:
             stats: list = []
             thread = _worker_thread(second.address, stats, worker_id="w2")
             assert second.wait(timeout=60.0)
             thread.join(timeout=10.0)
             assert _service_jsons(second) == serial
-            assert second.queue.entries[grant["key"]].completed_by == "w1"
+            assert second.queue.entries[grant["key"]].from_cache
         [worker_stats] = stats
         assert worker_stats.completed == 2  # only the unfinished cells re-ran
 
@@ -911,14 +938,22 @@ class TestVoluntaryRelease:
         assert grant2["lease_id"] in q.entries[grant1["key"]].leases
 
     def test_releases_counter_survives_journal_reload(self, tmp_path):
+        """A released cell survives a restart from the job journal as a
+        pending cell with no attempt charged.  The release counter is the
+        running server's: a restarted one counts from zero."""
         clock = FakeClock()
-        path = tmp_path / "queue.json"
-        q = make_queue(clock, n_cells=1, path=path)
-        grant = q.lease("w1")
-        q.fail(grant["key"], grant["lease_id"], "shutdown", requeue=True)
-        reloaded = WorkQueue.load(path, clock=clock)
-        assert reloaded.releases == 1
-        assert reloaded.entries[grant["key"]].state == PENDING
+        path = tmp_path / "jobs.jsonl"
+        first = make_manager(clock, tmp_path, journal=JobJournal(path))
+        first.submit({"cells": [cell_to_doc(CELLS[0])]})
+        grant = first.lease("w1")
+        first.fail(grant["key"], grant["lease_id"], "shutdown", requeue=True)
+        assert first.queue.releases == 1
+        reloaded = make_manager(clock, tmp_path)
+        restore(reloaded, path)
+        entry = reloaded.queue.entries[grant["key"]]
+        assert entry.state == PENDING and entry.attempts == 0
+        assert reloaded.queue.releases == 0
+        assert reloaded.lease("w2")["key"] == grant["key"]
 
 
 # -- edge hardening: stalled, oversized, and rate-limited clients ------------
