@@ -1,10 +1,11 @@
 """Command-line interface.
 
-Four subcommands cover the library's workflows::
+Thirteen subcommands cover the library's workflows; the common ones::
 
     python -m repro probe                      # Tables I-II, Fig. 1
     python -m repro analyze                    # Section III log analyses
     python -m repro run --workload wl1 --scheduler fifo --policy et
+    python -m repro run --jobs 300 --scheduler fair --profile
     python -m repro synth --workload wl2 --jobs 300 --out wl2.json
     python -m repro figures --jobs 200 --only fig7,fig11
     python -m repro sweep --grid all --jobs 4 --cache-dir .sweep-cache
@@ -16,15 +17,16 @@ Four subcommands cover the library's workflows::
     python -m repro replay whatif trace.jsonl --at 120 --patch kill:3 --out wf.jsonl
     python -m repro checkpoint save --at 60 --out run.ckpt --trace run.jsonl
     python -m repro checkpoint resume run.ckpt --trace resumed.jsonl
-    python -m repro perf --jobs 300 --scheduler fair --top 10
     python -m repro train --traces corpus/ --synthesize --out model.json
     python -m repro run --policy learned --model model.json
     python -m repro run --policy rollout --rollout-epoch 10
     python -m repro policy-bench --json bench.json --svg bench.svg
 
-``run`` accepts built-in workload names (wl1/wl2), a saved workload JSON,
-or a SWIM-format TSV trace, and can inject node failures or enable the
-Scarlett baseline for comparisons.
+``run`` and ``checkpoint save`` describe one cell with the same flags
+(workload, cluster, scheduler, DARE policy, failures, Scarlett, trace,
+invariant checks) and build it through one function.  A workload is a
+built-in name (wl1/wl2), a saved workload JSON, or a SWIM-format TSV
+trace.  ``run --profile`` adds the per-callback cost report.
 
 ``sweep`` runs a named grid of experiment cells (figures, sensitivity
 sweeps, ablations) across worker processes, reusing previously computed
@@ -58,7 +60,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -66,9 +68,13 @@ from repro.baselines.scarlett import ScarlettConfig
 from repro.cluster.cluster import CCT_SPEC, EC2_SPEC
 from repro.core.config import DareConfig
 from repro.experiments.runner import ExperimentConfig, run_experiment
-from repro.workloads.swim import Workload, synthesize_wl1, synthesize_wl2
+from repro.workloads.swim import Workload
 
 _CLUSTERS = {"cct": CCT_SPEC, "ec2": EC2_SPEC}
+
+#: the replica-management policies of a cell; ``run`` also offers
+#: ``rollout``, which ``checkpoint save`` does not
+_POLICIES = ("off", "lru", "et", "lfu", "learned")
 
 #: hard ceiling for --nodes; the simulator is sized (and CI-gated) up to here
 MAX_SCALE_NODES = 100_000
@@ -79,10 +85,17 @@ MAX_SCALE_NODES = 100_000
 MESOSCALE_FLOOR = 25_000
 
 
-def _scale_spec_or_exit(nodes: int, mesoscale: bool):
-    """Validate a --nodes request and build its spec, or exit with advice."""
+def _scale_spec(args: argparse.Namespace):
+    """The --nodes scale cluster, or None without --nodes; an infeasible
+    --nodes/--mesoscale request exits with advice."""
     from repro.cluster.cluster import scale_spec
 
+    nodes = getattr(args, "nodes", 0)
+    mesoscale = getattr(args, "mesoscale", False)
+    if not nodes:
+        if mesoscale:
+            raise SystemExit("--mesoscale requires --nodes (scale clusters only)")
+        return None
     if nodes > MAX_SCALE_NODES:
         raise SystemExit(
             f"--nodes {nodes:,} exceeds the supported maximum of "
@@ -100,17 +113,6 @@ def _scale_spec_or_exit(nodes: int, mesoscale: bool):
         raise SystemExit(str(exc))
 
 
-def _cluster_spec(args: argparse.Namespace):
-    """The cluster for a run: --nodes builds a scale spec, else --cluster."""
-    nodes = getattr(args, "nodes", 0)
-    mesoscale = getattr(args, "mesoscale", False)
-    if not nodes:
-        if mesoscale:
-            raise SystemExit("--mesoscale requires --nodes (scale clusters only)")
-        return _CLUSTERS[args.cluster]
-    return _scale_spec_or_exit(nodes, mesoscale)
-
-
 def _policy(args: argparse.Namespace) -> DareConfig:
     if args.policy == "off":
         return DareConfig.off()
@@ -126,15 +128,14 @@ def _policy(args: argparse.Namespace) -> DareConfig:
     if args.policy == "learned":
         from repro.policies.learned import DEFAULT_WEIGHTS, load_model
 
-        model = getattr(args, "model", "")
-        weights = load_model(model) if model else DEFAULT_WEIGHTS
+        weights = load_model(args.model) if args.model else DEFAULT_WEIGHTS
         return DareConfig.learned(weights, budget=args.budget)
     raise SystemExit(f"unknown policy {args.policy!r}")
 
 
 def _rollout_config(args: argparse.Namespace):
     """The RolloutConfig for ``--policy rollout`` runs (else None)."""
-    if getattr(args, "policy", "") != "rollout":
+    if args.policy != "rollout":
         return None
     from repro.policies.rollout import RolloutConfig
 
@@ -143,32 +144,27 @@ def _rollout_config(args: argparse.Namespace):
         branches=args.rollout_branches,
         horizon_s=args.rollout_horizon,
         max_epochs=args.rollout_max_epochs,
-        jobs=getattr(args, "rollout_jobs", 1),
-        prune=getattr(args, "rollout_prune", 0),
+        jobs=args.rollout_jobs,
+        prune=args.rollout_prune,
     ).validate()
 
 
-def _workload(args: argparse.Namespace) -> Workload:
-    rng = np.random.default_rng(args.seed)
-    name = args.workload
-    if name == "wl1":
-        return synthesize_wl1(rng, n_jobs=args.jobs)
-    if name == "wl2":
-        return synthesize_wl2(rng, n_jobs=args.jobs)
+def _build_workload(name: str, n_jobs: int, seed: int) -> Workload:
+    """The workload a ``--workload`` value names, built by its
+    :class:`~repro.experiments.sweep.WorkloadSpec`; an unknown name or a
+    malformed file exits with the reason."""
+    from repro.experiments.sweep import WorkloadSpec
+
+    if name in ("wl1", "wl2"):
+        return WorkloadSpec(name, n_jobs=n_jobs, seed=seed).materialize()
+    if not name.endswith((".json", ".tsv", ".txt")):
+        raise SystemExit(
+            f"unknown workload {name!r} (expected wl1, wl2, *.json, or *.tsv)"
+        )
     try:
-        if name.endswith(".json"):
-            from repro.workloads.swim_io import load_workload
-
-            return load_workload(name)
-        if name.endswith((".tsv", ".txt")):
-            from repro.workloads.swim_io import load_swim_trace
-
-            return load_swim_trace(name, rng)
+        return WorkloadSpec("file", seed=seed, path=name).materialize()
     except ValueError as exc:
         raise SystemExit(f"bad workload {name!r}: {exc}")
-    raise SystemExit(
-        f"unknown workload {name!r} (expected wl1, wl2, *.json, or *.tsv)"
-    )
 
 
 def _parse_failures(items: List[str]):
@@ -180,6 +176,36 @@ def _parse_failures(items: List[str]):
         except ValueError:
             raise SystemExit(f"bad --fail spec {item!r}; expected TIME:NODE")
     return tuple(out)
+
+
+def _cell(args: argparse.Namespace):
+    """The ``(config, workload)`` the cell flags describe.
+
+    ``run`` and ``checkpoint save`` share the cell flags; ``run``'s own
+    scale, rollout, firehose and profiler flags are read when present,
+    and ``checkpoint save`` gets their defaults.
+    """
+    workload = _build_workload(args.workload, args.jobs, args.seed)
+    scarlett = (
+        ScarlettConfig(epoch_s=args.scarlett_epoch, budget=args.budget)
+        if args.scarlett
+        else None
+    )
+    config = ExperimentConfig(
+        cluster_spec=_scale_spec(args) or _CLUSTERS[args.cluster],
+        scheduler=args.scheduler,
+        dare=_policy(args),
+        rollout=_rollout_config(args),
+        seed=args.seed,
+        scarlett=scarlett,
+        failures=_parse_failures(args.fail),
+        trace_path=args.trace,
+        trace_engine_events=getattr(args, "trace_engine_events", False),
+        check_invariants=args.check_invariants,
+        profile=getattr(args, "profile", False),
+        profile_sample_every=getattr(args, "profile_every", 7),
+    )
+    return config, workload
 
 
 # -- subcommands -------------------------------------------------------------
@@ -235,26 +261,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    workload = _workload(args)
-    scarlett = (
-        ScarlettConfig(epoch_s=args.scarlett_epoch, budget=args.budget)
-        if args.scarlett
-        else None
-    )
-    config = ExperimentConfig(
-        cluster_spec=_cluster_spec(args),
-        scheduler=args.scheduler,
-        dare=_policy(args),
-        rollout=_rollout_config(args),
-        seed=args.seed,
-        scarlett=scarlett,
-        failures=_parse_failures(args.fail),
-        trace_path=args.trace,
-        trace_engine_events=args.trace_engine_events,
-        check_invariants=args.check_invariants,
-        profile=args.profile,
-        profile_sample_every=args.profile_every,
-    )
+    config, workload = _cell(args)
     result = run_experiment(config, workload)
     print(result.summary_row())
     if args.trace:
@@ -286,46 +293,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"  engine: {result.events_processed} events in "
               f"{result.engine_wall_s:.3f}s ({rate:,.0f} events/s)")
         print(result.profiler.format_report())
-    return 0
-
-
-def cmd_perf(args: argparse.Namespace) -> int:
-    """Profile one simulation cell and report per-callback costs."""
-    workload = _workload(args)
-    config = ExperimentConfig(
-        cluster_spec=_CLUSTERS[args.cluster],
-        scheduler=args.scheduler,
-        dare=_policy(args),
-        seed=args.seed,
-        profile=True,
-        profile_sample_every=args.every,
-    )
-    result = run_experiment(config, workload)
-    rate = result.events_processed / result.engine_wall_s if result.engine_wall_s else 0.0
-    profiler = result.profiler
-    assert profiler is not None
-    if args.json:
-        import json
-
-        doc = {
-            "workload": args.workload,
-            "jobs": workload.n_jobs,
-            "scheduler": args.scheduler,
-            "policy": args.policy,
-            "seed": args.seed,
-            "events_processed": result.events_processed,
-            "engine_wall_s": result.engine_wall_s,
-            "events_per_sec": rate,
-            "profile": profiler.to_dict(top=args.top),
-        }
-        with open(args.json, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.json}")
-    print(f"{workload.name}/{args.scheduler}/{args.policy}: "
-          f"{result.events_processed} events in {result.engine_wall_s:.3f}s "
-          f"({rate:,.0f} events/s)")
-    print(profiler.format_report(top=args.top))
     return 0
 
 
@@ -469,22 +436,6 @@ def cmd_replay_diff(args: argparse.Namespace) -> int:
     return 0 if diff.identical else 1
 
 
-def _rebuild_whatif_workload(header, args: argparse.Namespace) -> Workload:
-    """Rebuild the traced run's workload from the header (or --workload)."""
-    if args.workload:
-        return _workload(args)
-    name = header.data["workload"]
-    if name not in ("wl1", "wl2"):
-        raise SystemExit(
-            f"trace was recorded against workload {name!r}, which cannot be "
-            "resynthesized from the header; pass --workload PATH to the "
-            "saved workload file"
-        )
-    rng = np.random.default_rng(args.seed)
-    synth = synthesize_wl1 if name == "wl1" else synthesize_wl2
-    return synth(rng, n_jobs=header.data["jobs"])
-
-
 def cmd_replay_whatif(args: argparse.Namespace) -> int:
     """Reconstruct a traced run to time t, apply patches, resume live."""
     import dataclasses
@@ -509,9 +460,17 @@ def cmd_replay_whatif(args: argparse.Namespace) -> int:
         raise SystemExit(str(exc))
 
     config = config_from_dict(payload)
-    if args.seed is None:
-        args.seed = config.seed
-    workload = _rebuild_whatif_workload(header, args)
+    seed = config.seed if args.seed is None else args.seed
+    name, n_jobs = args.workload, args.jobs
+    if not name:  # resynthesize the traced run's workload from the header
+        name, n_jobs = header.data["workload"], header.data["jobs"]
+        if name not in ("wl1", "wl2"):
+            raise SystemExit(
+                f"trace was recorded against workload {name!r}, which cannot "
+                "be resynthesized from the header; pass --workload PATH to "
+                "the saved workload file"
+            )
+    workload = _build_workload(name, n_jobs, seed)
     config = dataclasses.replace(config, trace_path=args.out)
 
     base = Simulation(config, workload, tracer=make_tracer(config))
@@ -544,31 +503,12 @@ def cmd_replay_whatif(args: argparse.Namespace) -> int:
     return 0
 
 
-def _checkpoint_config(args: argparse.Namespace) -> ExperimentConfig:
-    scarlett = (
-        ScarlettConfig(epoch_s=args.scarlett_epoch, budget=args.budget)
-        if args.scarlett
-        else None
-    )
-    return ExperimentConfig(
-        cluster_spec=_CLUSTERS[args.cluster],
-        scheduler=args.scheduler,
-        dare=_policy(args),
-        seed=args.seed,
-        scarlett=scarlett,
-        failures=_parse_failures(args.fail),
-        trace_path=args.trace,
-        check_invariants=args.check_invariants,
-    )
-
-
 def cmd_checkpoint_save(args: argparse.Namespace) -> int:
     """Run a cell up to a time horizon and save the frozen state."""
     from repro.checkpoint import snapshot
     from repro.experiments.runner import Simulation, make_tracer
 
-    workload = _workload(args)
-    config = _checkpoint_config(args)
+    config, workload = _cell(args)
     sim = Simulation(config, workload, tracer=make_tracer(config))
     sim.run(until=args.at)
     snap = snapshot(sim)
@@ -616,7 +556,7 @@ def cmd_checkpoint_resume(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     from repro.workloads.swim_io import save_workload
 
-    workload = _workload(args)
+    workload = _build_workload(args.workload, args.jobs, args.seed)
     if args.out:
         save_workload(workload, args.out)
         print(f"wrote {workload.n_jobs} jobs / {len(workload.catalog)} files "
@@ -729,13 +669,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         cells = S.build_grid(args.grid, n_jobs=args.n_jobs, seed=args.seed)
     except ValueError as exc:
         raise SystemExit(str(exc))
-    if args.nodes or args.mesoscale:
+    spec = _scale_spec(args)
+    if spec is not None:
         # re-run the whole grid on a synthetic scale cluster; validated
         # up front so an infeasible combination dies here with advice,
         # not mid-sweep with an OOM
-        if not args.nodes:
-            raise SystemExit("--mesoscale requires --nodes (scale clusters only)")
-        spec = _scale_spec_or_exit(args.nodes, args.mesoscale)
         cells = [
             c._replace(config=dataclasses.replace(c.config, cluster_spec=spec))
             for c in cells
@@ -775,6 +713,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                              journal=journal)
         if journal is not None:
             restore(manager, args.jobstore)
+            # workers lease whatever the queue holds: another grid's
+            # unfinished job would run here too
+            keys = {S.cache_key(c.config, c.workload) for c in cells}
+            foreign = [j.id for j in manager.jobs.values()
+                       if j.active and not j.key_set <= keys]
+            if foreign:
+                raise SystemExit(
+                    f"{args.jobstore} holds unfinished job(s) of another "
+                    f"grid: {', '.join(foreign)}; give each grid its own "
+                    "--jobstore"
+                )
         job, created = manager.submit(
             {"cells": [cell_to_doc(c) for c in cells]}) if cells else (None, True)
         resumed = not created  # the journal already held this grid
@@ -921,6 +870,58 @@ def cmd_render(args: argparse.Namespace) -> int:
 # -- entry point ----------------------------------------------------------------
 
 
+def _add_cell_flags(p: argparse.ArgumentParser, policies: Sequence[str]) -> None:
+    """The flags that describe one cell (``run``, ``checkpoint save``)."""
+    p.add_argument("--workload", default="wl1",
+                   help="wl1, wl2, a saved .json, or a SWIM .tsv")
+    p.add_argument("--jobs", type=int, default=200)
+    p.add_argument("--seed", type=int, default=20110926)
+    p.add_argument("--cluster", choices=sorted(_CLUSTERS), default="cct")
+    p.add_argument("--scheduler", choices=("fifo", "fair", "fair-skip"), default="fifo")
+    p.add_argument("--policy", choices=policies, default="et",
+                   help="replica management: the paper baselines (lru/et), "
+                        "the lfu ablation, the offline-trained scorer "
+                        "(learned), or the checkpoint-fork rollout engine "
+                        "over a greedy host (rollout, `run` only)")
+    p.add_argument("--p", type=float, default=0.3, help="ElephantTrap probability")
+    p.add_argument("--threshold", type=int, default=1)
+    p.add_argument("--budget", type=float, default=0.2)
+    p.add_argument("--model", default="", metavar="PATH",
+                   help="model file for --policy learned (written by "
+                        "`repro train`; default: the baked-in weights)")
+    p.add_argument("--scarlett", action="store_true",
+                   help="enable the epoch-based proactive baseline")
+    p.add_argument("--scarlett-epoch", type=float, default=600.0)
+    p.add_argument("--fail", action="append", default=[],
+                   metavar="TIME:NODE", help="inject a node failure")
+    p.add_argument("--trace", default="", metavar="PATH",
+                   help="write a JSONL trace of the run to PATH (a "
+                        "checkpoint embeds the prefix, so a resumed trace "
+                        "is byte-identical to an uninterrupted one)")
+    p.add_argument("--check-invariants", action="store_true",
+                   help="validate cross-component invariants at every "
+                        "traced event (aborts on the first violation)")
+
+
+def _add_scale_flags(p: argparse.ArgumentParser) -> None:
+    """--nodes/--mesoscale (``run``, ``sweep``); checked by :func:`_scale_spec`."""
+    p.add_argument("--nodes", type=int, default=0, metavar="N",
+                   help="run on a synthetic scale cluster of N nodes "
+                        f"(lite network, 40-node racks; max {MAX_SCALE_NODES:,}) "
+                        "instead of --cluster or the grid's own clusters")
+    p.add_argument("--mesoscale", action="store_true",
+                   help="with --nodes: pool idle nodes into per-rack hubs "
+                        f"(required above {MESOSCALE_FLOOR:,} nodes)")
+
+
+def _add_cache_flags(p: argparse.ArgumentParser) -> None:
+    """The result cache (``sweep``, ``serve``)."""
+    p.add_argument("--cache-dir", default=".sweep-cache", metavar="DIR",
+                   help="content-addressed result cache directory")
+    p.add_argument("--no-cache", action="store_true",
+                   help="ignore and don't write the result cache")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -937,31 +938,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("run", help="run one cluster experiment")
-    p.add_argument("--workload", default="wl1",
-                   help="wl1, wl2, a saved .json, or a SWIM .tsv")
-    p.add_argument("--jobs", type=int, default=200)
-    p.add_argument("--cluster", choices=sorted(_CLUSTERS), default="cct")
-    p.add_argument("--nodes", type=int, default=0, metavar="N",
-                   help="run on a synthetic scale cluster of N nodes "
-                        f"(lite network, 40-node racks; max {MAX_SCALE_NODES:,}) "
-                        "instead of --cluster")
-    p.add_argument("--mesoscale", action="store_true",
-                   help="with --nodes: pool idle nodes into per-rack hubs "
-                        f"(required above {MESOSCALE_FLOOR:,} nodes)")
-    p.add_argument("--scheduler", choices=("fifo", "fair", "fair-skip"), default="fifo")
-    p.add_argument("--policy",
-                   choices=("off", "lru", "et", "lfu", "learned", "rollout"),
-                   default="et",
-                   help="replica management: the paper baselines (lru/et), "
-                        "the lfu ablation, the offline-trained scorer "
-                        "(learned), or the checkpoint-fork rollout engine "
-                        "over a greedy host (rollout)")
-    p.add_argument("--p", type=float, default=0.3, help="ElephantTrap probability")
-    p.add_argument("--threshold", type=int, default=1)
-    p.add_argument("--budget", type=float, default=0.2)
-    p.add_argument("--model", default="", metavar="PATH",
-                   help="model file for --policy learned (written by "
-                        "`repro train`; default: the baked-in weights)")
+    _add_cell_flags(p, (*_POLICIES, "rollout"))
+    _add_scale_flags(p)
     p.add_argument("--rollout-epoch", type=float, default=10.0, metavar="S",
                    help="simulation seconds between rollout decision epochs")
     p.add_argument("--rollout-branches", type=int, default=4, metavar="N",
@@ -975,51 +953,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rollout-prune", type=int, default=0, metavar="K",
                    help="fork only the top-K candidates by learned "
                         "pre-score; 0 forks every candidate")
-    p.add_argument("--seed", type=int, default=20110926)
-    p.add_argument("--scarlett", action="store_true",
-                   help="enable the epoch-based proactive baseline")
-    p.add_argument("--scarlett-epoch", type=float, default=600.0)
-    p.add_argument("--fail", action="append", default=[],
-                   metavar="TIME:NODE", help="inject a node failure")
-    p.add_argument("--trace", default="", metavar="PATH",
-                   help="write a JSONL trace of the run to PATH")
     p.add_argument("--trace-engine-events", action="store_true",
                    help="also record the per-callback engine.event firehose "
                         "(huge traces; gives 'replay diff' event-level "
                         "alignment)")
-    p.add_argument("--check-invariants", action="store_true",
-                   help="validate cross-component invariants at every "
-                        "traced event (aborts on the first violation)")
     p.add_argument("--profile", action="store_true",
                    help="sample per-callback costs and print the profile "
                         "report after the run")
     p.add_argument("--profile-every", type=int, default=7, metavar="N",
                    help="profile every Nth callback (default 7)")
     p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("perf",
-                       help="profile one simulation cell: events/sec plus a "
-                            "per-callback-bucket cost report")
-    p.add_argument("--workload", default="wl1",
-                   help="wl1, wl2, a saved .json, or a SWIM .tsv")
-    p.add_argument("--jobs", type=int, default=200)
-    p.add_argument("--cluster", choices=sorted(_CLUSTERS), default="cct")
-    p.add_argument("--scheduler", choices=("fifo", "fair", "fair-skip"), default="fifo")
-    p.add_argument("--policy", choices=("off", "lru", "et", "lfu", "learned"),
-                   default="et")
-    p.add_argument("--p", type=float, default=0.3, help="ElephantTrap probability")
-    p.add_argument("--threshold", type=int, default=1)
-    p.add_argument("--budget", type=float, default=0.2)
-    p.add_argument("--model", default="", metavar="PATH",
-                   help="model file for --policy learned")
-    p.add_argument("--seed", type=int, default=20110926)
-    p.add_argument("--every", type=int, default=7, metavar="N",
-                   help="sample every Nth callback (default 7)")
-    p.add_argument("--top", type=int, default=12,
-                   help="buckets to show in the report")
-    p.add_argument("--json", default="", metavar="PATH",
-                   help="also write the report as JSON to PATH")
-    p.set_defaults(func=cmd_perf)
 
     p = sub.add_parser("train",
                        help="fit the learned policy's logistic scorer on a "
@@ -1111,31 +1054,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="simulation time to pause and snapshot at")
     c.add_argument("--out", required=True, metavar="PATH",
                    help="checkpoint file to write")
-    c.add_argument("--workload", default="wl1",
-                   help="wl1, wl2, a saved .json, or a SWIM .tsv")
-    c.add_argument("--jobs", type=int, default=200)
-    c.add_argument("--cluster", choices=sorted(_CLUSTERS), default="cct")
-    c.add_argument("--scheduler", choices=("fifo", "fair", "fair-skip"),
-                   default="fifo")
-    c.add_argument("--policy", choices=("off", "lru", "et", "lfu", "learned"),
-                   default="et")
-    c.add_argument("--p", type=float, default=0.3,
-                   help="ElephantTrap probability")
-    c.add_argument("--threshold", type=int, default=1)
-    c.add_argument("--budget", type=float, default=0.2)
-    c.add_argument("--model", default="", metavar="PATH",
-                   help="model file for --policy learned")
-    c.add_argument("--seed", type=int, default=20110926)
-    c.add_argument("--scarlett", action="store_true",
-                   help="enable the epoch-based proactive baseline")
-    c.add_argument("--scarlett-epoch", type=float, default=600.0)
-    c.add_argument("--fail", action="append", default=[],
-                   metavar="TIME:NODE", help="inject a node failure")
-    c.add_argument("--trace", default="", metavar="PATH",
-                   help="trace the run; the prefix is embedded so a resumed "
-                        "trace is byte-identical to an uninterrupted one")
-    c.add_argument("--check-invariants", action="store_true",
-                   help="validate cross-component invariants while running")
+    _add_cell_flags(c, _POLICIES)
     c.set_defaults(func=cmd_checkpoint_save)
     c = csub.add_parser("resume",
                         help="restore a checkpoint and run it to completion")
@@ -1185,17 +1104,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-jobs", type=int, default=200, metavar="N",
                    help="workload length (jobs per trace) for every cell")
     p.add_argument("--seed", type=int, default=20110926)
-    p.add_argument("--nodes", type=int, default=0, metavar="N",
-                   help="run every cell on a synthetic scale cluster of N "
-                        f"nodes (max {MAX_SCALE_NODES:,}) instead of the "
-                        "grid's own clusters")
-    p.add_argument("--mesoscale", action="store_true",
-                   help="with --nodes: pool idle nodes into per-rack hubs "
-                        f"(required above {MESOSCALE_FLOOR:,} nodes)")
-    p.add_argument("--cache-dir", default=".sweep-cache", metavar="DIR",
-                   help="content-addressed result cache directory")
-    p.add_argument("--no-cache", action="store_true",
-                   help="ignore and don't write the result cache")
+    _add_scale_flags(p)
+    _add_cache_flags(p)
     p.add_argument("--shard", default="", metavar="K/M",
                    help="run only the Kth of M round-robin shards (1-based); "
                         "the M shards partition the grid exactly")
@@ -1269,10 +1179,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="process",
                    help="run each cell in a worker process (crash/timeout "
                         "isolation) or in-thread")
-    p.add_argument("--cache-dir", default=".sweep-cache", metavar="DIR",
-                   help="content-addressed result cache directory")
-    p.add_argument("--no-cache", action="store_true",
-                   help="ignore and don't write the result cache")
+    _add_cache_flags(p)
     p.add_argument("--jobstore", default="", metavar="PATH",
                    help="journal submissions to PATH; an existing journal "
                         "restores its jobs on startup")

@@ -29,7 +29,6 @@ from repro.experiments.sweep import (
     results_of,
     run_cells,
 )
-from repro.workloads.swim import Workload, synthesize_wl1, synthesize_wl2
 
 #: seed used throughout the reproduction
 DEFAULT_SEED = 20110926
@@ -37,15 +36,6 @@ DEFAULT_SEED = 20110926
 #: the paper's headline DARE configurations (Fig. 7/10 captions)
 LRU_CONFIG = DareConfig.greedy_lru(budget=0.2)
 ET_CONFIG = DareConfig.elephant_trap(p=0.3, threshold=1, budget=0.2)
-
-
-def _wl(name: str, n_jobs: int, seed: int) -> Workload:
-    rng = np.random.default_rng(seed)
-    if name == "wl1":
-        return synthesize_wl1(rng, n_jobs=n_jobs)
-    if name == "wl2":
-        return synthesize_wl2(rng, n_jobs=n_jobs)
-    raise ValueError(f"unknown workload {name!r}")
 
 
 # --------------------------------------------------------------------------
@@ -106,7 +96,7 @@ def fig5_windows_day(
 
 def fig6_access_cdf(n_jobs: int = 500, seed: int = DEFAULT_SEED) -> np.ndarray:
     """Empirical access CDF by file rank of the experiment workload (Fig. 6)."""
-    return _wl("wl1", n_jobs, seed).empirical_access_cdf()
+    return WorkloadSpec("wl1", n_jobs, seed).materialize().empirical_access_cdf()
 
 
 # --------------------------------------------------------------------------

@@ -449,7 +449,6 @@ class JobManager:
         key: str,
         lease_id: str,
         result_doc: Dict,
-        worker: str = "",
         cached: bool = False,
     ) -> Dict:
         """Record a finished cell (the ``complete`` op).
@@ -460,9 +459,7 @@ class JobManager:
         """
         with self._lock:
             granted = self._granted(key, lease_id)
-            reply = self.queue.complete(
-                key, lease_id, result_doc, worker=worker, cached=cached
-            )
+            reply = self.queue.complete(key, lease_id, result_doc, cached=cached)
             if reply.get("accepted"):
                 if self.cache is not None:
                     self.cache.store(key, result_doc)
@@ -531,7 +528,7 @@ class JobManager:
             finally:
                 self._current[name] = None
             if result_doc is not None:
-                self.complete(key, reply["lease_id"], result_doc, worker=name)
+                self.complete(key, reply["lease_id"], result_doc)
             else:
                 self.fail(key, reply["lease_id"], error)
 

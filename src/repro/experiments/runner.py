@@ -98,8 +98,8 @@ class ExperimentConfig:
     check_invariants: bool = False
     #: how many trace records between full cross-component sweeps
     invariant_sweep_every: int = 2000
-    #: attach a sampling CallbackProfiler to the engine (repro perf /
-    #: run --profile); does not perturb the simulation or its trace
+    #: attach a sampling CallbackProfiler to the engine (repro run
+    #: --profile); does not perturb the simulation or its trace
     profile: bool = False
     #: time every Nth engine callback when profiling
     profile_sample_every: int = 7

@@ -195,12 +195,8 @@ class QueueEntry:
     #: active leases: lease_id -> {"worker", "granted", "deadline"}
     leases: Dict[str, Dict] = field(default_factory=dict)
     error: str = ""
-    #: one line per failed attempt
-    history: List[str] = field(default_factory=list)
     result: Optional[Dict] = None
     from_cache: bool = False
-    duplicates: int = 0
-    completed_by: str = ""
 
 
 class WorkQueue:
@@ -405,7 +401,6 @@ class WorkQueue:
         key: str,
         lease_id: str,
         result_doc: Dict,
-        worker: str = "",
         cached: bool = False,
     ) -> Dict:
         """Record a finished cell; first completion wins, rest are duplicates."""
@@ -413,7 +408,6 @@ class WorkQueue:
         if entry is None:
             return {"ok": False, "error": f"unknown cell key {key!r}"}
         if entry.state == DONE:
-            entry.duplicates += 1
             self.duplicates += 1
             return {"ok": True, "accepted": False, "reason": "duplicate"}
         if lease_id not in entry.leases:
@@ -425,7 +419,6 @@ class WorkQueue:
         entry.from_cache = cached
         entry.error = ""
         entry.leases = {}
-        entry.completed_by = worker
         self.completions += 1
         return {"ok": True, "accepted": True}
 
@@ -456,14 +449,12 @@ class WorkQueue:
         del entry.leases[lease_id]
         if requeue:
             self.releases += 1
-            entry.history.append(_last_line(error))
             if not entry.leases:
                 entry.state = PENDING
                 entry.not_before = now
             return {"ok": True, "accepted": True, "state": entry.state}
         self.failures += 1
         if entry.leases:
-            entry.history.append(_last_line(error))
             return {"ok": True, "accepted": True, "state": entry.state}
         self._attempt_failed(entry, error, now)
         return {"ok": True, "accepted": True, "state": entry.state}
@@ -512,7 +503,6 @@ class WorkQueue:
 
     def _attempt_failed(self, entry: QueueEntry, error: str, now: float) -> None:
         entry.attempts += 1
-        entry.history.append(_last_line(error))
         if entry.attempts >= self.max_attempts:
             entry.state = QUARANTINED
             entry.error = error
@@ -526,11 +516,6 @@ class WorkQueue:
 
     def _counters(self) -> Dict[str, int]:
         return {name: getattr(self, name) for name in _COUNTERS}
-
-
-def _last_line(text: str) -> str:
-    lines = text.strip().splitlines()
-    return lines[-1] if lines else "unknown error"
 
 
 def format_status_table(doc: Dict) -> str:

@@ -7,7 +7,7 @@ The simulator's cost is almost entirely "callbacks fired by
 histograms, where a *bucket* is the label prefix before the first ``:``
 (``hb:node07`` and ``hb:node13`` both land in ``hb``).  Unsampled events
 cost one integer decrement, so the profiler is cheap enough to leave on for
-whole experiment sweeps (``repro run --profile`` / ``repro perf``).
+whole experiment sweeps (``repro run --profile``).
 
 Sampling is counter-based, not random: it perturbs neither the simulation
 RNG streams nor the event order, so a profiled run produces a byte-identical
@@ -183,7 +183,7 @@ class CallbackProfiler:
         return "\n".join(lines)
 
     def to_dict(self, top: Optional[int] = None) -> dict:
-        """JSON-serializable form of the report (for ``repro perf --json``)."""
+        """JSON-serializable form of the report."""
         return {
             "sample_every": self.sample_every,
             "events_seen": self.events_seen,

@@ -44,6 +44,7 @@ import traceback
 from typing import Dict, Optional, Set
 
 from repro.experiments.jobs import Job, JobManager, JobRejected
+from repro.experiments.serialize import result_from_dict
 from repro.experiments.service import QUEUE_ROUTE
 from repro.server import sse
 from repro.server.http import (
@@ -293,9 +294,8 @@ class Server:
         if not isinstance(doc, dict):
             raise HttpError(400, "request body must be a JSON object")
         op = doc.get("op")
-        worker = _text(doc, "worker")
         if op == "lease":
-            return self.manager.lease(worker)
+            return self.manager.lease(_text(doc, "worker"))
         key, lease_id = _text(doc, "key"), _text(doc, "lease_id")
         if op == "renew":
             return {"ok": self.manager.renew(key, lease_id)}
@@ -303,9 +303,15 @@ class Server:
             result = doc.get("result")
             if not isinstance(result, dict):
                 raise HttpError(400, "'result' must be a JSON object")
+            try:  # the result is cached and served as this cell's outcome
+                result_from_dict(result)
+            except Exception:
+                raise HttpError(
+                    400, "malformed result document: "
+                    + traceback.format_exc(limit=0).strip().splitlines()[-1],
+                )
             return self.manager.complete(
-                key, lease_id, result, worker=worker,
-                cached=bool(doc.get("cached", False)),
+                key, lease_id, result, cached=bool(doc.get("cached", False))
             )
         if op == "fail":
             return self.manager.fail(

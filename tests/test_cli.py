@@ -1,5 +1,7 @@
 """Unit tests: the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import _parse_failures, build_parser, main
@@ -33,6 +35,38 @@ class TestParser:
         trace.write_text("j0\t0\t0\t1000000000\t1\t1\nj1\tnan\t1\t1000\t1\t1\n")
         with pytest.raises(SystemExit, match="non-finite submit time"):
             main(["run", "--workload", str(trace), "--nodes", "20"])
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--jobs", "5", "--mesoscale"],
+         "--mesoscale requires --nodes (scale clusters only)"),
+        (["sweep", "--mesoscale"],
+         "--mesoscale requires --nodes (scale clusters only)"),
+        (["run", "--jobs", "5", "--nodes", "200000"],
+         "--nodes 200,000 exceeds the supported maximum of 100,000 "
+         "(the scaling benches gate up to 100k)"),
+        (["run", "--jobs", "5", "--nodes", "30000"],
+         "--nodes 30,000 without --mesoscale keeps all 30,000 nodes "
+         "event-accurate (per-node heartbeats); pass --mesoscale to pool "
+         "idle nodes into rack hubs, or stay at <= 25,000 nodes"),
+        (["run", "--workload", "wl9"],
+         "unknown workload 'wl9' (expected wl1, wl2, *.json, or *.tsv)"),
+        (["checkpoint", "save", "--policy", "rollout"],
+         "argument --policy: invalid choice: 'rollout'"),
+        (["checkpoint", "save", "--nodes", "20"],
+         "unrecognized arguments: --nodes 20"),
+    ], ids=["run-mesoscale-alone", "sweep-mesoscale-alone", "nodes-over-cap",
+            "nodes-need-mesoscale", "unknown-workload",
+            "checkpoint-save-rollout", "checkpoint-save-nodes"])
+    def test_bad_cell_flags_exit_with_advice(self, argv, message, tmp_path,
+                                             capsys):
+        ckpt = tmp_path / "c.ckpt"
+        if argv[0] == "checkpoint":
+            argv = [*argv[:2], "--at", "5", "--out", str(ckpt), *argv[2:]]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code not in (0, None)
+        assert message in f"{exc.value.code}\n{capsys.readouterr().err}"
+        assert not ckpt.exists()
 
 
 class TestCommands:
@@ -72,6 +106,18 @@ class TestCommands:
         ) == 0
         out = capsys.readouterr().out
         assert "scarlett replicas" in out
+
+    def test_run_profile_prints_report(self, capsys):
+        assert main(["run", "--jobs", "30", "--profile",
+                     "--profile-every", "3"]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"engine: \d+ events in [\d.]+s \([\d,]+ events/s\)",
+                         out)
+        table = out[out.index("callback profile:"):].splitlines()
+        assert "(every 3)" in table[0]
+        assert table[1].split() == ["bucket", "share", "samples", "mean",
+                                    "p50", "p95", "max"]
+        assert 1 <= len(table) - 2 <= 12
 
     def test_synth_and_reload(self, tmp_path, capsys):
         out_file = tmp_path / "wl.json"
@@ -140,6 +186,45 @@ class TestSweepCommand:
             main([*command, "--jobstore", str(jobstore), "--no-cache"])
         assert not jobstore.exists()
 
+    def test_coordinator_refuses_a_journal_holding_another_grid(
+        self, tmp_path, monkeypatch
+    ):
+        # workers lease every unfinished job a coordinator restores, so
+        # a shared journal would run the other grid's cells here too
+        from repro.experiments.jobs import JobManager
+        from repro.experiments.service import cell_to_doc
+        from repro.experiments.sweep import ResultCache, build_grid
+        from repro.server.app import Server
+        from repro.server.jobstore import JobJournal
+
+        cache_dir, jobstore = tmp_path / "cache", tmp_path / "jobs.jsonl"
+        journal = JobJournal(jobstore)
+        other, _ = JobManager(
+            cache=ResultCache(cache_dir), workers=0, journal=journal,
+        ).submit({"cells": [cell_to_doc(c)
+                            for c in build_grid("smoke", n_jobs=8)]})
+        journal.close()
+        before = jobstore.read_bytes()
+
+        async def started(self):
+            raise AssertionError("the coordinator started serving")
+
+        monkeypatch.setattr(Server, "start", started)
+        argv = ["sweep", "--grid", "smoke", "--n-jobs", "6",
+                "--serve", "127.0.0.1:0", "--jobstore", str(jobstore),
+                "--cache-dir", str(cache_dir)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert isinstance(exc.value.code, str)  # exit status 1
+        assert str(jobstore) in exc.value.code and other.id in exc.value.code
+        assert jobstore.read_bytes() == before
+        # once the other grid has finished, the journal may be shared
+        with jobstore.open("a") as fh:
+            fh.write(f'{{"event": "state", "id": "{other.id}", '
+                     '"state": "done"}\n')
+        with pytest.raises(AssertionError, match="started serving"):
+            main(argv)
+
     def test_trace_dir_produces_verifiable_traces(self, tmp_path, capsys):
         trace_dir = tmp_path / "traces"
         assert main(["sweep", "--grid", "smoke", "--n-jobs", "6", "--no-cache",
@@ -187,14 +272,29 @@ class TestCheckpointCommands:
             main(["replay", "whatif", str(trace), "--at", "20",
                   "--patch", "teleport:3"])
 
-    def test_save_resume_round_trip(self, tmp_path, capsys):
+    @pytest.mark.parametrize("cell", [
+        ["--policy", "et"],
+        ["--scheduler", "fair", "--fail", "30:3"],
+        ["--scarlett", "--scarlett-epoch", "20"],
+        ["--check-invariants"],
+        ["--workload", "saved.json"],
+        ["--workload", "swim.tsv"],
+    ], ids=["et", "fair-fail", "scarlett", "check-invariants", "json", "tsv"])
+    def test_save_resume_round_trip(self, cell, tmp_path, capsys):
+        # run and checkpoint save read the one cell flag group alike
+        assert main(["synth", "--workload", "wl2", "--jobs", "20", "--seed", "3",
+                     "--out", str(tmp_path / "saved.json")]) == 0
+        (tmp_path / "swim.tsv").write_text("".join(
+            f"j{i}\t{4 * i}\t4\t{(i % 5 + 1) * 10**8}\t{10**7}\t{10**6}\n"
+            for i in range(20)))
+        cell = [str(tmp_path / a) if a.endswith((".json", ".tsv")) else a
+                for a in cell]
+        flags = ["--jobs", "20", "--seed", "11", *cell]
         cold = tmp_path / "cold.jsonl"
-        assert main(["run", "--jobs", "20", "--policy", "et", "--seed", "11",
-                     "--trace", str(cold)]) == 0
+        assert main(["run", *flags, "--trace", str(cold)]) == 0
         ckpt = tmp_path / "run.ckpt"
         assert main(["checkpoint", "save", "--at", "25", "--out", str(ckpt),
-                     "--jobs", "20", "--policy", "et", "--seed", "11",
-                     "--trace", str(tmp_path / "warm.jsonl")]) == 0
+                     *flags, "--trace", str(tmp_path / "warm.jsonl")]) == 0
         assert "checkpoint written" in capsys.readouterr().out
         resumed = tmp_path / "resumed.jsonl"
         assert main(["checkpoint", "resume", str(ckpt),

@@ -362,8 +362,7 @@ class TestJobManager:
         grant = manager.lease("remote")
         assert grant["key"] == job_a.keys[0]
         result = result_to_dict(run_cells([CELLS[0]])[0].result)
-        ack = manager.complete(grant["key"], grant["lease_id"], result,
-                               worker="remote")
+        ack = manager.complete(grant["key"], grant["lease_id"], result)
         assert ack["accepted"]
         assert job_a.state == JOB_DONE and job_b.active
         assert manager.job_status_doc(job_b)["progress"]["done"] == 1
@@ -824,6 +823,33 @@ class TestServerHTTP:
                 assert json.loads(data)["accepted"]
         finally:
             manager.stop()
+
+    def test_remote_completion_must_parse_as_a_result(self, tmp_path):
+        """A remote ``complete`` whose result is no result document is a
+        400: the lease stays live, nothing is cached, and the cell is
+        not served as a success."""
+        result = result_to_dict(run_cells([CELLS[0]])[0].result)
+        cache = ResultCache(tmp_path / "cache")
+        manager = make_manager(tmp_path, cache=cache, workers=0)
+        job, _ = manager.submit({"cells": [cell_to_doc(CELLS[0])]})
+        with ServerThread(manager) as st:
+            def op(body):
+                status, _, data = st.request("POST", "/api/queue", body=body)
+                return status, json.loads(data)
+
+            status, grant = op({"op": "lease", "worker": "remote"})
+            assert status == 200
+            lease = {"key": grant["key"], "lease_id": grant["lease_id"]}
+            status, reply = op({"op": "complete", **lease, "result": {}})
+            assert status == 400
+            assert "malformed result document" in reply["error"]
+            assert op({"op": "renew", **lease}) == (200, {"ok": True})
+            assert len(cache) == 0 and job.active
+            assert manager.job_result_doc(job) is None
+            status, reply = op({"op": "complete", **lease, "result": result})
+            assert status == 200 and reply["accepted"]
+        assert len(cache) == 1
+        assert manager.job_result_doc(job)["cells"][0]["result"] == result
 
     def test_cluster_doc_shares_queue_serializer(self, tmp_path):
         manager = make_manager(tmp_path, workers=0)
