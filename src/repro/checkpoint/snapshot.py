@@ -28,6 +28,10 @@ Two objects are *excluded* from both payloads and re-wired on restore:
   to a fresh bus on load, and
 * the sampling profiler (wall-clock state, meaningless after restore).
 
+Nor does a snapshot carry ``Simulation.engine_wall_s``, the run's other
+wall-clock state: a restored simulation starts it at zero, and two
+snapshots of the same state are the same bytes.
+
 Determinism contract: a restored (or forked) run produces a JSONL trace
 byte-identical to the cold run from the same seed.  A one-shot
 :func:`~repro.checkpoint.incremental.snapshot` embeds the flushed
@@ -48,7 +52,7 @@ from repro.observability.profiling import CallbackProfiler
 from repro.observability.trace import NULL_TRACER, JsonlSink, Tracer
 
 #: bump when the pickled payload layout changes shape
-SNAPSHOT_FORMAT = 6
+SNAPSHOT_FORMAT = 7
 
 _TOKEN_TRACER = "tracer"
 _TOKEN_NULL_TRACER = "null-tracer"

@@ -151,8 +151,8 @@ def _rollout_config(args: argparse.Namespace):
 
 def _build_workload(name: str, n_jobs: int, seed: int) -> Workload:
     """The workload a ``--workload`` value names, built by its
-    :class:`~repro.experiments.sweep.WorkloadSpec`; an unknown name or a
-    malformed file exits with the reason."""
+    :class:`~repro.experiments.sweep.WorkloadSpec`; an unknown name or an
+    unreadable or malformed file exits with the reason."""
     from repro.experiments.sweep import WorkloadSpec
 
     if name in ("wl1", "wl2"):
@@ -163,6 +163,8 @@ def _build_workload(name: str, n_jobs: int, seed: int) -> Workload:
         )
     try:
         return WorkloadSpec("file", seed=seed, path=name).materialize()
+    except OSError as exc:
+        raise SystemExit(f"cannot read workload {name!r}: {exc}")
     except ValueError as exc:
         raise SystemExit(f"bad workload {name!r}: {exc}")
 
@@ -185,6 +187,8 @@ def _cell(args: argparse.Namespace):
     scale, rollout, firehose and profiler flags are read when present,
     and ``checkpoint save`` gets their defaults.
     """
+    if args.jobs < 1:
+        raise SystemExit(f"--jobs must be at least 1 (got {args.jobs})")
     workload = _build_workload(args.workload, args.jobs, args.seed)
     scarlett = (
         ScarlettConfig(epoch_s=args.scarlett_epoch, budget=args.budget)

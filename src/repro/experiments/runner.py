@@ -443,6 +443,13 @@ class Simulation:
         #: cumulative wall-clock spent inside engine.run() (across pauses)
         self.engine_wall_s = 0.0
 
+    def __getstate__(self):
+        # wall-clock time is not simulation state: a snapshot carries none
+        # (like the profiler), so equal states pickle to equal bytes
+        state = self.__dict__.copy()
+        state["engine_wall_s"] = 0.0
+        return state
+
     # -- driving -------------------------------------------------------------
 
     @property

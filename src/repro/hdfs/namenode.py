@@ -19,7 +19,8 @@ class ReplicaSet(OrderedSet[int]):
 
     Every mutation — wherever it originates (heartbeat control plane,
     repair, Scarlett/CDRM rebalancing, tests poking ``_locations``
-    directly) — keeps three structures consistent:
+    directly) — bumps the NameNode's ``replica_version`` and keeps three
+    structures consistent:
 
     * ``rack_counts``: replicas per rack, the rack-shard the locality scan
       (:meth:`repro.mapreduce.job.Job.find_pending_map`) tests in O(1)
@@ -67,6 +68,7 @@ class ReplicaSet(OrderedSet[int]):
             return
         dict.__setitem__(self, node_id, None)
         nn = self._nn
+        nn.replica_version += 1
         rack = nn._rack_of[node_id]
         self.rack_counts[rack] = self.rack_counts.get(rack, 0) + 1
         nn._blocks_on.setdefault(node_id, set()).add(self.block_id)
@@ -78,6 +80,7 @@ class ReplicaSet(OrderedSet[int]):
             return
         dict.pop(self, node_id, None)
         nn = self._nn
+        nn.replica_version += 1
         rack = nn._rack_of[node_id]
         left = self.rack_counts.get(rack, 0) - 1
         if left > 0:
@@ -131,6 +134,9 @@ class NameNode:
         self._blocks_on: Dict[int, Set[int]] = {}
         #: block ids whose live replica count is below the file's factor
         self._under: Set[int] = set()
+        #: bumped by every replica-set change (see ReplicaSet), so a cache
+        #: over replica holders can key on it
+        self.replica_version = 0
         # insertion-ordered so replica scans (and the RNG draws they feed)
         # are identical on both sides of a checkpoint restore; keys are
         # ascending block ids (allocation order)
@@ -155,8 +161,6 @@ class NameNode:
         )
         self._next_file_id = 0
         self._next_block_id = 0
-        #: applied control messages, for tests / invariant checks
-        self.command_log: List[DatanodeCommand] = []
 
     # -- pickling ------------------------------------------------------------
 
@@ -270,7 +274,6 @@ class NameNode:
                     self._locations[cmd.block_id].add(node_id)
                 elif cmd.op == DNA_INVALIDATE:
                     self._locations[cmd.block_id].discard(node_id)
-            self.command_log.extend(cmds)
             dn.control.discard(node_id)
         else:
             cmds = []
@@ -366,6 +369,8 @@ class NameNode:
                         "but the DataNode does not store it"
                     )
         for node_id, dn in self.datanodes.items():
+            if not (dn.static_blocks or dn.dynamic_blocks):
+                continue  # most nodes of a large cluster store nothing
             for bid in dn.stored_block_ids():
                 pending_ann = any(
                     c.op == DNA_DYNREPL and c.block_id == bid for c in dn.outbox

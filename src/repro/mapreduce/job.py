@@ -71,7 +71,6 @@ class Job:
         "first_task_time",
         "finish_time",
         "delay_wait_started",
-        "delay_level",
     )
 
     def __init__(self, spec: JobSpec, inode: INode) -> None:
@@ -98,7 +97,6 @@ class Job:
         self.finish_time: Optional[float] = None
         # delay-scheduling bookkeeping (used by the Fair scheduler)
         self.delay_wait_started: Optional[float] = None
-        self.delay_level = 0
 
     # -- queries ---------------------------------------------------------
 

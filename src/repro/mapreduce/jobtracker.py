@@ -143,7 +143,8 @@ class JobTracker:
         self.hubs: List[HeartbeatHub] = []
         #: bumped on every schedule-state change (launch, completion,
         #: submission, requeue); the hubs use deltas across a beat to count
-        #: launches and as part of the hot-node cache key
+        #: launches, and it keys the hot-node cache and the Fair
+        #: scheduler's refusal memo
         self.sched_version = 0
         self._hot_by_rack: Dict[int, List[int]] = {}
         self._hot_cache_key: Optional[Tuple[int, int]] = None
@@ -216,28 +217,33 @@ class JobTracker:
     def hot_nodes_by_rack(self) -> Dict[int, List[int]]:
         """Replica holders of pending map blocks, grouped by rack.
 
-        Cached against (schedule state, applied control messages): any
-        launch/completion/requeue or DNA_DYNREPL/DNA_INVALIDATE heartbeat
-        changes either the pending block set or the holder sets.
+        Cached against (schedule state, replica state): a launch,
+        completion, submission or requeue bumps ``sched_version``, and
+        every replica-set change (heartbeat control messages, repair,
+        Scarlett, CDRM) bumps ``NameNode.replica_version``.
         """
-        nn = self.namenode
-        key = (self.sched_version, len(nn.command_log))
+        key = (self.sched_version, self.namenode.replica_version)
         if key != self._hot_cache_key:
-            by_rack: Dict[int, List[int]] = {}
-            seen: set = set()
-            locs_by_id = nn._locs_by_id
-            rack_of = nn._rack_of
-            for job in self.scheduler.map_ready:
-                for bid in job.pending_block_ids:
-                    for nid in locs_by_id[bid]:
-                        if nid not in seen:
-                            seen.add(nid)
-                            by_rack.setdefault(rack_of[nid], []).append(nid)
-            for nids in by_rack.values():
-                nids.sort()
-            self._hot_by_rack = by_rack
+            self._hot_by_rack = self.scan_hot_nodes_by_rack()
             self._hot_cache_key = key
         return self._hot_by_rack
+
+    def scan_hot_nodes_by_rack(self) -> Dict[int, List[int]]:
+        """:meth:`hot_nodes_by_rack` computed afresh, bypassing the cache."""
+        nn = self.namenode
+        by_rack: Dict[int, List[int]] = {}
+        seen: set = set()
+        locs_by_id = nn._locs_by_id
+        rack_of = nn._rack_of
+        for job in self.scheduler.map_ready:
+            for bid in job.pending_block_ids:
+                for nid in locs_by_id[bid]:
+                    if nid not in seen:
+                        seen.add(nid)
+                        by_rack.setdefault(rack_of[nid], []).append(nid)
+        for nids in by_rack.values():
+            nids.sort()
+        return by_rack
 
     def submit_trace(self, specs: List[JobSpec]) -> None:
         """Schedule submission events for a whole trace."""

@@ -43,6 +43,15 @@ throttled by ``full_sweep_every`` records, a full sweep additionally asserts:
   scheduler's ``map_ready`` and ``reduce_ready`` lists equal a full scan
   of ``active_jobs`` for a pending map and for schedulable reduces,
   order included.
+* **Hot-node cache** (when a JobTracker is wired in) — while
+  ``hot_nodes_by_rack``'s cached key equals the current
+  ``(sched_version, replica_version)``, the cached map equals a fresh
+  scan of the map-ready jobs' pending blocks.
+* **Fair refusal memo** (when a JobTracker is wired in) — while the Fair
+  scheduler's ``refusal`` equals ``(engine.now, sched_version)``, every
+  map-ready job's delay clock runs and none may launch REMOTE at
+  ``now``: the two facts that let an offer from a rack without a replica
+  be refused without a walk.
 * **Per-rack control sets** — each of the NameNode's ``control_by_rack``
   sets holds exactly the rack's nodes whose DataNode has a non-empty
   ``outbox`` or ``pending_deletion``, and every DataNode's ``control``
@@ -59,6 +68,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, List, Optional, Set
 
+from repro.mapreduce.task import Locality
 from repro.observability.trace import (
     HDFS_HEARTBEAT,
     HEARTBEAT,
@@ -191,6 +201,8 @@ class InvariantChecker:
             self._check_node(node_id, record, strict=True)
         self._check_scarlett(record)
         self._check_ready_lists(record)
+        self._check_hot_nodes(record)
+        self._check_refusal_memo(record)
         self._check_control_sets(record)
         self._check_pool(record)
 
@@ -334,6 +346,44 @@ class InvariantChecker:
                     f"active_jobs finds {[j.spec.job_id for j in scan]}",
                     record,
                 )
+
+    def _check_hot_nodes(self, record: Optional[TraceRecord]) -> None:
+        jt = self.jobtracker
+        if jt is None:
+            return
+        key = (jt.sched_version, self.namenode.replica_version)
+        if jt._hot_cache_key != key:
+            return  # stale: the next read rebuilds the map
+        scan = jt.scan_hot_nodes_by_rack()
+        if jt._hot_by_rack != scan:
+            self._fail(
+                f"hot-node cache: the map cached under key {key} is "
+                f"{jt._hot_by_rack} but a fresh scan of the map-ready jobs' "
+                f"pending blocks finds {scan}",
+                record,
+            )
+
+    def _check_refusal_memo(self, record: Optional[TraceRecord]) -> None:
+        jt = self.jobtracker
+        if jt is None:
+            return
+        scheduler = jt.scheduler
+        memo = getattr(scheduler, "refusal", None)  # Fair schedulers only
+        if memo is None or memo != (jt.engine.now, jt.sched_version):
+            return
+        now = memo[0]
+        for job in scheduler.map_ready:
+            if job.delay_wait_started is None:
+                problem = "has no running delay clock"
+            elif scheduler._allowed_level(job, now) >= Locality.REMOTE:
+                problem = "may launch REMOTE"
+            else:
+                continue
+            self._fail(
+                f"fair refusal memo {memo}: map-ready job {job.spec.job_id} "
+                f"{problem}",
+                record,
+            )
 
     def _check_control_sets(self, record: Optional[TraceRecord]) -> None:
         nn = self.namenode

@@ -13,11 +13,16 @@ algorithm the Hadoop Fair Scheduler shipped with:
 On a single-rack cluster (CCT) every non-local task is rack-local, so the
 effective delay is ``node_delay_s`` — matching how the paper's CCT numbers
 should be read.
+
+A refused map offer is remembered for its instant: at 100k nodes a rack
+hub offers one tick's slots to many nodes at the same simulated time, and
+most of those offers repeat a refusal that a walk over every map-ready
+job has just made (see :meth:`FairScheduler.pick_map`).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.mapreduce.job import Job
 from repro.mapreduce.task import Locality
@@ -42,6 +47,9 @@ class FairScheduler(Scheduler):
             raise ValueError("delays must be nonnegative")
         self.node_delay_s = node_delay_s
         self.rack_delay_s = rack_delay_s
+        #: ``(now, JobTracker.sched_version)`` of the last map walk that
+        #: refused without starting a delay clock; cleared by any pick
+        self.refusal: Optional[Tuple[float, int]] = None
 
     # -- fair ordering ------------------------------------------------------
 
@@ -65,8 +73,27 @@ class FairScheduler(Scheduler):
     # -- picking ---------------------------------------------------------------
 
     def pick_map(self, node_id: int, now: float) -> Optional[MapPick]:
-        """Fair-order walk with per-job delay gates."""
-        namenode = self.namenode
+        """Fair-order walk with per-job delay gates.
+
+        A walk that refuses without starting a delay clock is remembered
+        as ``(now, sched_version)``.  A later offer at the same pair, from
+        a node whose rack holds no replica of a pending map block, is
+        refused without a walk.  That is exact: the same time and schedule
+        state give every map-ready job the same allowed level, below
+        REMOTE (else the remembered walk would have launched that job's
+        first pending map); every job's delay clock already runs, so a
+        walk would change nothing; and a node in a rack without a replica
+        has no node-local or rack-local candidate.  A walk that started a
+        clock is not remembered: with ``node_delay_s == 0`` a second walk
+        can pick.
+        """
+        jt = self.jobtracker
+        namenode = jt.namenode
+        if self.refusal == (now, jt.sched_version) and (
+            namenode._rack_of[node_id] not in jt.hot_nodes_by_rack()
+        ):
+            return None
+        clock_started = False
         for job in self._map_order():
             allowed = self._allowed_level(job, now)
             found = job.find_pending_map(node_id, namenode, allowed)
@@ -74,12 +101,16 @@ class FairScheduler(Scheduler):
                 # skipped: the job starts (or continues) waiting
                 if job.delay_wait_started is None:
                     job.delay_wait_started = now
+                    clock_started = True
                 continue
             task, locality = found
             if locality is Locality.NODE_LOCAL:
                 # a local launch resets the delay clock (EuroSys'10 rule)
                 job.delay_wait_started = None
+            self.refusal = None
             return job, task, locality
+        if not clock_started:
+            self.refusal = (now, jt.sched_version)
         return None
 
     def pick_reduce(self, node_id: int, now: float) -> Optional[ReducePick]:

@@ -11,6 +11,7 @@ from repro.cluster.cluster import scale_spec
 from repro.core.config import DareConfig
 from repro.core.manager import DareReplicationService
 from repro.experiments.runner import ExperimentConfig, Simulation
+from repro.mapreduce.job import JobSpec
 from repro.mapreduce.slots import SlotStore
 from repro.observability.invariants import InvariantChecker, InvariantViolation
 from repro.observability.trace import (
@@ -53,13 +54,15 @@ class JtStub:
             self.slots.register(node_id, map_slots=2, reduce_slots=2)
         self.scheduler = Scheduler()
         self.hubs = []
+        self.sched_version = 0
+        self._hot_cache_key = None  # hot-node map never read
 
 
-def _sim_with_pending_maps():
-    """A FIFO run paused while eight submitted jobs all have pending maps."""
+def _sim_with_pending_maps(scheduler="fifo"):
+    """A run paused while eight submitted jobs all have pending maps."""
     workload = synthesize_wl2(np.random.default_rng(5), n_jobs=20)
     sim = Simulation(
-        ExperimentConfig(scheduler="fifo", dare=DareConfig.elephant_trap(), seed=5),
+        ExperimentConfig(scheduler=scheduler, dare=DareConfig.elephant_trap(), seed=5),
         workload,
     )
     sim.run(until=70.0)
@@ -80,6 +83,22 @@ def _sim_with_control_traffic():
     ]
     assert queued
     return sim, queued
+
+
+def _mesoscale_sim():
+    """A 120-node mesoscale FIFO LRU run paused at t=40 (rack hubs)."""
+    workload = synthesize_wl2(np.random.default_rng(5), n_jobs=60)
+    sim = Simulation(
+        ExperimentConfig(
+            cluster_spec=scale_spec(120, mesoscale=True),
+            scheduler="fifo",
+            dare=DareConfig.greedy_lru(),
+            seed=5,
+        ),
+        workload,
+    )
+    sim.run(until=40.0)
+    return sim
 
 
 class TestHealthyState:
@@ -228,6 +247,50 @@ class TestSeededCorruption:
         with pytest.raises(InvariantViolation, match="scheduler: map_ready"):
             checker.check_now()
 
+    def test_stale_hot_node_cache_is_caught(self):
+        sim = _mesoscale_sim()
+        jt, nn = sim.jobtracker, sim.namenode
+        # a job whose maps are all pending: its blocks' holders are hot
+        job = jt.submit(JobSpec(len(jt.jobs), jt.engine.now, next(iter(nn.files))))
+        checker = InvariantChecker(nn, dare=sim.dare, jobtracker=jt)
+        hot = jt.hot_nodes_by_rack()  # cached under the current key
+        checker.check_now()  # the cached map equals a fresh scan
+        bid = next(iter(job.pending_block_ids))
+        cold = next(
+            n for n in nn.datanodes
+            if n not in hot.get(nn._rack_of[n], ()) and not nn.datanodes[n].has_block(bid)
+        )
+        version = nn.replica_version
+        nn.add_repaired_replica(bid, cold)  # a real, consistent replica ...
+        nn.replica_version = version  # ... whose change skipped the bump
+        with pytest.raises(InvariantViolation, match="hot-node cache"):
+            checker.check_now()
+
+    @pytest.mark.parametrize("corruption, problem", [
+        ("no-clock", "has no running delay clock"),
+        ("waited-out", "may launch REMOTE"),
+    ])
+    def test_unsound_fair_refusal_memo_is_caught(self, corruption, problem):
+        sim = _sim_with_pending_maps("fair")
+        jt, scheduler = sim.jobtracker, sim.scheduler
+        checker = InvariantChecker(sim.namenode, dare=sim.dare, jobtracker=jt)
+        now = jt.engine.now
+        # a sound memo: every map-ready job waits, none long enough to
+        # launch anywhere
+        for job in scheduler.map_ready:
+            job.delay_wait_started = now
+        scheduler.refusal = (now, jt.sched_version)
+        checker.check_now()
+        job = scheduler.map_ready[1]
+        if corruption == "no-clock":
+            job.delay_wait_started = None
+        else:
+            job.delay_wait_started = now - scheduler.node_delay_s - scheduler.rack_delay_s
+        with pytest.raises(
+            InvariantViolation, match=f"map-ready job {job.spec.job_id} {problem}"
+        ):
+            checker.check_now()
+
     @pytest.mark.parametrize("corruption", ["drop", "add"])
     def test_control_set_drift_is_caught(self, corruption):
         sim, queued = _sim_with_control_traffic()
@@ -244,17 +307,7 @@ class TestSeededCorruption:
             checker.check_now()
 
     def test_occupied_slot_on_a_pooled_node_is_caught(self):
-        workload = synthesize_wl2(np.random.default_rng(5), n_jobs=60)
-        sim = Simulation(
-            ExperimentConfig(
-                cluster_spec=scale_spec(120, mesoscale=True),
-                scheduler="fifo",
-                dare=DareConfig.greedy_lru(),
-                seed=5,
-            ),
-            workload,
-        )
-        sim.run(until=40.0)
+        sim = _mesoscale_sim()
         jt = sim.jobtracker
         checker = InvariantChecker(sim.namenode, dare=sim.dare, jobtracker=jt)
         checker.check_now()

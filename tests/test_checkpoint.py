@@ -207,6 +207,11 @@ def test_load_rejects_unknown_format(tmp_path):
     path.write_bytes(pickle.dumps({"format": 5, "payload": b""}))
     with pytest.raises(ValueError, match="unsupported snapshot format 5"):
         Snapshot.load(str(path))
+    # checkpoints written before the Fair scheduler's refusal memo and the
+    # NameNode's replica_version (and with its command_log)
+    path.write_bytes(pickle.dumps({"format": 6, "payload": b""}))
+    with pytest.raises(ValueError, match="unsupported snapshot format 6"):
+        Snapshot.load(str(path))
 
 
 def test_restore_with_trace_requires_a_traced_source(tmp_path):

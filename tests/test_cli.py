@@ -54,9 +54,16 @@ class TestParser:
          "argument --policy: invalid choice: 'rollout'"),
         (["checkpoint", "save", "--nodes", "20"],
          "unrecognized arguments: --nodes 20"),
+        (["run", "--jobs", "0"], "--jobs must be at least 1 (got 0)"),
+        (["checkpoint", "save", "--jobs", "-3"],
+         "--jobs must be at least 1 (got -3)"),
+        (["run", "--workload", "no-such-dir/missing.json"],
+         "cannot read workload 'no-such-dir/missing.json': "),
     ], ids=["run-mesoscale-alone", "sweep-mesoscale-alone", "nodes-over-cap",
             "nodes-need-mesoscale", "unknown-workload",
-            "checkpoint-save-rollout", "checkpoint-save-nodes"])
+            "checkpoint-save-rollout", "checkpoint-save-nodes",
+            "run-zero-jobs", "checkpoint-save-negative-jobs",
+            "missing-workload-file"])
     def test_bad_cell_flags_exit_with_advice(self, argv, message, tmp_path,
                                              capsys):
         ckpt = tmp_path / "c.ckpt"
@@ -300,6 +307,16 @@ class TestCheckpointCommands:
         assert main(["checkpoint", "resume", str(ckpt),
                      "--trace", str(resumed)]) == 0
         assert resumed.read_bytes() == cold.read_bytes()
+
+    def test_identical_saves_write_identical_files(self, tmp_path):
+        # a snapshot carries no wall-clock state, so equal runs save equal
+        # bytes (content-addressable, cmp-checkable)
+        flags = ["--at", "25", "--jobs", "20", "--policy", "et", "--seed", "11",
+                 "--trace", str(tmp_path / "warm.jsonl")]
+        first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        assert main(["checkpoint", "save", "--out", str(first), *flags]) == 0
+        assert main(["checkpoint", "save", "--out", str(second), *flags]) == 0
+        assert first.read_bytes() == second.read_bytes()
 
     def test_resume_with_patch(self, tmp_path, capsys):
         ckpt = tmp_path / "run.ckpt"

@@ -119,8 +119,32 @@ class TestHeartbeatControlPlane:
         dn = nn.datanode(outsider)
         dn.dynamic_capacity_bytes = DEFAULT_BLOCK_SIZE
         dn.insert_dynamic(blk, 1.0)
+        cmds = nn.process_heartbeat(outsider, 2.0)
+        assert [(c.op, c.block_id) for c in cmds] == [(DNA_DYNREPL, blk.block_id)]
+        assert outsider in nn.locations(blk.block_id)
+        assert nn.process_heartbeat(outsider, 3.0) == []  # the outbox drained
+
+    def test_replica_version_counts_every_replica_change(self, loaded_namenode):
+        nn = loaded_namenode
+        blk = nn.file("hot").blocks[0]
+        outsider = next(
+            nid for nid in nn.datanodes if nid not in nn.locations(blk.block_id)
+        )
+        dn = nn.datanode(outsider)
+        dn.dynamic_capacity_bytes = DEFAULT_BLOCK_SIZE
+        version = nn.replica_version
+        dn.insert_dynamic(blk, 1.0)
+        assert nn.replica_version == version  # announced, not yet applied
         nn.process_heartbeat(outsider, 2.0)
-        assert any(c.op == DNA_DYNREPL for c in nn.command_log)
+        assert nn.replica_version == version + 1
+        dn.mark_for_deletion(blk.block_id, 3.0)
+        nn.process_heartbeat(outsider, 4.0)
+        assert nn.replica_version == version + 2
+        # a change made outside any heartbeat (repair, Scarlett, CDRM)
+        nn.add_repaired_replica(blk.block_id, outsider)
+        assert nn.replica_version == version + 3
+        nn._locations[blk.block_id].add(outsider)  # already there: no change
+        assert nn.replica_version == version + 3
 
     def test_heartbeat_with_empty_outbox_is_noop(self, loaded_namenode):
         before = dict(loaded_namenode._locations)

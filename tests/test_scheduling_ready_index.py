@@ -10,27 +10,41 @@ where speculation fires and failures requeue attempts.
 non-empty, and for a reduce only while ``reduce_ready`` is.  A second
 oracle is the heartbeat from before those guards, which asks on every
 free slot; the same cells must match it byte for byte as well.
+
+``FairScheduler.pick_map`` refuses an offer without a walk when it
+repeats the last refusal at the same instant and schedule state from a
+rack without a replica of a pending map block.  The Fair oracle walks on
+every offer, and mesoscale Fair cells (where rack hubs repeat offers
+within a tick) must match it byte for byte.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
 import pytest
 
 import repro.experiments.runner as runner
+from repro.baselines.scarlett import ScarlettConfig
+from repro.checkpoint import snapshot
 from repro.cluster.cluster import scale_spec
 from repro.core.config import DareConfig
 from repro.core.manager import DareReplicationService
-from repro.experiments.runner import ExperimentConfig, run_experiment
+from repro.experiments.runner import ExperimentConfig, Simulation, make_tracer, run_experiment
 from repro.mapreduce.job import JobSpec
 from repro.mapreduce.jobtracker import JobTracker
 from repro.mapreduce.runtime import TaskTimeModel
 from repro.mapreduce.task import Locality
 from repro.mapreduce.tasktracker import TaskTracker
 from repro.observability.trace import HEARTBEAT
-from repro.scheduling.fair import FairScheduler, SkipCountFairScheduler
+from repro.scheduling.fair import (
+    DEFAULT_NODE_DELAY_S,
+    DEFAULT_RACK_DELAY_S,
+    FairScheduler,
+    SkipCountFairScheduler,
+)
 from repro.scheduling.fifo import FifoScheduler
 from repro.simulation.engine import Engine
 from repro.simulation.rng import RandomStreams
@@ -77,7 +91,20 @@ class _ScanFairOrder:
 
 
 class _ScanFair(_ScanFairOrder, FairScheduler):
-    pass
+    def pick_map(self, node_id, now):
+        """The Fair walk without the refusal memo: every offer walks."""
+        for job in self._map_order():
+            allowed = self._allowed_level(job, now)
+            found = job.find_pending_map(node_id, self.namenode, allowed)
+            if found is None:
+                if job.delay_wait_started is None:
+                    job.delay_wait_started = now
+                continue
+            task, locality = found
+            if locality is Locality.NODE_LOCAL:
+                job.delay_wait_started = None
+            return job, task, locality
+        return None
 
 
 class _ScanSkipCount(_ScanFairOrder, SkipCountFairScheduler):
@@ -101,7 +128,7 @@ def _scan_pending_work_units(self) -> int:
 
 def _scan_hot_nodes_by_rack(self) -> Dict[int, List[int]]:
     nn = self.namenode
-    key = (self.sched_version, len(nn.command_log))
+    key = (self.sched_version, nn.replica_version)
     if key != self._hot_cache_key:
         by_rack: Dict[int, List[int]] = {}
         seen: set = set()
@@ -258,6 +285,105 @@ def test_ready_lists_match_full_scans_under_failures_and_speculation(
 
 def test_ready_lists_match_full_scans_on_mesoscale_hubs(tmp_path, monkeypatch):
     _assert_oracles_agree(_mesoscale_cell, tmp_path, monkeypatch)
+
+
+# -- the Fair refusal memo against the walk it skips ---------------------------
+
+ET = DareConfig.elephant_trap()
+
+#: mesoscale Fair cells, each with the result counters that must be
+#: positive for the cell to exercise what it names
+_MEMO_CELLS = {
+    # two nodes killed while they run maps (requeue + repair)
+    "2k-failures": (dict(nodes=2000, dare=ET, failures=((70.0, 473), (136.0, 1283))),
+                    ("tasks_requeued",)),
+    "2k-scarlett": (dict(nodes=2000, dare=ET, scarlett=ScarlettConfig(epoch_s=20.0)),
+                    ("scarlett_replicas_created",)),
+    # DARE replicas, evictions and repairs change replica sets mid-run
+    "120-lru-failures": (dict(nodes=120, n_jobs=60, dare=DareConfig.greedy_lru(),
+                              failures=((40.0, 3), (90.0, 7))),
+                         ("blocks_created", "repairs_completed")),
+    "2k-delays-0-0": (dict(nodes=2000, dare=ET, delays=(0.0, 0.0)), ()),
+    "2k-delays-0-1.5": (dict(nodes=2000, dare=ET, delays=(0.0, 1.5)), ()),
+}
+
+
+def _fair_inputs(trace_path, nodes, dare, n_jobs=30, failures=(), scarlett=None):
+    """``(config, workload)`` of a mesoscale WL2 Fair cell."""
+    config = ExperimentConfig(
+        cluster_spec=scale_spec(nodes, mesoscale=True),
+        scheduler="fair",
+        dare=dare,
+        seed=SEED,
+        failures=failures,
+        scarlett=scarlett,
+        trace_path=str(trace_path),
+    )
+    return config, synthesize_wl2(np.random.default_rng(SEED), n_jobs=n_jobs)
+
+
+def _fair_cell(**spec):
+    """A mesoscale Fair cell, as ``cell(trace_path) -> ExperimentResult``."""
+    return lambda trace_path: run_experiment(*_fair_inputs(trace_path, **spec))
+
+
+def _counted(calls: Counter, name: str, fn: Callable) -> Callable:
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    return wrapper
+
+
+@pytest.mark.parametrize("name", sorted(_MEMO_CELLS))
+def test_fair_refusal_memo_matches_the_walk_on_mesoscale_cells(
+    name, tmp_path, monkeypatch
+):
+    spec, exercised = _MEMO_CELLS[name]
+    spec = dict(spec)
+    delays = spec.pop("delays", (DEFAULT_NODE_DELAY_S, DEFAULT_RACK_DELAY_S))
+    cell = _fair_cell(**spec)
+    calls: Counter = Counter()
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            runner, "make_scheduler", lambda name, fair_delay_s=None: FairScheduler(*delays)
+        )
+        for method in ("pick_map", "_map_order"):
+            patch.setattr(
+                FairScheduler, method, _counted(calls, method, getattr(FairScheduler, method))
+            )
+        result = cell(tmp_path / "memo.jsonl")
+    with monkeypatch.context() as patch:
+        _use_full_scans(patch)
+        patch.setattr(
+            runner, "make_scheduler", lambda name, fair_delay_s=None: _ScanFair(*delays)
+        )
+        cell(tmp_path / "walk.jsonl")
+    assert (tmp_path / "memo.jsonl").read_bytes() == (tmp_path / "walk.jsonl").read_bytes()
+    for counter in exercised:
+        assert getattr(result, counter) > 0, counter
+    if delays == (0.0, 0.0):
+        # with no delay a waiting job launches anywhere, so every refusal
+        # starts a clock and none is remembered
+        assert calls["_map_order"] == calls["pick_map"]
+    else:
+        assert calls["_map_order"] < calls["pick_map"]  # the memo fired
+
+
+def test_fair_refusal_memo_survives_a_checkpoint(tmp_path):
+    cold = tmp_path / "cold.jsonl"
+    run_experiment(*_fair_inputs(cold, 2000, ET))
+    config, workload = _fair_inputs(tmp_path / "warm.jsonl", 2000, ET)
+    sim = Simulation(config, workload, tracer=make_tracer(config))
+    sim.run(until=70.0)  # mid map wave: a refusal is remembered
+    assert sim.scheduler.refusal is not None
+    snap = snapshot(sim)
+    sim.close()
+    resumed = snap.restore(trace_path=str(tmp_path / "resumed.jsonl"))
+    resumed.run()
+    resumed.finalize()
+    resumed.close()
+    assert (tmp_path / "resumed.jsonl").read_bytes() == cold.read_bytes()
 
 
 # -- submission order survives a requeue --------------------------------------
