@@ -105,13 +105,15 @@ class CdrmService:
             n for n in self.namenode.cluster.slaves
             if n.alive and n.node_id not in locs
         ]
+        datanodes = self.namenode.datanodes
+
+        def stored(node_id: int) -> int:
+            # ranking reads, so it builds no DataNode: a missing one is empty
+            dn = datanodes.get(node_id)
+            return 0 if dn is None else dn.dynamic_bytes_used + len(dn.static_blocks)
+
         candidates.sort(
-            key=lambda n: (
-                n.active_net_transfers,
-                self.namenode.datanode(n.node_id).dynamic_bytes_used
-                + len(self.namenode.datanode(n.node_id).static_blocks),
-                n.node_id,
-            )
+            key=lambda n: (n.active_net_transfers, stored(n.node_id), n.node_id)
         )
         return [n.node_id for n in candidates[:count]]
 

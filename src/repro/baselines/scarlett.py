@@ -141,7 +141,7 @@ class ScarlettService:
 
     def _water_fill(self, counts: Counter) -> Dict[str, int]:
         """Extra replicas per file: highest accesses-per-replica first."""
-        n_slaves = len(self.namenode.datanodes)
+        n_slaves = self.namenode.cluster.n_slaves
         budget = self.budget_bytes()
         extra: Dict[str, int] = {}
         spent = 0

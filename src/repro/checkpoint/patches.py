@@ -111,7 +111,8 @@ class FlipPolicy(Patch):
             self.dare, sim.namenode, sim.streams, tracer=sim.tracer
         )
         if self.dare.enabled:
-            for node_id, dn in sim.namenode.datanodes.items():
+            # node-id order: the order the new per-node states are built in
+            for node_id, dn in sorted(sim.namenode.datanodes.items()):
                 for bid, block in dn.dynamic_blocks.items():
                     if bid not in dn.pending_deletion:
                         service.node_state(node_id).policy.add(block)
@@ -145,9 +146,11 @@ class PinReplica(Patch):
         namenode = sim.namenode
         if self.block_id not in namenode.blocks:
             raise ValueError(f"unknown block {self.block_id}")
-        if self.node_id not in namenode.datanodes:
-            raise ValueError(f"node {self.node_id} runs no DataNode")
-        if namenode.datanode(self.node_id).has_block(self.block_id):
+        try:
+            dn = namenode.datanode(self.node_id)
+        except KeyError:
+            raise ValueError(f"node {self.node_id} runs no DataNode") from None
+        if dn.has_block(self.block_id):
             return
         namenode.add_repaired_replica(self.block_id, self.node_id)
 

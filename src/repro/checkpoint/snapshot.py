@@ -52,7 +52,7 @@ from repro.observability.profiling import CallbackProfiler
 from repro.observability.trace import NULL_TRACER, JsonlSink, Tracer
 
 #: bump when the pickled payload layout changes shape
-SNAPSHOT_FORMAT = 7
+SNAPSHOT_FORMAT = 8
 
 _TOKEN_TRACER = "tracer"
 _TOKEN_NULL_TRACER = "null-tracer"

@@ -151,18 +151,21 @@ def _rollout_config(args: argparse.Namespace):
 
 def _build_workload(name: str, n_jobs: int, seed: int) -> Workload:
     """The workload a ``--workload`` value names, built by its
-    :class:`~repro.experiments.sweep.WorkloadSpec`; an unknown name or an
-    unreadable or malformed file exits with the reason."""
+    :class:`~repro.experiments.sweep.WorkloadSpec`; an unknown name, a job
+    count below one, or an unreadable, malformed or empty file exits with
+    the reason."""
     from repro.experiments.sweep import WorkloadSpec
 
     if name in ("wl1", "wl2"):
-        return WorkloadSpec(name, n_jobs=n_jobs, seed=seed).materialize()
-    if not name.endswith((".json", ".tsv", ".txt")):
+        spec = WorkloadSpec(name, n_jobs=n_jobs, seed=seed)
+    elif name.endswith((".json", ".tsv", ".txt")):
+        spec = WorkloadSpec("file", seed=seed, path=name)
+    else:
         raise SystemExit(
             f"unknown workload {name!r} (expected wl1, wl2, *.json, or *.tsv)"
         )
     try:
-        return WorkloadSpec("file", seed=seed, path=name).materialize()
+        return spec.materialize()
     except OSError as exc:
         raise SystemExit(f"cannot read workload {name!r}: {exc}")
     except ValueError as exc:

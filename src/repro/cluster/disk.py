@@ -66,9 +66,18 @@ class DiskModel:
         else:
             bw = self._rng.normal(p.mean, p.sigma)
         # min/max rather than np.clip: same float, without NumPy's
-        # per-call dispatch (one call per node at cluster build)
+        # per-call dispatch (one call per node of a mixture cluster)
         return min(max(float(bw), p.lo), p.hi)
 
     def sample_nodes(self, n: int) -> np.ndarray:
-        """Per-node steady bandwidths for an ``n``-node cluster."""
+        """Per-node steady bandwidths for an ``n``-node cluster.
+
+        The ``normal`` kind draws all ``n`` in one call: the same floats as
+        ``n`` :meth:`sample` calls, and the generator ends in the same
+        state.  The ``mixture`` kind interleaves ``random()`` and
+        ``normal()`` per node on one stream, so it stays scalar.
+        """
+        p = self.params
+        if p.kind == "normal":
+            return np.clip(self._rng.normal(p.mean, p.sigma, size=n), p.lo, p.hi)
         return np.asarray([self.sample() for _ in range(n)])

@@ -23,7 +23,7 @@ class ReplicationBudget:
 
     def per_node_capacity_bytes(self, namenode: NameNode) -> int:
         """Dynamic capacity for one slave, given the current namespace."""
-        n_slaves = len(namenode.datanodes)
+        n_slaves = namenode.cluster.n_slaves
         if n_slaves == 0:
             return 0
         physical = sum(
@@ -32,8 +32,10 @@ class ReplicationBudget:
         return int(self.fraction * physical / n_slaves)
 
     def apply(self, namenode: NameNode) -> int:
-        """Set every DataNode's dynamic capacity; returns the per-node bytes."""
+        """Set every DataNode's dynamic capacity, and the capacity the
+        NameNode builds later ones with; returns the per-node bytes."""
         cap = self.per_node_capacity_bytes(namenode)
+        namenode.dynamic_capacity_bytes = cap
         for dn in namenode.datanodes.values():
             dn.dynamic_capacity_bytes = cap
         return cap

@@ -173,7 +173,7 @@ def cell_from_doc(doc: Dict) -> SweepCell:
     """Inverse of :func:`cell_to_doc`."""
     return SweepCell(
         config=config_from_dict(doc["config"]),
-        workload=WorkloadSpec(*doc["workload"]),
+        workload=WorkloadSpec(*doc["workload"]).validate(),
         tag=doc["tag"],
         x=doc["x"],
     )

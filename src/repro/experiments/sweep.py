@@ -100,10 +100,22 @@ class WorkloadSpec(NamedTuple):
     seed: int = DEFAULT_SEED
     path: str = ""
 
+    def validate(self) -> "WorkloadSpec":
+        """Refuse a recipe that cannot build a workload; returns ``self``."""
+        if self.kind in ("wl1", "wl2"):
+            if self.n_jobs < 1:
+                raise ValueError(
+                    f"a {self.kind} workload needs at least 1 job (got {self.n_jobs!r})"
+                )
+        elif self.kind != "file":
+            raise ValueError(f"unknown workload kind {self.kind!r}")
+        return self
+
     def materialize(self) -> Workload:
         """Build the workload. Deterministic: same spec, same workload."""
         import numpy as np
 
+        self.validate()
         if self.kind == "wl1" or self.kind == "wl2":
             from repro.workloads.swim import synthesize_wl1, synthesize_wl2
 
@@ -117,7 +129,6 @@ class WorkloadSpec(NamedTuple):
             from repro.workloads.swim_io import load_swim_trace
 
             return load_swim_trace(self.path, np.random.default_rng(self.seed))
-        raise ValueError(f"unknown workload kind {self.kind!r}")
 
     def describe(self) -> Dict:
         """Identity dict for cache keys (content hash for file workloads)."""

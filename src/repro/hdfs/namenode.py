@@ -114,6 +114,12 @@ class NameNode:
     locality scan — indexes ``_locs_by_id`` (a list sharing the same
     :class:`ReplicaSet` objects as the ``_locations`` dict) instead of
     hashing into the global block map.
+
+    A slave's :class:`DataNode` is built on first use (:meth:`datanode`):
+    by the paths that store a block or queue control traffic on it, and
+    when it launches a map.  Most slaves of a large cluster never get one.
+    Read-only paths look the node up in :attr:`datanodes` and treat a
+    missing DataNode as an empty one.
     """
 
     def __init__(
@@ -129,7 +135,7 @@ class NameNode:
         self.blocks: Dict[int, Block] = {}
         # python-int rack ids (topology.rack_of holds numpy scalars, too
         # slow to hash on the per-mutation index updates)
-        self._rack_of: List[int] = [int(r) for r in cluster.topology.rack_of]
+        self._rack_of: List[int] = cluster.topology.rack_of.tolist()
         #: node id -> block ids the NameNode's view places on that node
         self._blocks_on: Dict[int, Set[int]] = {}
         #: block ids whose live replica count is below the file's factor
@@ -149,13 +155,14 @@ class NameNode:
         self.control_by_rack: List[Set[int]] = [
             set() for _ in range(cluster.topology.n_racks)
         ]
-        control, rack_of = self.control_by_rack, self._rack_of
-        self.datanodes: Dict[int, DataNode] = {
-            n.node_id: DataNode(n, tracer=tracer, control=control[rack_of[n.node_id]])
-            for n in cluster.slaves
-        }
+        #: the DataNodes built so far (see :meth:`datanode`), by node id
+        self.datanodes: Dict[int, DataNode] = {}
+        #: the dynamic-replica capacity a DataNode is built with (set,
+        #: with every built DataNode's, by ReplicationBudget.apply)
+        self.dynamic_capacity_bytes = 0
         self.placement = DefaultPlacementPolicy(
             cluster.slave_ids,
+            cluster.slaves_by_rack,
             cluster.topology,
             cluster.streams.python("hdfs.placement"),
         )
@@ -215,7 +222,7 @@ class NameNode:
             self._locations[block.block_id] = locs
             self._locs_by_id.append(locs)
             for t in targets:
-                self.datanodes[t].store_static(block)
+                self.datanode(t).store_static(block)
         self.files[name] = inode
         return inode
 
@@ -245,8 +252,24 @@ class NameNode:
         return len(self._locs_by_id[block_id])
 
     def datanode(self, node_id: int) -> DataNode:
-        """The DataNode running on ``node_id``."""
-        return self.datanodes[node_id]
+        """The DataNode running on slave ``node_id``, built on first use.
+
+        A new DataNode joins its rack's control set and starts with the
+        current :attr:`dynamic_capacity_bytes`.  The master and ids
+        outside the cluster raise ``KeyError``.
+        """
+        dn = self.datanodes.get(node_id)
+        if dn is None:
+            nodes = self.cluster.nodes
+            if not 0 <= node_id < len(nodes) or nodes[node_id].is_master:
+                raise KeyError(node_id)
+            dn = self.datanodes[node_id] = DataNode(
+                nodes[node_id],
+                self.dynamic_capacity_bytes,
+                tracer=self.tracer,
+                control=self.control_by_rack[self._rack_of[node_id]],
+            )
+        return dn
 
     @property
     def total_dataset_bytes(self) -> int:
@@ -260,28 +283,30 @@ class NameNode:
 
         Returns the applied commands (useful for logging/tests).  This is
         where ``DNA_DYNREPL`` replicas enter — and invalidated replicas
-        leave — the scheduler's location view.
+        leave — the scheduler's location view.  A node without a DataNode
+        reports nothing, and gets none built.
         """
-        dn = self.datanodes[node_id]
+        dn = self.datanodes.get(node_id)
+        cmds: List[DatanodeCommand] = []
         # most heartbeats carry no control messages: skip the outbox drain
         # and deletion scan entirely on that path (this runs for every
         # TaskTracker beat, so the empty case is by far the hottest)
-        if dn.outbox:
-            cmds = dn.drain_outbox()
-            for cmd in cmds:
-                cmd.validate()
-                if cmd.op == DNA_DYNREPL:
-                    self._locations[cmd.block_id].add(node_id)
-                elif cmd.op == DNA_INVALIDATE:
-                    self._locations[cmd.block_id].discard(node_id)
-            dn.control.discard(node_id)
-        else:
-            cmds = []
-        # physical lazy deletion happens when the node is idle enough to
-        # heartbeat, matching "blocks marked for deletion are lazily removed"
-        if dn.pending_deletion:
-            dn.complete_deletions()
-            dn.control.discard(node_id)
+        if dn is not None:
+            if dn.outbox:
+                cmds = dn.drain_outbox()
+                for cmd in cmds:
+                    cmd.validate()
+                    if cmd.op == DNA_DYNREPL:
+                        self._locations[cmd.block_id].add(node_id)
+                    elif cmd.op == DNA_INVALIDATE:
+                        self._locations[cmd.block_id].discard(node_id)
+                dn.control.discard(node_id)
+            # physical lazy deletion happens when the node is idle enough to
+            # heartbeat, matching "blocks marked for deletion are lazily
+            # removed"
+            if dn.pending_deletion:
+                dn.complete_deletions()
+                dn.control.discard(node_id)
         if self.tracer.enabled:
             self.tracer.emit(
                 HDFS_HEARTBEAT, now, node=node_id, commands=len(cmds)
@@ -289,8 +314,9 @@ class NameNode:
         return cmds
 
     def flush_all_heartbeats(self, now: float = 0.0) -> None:
-        """Process a heartbeat from every DataNode (test/metric helper)."""
-        for node_id in self.datanodes:
+        """Process a heartbeat from every slave, in id order (test/metric
+        helper)."""
+        for node_id in self.cluster.slave_ids:
             self.process_heartbeat(node_id, now)
 
     # -- failures -----------------------------------------------------------------
@@ -309,7 +335,7 @@ class NameNode:
         implementation exactly, because the block map's iteration order is
         allocation order.
         """
-        dn = self.datanodes[node_id]
+        dn = self.datanode(node_id)
         dn.outbox.clear()
         lost: Dict[int, int] = {}
         locs_by_id = self._locs_by_id
@@ -341,7 +367,7 @@ class NameNode:
     def add_repaired_replica(self, block_id: int, node_id: int) -> None:
         """Install a re-replicated block on a target node."""
         block = self.blocks[block_id]
-        dn = self.datanodes[node_id]
+        dn = self.datanode(node_id)
         if dn.has_block(block_id):
             raise ValueError(f"node {node_id} already stores block {block_id}")
         dn.store_static(block)
@@ -355,11 +381,18 @@ class NameNode:
         The NameNode view may *lag* the DataNodes (pending announcements /
         invalidations), but must never claim a replica that neither exists
         nor is pending announcement, and every stored block must either be
-        in the view or awaiting its DNA_DYNREPL.
+        in the view or awaiting its DNA_DYNREPL.  A replica on a node with
+        no DataNode is a claim of the first kind.
         """
+        datanodes = self.datanodes
         for block_id, locs in self._locations.items():
             for node_id in locs:
-                dn = self.datanodes[node_id]
+                dn = datanodes.get(node_id)
+                if dn is None:
+                    raise AssertionError(
+                        f"NameNode claims block {block_id} on node {node_id}, "
+                        "which has no DataNode"
+                    )
                 pending_inval = any(
                     c.op == DNA_INVALIDATE and c.block_id == block_id for c in dn.outbox
                 ) or block_id in dn.pending_deletion
@@ -368,9 +401,9 @@ class NameNode:
                         f"NameNode claims block {block_id} on node {node_id}, "
                         "but the DataNode does not store it"
                     )
-        for node_id, dn in self.datanodes.items():
+        for node_id, dn in datanodes.items():
             if not (dn.static_blocks or dn.dynamic_blocks):
-                continue  # most nodes of a large cluster store nothing
+                continue  # e.g. a node that only ran maps
             for bid in dn.stored_block_ids():
                 pending_ann = any(
                     c.op == DNA_DYNREPL and c.block_id == bid for c in dn.outbox

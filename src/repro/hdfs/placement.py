@@ -49,9 +49,13 @@ class DefaultPlacementPolicy:
     def __init__(
         self,
         slave_ids: Sequence[int],
+        rack_ids: Dict[int, List[int]],
         topology: Topology,
         rng: random.Random,
     ) -> None:
+        """``rack_ids`` groups ``slave_ids`` by rack, each list ascending
+        (:attr:`~repro.cluster.cluster.Cluster.slaves_by_rack`); it is
+        kept by reference."""
         if not slave_ids:
             raise ValueError("no slave nodes to place replicas on")
         # the order-statistic draws index ascending id lists
@@ -59,10 +63,7 @@ class DefaultPlacementPolicy:
         self.topology = topology
         self._rng = rng
         self._id_set = frozenset(self.slave_ids)
-        self._rack_ids: Dict[int, List[int]] = {}
-        rack_of = topology.rack_of
-        for n in self.slave_ids:
-            self._rack_ids.setdefault(int(rack_of[n]), []).append(n)
+        self._rack_ids = rack_ids
 
     def _random_slave(self, exclude: set) -> Optional[int]:
         ex = [n for n in exclude if n in self._id_set]

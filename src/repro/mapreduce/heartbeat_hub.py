@@ -62,7 +62,7 @@ class HeartbeatHub:
     def __init__(
         self,
         rack: int,
-        member_ids: Sequence[int],
+        member_ids: List[int],
         jobtracker: "JobTracker",
         engine: Engine,
         interval_s: float,
@@ -71,7 +71,8 @@ class HeartbeatHub:
         if interval_s <= 0:
             raise ValueError("heartbeat interval must be positive")
         self.rack = rack
-        self.member_ids: List[int] = sorted(member_ids)
+        #: the rack's slave ids, ascending (the cluster's own list, shared)
+        self.member_ids = member_ids
         self.jobtracker = jobtracker
         self.engine = engine
         self.interval_s = interval_s
@@ -115,8 +116,7 @@ class HeartbeatHub:
             raise RuntimeError(f"node {node_id} is not accurate")
         if not jt.slots.all_free(node_id):
             raise RuntimeError(f"node {node_id} has occupied slots")
-        dn = jt.namenode.datanodes[node_id]
-        if dn.static_blocks or dn.dynamic_blocks or dn.pending_deletion or dn.outbox:
+        if self._holds_state(node_id):
             raise RuntimeError(f"node {node_id} holds blocks or control traffic")
         if jt._running_by_node.get(node_id):
             raise RuntimeError(f"node {node_id} has in-flight attempts")
@@ -125,12 +125,19 @@ class HeartbeatHub:
         self.accurate.discard(node_id)
         self.demotions += 1
 
+    def _holds_state(self, node_id: int) -> bool:
+        """True when the node's DataNode stores blocks or queues control
+        traffic (a node without a DataNode holds nothing)."""
+        dn = self.jobtracker.namenode.datanodes.get(node_id)
+        return dn is not None and bool(
+            dn.static_blocks or dn.dynamic_blocks or dn.pending_deletion or dn.outbox
+        )
+
     def _demotable(self, node_id: int) -> bool:
         jt = self.jobtracker
         if not jt.slots.all_free(node_id):
             return False
-        dn = jt.namenode.datanodes[node_id]
-        if dn.static_blocks or dn.dynamic_blocks or dn.pending_deletion or dn.outbox:
+        if self._holds_state(node_id):
             return False
         return not jt._running_by_node.get(node_id)
 
@@ -176,8 +183,8 @@ class HeartbeatHub:
         else:
             walk = sorted(nn.control_by_rack[self.rack])
         for nid in walk:
-            dn = datanodes[nid]
-            control = bool(dn.outbox) or bool(dn.pending_deletion)
+            dn = datanodes.get(nid)  # a node without one has no traffic
+            control = dn is not None and (bool(dn.outbox) or bool(dn.pending_deletion))
             offer = budget > 0 and (free_map[nid] > 0 or free_reduce[nid] > 0)
             if not control and not offer:
                 continue

@@ -135,9 +135,10 @@ class JobTracker:
         #: dense free/capacity slot counters for every node (TaskTrackers
         #: read and write their own entry; the heartbeat hubs scan the raw
         #: arrays)
-        self.slots = SlotStore(cluster.spec.n_nodes)
-        for node in cluster.slaves:
-            self.slots.register(node.node_id, node.map_slots, node.reduce_slots)
+        nodes = cluster.nodes
+        self.slots = SlotStore(
+            [n.map_slots for n in nodes], [n.reduce_slots for n in nodes]
+        )
         self.tasktrackers: Dict[int, TaskTracker] = {}
         #: per-rack heartbeat actors (mesoscale mode)
         self.hubs: List[HeartbeatHub] = []
@@ -178,14 +179,11 @@ class JobTracker:
         spec = self.cluster.spec
         hb = spec.heartbeat_s
         if spec.mesoscale:
-            by_rack: Dict[int, List[int]] = {}
-            for node in self.cluster.slaves:
-                by_rack.setdefault(int(node.rack), []).append(node.node_id)
-            for rack in sorted(by_rack):
+            for rack, members in self.cluster.slaves_by_rack.items():
                 self.hubs.append(
                     HeartbeatHub(
                         rack,
-                        by_rack[rack],
+                        members,
                         self,
                         self.engine,
                         hb,

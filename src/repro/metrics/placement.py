@@ -10,7 +10,7 @@ of variation (cv = sigma / |mu|)."
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable
 
 import numpy as np
 
@@ -30,24 +30,22 @@ def popularity_indices(
 
     Block popularity is the owning file's access count; blocks of files the
     workload never reads contribute zero, matching the paper's
-    workload-specific popularity assignment.
+    workload-specific popularity assignment.  A slave without a DataNode
+    stores nothing: its PI is zero, and it still counts in the cv.
     """
     file_pop = {
         inode.file_id: access_counts.get(name, 0)
         for name, inode in namenode.files.items()
     }
-    pis: List[float] = []
-    for node_id in sorted(namenode.datanodes):
-        dn = namenode.datanodes[node_id]
+    # slaves are nodes 1..n-1, so slave i's entry is index i - 1
+    pis = np.zeros(namenode.cluster.n_slaves)
+    for node_id, dn in namenode.datanodes.items():
         pi = 0.0
-        if not (dn.static_blocks or dn.dynamic_blocks):
-            pis.append(pi)  # most nodes of a large cluster store nothing
-            continue
         for bid in dn.stored_block_ids():
             block = namenode.block(bid)
             pi += block.size_bytes * file_pop[block.file_id]
-        pis.append(pi)
-    return np.asarray(pis)
+        pis[node_id - 1] = pi
+    return pis
 
 
 def coefficient_of_variation(values: np.ndarray) -> float:

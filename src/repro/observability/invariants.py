@@ -16,12 +16,13 @@ After **every** record, scoped to the node the record names:
 * **Policy coherence** — every block a DARE policy tracks is a live dynamic
   replica on its node; ElephantTrap access counts are non-negative and the
   ring holds no duplicates.  A node that has not run a map task has no
-  policy yet, which counts as a policy tracking nothing.
+  policy yet, which counts as a policy tracking nothing; a node without a
+  DataNode stores nothing, so any block its policy tracks is a phantom.
 * **Slot accounting** — a node's free map/reduce slots in the
   JobTracker's :class:`~repro.mapreduce.slots.SlotStore` stay within
   ``[0, capacity]`` (busy slots never exceed capacity).  The store covers
   every slave, including nodes the mesoscale pool holds without a
-  TaskTracker.
+  TaskTracker, and the full sweep scans all of it at once.
 
 After every ``scarlett.epoch`` record (and in full sweeps when a Scarlett
 service is wired in):
@@ -37,8 +38,10 @@ throttled by ``full_sweep_every`` records, a full sweep additionally asserts:
 * **Replica-map consistency** — the NameNode's location map matches DataNode
   contents modulo in-flight heartbeat messages
   (:meth:`~repro.hdfs.namenode.NameNode.check_integrity`).
-* **Strict policy sync** — on every live node the policy-tracked set equals
-  the set of live dynamic replicas exactly.
+* **Strict policy sync** — on every live node with a DataNode or DARE
+  state, the policy-tracked set equals the set of live dynamic replicas
+  exactly.  Budgets are audited on every built DataNode (a slave without
+  one holds no replica), slots on every node.
 * **Scheduler ready lists** (when a JobTracker is wired in) — the
   scheduler's ``map_ready`` and ``reduce_ready`` lists equal a full scan
   of ``active_jobs`` for a pending map and for schedulable reduces,
@@ -67,6 +70,8 @@ record and the recent trace tail.
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, List, Optional, Set
+
+import numpy as np
 
 from repro.mapreduce.task import Locality
 from repro.observability.trace import (
@@ -197,8 +202,14 @@ class InvariantChecker:
             self.namenode.check_integrity()
         except AssertionError as exc:
             self._fail(f"replica-map consistency: {exc}", record)
-        for node_id in self.namenode.datanodes:
-            self._check_node(node_id, record, strict=True)
+        datanodes = self.namenode.datanodes
+        for node_id, dn in datanodes.items():
+            self._check_budget(dn, record)
+            self._check_policy(node_id, dn, record, strict=True)
+        if self.dare is not None:
+            for node_id in sorted(self.dare.states.keys() - datanodes.keys()):
+                self._check_policy(node_id, None, record, strict=True)
+        self._check_all_slots(record)
         self._check_scarlett(record)
         self._check_ready_lists(record)
         self._check_hot_nodes(record)
@@ -211,13 +222,11 @@ class InvariantChecker:
     def _fail(self, message: str, record: Optional[TraceRecord]) -> None:
         raise InvariantViolation(message, record, self._ring.tail(20))
 
-    def _check_node(
-        self, node_id: int, record: Optional[TraceRecord], strict: bool = False
-    ) -> None:
+    def _check_node(self, node_id: int, record: Optional[TraceRecord]) -> None:
         dn = self.namenode.datanodes.get(node_id)
         if dn is not None:
             self._check_budget(dn, record)
-            self._check_policy(dn, record, strict)
+        self._check_policy(node_id, dn, record, strict=False)
         self._check_slots(node_id, record)
 
     def _check_budget(self, dn: "DataNode", record: Optional[TraceRecord]) -> None:
@@ -251,30 +260,40 @@ class InvariantChecker:
             )
 
     def _check_policy(
-        self, dn: "DataNode", record: Optional[TraceRecord], strict: bool
+        self,
+        node_id: int,
+        dn: Optional["DataNode"],
+        record: Optional[TraceRecord],
+        strict: bool,
     ) -> None:
         if self.dare is None or not self.dare.config.enabled:
             return
-        if not dn.node.alive:
+        # a node that never ran a map task has no state yet: its policy
+        # tracks nothing
+        state = self.dare.states.get(node_id)
+        if state is None and dn is None:
+            return  # nothing tracked, nothing stored
+        if not self.namenode.cluster.nodes[node_id].alive:
             # a failed node's policy state is frozen garbage; it can never
             # be consulted again (dead nodes don't heartbeat)
             return
-        # a node that never ran a map task has no state yet: its policy
-        # tracks nothing
-        state = self.dare.states.get(dn.node_id)
         policy = state.policy if state is not None else None
         tracked = _tracked_ids(policy) if policy is not None else set()
-        live = {bid for bid in dn.dynamic_blocks if bid not in dn.pending_deletion}
+        live = (
+            {bid for bid in dn.dynamic_blocks if bid not in dn.pending_deletion}
+            if dn is not None
+            else set()
+        )
         phantom = tracked - live
         if phantom:
             self._fail(
-                f"node {dn.node_id}: policy tracks blocks {sorted(phantom)} "
+                f"node {node_id}: policy tracks blocks {sorted(phantom)} "
                 "with no live dynamic replica",
                 record,
             )
         if strict and tracked != live:
             self._fail(
-                f"node {dn.node_id}: policy tracks {sorted(tracked)} but live "
+                f"node {node_id}: policy tracks {sorted(tracked)} but live "
                 f"dynamic replicas are {sorted(live)}",
                 record,
             )
@@ -282,11 +301,11 @@ class InvariantChecker:
         if ring_blocks is not None:
             ids = [b.block_id for b in ring_blocks()]
             if len(ids) != len(set(ids)):
-                self._fail(f"node {dn.node_id}: ElephantTrap ring has duplicates", record)
+                self._fail(f"node {node_id}: ElephantTrap ring has duplicates", record)
             for bid in ids:
                 if policy.access_count(bid) < 0:
                     self._fail(
-                        f"node {dn.node_id}: block {bid} has negative access "
+                        f"node {node_id}: block {bid} has negative access "
                         f"count {policy.access_count(bid)}",
                         record,
                     )
@@ -314,12 +333,14 @@ class InvariantChecker:
                     f"{record.data['budget_bytes']} + slack {slack}",
                     record,
                 )
+        nodes = self.namenode.cluster.nodes
+        datanodes = self.namenode.datanodes
         for name, pairs in svc._extra.items():
             for bid, node_id in pairs:
-                dn = self.namenode.datanodes.get(node_id)
-                if dn is None or not dn.node.alive:
+                if not nodes[node_id].alive:
                     continue  # dead-node pairs linger until aged out
-                if bid not in dn.static_blocks:
+                dn = datanodes.get(node_id)
+                if dn is None or bid not in dn.static_blocks:
                     self._fail(
                         f"scarlett: extra replica of block {bid} ({name}) "
                         f"recorded on live node {node_id} but not stored there",
@@ -428,6 +449,20 @@ class InvariantChecker:
                     f"pooled node {node_id} {problem} (work implies promotion)",
                     record,
                 )
+
+    def _check_all_slots(self, record: Optional[TraceRecord]) -> None:
+        """:meth:`_check_slots` over every node, as one array scan."""
+        if self.jobtracker is None:
+            return
+        slots = self.jobtracker.slots
+        for free, cap in (
+            (slots.free_map, slots.cap_map),
+            (slots.free_reduce, slots.cap_reduce),
+        ):
+            f = np.frombuffer(free, dtype=free.typecode)
+            bad = np.flatnonzero((f < 0) | (f > np.frombuffer(cap, dtype=cap.typecode)))
+            if bad.size:
+                self._check_slots(int(bad[0]), record)
 
     def _check_slots(self, node_id: int, record: Optional[TraceRecord]) -> None:
         if self.jobtracker is None:

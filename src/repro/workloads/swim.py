@@ -103,9 +103,15 @@ _CLASSES = ("small", "medium", "large")
 
 
 class Workload:
-    """A synthesized trace: a file catalog plus a list of job specs."""
+    """A synthesized trace: a file catalog plus a list of job specs.
+
+    A workload has at least one job: an empty one has no makespan and no
+    popularity distribution to measure, so it is refused here.
+    """
 
     def __init__(self, name: str, catalog: FileCatalog, specs: List[JobSpec]) -> None:
+        if not specs:
+            raise ValueError(f"workload {name!r} has no jobs")
         self.name = name
         self.catalog = catalog
         self.specs = specs

@@ -21,7 +21,7 @@ from repro.observability.trace import (
     Tracer,
 )
 from repro.scheduling.base import Scheduler
-from repro.workloads.swim import synthesize_wl2
+from repro.workloads.swim import synthesize_wl1, synthesize_wl2
 
 
 def make_service(namenode, streams, tracer, policy="lru", budget_blocks=3):
@@ -31,15 +31,17 @@ def make_service(namenode, streams, tracer, policy="lru", budget_blocks=3):
         else DareConfig.elephant_trap(p=1.0, threshold=1)
     )
     service = DareReplicationService(config, namenode, streams, tracer=tracer)
-    for dn in namenode.datanodes.values():
-        dn.dynamic_capacity_bytes = budget_blocks * namenode.block_size
+    for node_id in namenode.cluster.slave_ids:
+        namenode.datanode(node_id).dynamic_capacity_bytes = (
+            budget_blocks * namenode.block_size
+        )
     return service
 
 
 def remote_target(namenode, block_id):
     """A node that does not hold ``block_id`` (a remote read is possible)."""
-    for node_id, dn in namenode.datanodes.items():
-        if not dn.has_block(block_id):
+    for node_id in namenode.cluster.slave_ids:
+        if not namenode.datanode(node_id).has_block(block_id):
             return node_id
     raise AssertionError("block replicated everywhere; enlarge the cluster")
 
@@ -49,9 +51,9 @@ class JtStub:
     rack hubs the checker audits."""
 
     def __init__(self, namenode):
-        self.slots = SlotStore(namenode.cluster.spec.n_nodes)
-        for node_id in namenode.datanodes:
-            self.slots.register(node_id, map_slots=2, reduce_slots=2)
+        # two map and two reduce slots on every slave, none on the master
+        caps = [0] + [2] * namenode.cluster.n_slaves
+        self.slots = SlotStore(caps, caps)
         self.scheduler = Scheduler()
         self.hubs = []
         self.sched_version = 0
@@ -101,12 +103,36 @@ def _mesoscale_sim():
     return sim
 
 
+def _sparse_mesoscale_sim():
+    """A 2,000-node mesoscale FIFO LRU run paused at t=20, and a pooled
+    node that has no DataNode (it holds no block and ran no map)."""
+    workload = synthesize_wl1(np.random.default_rng(5), n_jobs=10)
+    sim = Simulation(
+        ExperimentConfig(
+            cluster_spec=scale_spec(2000, mesoscale=True),
+            scheduler="fifo",
+            dare=DareConfig.greedy_lru(),
+            seed=5,
+        ),
+        workload,
+    )
+    sim.run(until=20.0)
+    jt, nn = sim.jobtracker, sim.namenode
+    bare = min(
+        nid
+        for hub in jt.hubs
+        for nid in hub.member_ids
+        if nid not in hub.accurate and nid not in nn.datanodes
+    )
+    return sim, bare
+
+
 class TestHealthyState:
     def test_clean_replication_passes_every_check(self, loaded_namenode, streams):
         tracer = Tracer()
         loaded_namenode.tracer = tracer
-        for dn in loaded_namenode.datanodes.values():
-            dn.tracer = tracer
+        for node_id in loaded_namenode.cluster.slave_ids:
+            loaded_namenode.datanode(node_id).tracer = tracer
         service = make_service(loaded_namenode, streams, tracer)
         InvariantChecker(
             loaded_namenode, dare=service, full_sweep_every=1
@@ -130,8 +156,8 @@ class TestHealthyState:
 class TestSeededCorruption:
     def test_budget_accounting_drift_is_caught(self, loaded_namenode, streams):
         tracer = Tracer()
-        for dn in loaded_namenode.datanodes.values():
-            dn.tracer = tracer
+        for node_id in loaded_namenode.cluster.slave_ids:
+            loaded_namenode.datanode(node_id).tracer = tracer
         service = make_service(loaded_namenode, streams, tracer)
         InvariantChecker(
             loaded_namenode, dare=service, full_sweep_every=1
@@ -139,14 +165,14 @@ class TestSeededCorruption:
         block = loaded_namenode.blocks[0]
         node = remote_target(loaded_namenode, block.block_id)
         service.on_map_task(node, block, data_local=False, now=1.0)
-        loaded_namenode.datanodes[node].dynamic_bytes_used += 7  # corrupt
+        loaded_namenode.datanode(node).dynamic_bytes_used += 7  # corrupt
         with pytest.raises(InvariantViolation, match="dynamic_bytes_used"):
             tracer.emit(HEARTBEAT, 2.0, node=node)
 
     def test_budget_overrun_is_caught(self, loaded_namenode, streams):
         tracer = Tracer()
-        for dn in loaded_namenode.datanodes.values():
-            dn.tracer = tracer
+        for node_id in loaded_namenode.cluster.slave_ids:
+            loaded_namenode.datanode(node_id).tracer = tracer
         service = make_service(loaded_namenode, streams, tracer, budget_blocks=1)
         InvariantChecker(
             loaded_namenode, dare=service, full_sweep_every=1
@@ -155,7 +181,7 @@ class TestSeededCorruption:
         node = remote_target(loaded_namenode, block.block_id)
         service.on_map_task(node, block, data_local=False, now=1.0)
         # shrink the budget under the stored bytes: overrun must be flagged
-        loaded_namenode.datanodes[node].dynamic_capacity_bytes = 1
+        loaded_namenode.datanode(node).dynamic_capacity_bytes = 1
         with pytest.raises(InvariantViolation, match="budget exceeded"):
             tracer.emit(HEARTBEAT, 2.0, node=node)
 
@@ -166,7 +192,7 @@ class TestSeededCorruption:
             loaded_namenode, dare=service, full_sweep_every=1
         ).attach(tracer)
         # the policy tracks a block its DataNode never stored
-        node = next(iter(loaded_namenode.datanodes))
+        node = loaded_namenode.cluster.slave_ids[0]
         service.node_state(node).policy.add(loaded_namenode.blocks[0])
         with pytest.raises(InvariantViolation, match="no live dynamic replica"):
             tracer.emit(HEARTBEAT, 1.0, node=node)
@@ -181,7 +207,7 @@ class TestSeededCorruption:
         # replica inserted behind DARE's back is tracked by nobody
         block = loaded_namenode.blocks[0]
         node = remote_target(loaded_namenode, block.block_id)
-        loaded_namenode.datanodes[node].insert_dynamic(block, 1.0)
+        loaded_namenode.datanode(node).insert_dynamic(block, 1.0)
         assert not service.states
         with pytest.raises(
             InvariantViolation,
@@ -193,7 +219,7 @@ class TestSeededCorruption:
 
     def test_slot_overflow_is_caught(self, loaded_namenode):
         tracer = Tracer()
-        node = next(iter(loaded_namenode.datanodes))
+        node = loaded_namenode.cluster.slave_ids[0]
         jt = JtStub(loaded_namenode)
         jt.slots.free_map[node] = -1
         InvariantChecker(
@@ -209,8 +235,8 @@ class TestSeededCorruption:
         block_id = 0
         missing = next(
             n
-            for n, dn in loaded_namenode.datanodes.items()
-            if not dn.has_block(block_id)
+            for n in loaded_namenode.cluster.slave_ids
+            if not loaded_namenode.datanode(n).has_block(block_id)
         )
         loaded_namenode._locations[block_id].add(missing)
         with pytest.raises(InvariantViolation, match="replica-map consistency"):
@@ -218,7 +244,7 @@ class TestSeededCorruption:
 
     def test_violation_carries_trace_tail(self, loaded_namenode):
         tracer = Tracer()
-        node = next(iter(loaded_namenode.datanodes))
+        node = loaded_namenode.cluster.slave_ids[0]
         jt = JtStub(loaded_namenode)
         InvariantChecker(
             loaded_namenode, jobtracker=jt, full_sweep_every=1
@@ -257,8 +283,8 @@ class TestSeededCorruption:
         checker.check_now()  # the cached map equals a fresh scan
         bid = next(iter(job.pending_block_ids))
         cold = next(
-            n for n in nn.datanodes
-            if n not in hot.get(nn._rack_of[n], ()) and not nn.datanodes[n].has_block(bid)
+            n for n in nn.cluster.slave_ids
+            if n not in hot.get(nn._rack_of[n], ()) and not nn.datanode(n).has_block(bid)
         )
         version = nn.replica_version
         nn.add_repaired_replica(bid, cold)  # a real, consistent replica ...
@@ -299,10 +325,10 @@ class TestSeededCorruption:
         nn = sim.namenode
         if corruption == "drop":
             node = queued[0]
-            nn.datanodes[node].control.discard(node)
+            nn.datanode(node).control.discard(node)
         else:
-            node = next(n for n in nn.datanodes if n not in queued)
-            nn.datanodes[node].control.add(node)
+            node = next(n for n in nn.cluster.slave_ids if n not in queued)
+            nn.datanode(node).control.add(node)
         with pytest.raises(InvariantViolation, match="control set holds"):
             checker.check_now()
 
@@ -318,5 +344,55 @@ class TestSeededCorruption:
         jt.slots.free_map[pooled] -= 1
         with pytest.raises(
             InvariantViolation, match=f"pooled node {pooled} holds occupied slots"
+        ):
+            checker.check_now()
+
+    @pytest.mark.parametrize("corruption, problem", [
+        ("occupied", "pooled node {bare} holds occupied slots"),
+        ("overflow", "node {bare}: free map slots -1 outside"),
+    ], ids=["occupied", "overflow"])
+    def test_occupied_slot_on_a_node_without_a_datanode_is_caught(
+        self, corruption, problem
+    ):
+        sim, bare = _sparse_mesoscale_sim()
+        jt = sim.jobtracker
+        checker = InvariantChecker(sim.namenode, dare=sim.dare, jobtracker=jt)
+        checker.check_now()
+        # the slot and pool audits cover every slave, built DataNode or not
+        # (the slot audit runs first: an overflow is reported as one)
+        if corruption == "occupied":
+            jt.slots.free_map[bare] -= 1
+        else:
+            jt.slots.free_map[bare] = -1
+        with pytest.raises(InvariantViolation, match=problem.format(bare=bare)):
+            checker.check_now()
+
+    def test_replica_on_a_node_without_a_datanode_is_caught(self):
+        sim, bare = _sparse_mesoscale_sim()
+        nn = sim.namenode
+        checker = InvariantChecker(nn, dare=sim.dare, jobtracker=sim.jobtracker)
+        checker.check_now()
+        nn._locations[0].add(bare)  # a replica set naming the bare node
+        assert bare not in nn.datanodes
+        message = f"NameNode claims block 0 on node {bare}, which has no DataNode"
+        with pytest.raises(AssertionError, match=message):
+            nn.check_integrity()
+        with pytest.raises(InvariantViolation, match=message):
+            checker.check_now()
+
+    def test_policy_state_on_a_node_without_a_datanode_is_caught(self):
+        sim, bare = _sparse_mesoscale_sim()
+        checker = InvariantChecker(
+            sim.namenode, dare=sim.dare, jobtracker=sim.jobtracker
+        )
+        checker.check_now()
+        # DARE state that tracks a block on a node that stores nothing
+        sim.dare.node_state(bare).policy.add(sim.namenode.blocks[0])
+        assert bare not in sim.namenode.datanodes
+        with pytest.raises(
+            InvariantViolation,
+            match=re.escape(
+                f"node {bare}: policy tracks blocks [0] with no live dynamic replica"
+            ),
         ):
             checker.check_now()

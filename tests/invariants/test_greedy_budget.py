@@ -30,13 +30,13 @@ def rig(loaded_namenode, streams):
     ring = RingBufferSink(capacity=1024)
     tracer.add_sink(ring)
     loaded_namenode.tracer = tracer
-    for dn in loaded_namenode.datanodes.values():
-        dn.tracer = tracer
+    for nid in loaded_namenode.cluster.slave_ids:
+        loaded_namenode.datanode(nid).tracer = tracer
     service = DareReplicationService(
         DareConfig.greedy_lru(), loaded_namenode, streams, tracer=tracer
     )
-    for dn in loaded_namenode.datanodes.values():
-        dn.dynamic_capacity_bytes = 2 * loaded_namenode.block_size
+    for nid in loaded_namenode.cluster.slave_ids:
+        loaded_namenode.datanode(nid).dynamic_capacity_bytes = 2 * loaded_namenode.block_size
     checker = InvariantChecker(
         loaded_namenode, dare=service, full_sweep_every=1
     ).attach(tracer)
@@ -46,7 +46,8 @@ def rig(loaded_namenode, streams):
 def pick_node_and_blocks(namenode):
     """A node plus one block from each of the three files it doesn't hold."""
     by_file = {}
-    for node_id, dn in namenode.datanodes.items():
+    for node_id in namenode.cluster.slave_ids:
+        dn = namenode.datanode(node_id)
         by_file.clear()
         for block in namenode.blocks.values():
             if not dn.has_block(block.block_id) and block.file_id not in by_file:
@@ -60,7 +61,7 @@ class TestGreedyBudgetEviction:
     def test_lru_order_respected_under_interleaving(self, rig):
         namenode, service, tracer, ring, checker = rig
         node, (a, b, c) = pick_node_and_blocks(namenode)
-        dn = namenode.datanodes[node]
+        dn = namenode.datanode(node)
 
         # two remote reads fill the 2-block budget: [a, b] (a is LRU)
         assert service.on_map_task(node, a, data_local=False, now=1.0)
@@ -86,7 +87,7 @@ class TestGreedyBudgetEviction:
     def test_budget_never_exceeded_mid_sequence(self, rig):
         namenode, service, tracer, ring, checker = rig
         node, blocks = pick_node_and_blocks(namenode)
-        dn = namenode.datanodes[node]
+        dn = namenode.datanode(node)
         # hammer the node with alternating remote reads; every record is
         # validated by the checker, and every charge/refund stays in budget
         now = 1.0

@@ -24,6 +24,7 @@ from repro.checkpoint import (
 )
 from repro.checkpoint.incremental import _dumps
 from repro.checkpoint.snapshot import _unpickler
+from repro.cluster.cluster import scale_spec
 from repro.core.config import DareConfig
 from repro.experiments.runner import ExperimentConfig, Simulation, make_tracer
 from repro.observability.trace import NULL_TRACER, JsonlSink
@@ -212,6 +213,12 @@ def test_load_rejects_unknown_format(tmp_path):
     path.write_bytes(pickle.dumps({"format": 6, "payload": b""}))
     with pytest.raises(ValueError, match="unsupported snapshot format 6"):
         Snapshot.load(str(path))
+    # checkpoints written before DataNodes were built on first use: every
+    # slave's DataNode rides in the payload, and the NameNode has no
+    # dynamic_capacity_bytes to build new ones with
+    path.write_bytes(pickle.dumps({"format": 7, "payload": b""}))
+    with pytest.raises(ValueError, match="unsupported snapshot format 7"):
+        Snapshot.load(str(path))
 
 
 def test_restore_with_trace_requires_a_traced_source(tmp_path):
@@ -291,7 +298,7 @@ def test_pin_patch_makes_the_block_local(tmp_path):
     sim = snap.restore()
     block_id = next(iter(sim.namenode.blocks))
     target = next(
-        n for n in sorted(sim.namenode.datanodes)
+        n for n in sim.cluster.slave_ids
         if not sim.namenode.datanode(n).has_block(block_id)
     )
     parse_patch(f"pin:{block_id}:{target}").apply(sim)
@@ -300,6 +307,30 @@ def test_pin_patch_makes_the_block_local(tmp_path):
     parse_patch(f"pin:{block_id}:{target}").apply(sim)
     sim.run()
     assert sim.finished
+
+
+def test_pin_patch_builds_the_datanode_of_a_bare_node(tmp_path):
+    config = _config(
+        "lru",
+        "fifo",
+        tmp_path / "warm.jsonl",
+        cluster_spec=scale_spec(2000, mesoscale=True),
+        check_invariants=True,
+    )
+    sim = _snapshot_at(config, 20.0).restore()
+    nn = sim.namenode
+    bare = min(set(sim.cluster.slave_ids) - set(nn.datanodes))
+    parse_patch(f"pin:0:{bare}").apply(sim)
+    assert nn.is_local(0, bare)
+    assert nn.datanodes[bare].has_block(0)
+    assert nn.datanodes[bare].control is nn.control_by_rack[nn._rack_of[bare]]
+    # the master and ids outside the cluster still run no DataNode
+    for node_id in (0, -1, sim.cluster.spec.n_nodes):
+        with pytest.raises(ValueError, match=f"node {node_id} runs no DataNode"):
+            parse_patch(f"pin:0:{node_id}").apply(sim)
+    sim.run()
+    assert sim.finished
+    sim.finalize()  # settles the control plane and checks integrity
 
 
 def test_parse_patch_rejects_malformed_specs():

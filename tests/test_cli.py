@@ -1,5 +1,6 @@
 """Unit tests: the command-line interface."""
 
+import json
 import re
 
 import pytest
@@ -73,6 +74,41 @@ class TestParser:
             main(argv)
         assert exc.value.code not in (0, None)
         assert message in f"{exc.value.code}\n{capsys.readouterr().err}"
+        assert not ckpt.exists()
+
+
+class TestEmptyWorkloads:
+    """A workload with no jobs is refused with a one-line reason."""
+
+    @pytest.mark.parametrize("argv, count", [
+        (["synth", "--jobs", "0", "--out", "{out}"], 0),
+        (["synth", "--jobs", "-3", "--stats"], -3),
+    ], ids=["zero-out", "negative-stats"])
+    def test_synth_refuses_a_count_below_one(self, argv, count, tmp_path):
+        out = tmp_path / "z.json"
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(out=out) for a in argv])
+        assert exc.value.code == (
+            f"bad workload 'wl1': a wl1 workload needs at least 1 job (got {count})"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["run"], ["checkpoint", "save", "--at", "5", "--out", "{ckpt}"],
+    ], ids=["run", "checkpoint-save"])
+    def test_a_workload_file_with_no_jobs_is_refused(self, command, tmp_path):
+        # what `synth --jobs 0 --out` used to write: a catalog, no jobs
+        saved = tmp_path / "five.json"
+        assert main(["synth", "--jobs", "5", "--out", str(saved)]) == 0
+        doc = json.loads(saved.read_text())
+        doc["jobs"] = []
+        empty = tmp_path / "z.json"
+        empty.write_text(json.dumps(doc))
+        ckpt = tmp_path / "c.ckpt"
+        argv = [a.format(ckpt=ckpt) for a in command]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--workload", str(empty)])
+        assert exc.value.code == f"bad workload '{empty}': workload 'wl1' has no jobs"
         assert not ckpt.exists()
 
 

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.cluster.cluster import CCT_SPEC, EC2_SPEC, build_cluster
+from repro.cluster.cluster import CCT_SPEC, EC2_SPEC, build_cluster, scale_spec
+from repro.cluster.disk import DiskModel
+from repro.cluster.network import NetworkModel
 from repro.cluster.node import Node
 from repro.cluster.probes import (
     SummaryStats,
@@ -14,6 +16,8 @@ from repro.cluster.probes import (
     probe_report,
     traceroute_hop_histogram,
 )
+from repro.cluster.topology import Topology
+from repro.simulation.rng import RandomStreams
 
 
 class TestNode:
@@ -32,6 +36,74 @@ class TestNode:
     def test_negative_slots_rejected(self):
         with pytest.raises(ValueError):
             Node(1, 0, 100.0, 50.0, map_slots=-1)
+
+
+def _nodes_drawn_one_at_a_time(spec, seed):
+    """Oracle: the cluster's nodes as built by a loop with one disk draw,
+    one NIC rate and one rack lookup per node."""
+    streams = RandomStreams(seed)
+    topology = Topology(
+        spec.family,
+        spec.n_nodes,
+        streams.numpy("cluster.topology"),
+        racks_per_agg=spec.racks_per_agg,
+        nodes_per_rack_mean=spec.nodes_per_rack_mean,
+        dedicated_racks=spec.dedicated_racks,
+    )
+    network = NetworkModel(
+        topology, spec.network, streams.numpy("cluster.network"), lite=spec.lite_network
+    )
+    disk_model = DiskModel(spec.disk, streams.numpy("cluster.disk"))
+    net_rng = streams.numpy("cluster.node-nics")
+    nic_jitter = (
+        net_rng.uniform(0.97, 1.03, size=spec.n_nodes) if spec.lite_network else None
+    )
+    nodes = []
+    for i in range(spec.n_nodes):
+        is_master = i == 0
+        if nic_jitter is not None:
+            nic = float(network.node_bw(i)) * float(nic_jitter[i])
+        else:
+            pair_bws = network._pair_bw[i]
+            finite = pair_bws[np.isfinite(pair_bws)]
+            nic = float(finite.mean()) if finite.size else spec.network.bw_mean
+            nic *= float(net_rng.uniform(0.97, 1.03))
+        nodes.append(
+            Node(
+                node_id=i,
+                rack=int(topology.rack_of[i]),
+                disk_bw_mbps=disk_model.sample(),
+                net_bw_mbps=nic,
+                map_slots=0 if is_master else spec.map_slots,
+                reduce_slots=0 if is_master else spec.reduce_slots,
+                storage_bytes=spec.storage_bytes,
+                is_master=is_master,
+            )
+        )
+    return nodes
+
+
+def _bits(value):
+    """A node attribute with its type, floats as their exact bits."""
+    return type(value), value.hex() if isinstance(value, float) else value
+
+
+@pytest.mark.parametrize("spec", [
+    CCT_SPEC,
+    EC2_SPEC,
+    scale_spec(1000),
+    scale_spec(2000, mesoscale=True),
+], ids=["cct", "ec2", "scale1000", "scale2000-meso"])
+@pytest.mark.parametrize("seed", [1, 20110926])
+def test_bulk_draws_build_the_same_nodes(spec, seed):
+    built = build_cluster(spec, seed=seed).nodes
+    oracle = _nodes_drawn_one_at_a_time(spec, seed)
+    assert len(built) == len(oracle) == spec.n_nodes
+    for got, want in zip(built, oracle):
+        for attr in Node.__slots__:
+            assert _bits(getattr(got, attr)) == _bits(getattr(want, attr)), (
+                got.node_id, attr
+            )
 
 
 class TestClusterAssembly:

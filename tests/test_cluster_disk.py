@@ -1,6 +1,8 @@
 """Unit tests: disk bandwidth models (Table II calibration)."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.disk import CCT_DISK, EC2_DISK, DiskModel
 
@@ -47,3 +49,36 @@ class TestEc2Disk:
         arr = model.sample_nodes(12)
         assert arr.shape == (12,)
         assert (arr > 0).all()
+
+
+class TestSampleNodes:
+    """``sample_nodes(n)`` is ``n`` scalar :meth:`DiskModel.sample` draws."""
+
+    @staticmethod
+    def _pair(params, seed):
+        return (
+            DiskModel(params, np.random.default_rng(seed)),
+            DiskModel(params, np.random.default_rng(seed)),
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from([CCT_DISK, EC2_DISK]),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 3000),
+    )
+    def test_bulk_draw_equals_scalar_draws(self, params, seed, n):
+        bulk, scalar = self._pair(params, seed)
+        drawn = bulk.sample_nodes(n)
+        assert drawn.dtype == np.float64 and drawn.shape == (n,)
+        # the same floats, bit for bit, and both generators end in one state
+        assert drawn.tolist() == [scalar.sample() for _ in range(n)]
+        assert bulk.sample() == scalar.sample()
+
+    def test_bulk_draw_equals_scalar_draws_at_100k_nodes(self):
+        for seed in (1, 2, 20110926):
+            bulk, scalar = self._pair(CCT_DISK, seed)
+            assert bulk.sample_nodes(100_000).tolist() == [
+                scalar.sample() for _ in range(100_000)
+            ]
+            assert bulk.sample() == scalar.sample()

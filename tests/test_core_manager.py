@@ -19,7 +19,9 @@ def make_service(namenode, config):
 
 def remote_node_for(namenode, block):
     return next(
-        nid for nid in namenode.datanodes if nid not in namenode.locations(block.block_id)
+        nid
+        for nid in namenode.cluster.slave_ids
+        if nid not in namenode.locations(block.block_id)
     )
 
 
@@ -28,13 +30,13 @@ class TestBudgetSizing:
         nn = loaded_namenode
         cap = ReplicationBudget(0.2).per_node_capacity_bytes(nn)
         physical = sum(f.size_bytes * f.replication for f in nn.files.values())
-        assert cap == int(0.2 * physical / len(nn.datanodes))
+        assert cap == int(0.2 * physical / len(nn.cluster.slave_ids))
 
     def test_apply_sets_all_datanodes(self, loaded_namenode):
         cap = ReplicationBudget(0.5).apply(loaded_namenode)
         assert all(
-            dn.dynamic_capacity_bytes == cap
-            for dn in loaded_namenode.datanodes.values()
+            loaded_namenode.datanode(nid).dynamic_capacity_bytes == cap
+            for nid in loaded_namenode.cluster.slave_ids
         )
 
     def test_negative_fraction_rejected(self):
@@ -79,21 +81,22 @@ class TestGreedyService:
 
     def test_block_larger_than_capacity_never_replicated(self, loaded_namenode):
         svc = make_service(loaded_namenode, DareConfig.greedy_lru(budget=1.0))
-        for dn in loaded_namenode.datanodes.values():
-            dn.dynamic_capacity_bytes = DEFAULT_BLOCK_SIZE // 2
+        for nid in loaded_namenode.cluster.slave_ids:
+            loaded_namenode.datanode(nid).dynamic_capacity_bytes = DEFAULT_BLOCK_SIZE // 2
         blk = loaded_namenode.file("hot").blocks[0]
         node = remote_node_for(loaded_namenode, blk)
         assert svc.on_map_task(node, blk, False, 1.0) is False
 
     def test_eviction_makes_room(self, loaded_namenode):
         svc = make_service(loaded_namenode, DareConfig.greedy_lru(budget=1.0))
-        for dn in loaded_namenode.datanodes.values():
-            dn.dynamic_capacity_bytes = DEFAULT_BLOCK_SIZE  # one-block budget
+        for nid in loaded_namenode.cluster.slave_ids:
+            # one-block budget
+            loaded_namenode.datanode(nid).dynamic_capacity_bytes = DEFAULT_BLOCK_SIZE
         hot = loaded_namenode.file("hot").blocks[0]
         cold = loaded_namenode.file("cold").blocks[0]
         node = next(
             nid
-            for nid in loaded_namenode.datanodes
+            for nid in loaded_namenode.cluster.slave_ids
             if nid not in loaded_namenode.locations(hot.block_id)
             and nid not in loaded_namenode.locations(cold.block_id)
         )
@@ -106,12 +109,12 @@ class TestGreedyService:
 
     def test_abandoned_when_only_same_file_victims(self, loaded_namenode):
         svc = make_service(loaded_namenode, DareConfig.greedy_lru(budget=1.0))
-        for dn in loaded_namenode.datanodes.values():
-            dn.dynamic_capacity_bytes = DEFAULT_BLOCK_SIZE
+        for nid in loaded_namenode.cluster.slave_ids:
+            loaded_namenode.datanode(nid).dynamic_capacity_bytes = DEFAULT_BLOCK_SIZE
         blocks = loaded_namenode.file("cold").blocks
         node = next(
             nid
-            for nid in loaded_namenode.datanodes
+            for nid in loaded_namenode.cluster.slave_ids
             if all(nid not in loaded_namenode.locations(b.block_id) for b in blocks[:2])
         )
         svc.on_map_task(node, blocks[0], False, 1.0)
@@ -148,7 +151,7 @@ class TestElephantTrapService:
     def test_per_node_coin_streams_differ(self, loaded_namenode):
         cfg = DareConfig.elephant_trap(p=0.5, threshold=1, budget=1.0)
         svc = make_service(loaded_namenode, cfg)
-        ids = list(loaded_namenode.datanodes)[:2]
+        ids = loaded_namenode.cluster.slave_ids[:2]
         seq = {
             nid: [svc.node_state(nid).policy._rng.random() for _ in range(8)]
             for nid in ids
@@ -170,7 +173,7 @@ class TestLazyNodeState:
         assert not sim.dare.states
         sim.run()
         ran_maps = {r.node_id for r in sim.collector.map_records}
-        assert 0 < len(ran_maps) < len(sim.namenode.datanodes)
+        assert 0 < len(ran_maps) < len(sim.cluster.slave_ids)
         assert set(sim.dare.states) == ran_maps
 
 
@@ -190,7 +193,7 @@ class TestInvariants:
         cap = svc.per_node_budget_bytes
         for fname in ("cold", "warm", "hot"):
             for blk in loaded_namenode.file(fname).blocks:
-                for node in list(loaded_namenode.datanodes):
+                for node in loaded_namenode.cluster.slave_ids:
                     if not loaded_namenode.datanode(node).has_block(blk.block_id):
                         svc.on_map_task(node, blk, False, 1.0)
         for dn in loaded_namenode.datanodes.values():

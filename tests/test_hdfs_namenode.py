@@ -1,9 +1,16 @@
 """Unit tests: NameNode metadata, placement, and heartbeat control plane."""
 
+import numpy as np
 import pytest
 
+from repro.cluster.cluster import scale_spec
+from repro.core.config import DareConfig
+from repro.experiments.runner import ExperimentConfig, Simulation
 from repro.hdfs.block import DEFAULT_BLOCK_SIZE
+from repro.hdfs.namenode import NameNode
 from repro.hdfs.protocol import DNA_DYNREPL, DatanodeCommand
+from repro.metrics.placement import popularity_indices
+from repro.workloads.swim import synthesize_wl1
 
 
 class TestNamespace:
@@ -52,7 +59,9 @@ class TestInitialPlacement:
 
     def test_rf_capped_at_slave_count(self, namenode):
         f = namenode.create_file("a", DEFAULT_BLOCK_SIZE, replication=100)
-        assert namenode.replica_count(f.blocks[0].block_id) == len(namenode.datanodes)
+        assert namenode.replica_count(f.blocks[0].block_id) == len(
+            namenode.cluster.slave_ids
+        )
 
     def test_is_local(self, namenode):
         f = namenode.create_file("a", DEFAULT_BLOCK_SIZE)
@@ -66,7 +75,7 @@ class TestHeartbeatControlPlane:
         nn = loaded_namenode
         blk = nn.file("hot").blocks[0]
         outsider = next(
-            nid for nid in nn.datanodes if nid not in nn.locations(blk.block_id)
+            nid for nid in nn.cluster.slave_ids if nid not in nn.locations(blk.block_id)
         )
         dn = nn.datanode(outsider)
         dn.dynamic_capacity_bytes = DEFAULT_BLOCK_SIZE
@@ -80,7 +89,7 @@ class TestHeartbeatControlPlane:
         nn = loaded_namenode
         blk = nn.file("hot").blocks[0]
         outsider = next(
-            nid for nid in nn.datanodes if nid not in nn.locations(blk.block_id)
+            nid for nid in nn.cluster.slave_ids if nid not in nn.locations(blk.block_id)
         )
         dn = nn.datanode(outsider)
         dn.dynamic_capacity_bytes = DEFAULT_BLOCK_SIZE
@@ -95,7 +104,7 @@ class TestHeartbeatControlPlane:
         nn = loaded_namenode
         blk = nn.file("hot").blocks[0]
         outsider = next(
-            nid for nid in nn.datanodes if nid not in nn.locations(blk.block_id)
+            nid for nid in nn.cluster.slave_ids if nid not in nn.locations(blk.block_id)
         )
         dn = nn.datanode(outsider)
         queued = nn.control_by_rack[nn._rack_of[outsider]]
@@ -114,7 +123,7 @@ class TestHeartbeatControlPlane:
         nn = loaded_namenode
         blk = nn.file("hot").blocks[0]
         outsider = next(
-            nid for nid in nn.datanodes if nid not in nn.locations(blk.block_id)
+            nid for nid in nn.cluster.slave_ids if nid not in nn.locations(blk.block_id)
         )
         dn = nn.datanode(outsider)
         dn.dynamic_capacity_bytes = DEFAULT_BLOCK_SIZE
@@ -128,7 +137,7 @@ class TestHeartbeatControlPlane:
         nn = loaded_namenode
         blk = nn.file("hot").blocks[0]
         outsider = next(
-            nid for nid in nn.datanodes if nid not in nn.locations(blk.block_id)
+            nid for nid in nn.cluster.slave_ids if nid not in nn.locations(blk.block_id)
         )
         dn = nn.datanode(outsider)
         dn.dynamic_capacity_bytes = DEFAULT_BLOCK_SIZE
@@ -158,7 +167,7 @@ class TestHeartbeatControlPlane:
         nn = loaded_namenode
         blk = nn.file("hot").blocks[0]
         phantom = next(
-            nid for nid in nn.datanodes if nid not in nn.locations(blk.block_id)
+            nid for nid in nn.cluster.slave_ids if nid not in nn.locations(blk.block_id)
         )
         nn._locations[blk.block_id].add(phantom)
         with pytest.raises(AssertionError, match="does not store"):
@@ -181,3 +190,63 @@ class TestProtocolValidation:
         a.validate()
         b.validate()
         assert a.op != b.op
+
+
+class TestDataNodesOnFirstUse:
+    def test_a_fresh_namenode_builds_none(self, namenode):
+        assert namenode.datanodes == {}
+
+    def test_datanode_builds_on_first_use(self, small_cluster):
+        nn = NameNode(small_cluster)
+        nn.dynamic_capacity_bytes = 5 * DEFAULT_BLOCK_SIZE
+        dn = nn.datanode(3)
+        assert nn.datanodes == {3: dn}
+        assert nn.datanode(3) is dn
+        assert dn.node is small_cluster.node(3)
+        assert dn.control is nn.control_by_rack[nn._rack_of[3]]
+        assert dn.dynamic_capacity_bytes == 5 * DEFAULT_BLOCK_SIZE
+        assert dn.tracer is nn.tracer
+
+    @pytest.mark.parametrize("node_id", [0, -1, 8, 100])
+    def test_master_and_out_of_range_ids_are_refused(self, namenode, node_id):
+        with pytest.raises(KeyError):
+            namenode.datanode(node_id)
+        assert namenode.datanodes == {}
+
+    def test_read_only_paths_build_nothing(self, namenode):
+        namenode.flush_all_heartbeats(1.0)
+        namenode.check_integrity()
+        assert namenode.under_replicated() == {}
+        # every slave still has a (zero) popularity index
+        assert popularity_indices(namenode, {}).tolist() == [0.0] * 7
+        assert namenode.datanodes == {}
+
+    def test_writers_build_their_target_only(self, namenode):
+        f = namenode.create_file("a", DEFAULT_BLOCK_SIZE, replication=2)
+        holders = set(namenode.locations(f.blocks[0].block_id))
+        assert set(namenode.datanodes) == holders
+        outsider = min(set(namenode.cluster.slave_ids) - holders)
+        namenode.add_repaired_replica(f.blocks[0].block_id, outsider)
+        assert set(namenode.datanodes) == holders | {outsider}
+        namenode.check_integrity()
+
+    def test_mesoscale_cell_builds_datanodes_where_blocks_or_maps_are(self):
+        # 2,000 nodes, Fair + ElephantTrap, WL1 x 10: ~200 slaves hold no
+        # block and run no map, and get no DataNode
+        sim = Simulation(
+            ExperimentConfig(
+                cluster_spec=scale_spec(2000, mesoscale=True),
+                scheduler="fair",
+                dare=DareConfig.elephant_trap(),
+                seed=1,
+            ),
+            synthesize_wl1(np.random.default_rng(20110926), n_jobs=10),
+        )
+        sim.run()
+        sim.finalize()
+        nn = sim.namenode
+        holders = {n for locs in nn._locations.values() for n in locs}
+        ran_maps = {r.node_id for r in sim.collector.map_records}
+        assert ran_maps
+        assert set(nn.datanodes) == holders | ran_maps
+        assert len(nn.datanodes) < sim.cluster.n_slaves

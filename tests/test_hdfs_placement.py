@@ -12,7 +12,10 @@ from repro.hdfs.placement import DefaultPlacementPolicy
 def make_policy(family=VIRTUALIZED, n=20, seed=3):
     topo = Topology(family, n, np.random.default_rng(seed))
     slaves = list(range(1, n))  # node 0 is the master
-    return DefaultPlacementPolicy(slaves, topo, random.Random(seed)), topo
+    rack_ids = {}
+    for node in slaves:
+        rack_ids.setdefault(int(topo.rack_of[node]), []).append(node)
+    return DefaultPlacementPolicy(slaves, rack_ids, topo, random.Random(seed)), topo
 
 
 class TestChooseTargets:
@@ -72,7 +75,7 @@ class TestChooseTargets:
     def test_empty_slave_list_rejected(self):
         topo = Topology(DEDICATED, 3, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            DefaultPlacementPolicy([], topo, random.Random(0))
+            DefaultPlacementPolicy([], {}, topo, random.Random(0))
 
     def test_spread_over_cluster(self):
         # over many placements every slave should receive some replicas

@@ -51,8 +51,8 @@ def _seed_tick(self) -> None:
             budget -= jt.sched_version - before
 
     for nid in self.member_ids:
-        dn = datanodes[nid]
-        control = bool(dn.outbox) or bool(dn.pending_deletion)
+        dn = datanodes.get(nid)
+        control = dn is not None and (bool(dn.outbox) or bool(dn.pending_deletion))
         offer = budget > 0 and (free_map[nid] > 0 or free_reduce[nid] > 0)
         if not control and not offer:
             continue
@@ -166,7 +166,7 @@ def test_promotions_are_bounded_by_launches():
 
 
 class _RecordingDict(dict):
-    """A dict that records every key read through ``[]``."""
+    """A dict that records every key read through ``[]`` or ``get``."""
 
     def __init__(self, *args) -> None:
         super().__init__(*args)
@@ -175,6 +175,10 @@ class _RecordingDict(dict):
     def __getitem__(self, key):
         self.keys_read.add(key)
         return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.keys_read.add(key)
+        return super().get(key, default)
 
 
 def test_tick_without_budget_or_control_traffic_beats_nobody(monkeypatch):

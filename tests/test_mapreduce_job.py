@@ -98,7 +98,7 @@ class TestFindPendingMap:
     def test_single_rack_fallback_is_rack_local(self, loaded_namenode, job):
         # find a node holding no block of the job (single-rack cluster ->
         # everything non-local is rack-local)
-        nodes = set(loaded_namenode.datanodes)
+        nodes = set(loaded_namenode.cluster.slave_ids)
         for t in job.maps:
             nodes -= set(loaded_namenode.locations(t.block.block_id))
         if not nodes:
@@ -108,7 +108,7 @@ class TestFindPendingMap:
         assert level is Locality.RACK_LOCAL
 
     def test_max_level_node_local_filters(self, loaded_namenode, job):
-        nodes = set(loaded_namenode.datanodes)
+        nodes = set(loaded_namenode.cluster.slave_ids)
         for t in job.maps:
             nodes -= set(loaded_namenode.locations(t.block.block_id))
         if not nodes:
@@ -128,7 +128,7 @@ class TestFindPendingMap:
         outsider = next(
             (
                 nid
-                for nid in loaded_namenode.datanodes
+                for nid in loaded_namenode.cluster.slave_ids
                 if all(
                     nid not in loaded_namenode.locations(t.block.block_id)
                     for t in job.maps

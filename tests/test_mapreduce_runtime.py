@@ -27,7 +27,7 @@ class TestMapDurations:
         blk = loaded_namenode.file("hot").blocks[0]
         local = next(iter(loaded_namenode.locations(blk.block_id)))
         remote = next(
-            nid for nid in loaded_namenode.datanodes
+            nid for nid in loaded_namenode.cluster.slave_ids
             if nid not in loaded_namenode.locations(blk.block_id)
         )
         t_local, _, cpu_l = model.map_duration(local, blk, True, 4.0)
@@ -39,7 +39,7 @@ class TestMapDurations:
     def test_remote_source_is_a_replica_holder(self, model, loaded_namenode):
         blk = loaded_namenode.file("hot").blocks[0]
         remote = next(
-            nid for nid in loaded_namenode.datanodes
+            nid for nid in loaded_namenode.cluster.slave_ids
             if nid not in loaded_namenode.locations(blk.block_id)
         )
         _, source, _ = model.map_duration(remote, blk, False, 4.0)
@@ -65,7 +65,7 @@ class TestMapDurations:
         blk = loaded_namenode.file("hot").blocks[0]
         locs = sorted(loaded_namenode.locations(blk.block_id))
         remote = next(
-            nid for nid in loaded_namenode.datanodes if nid not in locs
+            nid for nid in loaded_namenode.cluster.slave_ids if nid not in locs
         )
         # load every replica holder except one
         for nid in locs[1:]:

@@ -135,12 +135,14 @@ class TestComponentWiring:
     def test_namenode_hands_tracer_to_datanodes(self, small_cluster):
         tracer = Tracer()
         nn = NameNode(small_cluster, tracer=tracer)
-        assert all(dn.tracer is tracer for dn in nn.datanodes.values())
+        assert all(nn.datanode(n).tracer is tracer for n in small_cluster.slave_ids)
 
     def test_default_is_null_tracer(self, small_cluster):
         nn = NameNode(small_cluster)
         assert nn.tracer is NULL_TRACER
-        assert all(dn.tracer is NULL_TRACER for dn in nn.datanodes.values())
+        assert all(
+            nn.datanode(n).tracer is NULL_TRACER for n in small_cluster.slave_ids
+        )
 
     def test_dynamic_insert_and_evict_emit_records(self, small_cluster):
         tracer = Tracer()
@@ -150,9 +152,9 @@ class TestComponentWiring:
         nn.create_file("f", 2 * nn.block_size, replication=2)
         block = nn.blocks[0]
         node = next(
-            n for n, dn in nn.datanodes.items() if not dn.has_block(block.block_id)
+            n for n in small_cluster.slave_ids if not nn.datanode(n).has_block(block.block_id)
         )
-        dn = nn.datanodes[node]
+        dn = nn.datanode(node)
         dn.dynamic_capacity_bytes = block.size_bytes
         dn.insert_dynamic(block, now=1.0)
         dn.mark_for_deletion(block.block_id, now=2.0)

@@ -57,7 +57,7 @@ def test_water_fill_respects_budget(file_blocks, counts, budget):
     # only observed files receive replicas, and never beyond the slave count
     for name, k in extra.items():
         assert observed[name] > 0
-        assert nn.file(name).replication + k <= len(nn.datanodes)
+        assert nn.file(name).replication + k <= len(nn.cluster.slave_ids)
         assert k >= 1
 
 

@@ -83,10 +83,14 @@ def test_placement_fast_path_matches_candidate_list(seed, n_nodes, rf):
     spec = scale_spec(n_nodes)
     cluster = Cluster(spec, RandomStreams(seed))
     fast = DefaultPlacementPolicy(
-        cluster.slave_ids, cluster.topology, random.Random(seed)
+        cluster.slave_ids,
+        cluster.slaves_by_rack,
+        cluster.topology,
+        random.Random(seed),
     )
+    # the oracle's draws scan slave_ids and never read the rack grouping
     ref = _CandidateListPlacement(
-        cluster.slave_ids, cluster.topology, random.Random(seed)
+        cluster.slave_ids, {}, cluster.topology, random.Random(seed)
     )
     writers = random.Random(seed + 1)
     for _ in range(20):
@@ -169,13 +173,13 @@ def test_replica_indexes_survive_random_mutations(data):
 @given(st.data())
 def test_slot_store_matches_dict_reference(data):
     n_nodes = data.draw(st.integers(1, 40))
-    store = SlotStore(n_nodes)
-    ref = {}
-    for nid in range(n_nodes):
-        m = data.draw(st.integers(0, 4))
-        r = data.draw(st.integers(0, 4))
-        store.register(nid, m, r)
-        ref[nid] = [m, r, m, r]  # free_map, free_reduce, cap_map, cap_reduce
+    caps = [
+        (data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4)))
+        for _ in range(n_nodes)
+    ]
+    store = SlotStore([m for m, _ in caps], [r for _, r in caps])
+    # free_map, free_reduce, cap_map, cap_reduce
+    ref = {nid: [m, r, m, r] for nid, (m, r) in enumerate(caps)}
     for _ in range(data.draw(st.integers(0, 60))):
         nid = data.draw(st.integers(0, n_nodes - 1))
         kind = data.draw(st.sampled_from(["map", "reduce"]))

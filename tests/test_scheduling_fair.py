@@ -30,7 +30,7 @@ def non_holder_of(namenode, job):
     return next(
         (
             nid
-            for nid in namenode.datanodes
+            for nid in namenode.cluster.slave_ids
             if all(
                 nid not in namenode.locations(t.block.block_id) for t in job.maps
             )

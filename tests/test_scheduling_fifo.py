@@ -73,7 +73,7 @@ class TestFifoLocality:
         non_holder = next(
             (
                 nid
-                for nid in loaded_namenode.datanodes
+                for nid in loaded_namenode.cluster.slave_ids
                 if all(
                     nid not in loaded_namenode.locations(t.block.block_id)
                     for t in jobs[0].maps

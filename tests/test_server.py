@@ -761,6 +761,23 @@ class TestServerHTTP:
             manager.stop()
         assert not target.exists()
 
+    def test_submitted_cell_with_no_jobs_is_refused(self, tmp_path):
+        empty = cell_to_doc(CELLS[0])
+        empty["workload"] = ["wl1", 0, 7, ""]
+        manager = make_manager(tmp_path).start()
+        try:
+            with ServerThread(manager) as st:
+                status, _, data = st.request(
+                    "POST", "/api/jobs", body={"cells": [empty]}
+                )
+                assert status == 400
+                assert "a wl1 workload needs at least 1 job (got 0)" in (
+                    json.loads(data)["error"]
+                )
+                assert not manager.jobs
+        finally:
+            manager.stop()
+
     def test_sse_streams_trace_records(self, tmp_path):
         manager = make_manager(tmp_path).start()
         try:

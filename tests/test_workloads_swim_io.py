@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.runner import ExperimentConfig, run_experiment
+from repro.experiments.sweep import WorkloadSpec
 from repro.hdfs.block import DEFAULT_BLOCK_SIZE
 from repro.workloads.swim import synthesize_wl1
 from repro.workloads.swim_io import (
@@ -150,6 +151,24 @@ class TestRoundTrip:
         path.write_text(json.dumps(doc))  # json writes (and reads) bare NaN
         with pytest.raises(ValueError, match="non-finite"):
             load_workload(path)
+
+    def test_workload_with_no_jobs_rejected(self, tmp_path):
+        wl = synthesize_wl1(np.random.default_rng(7), n_jobs=5)
+        path = tmp_path / "wl.json"
+        save_workload(wl, path)
+        doc = json.loads(path.read_text())
+        doc["jobs"] = []
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="workload 'wl1' has no jobs"):
+            load_workload(path)
+        for n_jobs in (0, -3):
+            with pytest.raises(ValueError, match="has no jobs"):
+                synthesize_wl1(np.random.default_rng(7), n_jobs=n_jobs)
+            with pytest.raises(ValueError, match="needs at least 1 job"):
+                WorkloadSpec("wl2", n_jobs=n_jobs).validate()
+        with pytest.raises(ValueError, match="unknown workload kind"):
+            WorkloadSpec("wl9").validate()
+        assert WorkloadSpec("wl1", n_jobs=1).validate() == WorkloadSpec("wl1", 1)
 
     def test_bad_format_version_rejected(self, tmp_path):
         path = tmp_path / "wl.json"
