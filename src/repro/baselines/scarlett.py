@@ -235,14 +235,10 @@ class ScarlettService:
         """Queue copies of every block of ``name`` to one fresh node each."""
         inode = self.namenode.file(name)
         for block in inode.blocks:
-            locs = self.namenode.locations(block.block_id)
-            candidates = [
-                n.node_id
-                for n in self.namenode.cluster.slaves
-                if n.alive and n.node_id not in locs
-            ]
+            candidates = self.namenode.new_holders(block.block_id)
             if not candidates:
                 continue
+            locs = self.namenode.locations(block.block_id)
             src_choices = [
                 n for n in locs if self.namenode.cluster.node(n).alive
             ]

@@ -8,32 +8,33 @@ topology, and the HDFS file tree (INodes and Blocks are immutable once
 ``Simulation.__init__`` has created them — HDFS files are read-only and
 replica locations live in the DataNode maps, not on the blocks).
 
-A session pickles those *static* roots once, records the pickle-memo
-index every static object landed at, and then pickles each snapshot's
-*delta* payload with every static object replaced by that index.  A
-one-shot :func:`snapshot` is a session of one that also embeds the trace
-prefix, for checkpoints that are saved to disk or forked per what-if
-cell.
+A session pickles those *static* roots once and keeps that pickler's
+memo (token slots, then every static object at its index); each
+snapshot's *delta* payload is pickled by a fresh pickler seeded with a
+copy of it, so every static object is a memo reference.  A one-shot
+:func:`snapshot` is a session of one that also embeds the trace prefix,
+for checkpoints that are saved to disk or forked per what-if cell.
 
 Dirty detection: the session fingerprints the file tree
 (``(len(files), len(blocks))``) at every :meth:`SnapshotSession.snapshot`
 and transparently rebases (re-pickles the static payload) if it changed,
 so a future mid-run file creation degrades to correct-but-slower rather
 than corrupting forks.  ``check=True`` additionally verifies every
-snapshot against the plain tokenless pickle of the live run: both are
+snapshot against a plain pickle of the live run (token slots only): both are
 materialized and re-pickled, and the byte streams must match exactly.
 """
 
 from __future__ import annotations
 
 import io
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.checkpoint.snapshot import (
     SNAPSHOT_FORMAT,
     Snapshot,
     StaticPool,
-    _SimulationPickler,
+    _pickler,
+    _token_memo,
     _unpickler,
 )
 from repro.experiments.runner import Simulation
@@ -49,8 +50,7 @@ def _static_roots(sim: Simulation) -> Tuple:
     """The immutable-after-setup subsystems shared by every epoch.
 
     Order matters: the tuple is pickled as one document and its memo
-    indices become the token namespace for every delta pickled against
-    it.
+    indices are the references of every delta pickled against it.
     """
     return (
         sim.config,
@@ -65,10 +65,10 @@ def _file_tree_version(sim: Simulation) -> Tuple[int, int]:
     return (len(sim.namenode.files), len(sim.namenode.blocks))
 
 
-def _dumps(sim: Simulation, static_ids: Optional[Dict[int, int]] = None) -> bytes:
-    """Pickle ``sim``, tokening out the objects in ``static_ids``."""
+def _dumps(sim: Simulation, memo=None) -> bytes:
+    """Pickle ``sim`` against ``memo`` (by default its token slots only)."""
     buffer = io.BytesIO()
-    _SimulationPickler(buffer, static_ids).dump(sim)
+    _pickler(buffer, _token_memo(sim) if memo is None else memo).dump(sim)
     return buffer.getvalue()
 
 
@@ -90,9 +90,8 @@ class SnapshotSession:
         self.pool = StaticPool()
         self._version: Optional[Tuple[int, int]] = None
         self._static_payload = b""
-        self._static_ids: Dict[int, int] = {}
-        #: the static pickler's memo, kept alive so id() keys stay valid
-        self._memo: Dict[int, Tuple[int, object]] = {}
+        #: the static pickler's memo: seeds each delta, keeps statics alive
+        self._memo = None
         # rack_members() populates a lazy per-rack cache on first use;
         # warm it now so the topology is frozen before it is pickled
         topo = sim.cluster.topology
@@ -102,20 +101,12 @@ class SnapshotSession:
     def _rebase(self) -> None:
         """(Re-)pickle the static payload from the live simulation."""
         buffer = io.BytesIO()
-        pickler = _SimulationPickler(buffer)
+        pickler = _pickler(buffer, _token_memo(self.sim))
         pickler.dump(_static_roots(self.sim))
         self._static_payload = buffer.getvalue()
-        self._memo = pickler.memo.copy()  # id(obj) -> (memo_index, obj)
-        self._static_ids = {
-            obj_id: entry[0] for obj_id, entry in self._memo.items()
-        }
+        self._memo = pickler.memo
         self._version = _file_tree_version(self.sim)
-        # pre-seed the host pool with the live objects themselves: a
-        # host-side restore then shares them instead of unpickling
-        self.pool._entry = (
-            self._static_payload,
-            {entry[0]: entry[1] for entry in self._memo.values()},
-        )
+        self.pool.share(self._static_payload, self._memo)
 
     def snapshot(self) -> Snapshot:
         """Freeze the current state as a :class:`Snapshot`.
@@ -134,7 +125,7 @@ class SnapshotSession:
             config=config_to_dict(self.sim.config),
             engine_events=tracer.engine_events,
             traced=tracer.enabled,
-            payload=_dumps(self.sim, self._static_ids),
+            payload=_dumps(self.sim, self._memo),
             static_payload=self._static_payload,
         )
         if self.check:
@@ -146,7 +137,7 @@ class SnapshotSession:
 
         The snapshot is restored from its own payloads (a fresh pool, so
         a static object mutated behind the session's back shows up); the
-        live run is pickled with the tokenless pickler and unpickled.
+        live run is pickled against its token slots only and unpickled.
         Both graphs are re-pickled the same way and the streams must
         match exactly.  Costs a pickle round trip of the live run, a
         restore and two re-pickles per epoch, which is why it rides the

@@ -14,19 +14,18 @@ the original paused.
 
 The graph is stored as two payloads.  The *static* payload pickles the
 subsystems that never change after setup (config, workload, topology,
-HDFS file tree); the *delta* payload pickles everything else, with each
-static object replaced by a bare-``int`` persistent id — its memo index
-in the static payload.  Restore unpickles the static payload through a
-:class:`StaticPool` and resolves the delta's tokens against it, so forks
-restored through one pool share the immutable static objects.  Snapshots
-are taken by :mod:`repro.checkpoint.incremental`.
+HDFS file tree); the *delta* payload pickles everything else against the
+static pickler's memo, so each static object is a C-level memo
+reference, not a second copy.  Restore unpickles the static payload once
+per :class:`StaticPool` and seeds the delta's unpickler with it, so
+forks restored through one pool share the immutable static objects.
+Snapshots are taken by :mod:`repro.checkpoint.incremental`.
 
-Two objects are *excluded* from both payloads and re-wired on restore:
-
-* the shared :class:`Tracer` (it holds an open file handle); every
-  component's reference is replaced by a persistent-id token and resolved
-  to a fresh bus on load, and
-* the sampling profiler (wall-clock state, meaningless after restore).
+Both payloads' memos start with three token slots — ``NULL_TRACER``,
+the run's own :class:`Tracer` (it holds an open file handle) and its
+sampling profiler (wall-clock state) — so neither object is pickled:
+restore binds the slots to ``NULL_TRACER``, the restore-time bus and
+``None``.  Any other tracer or profiler in the graph fails the snapshot.
 
 Nor does a snapshot carry ``Simulation.engine_wall_s``, the run's other
 wall-clock state: a restored simulation starts it at zero, and two
@@ -42,73 +41,75 @@ indistinguishable from one written in a single pass.
 
 from __future__ import annotations
 
+import copyreg
+import functools
 import io
 import pickle
+import struct
 from dataclasses import asdict, dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.runner import Simulation
 from repro.observability.profiling import CallbackProfiler
 from repro.observability.trace import NULL_TRACER, JsonlSink, Tracer
 
 #: bump when the pickled payload layout changes shape
-SNAPSHOT_FORMAT = 8
+SNAPSHOT_FORMAT = 9
 
-_TOKEN_TRACER = "tracer"
-_TOKEN_NULL_TRACER = "null-tracer"
-_TOKEN_PROFILER = "profiler"
+#: memo slots ahead of a payload's own objects (see :func:`_token_memo`)
+_N_TOKENS = 3
 
 
-class _SimulationPickler(pickle.Pickler):
-    """Pickler that tokens out the shared tracer and the profiler.
+def _refuse(obj: object):
+    raise pickle.PicklingError(
+        f"a {type(obj).__name__} that is not the snapshotted run's own is in its graph"
+    )
 
-    ``static_ids`` additionally tokens out objects pickled in the static
-    payload: it maps ``id(obj)`` to that payload's pickle-memo index, and
-    any object found in it is emitted as a bare-``int`` persistent id
-    instead of being re-pickled.  The lookups below are ordered
-    hottest-first — this method runs once per object in the graph.
+
+def _token_memo(sim: Simulation) -> Dict[int, Tuple[int, object]]:
+    """A pickler memo holding ``sim``'s token slots: ``NULL_TRACER``, its
+    tracer and its profiler.  A slot the run leaves empty holds a fresh
+    placeholder, so the three stay distinct and a payload's own objects
+    always start at index :data:`_N_TOKENS`."""
+    tracer = sim.tracer if sim.tracer is not NULL_TRACER else object()
+    profiler = sim.profiler if sim.profiler is not None else object()
+    return {i: (i, obj) for i, obj in enumerate((NULL_TRACER, tracer, profiler))}
+
+
+def _pickler(buffer: io.BytesIO, memo) -> pickle.Pickler:
+    """A pickler whose memo starts as ``memo`` (a dict or a memo proxy).
+
+    Its reducers are copyreg's plus a refusal for any tracer or profiler
+    outside the token slots (an object in the memo is never reduced).
     """
-
-    def __init__(
-        self,
-        buffer: io.BytesIO,
-        static_ids: Optional[Dict[int, int]] = None,
-    ) -> None:
-        super().__init__(buffer, protocol=pickle.HIGHEST_PROTOCOL)
-        self._static_ids = static_ids if static_ids is not None else {}
-
-    def persistent_id(self, obj: object):
-        token = self._static_ids.get(id(obj))
-        if token is not None:
-            return token
-        if obj is NULL_TRACER:
-            return _TOKEN_NULL_TRACER
-        if isinstance(obj, Tracer):
-            return _TOKEN_TRACER
-        if isinstance(obj, CallbackProfiler):
-            return _TOKEN_PROFILER
-        return None
+    pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+    pickler.dispatch_table = {**copyreg.dispatch_table, Tracer: _refuse, CallbackProfiler: _refuse}
+    pickler.memo = memo
+    return pickler
 
 
-def _unpickler(
-    payload: bytes,
-    tracer: Tracer,
-    static_map: Optional[Dict[int, object]] = None,
-) -> pickle.Unpickler:
-    """An unpickler that resolves every persistent id through one dict.
+@functools.lru_cache(maxsize=4)
+def _seed_stream(n: int) -> bytes:
+    """A pickle that memoizes persistent ids ``0 .. n-1`` in order.
 
-    Tracer tokens resolve to the restore-time bus; the ``int`` ids of a
-    delta payload resolve through ``static_map`` (static-payload memo
-    index -> already-unpickled static object).  The dict's own
-    ``__getitem__`` serves as ``persistent_load``, so the thousands of
-    static references in a delta cost a C lookup each, not a Python call.
+    ``Unpickler.memo`` cannot seed an unpickler: CPython drops a dict
+    assigned to it, and a copied memo proxy keeps the objects but not
+    their count, so the payload's first ``MEMOIZE`` overwrites slot 0.
+    Read first by the same unpickler, this leaves exactly ``n`` entries.
     """
-    tokens: Dict[object, object] = dict(static_map or ())
-    tokens[_TOKEN_TRACER] = tracer
-    tokens[_TOKEN_NULL_TRACER] = NULL_TRACER
-    tokens[_TOKEN_PROFILER] = None
-    unpickler = pickle.Unpickler(io.BytesIO(payload))
-    unpickler.persistent_load = tokens.__getitem__
+    step = pickle.BINPERSID + pickle.MEMOIZE + pickle.POP
+    body = b"".join(pickle.BININT + struct.pack("<i", i) + step for i in range(n))
+    body += pickle.NONE + pickle.STOP
+    return pickle.PROTO + b"\x04" + pickle.FRAME + struct.pack("<Q", len(body)) + body
+
+
+def _unpickler(payload: bytes, tracer: Tracer, static: Sequence[object] = ()) -> pickle.Unpickler:
+    """An unpickler for ``payload`` whose memo starts with the token slots
+    (bound to ``NULL_TRACER``, ``tracer``, ``None``), then ``static``."""
+    slots = [NULL_TRACER, tracer, None, *static]
+    unpickler = pickle.Unpickler(io.BytesIO(_seed_stream(len(slots)) + payload))
+    unpickler.persistent_load = slots.__getitem__
+    unpickler.load()  # the seed stream
     return unpickler
 
 
@@ -116,26 +117,32 @@ class StaticPool:
     """Restore-side cache of unpickled static payloads.
 
     Keyed by payload bytes, so a session rebase (new static payload)
-    naturally misses and re-populates.  Holding one pool per process —
-    host or pool worker — means the static graph is unpickled once and
-    shared by every subsequent fork, which is safe because the objects
-    are immutable.
+    misses and re-populates.  One pool per process (host or pool worker)
+    unpickles the static graph once for every later fork, which is safe
+    because the objects are immutable.
     """
 
     def __init__(self) -> None:
-        # one (payload, memo) slot, swapped as a unit so a restore never
-        # sees a payload/memo mismatch
-        self._entry: Optional[Tuple[bytes, Dict[int, object]]] = None
+        # one (payload, objects) slot, swapped as a unit so a restore
+        # never sees a payload/objects mismatch
+        self._entry: Optional[Tuple[bytes, List[object]]] = None
 
-    def resolve(self, payload: bytes) -> Dict[int, object]:
-        """The {memo-index: object} map for ``payload``, cached."""
+    def objects(self, payload: bytes) -> List[object]:
+        """``payload``'s objects in memo order after the token slots, cached."""
         entry = self._entry
         if entry is None or entry[0] != payload:
             unpickler = _unpickler(payload, NULL_TRACER)
             unpickler.load()
-            entry = (payload, unpickler.memo.copy())
+            memo = unpickler.memo.copy()
+            entry = (payload, [memo[i] for i in range(_N_TOKENS, len(memo))])
             self._entry = entry
         return entry[1]
+
+    def share(self, payload: bytes, memo) -> None:
+        """Serve ``payload`` with the live objects of the pickler ``memo``
+        that wrote it, so restores share them instead of unpickling."""
+        entries = sorted(memo.copy().values())  # (memo index, obj)
+        self._entry = (payload, [obj for _, obj in entries[_N_TOKENS:]])
 
 
 @dataclass
@@ -153,9 +160,9 @@ class Snapshot:
     engine_events: bool
     #: whether the source run had an enabled tracer
     traced: bool
-    #: the delta-pickled Simulation graph (static objects tokened out)
+    #: the delta-pickled Simulation graph (static objects memo references)
     payload: bytes
-    #: the static payload the delta's int tokens resolve against
+    #: the static payload whose memo the delta's references index
     static_payload: bytes
     #: flushed JSONL bytes of the source run's trace file, if embedded
     trace_prefix: Optional[bytes] = None
@@ -198,8 +205,8 @@ class Snapshot:
                 tracer = Tracer(engine_events=self.engine_events)
             else:
                 tracer = NULL_TRACER
-        static_map = (pool or StaticPool()).resolve(self.static_payload)
-        sim = _unpickler(self.payload, tracer, static_map).load()
+        static = (pool or StaticPool()).objects(self.static_payload)
+        sim = _unpickler(self.payload, tracer, static).load()
         if sim.checker is not None and tracer.enabled:
             # the invariant checker's ring sink and record subscription
             # lived on the old bus; re-attach them to the new one

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import insort
 from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional
 
@@ -148,6 +149,8 @@ class Cluster:
                 range(1, spec.n_nodes), racks[1:], disk_bw[1:], nic_bw[1:]
             )
         ]
+        #: ascending ids of the stopped slaves (see :meth:`stop_node`)
+        self.dead_slaves: List[int] = []
 
     # -- convenience -------------------------------------------------------
 
@@ -198,6 +201,12 @@ class Cluster:
     def node(self, node_id: int) -> Node:
         """Node by id."""
         return self.nodes[node_id]
+
+    def stop_node(self, node_id: int) -> None:
+        """A slave's machine stops: the one writer of ``Node.alive = False``
+        and of :attr:`dead_slaves`, which it keeps ascending."""
+        self.nodes[node_id].alive = False
+        insort(self.dead_slaves, node_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -48,7 +48,7 @@ class FailureInjector:
 
     Killing a node, in order:
 
-    1. the machine stops (``node.alive = False``) — its TaskTracker never
+    1. the machine stops (:meth:`Cluster.stop_node`) — its TaskTracker never
        heartbeats again;
     2. in-flight tasks on the node are killed and requeued on the
        JobTracker (MapReduce task re-execution);
@@ -96,10 +96,10 @@ class FailureInjector:
     # -- the failure sequence -------------------------------------------------
 
     def _fail(self, node_id: int) -> None:
-        node = self.namenode.cluster.node(node_id)
-        if not node.alive:
+        cluster = self.namenode.cluster
+        if not cluster.node(node_id).alive:
             return
-        node.alive = False
+        cluster.stop_node(node_id)
         self.failed_nodes.append(node_id)
         requeued = self.jobtracker.requeue_tasks_from(node_id)
         if self.tracer.enabled:

@@ -69,14 +69,6 @@ class ReReplicationService:
 
     # -- one repair ------------------------------------------------------------
 
-    def _eligible_targets(self, bid: int) -> List[int]:
-        locs = self.namenode.locations(bid)
-        return [
-            n.node_id
-            for n in self.namenode.cluster.slaves
-            if n.alive and n.node_id not in locs
-        ]
-
     def _start_repair(self, bid: int) -> None:
         locs = [
             n
@@ -90,7 +82,7 @@ class ReReplicationService:
         if not locs:
             self.repairs_unrecoverable += 1
             return
-        targets = self._eligible_targets(bid)
+        targets = self.namenode.new_holders(bid)
         if not targets:
             self.repairs_unrecoverable += 1
             return

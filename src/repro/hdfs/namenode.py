@@ -9,7 +9,7 @@ from repro.hdfs.block import DEFAULT_BLOCK_SIZE, Block
 from repro.hdfs.datanode import DataNode
 from repro.hdfs.inode import INode
 from repro.hdfs.ordered_set import OrderedSet
-from repro.hdfs.placement import DefaultPlacementPolicy
+from repro.hdfs.placement import DefaultPlacementPolicy, Excluding
 from repro.hdfs.protocol import DNA_DYNREPL, DNA_INVALIDATE, DatanodeCommand
 from repro.observability.trace import HDFS_HEARTBEAT, NULL_TRACER, Tracer
 
@@ -242,6 +242,16 @@ class NameNode:
     def locations(self, block_id: int) -> ReplicaSet:
         """Node ids known (to the NameNode) to hold the block."""
         return self._locations[block_id]
+
+    def new_holders(self, block_id: int) -> Excluding:
+        """The alive slaves that do not hold the block, ascending.
+
+        Built from the dead-slave list and the block's holders, so a
+        draw from it (Scarlett copies, repairs) never walks every slave.
+        """
+        skip = set(self.cluster.dead_slaves)
+        skip.update(self._locations[block_id])
+        return Excluding(self.placement.slave_ids, skip)
 
     def is_local(self, block_id: int, node_id: int) -> bool:
         """True when the NameNode's view places a replica on ``node_id``."""

@@ -429,26 +429,40 @@ class InvariantChecker:
                 )
 
     def _check_pool(self, record: Optional[TraceRecord]) -> None:
+        """Work implies promotion: no pooled hub member has a TaskTracker,
+        an occupied slot or an in-flight attempt.
+
+        Audits only the nodes with any of the three, the occupied ones
+        found by one array scan as in :meth:`_check_all_slots`, never
+        every member.  Hub members are the slaves; the master has no slot
+        to occupy.
+        """
         jt = self.jobtracker
-        if jt is None:
+        if jt is None or not jt.hubs:
             return
         slots = jt.slots
-        for hub in jt.hubs:
-            for node_id in hub.member_ids:
-                if node_id in hub.accurate:
-                    continue
-                if node_id in jt.tasktrackers:
-                    problem = "has a TaskTracker"
-                elif not slots.all_free(node_id):
-                    problem = "holds occupied slots"
-                elif jt._running_by_node.get(node_id):
-                    problem = "has in-flight attempts"
-                else:
-                    continue
-                self._fail(
-                    f"pooled node {node_id} {problem} (work implies promotion)",
-                    record,
-                )
+        working = set(jt.tasktrackers)
+        working.update(node_id for node_id, running in jt._running_by_node.items() if running)
+        for free, cap in (
+            (slots.free_map, slots.cap_map),
+            (slots.free_reduce, slots.cap_reduce),
+        ):
+            f = np.frombuffer(free, dtype=free.typecode)
+            working.update(
+                np.flatnonzero(f != np.frombuffer(cap, dtype=cap.typecode)).tolist()
+            )
+        accurate = set().union(*(hub.accurate for hub in jt.hubs))
+        for node_id in sorted(working - accurate):
+            if node_id in jt.tasktrackers:
+                problem = "has a TaskTracker"
+            elif not slots.all_free(node_id):
+                problem = "holds occupied slots"
+            else:
+                problem = "has in-flight attempts"
+            self._fail(
+                f"pooled node {node_id} {problem} (work implies promotion)",
+                record,
+            )
 
     def _check_all_slots(self, record: Optional[TraceRecord]) -> None:
         """:meth:`_check_slots` over every node, as one array scan."""

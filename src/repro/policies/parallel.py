@@ -32,6 +32,7 @@ from typing import List, Optional, Tuple
 
 from repro.checkpoint.snapshot import Snapshot, StaticPool
 from repro.metrics.locality import mean_job_locality
+from repro.observability.trace import NULL_TRACER
 from repro.policies.rollout import Action, RolloutConfig, _unclamp, apply_action
 
 
@@ -49,8 +50,13 @@ def score_fork(
     ``mean_job_locality(collector.job_records)`` and ``makespan_s`` is
     ``engine.now`` — but skips the heartbeat settling and the metrics
     the score never reads.
+
+    Nothing subscribes to a fork's bus, so a fork runs on the null
+    tracer, unless its run carries an invariant checker: restore
+    re-attaches that only to an enabled bus.
     """
-    fork = snap.restore(pool=pool)
+    tracer = None if snap.config["check_invariants"] else NULL_TRACER
+    fork = snap.restore(tracer=tracer, pool=pool)
     if action is not None:
         apply_action(fork, action)
     if rcfg.horizon_s > 0:

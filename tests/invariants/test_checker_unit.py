@@ -347,6 +347,49 @@ class TestSeededCorruption:
         ):
             checker.check_now()
 
+    @pytest.mark.parametrize("problem", ["has a TaskTracker", "has in-flight attempts"])
+    def test_work_on_a_pooled_node_is_caught(self, problem):
+        sim = _mesoscale_sim()
+        jt = sim.jobtracker
+        checker = InvariantChecker(sim.namenode, dare=sim.dare, jobtracker=jt)
+        checker.check_now()
+        hub, pooled = min(
+            ((hub, nid) for hub in jt.hubs for nid in hub.member_ids
+             if nid not in hub.accurate),
+            key=lambda pair: pair[1],
+        )
+        if problem == "has a TaskTracker":
+            # a TaskTracker the hub does not count as promoted
+            hub._materialize(pooled)
+            hub.accurate.discard(pooled)
+        else:
+            jt._running_by_node[pooled] = {("job", "map", 0): None}
+        with pytest.raises(
+            InvariantViolation, match=f"pooled node {pooled} {problem}"
+        ):
+            checker.check_now()
+
+    def test_pool_audit_reads_only_working_nodes(self, monkeypatch):
+        """A full sweep checks pooled members that have work, not each
+        of the 1,999 hub members."""
+        from repro.mapreduce.slots import SlotStore
+
+        sim, _ = _sparse_mesoscale_sim()
+        jt = sim.jobtracker
+        members = sum(len(hub.member_ids) for hub in jt.hubs)
+        checker = InvariantChecker(sim.namenode, dare=sim.dare, jobtracker=jt)
+        reads = []
+        all_free = SlotStore.all_free
+
+        def spy(self, node_id):
+            reads.append(node_id)
+            return all_free(self, node_id)
+
+        monkeypatch.setattr(SlotStore, "all_free", spy)
+        checker.check_now()
+        assert members == 1999
+        assert len(reads) * 10 < members
+
     @pytest.mark.parametrize("corruption, problem", [
         ("occupied", "pooled node {bare} holds occupied slots"),
         ("overflow", "node {bare}: free map slots -1 outside"),

@@ -124,3 +124,28 @@ class TestDareVsScarlett:
             wl_shift,
         )
         assert phase2_locality(dare) > phase2_locality(scarlett)
+
+
+def test_mesoscale_copy_and_repair_targets_never_walk_every_slave(monkeypatch):
+    """Scarlett copies and repairs draw their targets by order statistic
+    over the alive non-holders; neither reads ``Cluster.slaves``, a copy
+    of every slave (99,999 nodes at 100k) per block."""
+    from repro.cluster.cluster import Cluster, scale_spec
+    from repro.experiments.runner import Simulation
+    from repro.workloads.swim import synthesize_wl2
+
+    config = ExperimentConfig(
+        cluster_spec=scale_spec(200, mesoscale=True), scheduler="fair",
+        dare=DareConfig.greedy_lru(), seed=3,
+        scarlett=ScarlettConfig(epoch_s=20.0), failures=((40.0, 3), (90.0, 7)),
+    )
+    sim = Simulation(config, synthesize_wl2(np.random.default_rng(3), n_jobs=30))
+
+    def walk(self):
+        raise AssertionError("Cluster.slaves read mid-run")
+
+    monkeypatch.setattr(Cluster, "slaves", property(walk))
+    sim.run(until=150.0)
+    assert sim.scarlett.replicas_created > 0
+    assert sim.repair.repairs_completed > 0
+    sim.close()

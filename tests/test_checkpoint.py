@@ -9,7 +9,10 @@ failure injection, under speculative execution, and with the invariant
 checker armed — plus the disk round trip and fork independence.
 """
 
+import io
 import itertools
+import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -27,7 +30,8 @@ from repro.checkpoint.snapshot import _unpickler
 from repro.cluster.cluster import scale_spec
 from repro.core.config import DareConfig
 from repro.experiments.runner import ExperimentConfig, Simulation, make_tracer
-from repro.observability.trace import NULL_TRACER, JsonlSink
+from repro.observability.profiling import CallbackProfiler
+from repro.observability.trace import NULL_TRACER, JsonlSink, Tracer
 from repro.workloads.swim import synthesize_wl1, synthesize_wl2
 
 POLICIES = {
@@ -180,8 +184,6 @@ def test_restore_shares_each_racks_control_set():
 
 
 def test_load_rejects_unknown_format(tmp_path):
-    import pickle
-
     path = tmp_path / "bad.ckpt"
     path.write_bytes(pickle.dumps({"format": 999}))
     with pytest.raises(ValueError, match="unsupported snapshot format"):
@@ -218,6 +220,10 @@ def test_load_rejects_unknown_format(tmp_path):
     # dynamic_capacity_bytes to build new ones with
     path.write_bytes(pickle.dumps({"format": 7, "payload": b""}))
     with pytest.raises(ValueError, match="unsupported snapshot format 7"):
+        Snapshot.load(str(path))
+    # checkpoints whose delta referenced static objects by persistent id
+    path.write_bytes(pickle.dumps({"format": 8, "payload": b""}))
+    with pytest.raises(ValueError, match="unsupported snapshot format 8"):
         Snapshot.load(str(path))
 
 
@@ -506,10 +512,58 @@ def test_static_pool_caches_by_payload_bytes():
     session = SnapshotSession(sim)
     snap = session.snapshot()
     pool = StaticPool()
-    first = pool.resolve(snap.static_payload)
-    assert pool.resolve(snap.static_payload) is first  # cache hit
-    assert pool.resolve(snap.static_payload)[0] is first[0]
+    first = pool.objects(snap.static_payload)
+    assert pool.objects(snap.static_payload) is first  # cache hit
+    assert pool.objects(snap.static_payload)[0] is first[0]
     sim.namenode.create_file("other", 1)
     rebased = session.snapshot()
-    assert pool.resolve(rebased.static_payload) is not first  # miss on rebase
+    assert pool.objects(rebased.static_payload) is not first  # miss on rebase
+    sim.close()
+
+
+@pytest.mark.parametrize("stray", (Tracer, CallbackProfiler))
+def test_snapshot_refuses_a_tracer_or_profiler_not_the_runs_own(stray):
+    """Only the run's own tracer and profiler (and NULL_TRACER) are token
+    slots; restoring any other one as the run's would rewire it silently."""
+    sim = _session_sim()
+    sim.stray = stray()
+    with pytest.raises(pickle.PicklingError, match=f"a {stray.__name__} that is not"):
+        SnapshotSession(sim).snapshot()
+    sim.close()
+
+
+def test_the_runs_own_profiler_is_a_token_slot():
+    sim = _session_sim(profile=True)
+    assert isinstance(sim.profiler, CallbackProfiler)
+    fork = SnapshotSession(sim).snapshot().restore()
+    assert fork.profiler is None and fork.engine.profiler is None
+    sim.close()
+
+
+def test_snapshot_makes_no_python_call_per_pickled_object():
+    """Static objects and tokens are memo references, not a hook per object."""
+    sim = _session_sim()
+    session = SnapshotSession(sim)
+    session.snapshot()  # the first one also pickles the static roots
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        session.snapshot()
+    finally:
+        sys.setprofile(None)
+    # a persistent_id hook runs once per object pickled, ints and None too
+    objects = 0
+
+    class Hooked(pickle.Pickler):
+        def persistent_id(self, obj):
+            nonlocal objects
+            objects += 1
+
+    Hooked(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL).dump(sim)
+    assert calls * 10 < objects
     sim.close()

@@ -30,7 +30,7 @@ class TestRepairFlow:
     def test_repairs_under_replicated_block(self, world):
         cluster, nn, engine, traffic, svc = world
         victim = next(iter(nn.locations(0)))
-        cluster.node(victim).alive = False
+        cluster.stop_node(victim)
         lost = nn.fail_node(victim)
         svc.enqueue_repairs(lost)
         engine.run()
@@ -49,7 +49,7 @@ class TestRepairFlow:
     def test_duplicate_enqueue_is_idempotent(self, world):
         cluster, nn, engine, _, svc = world
         victim = next(iter(nn.locations(0)))
-        cluster.node(victim).alive = False
+        cluster.stop_node(victim)
         lost = nn.fail_node(victim)
         svc.enqueue_repairs(lost)
         svc.enqueue_repairs(lost)  # the same blocks again
@@ -62,7 +62,7 @@ class TestRepairFlow:
         cluster, nn, engine, _, svc = world
         bid = 0
         for node_id in list(nn.locations(bid)):
-            cluster.node(node_id).alive = False
+            cluster.stop_node(node_id)
             nn.fail_node(node_id)
         svc.enqueue_repairs({bid: 0})
         engine.run()
@@ -72,7 +72,7 @@ class TestRepairFlow:
     def test_concurrency_cap_respected(self, world):
         cluster, nn, engine, _, svc = world
         victim = next(iter(nn.locations(0)))
-        cluster.node(victim).alive = False
+        cluster.stop_node(victim)
         lost = nn.fail_node(victim)
         svc.enqueue_repairs(lost)
         # immediately after enqueue, at most max_concurrent copies started
@@ -84,7 +84,7 @@ class TestRepairFlow:
         bid = 0
         holders = sorted(nn.locations(bid))[:2]
         for node_id in holders:
-            cluster.node(node_id).alive = False
+            cluster.stop_node(node_id)
             lost = nn.fail_node(node_id)
         svc.enqueue_repairs({bid: len(nn.locations(bid))})
         engine.run()

@@ -441,6 +441,71 @@ class TestRollout:
         assert 0.0 <= h1[0] <= 1.0 and h1[2] <= -sim.engine.now
         sim.close()
 
+    def _scored_fork(self, monkeypatch, check_invariants, plant=None):
+        """Score the no-op branch of a traced host paused at t=80.
+
+        Returns ``(host, fork, types)``: ``types`` lists the records
+        emitted while the fork was scored.  ``plant(fork)`` runs on the
+        restored fork before it is scored.
+        """
+        from repro.checkpoint import Snapshot, SnapshotSession
+        from repro.observability.trace import Tracer
+        from repro.policies.parallel import score_fork
+
+        config = ExperimentConfig(dare=DareConfig.greedy_lru(), seed=7,
+                                  check_invariants=check_invariants)
+        sim = Simulation(config, _workload(n_jobs=32, seed=7), tracer=Tracer())
+        sim.run(until=80.0)
+        snap = SnapshotSession(sim).snapshot()
+        forks, types = [], []
+        restore, emit = Snapshot.restore, Tracer.emit
+
+        def spy_restore(self, *args, **kwargs):
+            forks.append(restore(self, *args, **kwargs))
+            if plant is not None:
+                plant(forks[-1])
+            return forks[-1]
+
+        def spy_emit(self, *args, **kwargs):
+            types.append(args[0])
+            return emit(self, *args, **kwargs)
+
+        monkeypatch.setattr(Snapshot, "restore", spy_restore)
+        monkeypatch.setattr(Tracer, "emit", spy_emit)
+        try:
+            score_fork(snap, None, RolloutConfig(horizon_s=30.0))
+        finally:
+            monkeypatch.undo()
+            sim.close()
+        return sim, forks[-1], types
+
+    def test_unchecked_forks_score_on_the_null_tracer(self, monkeypatch):
+        """Nothing listens to a fork's bus, so scoring emits no record."""
+        from repro.observability.trace import NULL_TRACER
+
+        host, fork, types = self._scored_fork(monkeypatch, check_invariants=False)
+        assert fork.now > host.now  # the fork ran
+        assert fork.tracer is NULL_TRACER and fork.engine.tracer is NULL_TRACER
+        assert types == []
+
+    def test_checked_forks_keep_an_audited_bus(self, monkeypatch):
+        """Restore re-attaches a checker only to an enabled bus, so a
+        checked run's forks keep theirs, and a planted fault is caught."""
+        from repro.observability.invariants import InvariantViolation
+
+        seen = []
+
+        def plant(fork):
+            seen.append(fork)
+            assert fork.tracer.enabled
+            assert fork.checker.on_record in fork.tracer._subscribers
+            node = min(fork.jobtracker.tasktrackers)
+            fork.namenode.datanode(node).dynamic_bytes_used += 7
+
+        with pytest.raises(InvariantViolation, match="dynamic_bytes_used"):
+            self._scored_fork(monkeypatch, check_invariants=True, plant=plant)
+        assert len(seen) == 1
+
     def _epoch(self):
         """A pinned epoch: (simulation, snapshot, candidates, config)."""
         from repro.checkpoint import SnapshotSession

@@ -9,6 +9,8 @@ inputs:
 * the full :class:`DefaultPlacementPolicy` against a candidate-list
   oracle driven by an identically seeded RNG — the two must consume the
   same ``_randbelow`` stream draw for draw;
+* ``NameNode.new_holders`` (Scarlett and repair targets) against
+  ``rng.choice`` over the list of alive slaves without the block;
 * the NameNode's rack-sharded replica indexes (``rack_counts``, the
   per-node reverse index, the incremental under-replicated set) against
   recomputation from the membership, across random mutation sequences
@@ -96,6 +98,38 @@ def test_placement_fast_path_matches_candidate_list(seed, n_nodes, rf):
     for _ in range(20):
         writer = writers.choice([None, 0] + cluster.slave_ids)
         assert fast.choose_targets(rf, writer) == ref.choose_targets(rf, writer)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_new_holders_draw_as_choice_over_the_candidate_list(data):
+    """A choice over ``new_holders`` draws what a choice over the list of
+    alive non-holders draws, and leaves the generator in the same state."""
+    seed = data.draw(st.integers(0, 2**31 - 1))
+    cluster = Cluster(scale_spec(data.draw(st.integers(3, 40))), RandomStreams(seed))
+    nn = NameNode(cluster)
+    nn.create_file(
+        "f",
+        data.draw(st.integers(1, 4)) * DEFAULT_BLOCK_SIZE,
+        replication=data.draw(st.integers(1, 3)),
+    )
+    for node_id in sorted(data.draw(st.sets(st.sampled_from(cluster.slave_ids)))):
+        cluster.stop_node(node_id)
+        if data.draw(st.booleans()):  # detected: pruned from the block map
+            nn.fail_node(node_id)
+    for bid in sorted(nn.blocks):
+        locs = nn.locations(bid)
+        oracle = [
+            n.node_id for n in cluster.slaves if n.alive and n.node_id not in locs
+        ]
+        view = nn.new_holders(bid)
+        assert [view[k] for k in range(len(view))] == oracle
+        if oracle:
+            drawn, expected = random.Random(seed + bid), random.Random(seed + bid)
+            assert [drawn.choice(view) for _ in range(3)] == [
+                expected.choice(oracle) for _ in range(3)
+            ]
+            assert drawn.getstate() == expected.getstate()
 
 
 # ---------------------------------------------------------------------------
