@@ -21,11 +21,11 @@ per :class:`StaticPool` and seeds the delta's unpickler with it, so
 forks restored through one pool share the immutable static objects.
 Snapshots are taken by :mod:`repro.checkpoint.incremental`.
 
-Both payloads' memos start with three token slots — ``NULL_TRACER``,
-the run's own :class:`Tracer` (it holds an open file handle) and its
-sampling profiler (wall-clock state) — so neither object is pickled:
-restore binds the slots to ``NULL_TRACER``, the restore-time bus and
-``None``.  Any other tracer or profiler in the graph fails the snapshot.
+Both payloads' memos start with two token slots — ``NULL_TRACER`` and
+the run's own :class:`Tracer` (it holds an open file handle) — so
+neither tracer is pickled: restore binds the slots to ``NULL_TRACER``
+and the restore-time bus.  Any other tracer in the graph fails the
+snapshot.
 
 Nor does a snapshot carry ``Simulation.engine_wall_s``, the run's other
 wall-clock state: a restored simulation starts it at zero, and two
@@ -50,14 +50,13 @@ from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.runner import Simulation
-from repro.observability.profiling import CallbackProfiler
 from repro.observability.trace import NULL_TRACER, JsonlSink, Tracer
 
 #: bump when the pickled payload layout changes shape
-SNAPSHOT_FORMAT = 9
+SNAPSHOT_FORMAT = 10
 
 #: memo slots ahead of a payload's own objects (see :func:`_token_memo`)
-_N_TOKENS = 3
+_N_TOKENS = 2
 
 
 def _refuse(obj: object):
@@ -67,23 +66,22 @@ def _refuse(obj: object):
 
 
 def _token_memo(sim: Simulation) -> Dict[int, Tuple[int, object]]:
-    """A pickler memo holding ``sim``'s token slots: ``NULL_TRACER``, its
-    tracer and its profiler.  A slot the run leaves empty holds a fresh
-    placeholder, so the three stay distinct and a payload's own objects
-    always start at index :data:`_N_TOKENS`."""
+    """A pickler memo holding ``sim``'s token slots: ``NULL_TRACER`` and
+    its tracer.  An untraced run's tracer slot holds a fresh placeholder,
+    so the two stay distinct and a payload's own objects always start at
+    index :data:`_N_TOKENS`."""
     tracer = sim.tracer if sim.tracer is not NULL_TRACER else object()
-    profiler = sim.profiler if sim.profiler is not None else object()
-    return {i: (i, obj) for i, obj in enumerate((NULL_TRACER, tracer, profiler))}
+    return {i: (i, obj) for i, obj in enumerate((NULL_TRACER, tracer))}
 
 
 def _pickler(buffer: io.BytesIO, memo) -> pickle.Pickler:
     """A pickler whose memo starts as ``memo`` (a dict or a memo proxy).
 
-    Its reducers are copyreg's plus a refusal for any tracer or profiler
-    outside the token slots (an object in the memo is never reduced).
+    Its reducers are copyreg's plus a refusal for any tracer outside the
+    token slots (an object in the memo is never reduced).
     """
     pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
-    pickler.dispatch_table = {**copyreg.dispatch_table, Tracer: _refuse, CallbackProfiler: _refuse}
+    pickler.dispatch_table = {**copyreg.dispatch_table, Tracer: _refuse}
     pickler.memo = memo
     return pickler
 
@@ -105,8 +103,8 @@ def _seed_stream(n: int) -> bytes:
 
 def _unpickler(payload: bytes, tracer: Tracer, static: Sequence[object] = ()) -> pickle.Unpickler:
     """An unpickler for ``payload`` whose memo starts with the token slots
-    (bound to ``NULL_TRACER``, ``tracer``, ``None``), then ``static``."""
-    slots = [NULL_TRACER, tracer, None, *static]
+    (bound to ``NULL_TRACER`` and ``tracer``), then ``static``."""
+    slots = [NULL_TRACER, tracer, *static]
     unpickler = pickle.Unpickler(io.BytesIO(_seed_stream(len(slots)) + payload))
     unpickler.persistent_load = slots.__getitem__
     unpickler.load()  # the seed stream

@@ -26,7 +26,8 @@ Thirteen subcommands cover the library's workflows; the common ones::
 (workload, cluster, scheduler, DARE policy, failures, Scarlett, trace,
 invariant checks) and build it through one function.  A workload is a
 built-in name (wl1/wl2), a saved workload JSON, or a SWIM-format TSV
-trace.  ``run --profile`` adds the per-callback cost report.
+trace.  ``run --profile`` samples the run's stacks and reports CPU time
+by ``repro`` package.
 
 ``sweep`` runs a named grid of experiment cells (figures, sensitivity
 sweeps, ablations) across worker processes, reusing previously computed
@@ -59,6 +60,7 @@ byte-identical to one from an uninterrupted run.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import List, Optional, Sequence
 
@@ -68,6 +70,7 @@ from repro.baselines.scarlett import ScarlettConfig
 from repro.cluster.cluster import CCT_SPEC, EC2_SPEC
 from repro.core.config import DareConfig
 from repro.experiments.runner import ExperimentConfig, run_experiment
+from repro.observability.profiling import SamplerUnavailable, StackSampler
 from repro.workloads.swim import Workload
 
 _CLUSTERS = {"cct": CCT_SPEC, "ec2": EC2_SPEC}
@@ -187,8 +190,8 @@ def _cell(args: argparse.Namespace):
     """The ``(config, workload)`` the cell flags describe.
 
     ``run`` and ``checkpoint save`` share the cell flags; ``run``'s own
-    scale, rollout, firehose and profiler flags are read when present,
-    and ``checkpoint save`` gets their defaults.
+    scale, rollout and firehose flags are read when present, and
+    ``checkpoint save`` gets their defaults.
     """
     if args.jobs < 1:
         raise SystemExit(f"--jobs must be at least 1 (got {args.jobs})")
@@ -209,8 +212,6 @@ def _cell(args: argparse.Namespace):
         trace_path=args.trace,
         trace_engine_events=getattr(args, "trace_engine_events", False),
         check_invariants=args.check_invariants,
-        profile=getattr(args, "profile", False),
-        profile_sample_every=getattr(args, "profile_every", 7),
     )
     return config, workload
 
@@ -269,7 +270,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config, workload = _cell(args)
-    result = run_experiment(config, workload)
+    sampler = StackSampler() if args.profile else contextlib.nullcontext()
+    try:
+        with sampler:
+            result = run_experiment(config, workload)
+    except SamplerUnavailable as exc:
+        raise SystemExit(f"--profile: {exc}")
     print(result.summary_row())
     if args.trace:
         print(f"  trace written:    {args.trace}")
@@ -295,11 +301,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     print("  network traffic (GB): " + ", ".join(
         f"{k}={v / 1e9:.1f}" for k, v in result.traffic_bytes.items() if v
     ))
-    if result.profiler is not None:
+    if args.profile:
         rate = result.events_processed / result.engine_wall_s if result.engine_wall_s else 0.0
         print(f"  engine: {result.events_processed} events in "
               f"{result.engine_wall_s:.3f}s ({rate:,.0f} events/s)")
-        print(result.profiler.format_report())
+        print(sampler.format_report())
     return 0
 
 
@@ -965,10 +971,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(huge traces; gives 'replay diff' event-level "
                         "alignment)")
     p.add_argument("--profile", action="store_true",
-                   help="sample per-callback costs and print the profile "
-                        "report after the run")
-    p.add_argument("--profile-every", type=int, default=7, metavar="N",
-                   help="profile every Nth callback (default 7)")
+                   help="sample the run's stacks and print its CPU time "
+                        "by repro package after the run")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("train",

@@ -164,10 +164,6 @@ class Topology:
         hist = np.bincount(np.clip(vals, 0, max_hops), minlength=max_hops + 1)
         return hist / max(1, vals.size)
 
-    def nodes_in_rack(self, rack: int) -> List[int]:
-        """Node ids located in ``rack``."""
-        return [i for i, r in enumerate(self.rack_of) if r == rack]
-
     def rack_members(self, node_id: int) -> frozenset:
         """Nodes sharing ``node_id``'s rack, as a cached frozenset.
 
@@ -183,10 +179,3 @@ class Topology:
             sets = {rack: frozenset(nodes) for rack, nodes in by_rack.items()}
             members.extend(sets[rack] for rack in self.rack_of.tolist())
         return members[node_id]
-
-    def racks(self) -> Dict[int, List[int]]:
-        """Mapping rack id -> node ids."""
-        out: Dict[int, List[int]] = {}
-        for i, r in enumerate(self.rack_of):
-            out.setdefault(int(r), []).append(i)
-        return out

@@ -24,7 +24,6 @@ from repro.metrics.placement import coefficient_of_variation, popularity_indices
 from repro.metrics.slowdown import mean_slowdown
 from repro.metrics.turnaround import geometric_mean_turnaround
 from repro.observability.invariants import InvariantChecker
-from repro.observability.profiling import CallbackProfiler
 from repro.observability.trace import (
     NULL_TRACER,
     RUN_CONFIG,
@@ -98,10 +97,12 @@ class ExperimentConfig:
     check_invariants: bool = False
     #: how many trace records between full cross-component sweeps
     invariant_sweep_every: int = 2000
-    #: attach a sampling CallbackProfiler to the engine (repro run
-    #: --profile); does not perturb the simulation or its trace
+    #: inert: profiling wraps a run from outside (``repro run --profile``,
+    #: :class:`~repro.observability.profiling.StackSampler`).  Both fields
+    #: stay because ``config_to_dict`` writes them into every result
+    #: document, which e2e_bench's golden digests pin; cache keys and
+    #: trace headers strip them.
     profile: bool = False
-    #: time every Nth engine callback when profiling
     profile_sample_every: int = 7
     #: drive the run through the checkpoint-fork rollout engine
     #: (repro.policies.rollout); None = plain single-trajectory run
@@ -166,8 +167,6 @@ class ExperimentResult:
     #: engine callbacks fired and wall-clock spent inside engine.run()
     events_processed: int = 0
     engine_wall_s: float = 0.0
-    #: the sampling profiler, populated when config.profile is set
-    profiler: Optional["CallbackProfiler"] = field(repr=False, default=None)
     #: raw per-task / per-job records for deeper analysis
     collector: MetricsCollector = field(repr=False, default=None)
 
@@ -243,8 +242,8 @@ def _trace_run_config(tracer: Tracer, config: ExperimentConfig, workload: Worklo
     # the flat fields are the human-readable header; the nested ``config``
     # payload is the lossless form `replay whatif` rebuilds a live run from.
     # Fields that cannot affect simulation behaviour (trace destination,
-    # profiler) are stripped so runs differing only in observability still
-    # emit byte-identical traces.
+    # the inert profile fields) are stripped so runs differing only in
+    # observability still emit byte-identical traces.
     from repro.experiments.serialize import config_to_dict
 
     payload = config_to_dict(config)
@@ -327,7 +326,7 @@ class Simulation:
     :func:`run_experiment` is the one-shot wrapper; this class is the
     object graph the checkpoint layer pickles, so everything reachable
     from it must be picklable — event actions are typed intents, never
-    closures — or explicitly excluded (the shared tracer and profiler).
+    closures — or explicitly excluded (the shared tracer).
     """
 
     def __init__(
@@ -346,10 +345,6 @@ class Simulation:
         self.streams = streams = RandomStreams(config.seed)
         self.cluster = cluster = Cluster(config.cluster_spec, streams)
         self.engine = engine = Engine(tracer=tracer)
-        self.profiler = None
-        if config.profile:
-            self.profiler = CallbackProfiler(sample_every=config.profile_sample_every)
-            engine.profiler = self.profiler
         self.namenode = namenode = NameNode(cluster, tracer=tracer)
 
         # load the data set (static replicas via the default placement policy)
@@ -444,8 +439,8 @@ class Simulation:
         self.engine_wall_s = 0.0
 
     def __getstate__(self):
-        # wall-clock time is not simulation state: a snapshot carries none
-        # (like the profiler), so equal states pickle to equal bytes
+        # wall-clock time is not simulation state: a snapshot carries none,
+        # so equal states pickle to equal bytes
         state = self.__dict__.copy()
         state["engine_wall_s"] = 0.0
         return state
@@ -487,7 +482,10 @@ class Simulation:
         engine = self.engine
         namenode = self.namenode
         collector = self.collector
-        # settle the control plane so the final placement view is complete
+        # settle the control plane so the final placement view is complete;
+        # the flush beats every slave, and check_now is its one sweep
+        if self.checker is not None:
+            self.checker.hold_sweeps()
         namenode.flush_all_heartbeats(engine.now)
         namenode.check_integrity()
         if self.checker is not None:
@@ -533,7 +531,6 @@ class Simulation:
             invariant_sweeps=self.checker.sweeps_run if self.checker else 0,
             events_processed=engine.events_processed,
             engine_wall_s=self.engine_wall_s,
-            profiler=self.profiler,
             collector=collector,
         )
         if self.tracer.enabled:

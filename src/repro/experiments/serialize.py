@@ -14,10 +14,9 @@ Two jobs:
 The round-trip is exact for everything the evaluation reads: floats go
 through JSON's repr round-trip (lossless for finite doubles), tuples are
 restored from lists, and the metrics collector's task/job records are
-rebuilt as their original NamedTuples.  Two fields are deliberately
-dropped because they cannot be deterministic: ``engine_wall_s`` (wall
-clock) and ``profiler`` (holds live timing samples).  A deserialized
-result carries ``engine_wall_s=0.0`` and ``profiler=None``.
+rebuilt as their original NamedTuples.  One field is deliberately
+dropped because it cannot be deterministic: ``engine_wall_s`` (wall
+clock).  A deserialized result carries ``engine_wall_s=0.0``.
 """
 
 from __future__ import annotations
@@ -211,9 +210,8 @@ def _collector_from_dict(d: Optional[Dict]) -> Optional[MetricsCollector]:
 def result_to_dict(result: ExperimentResult) -> Dict:
     """ExperimentResult as a JSON-serializable dict.
 
-    ``engine_wall_s`` and ``profiler`` are dropped (wall-clock state);
-    everything else round-trips exactly through
-    :func:`result_from_dict`.
+    ``engine_wall_s`` is dropped (wall-clock state); everything else
+    round-trips exactly through :func:`result_from_dict`.
     """
     return {
         "format": RESULT_FORMAT,
@@ -283,7 +281,6 @@ def result_from_dict(d: Dict) -> ExperimentResult:
         invariant_sweeps=d["invariant_sweeps"],
         events_processed=d["events_processed"],
         engine_wall_s=0.0,
-        profiler=None,
         collector=_collector_from_dict(d["collector"]),
     )
 

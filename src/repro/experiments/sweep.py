@@ -17,9 +17,9 @@ perfectly cacheable:
   code-relevant version tag, bumped whenever a simulator change is
   allowed to move results).  Corrupted or truncated entries are treated
   as misses and re-run.  Config fields that cannot change the serialized
-  result (``trace_path``, profiler settings) are excluded from the key;
-  cells that request a trace file bypass cache *reads* so the trace is
-  actually written.
+  result (``trace_path``, the inert ``profile`` fields) are excluded from
+  the key; cells that request a trace file bypass cache *reads* so the
+  trace is actually written.
 * :func:`run_cell_in_child` runs one cell in a child process, which
   reports its result, its traceback, or (by dying) its exit code.
   ``timeout_s`` bounds the cell's wall time; a timed-out child is
@@ -77,7 +77,9 @@ CACHE_VERSION = 2
 DEFAULT_SEED = 20110926
 
 #: config fields that cannot change the serialized result — excluded
-#: from the cache key so e.g. tracing to a different path still hits
+#: from the cache key so e.g. tracing to a different path still hits.
+#: The two ``profile`` fields are inert but still serialized (see
+#: ExperimentConfig), so a cell that sets them shares its key.
 _KEY_EXCLUDED_FIELDS = ("trace_path", "profile", "profile_sample_every")
 
 #: per-process counter making cache temp-file names unique across threads
@@ -678,9 +680,9 @@ def run_fork_cells(
     memo: Dict[WorkloadSpec, Workload] = {}
     for (_, fork_time), idxs in groups.items():
         first = cells[idxs[0]]
-        # trace/profiler settings are observability-only (and excluded from
-        # the key); strip them so the shared prefix needs no trace plumbing
-        config = dataclasses.replace(first.config, trace_path="", profile=False)
+        # the trace path is observability-only (and excluded from the key);
+        # strip it so the shared prefix needs no trace plumbing
+        config = dataclasses.replace(first.config, trace_path="")
         if first.workload not in memo:
             memo[first.workload] = first.workload.materialize()
         workload = memo[first.workload]

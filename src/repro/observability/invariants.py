@@ -69,6 +69,7 @@ record and the recent trace tail.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Iterable, List, Optional, Set
 
 import numpy as np
@@ -189,6 +190,15 @@ class InvariantChecker:
             self._check_scarlett(record)
         if record.type in SETTLED_TYPES and self._since_sweep >= self.full_sweep_every:
             self.check_now(record)
+
+    def hold_sweeps(self) -> None:
+        """Trigger no throttled sweep until the next :meth:`check_now`.
+
+        Records still get their per-record node checks.  For a burst the
+        caller sweeps once after, such as the end-of-run heartbeat flush,
+        which beats every slave.
+        """
+        self._since_sweep = -math.inf
 
     def check_now(self, record: Optional[TraceRecord] = None) -> None:
         """Run the full cross-component sweep immediately.

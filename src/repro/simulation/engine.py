@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import heapq
-from heapq import heappush as _heappush
-from typing import Callable, Optional, TYPE_CHECKING
+from heapq import heappop as _heappop, heappush as _heappush
+from typing import Callable, Optional
 
 from repro.observability.trace import ENGINE_EVENT, NULL_TRACER, Tracer
 from repro.simulation.events import Event, EventQueue
@@ -12,8 +11,8 @@ from repro.simulation.events import Event, EventQueue
 #: bound once: Event.__new__ lookup is on the per-event scheduling path
 _new_event = Event.__new__
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.observability.profiling import CallbackProfiler
+#: the horizon of a ``run()`` without ``until``
+_INF = float("inf")
 
 
 class SimulationError(RuntimeError):
@@ -28,13 +27,9 @@ class Engine:
     nondecreasing time order.  The loop stops when the queue drains, when
     ``until`` is reached, or when :meth:`stop` is called from a callback.
 
-    The event loop has two shapes.  When nothing wants per-event hooks —
-    no ``until`` horizon, the ``engine.event`` firehose off (always true for
-    :data:`NULL_TRACER`), no profiler — :meth:`run` drops into a fast path
-    that inlines the queue pop and touches nothing but the heap, the clock,
-    and the callback.  Any hook switches to the general loop, which behaves
-    identically event-for-event (the determinism suite holds traces from
-    both loops byte-identical).
+    :meth:`run` is one loop that inlines the queue pop.  Per event it adds
+    only a compare against the ``until`` horizon (infinite without one)
+    and a test of the ``engine.event`` firehose flag, read once per run.
 
     Example
     -------
@@ -54,7 +49,6 @@ class Engine:
         "events_processed",
         "max_events",
         "tracer",
-        "profiler",
         "drained_at",
     )
 
@@ -74,8 +68,6 @@ class Engine:
         self.max_events = max_events
         #: trace bus; per-callback records require ``tracer.engine_events``
         self.tracer = tracer
-        #: optional :class:`CallbackProfiler` timing sampled callbacks
-        self.profiler: Optional["CallbackProfiler"] = None
 
     # -- scheduling ------------------------------------------------------
     #
@@ -161,60 +153,38 @@ class Engine:
         tracer = self.tracer
         # snapshot the firehose flag: one bool check per run, not per event
         trace_events = tracer.enabled and tracer.engine_events
-        profiler = self.profiler
-        if profiler is not None and not profiler.enabled:
-            profiler = None
+        horizon = _INF if until is None else until
         queue = self._queue
+        # the pop is inlined.  ``heap`` must stay bound to the queue's own
+        # list object: callbacks push into it and compaction mutates it in
+        # place.
+        heap = queue._heap
+        heappop = _heappop
         limit = self.max_events
+        processed = self.events_processed
         try:
-            if until is None and not trace_events and profiler is None:
-                # -- fast path: the pop is inlined and nothing else runs.
-                # ``heap`` must stay bound to the queue's own list object:
-                # callbacks push into it and compaction mutates it in place.
-                heap = queue._heap
-                heappop = heapq.heappop
-                processed = self.events_processed
-                try:
-                    while heap and not self._stopped:
-                        time, _, ev = heappop(heap)
-                        if ev.cancelled:
-                            queue._cancelled -= 1
-                            continue
-                        ev.fired = True
-                        queue._live -= 1
-                        self.now = time
-                        processed += 1
-                        if processed > limit:
-                            raise SimulationError(
-                                f"exceeded max_events={limit}; runaway simulation?"
-                            )
-                        ev.action()
-                finally:
-                    self.events_processed = processed
-                return
-
-            # -- general path: horizon checks and per-event hooks
-            while queue and not self._stopped:
-                if until is not None:
-                    next_time = queue.peek_time()
-                    if next_time is not None and next_time > until:
-                        self.now = until
-                        return
-                ev = queue.pop()
-                if ev is None:
-                    break
-                self.now = ev.time
-                self.events_processed += 1
-                if self.events_processed > limit:
+            while heap and not self._stopped:
+                time, seq, ev = heappop(heap)
+                if ev.cancelled:
+                    queue._cancelled -= 1
+                    continue
+                if time > horizon:
+                    # (time, seq) is a total order, so pushing the entry
+                    # back leaves the pop order as if it was never taken
+                    _heappush(heap, (time, seq, ev))
+                    self.now = until
+                    return
+                ev.fired = True
+                queue._live -= 1
+                self.now = time
+                processed += 1
+                if processed > limit:
                     raise SimulationError(
                         f"exceeded max_events={limit}; runaway simulation?"
                     )
                 if trace_events:
-                    tracer.emit(ENGINE_EVENT, ev.time, label=ev.label, seq=ev.seq)
-                if profiler is not None:
-                    profiler.observe(ev)
-                else:
-                    ev.action()
+                    tracer.emit(ENGINE_EVENT, time, label=ev.label, seq=seq)
+                ev.action()
             if until is not None and not self._stopped and self.now < until:
                 # the queue emptied before the horizon: remember where, then
                 # advance the clock to ``until`` (SimPy semantics) so a later
@@ -222,6 +192,7 @@ class Engine:
                 self.drained_at = self.now
                 self.now = until
         finally:
+            self.events_processed = processed
             self._running = False
 
     def stop(self) -> None:

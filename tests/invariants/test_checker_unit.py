@@ -10,7 +10,7 @@ import pytest
 from repro.cluster.cluster import scale_spec
 from repro.core.config import DareConfig
 from repro.core.manager import DareReplicationService
-from repro.experiments.runner import ExperimentConfig, Simulation
+from repro.experiments.runner import ExperimentConfig, Simulation, make_tracer
 from repro.mapreduce.job import JobSpec
 from repro.mapreduce.slots import SlotStore
 from repro.observability.invariants import InvariantChecker, InvariantViolation
@@ -151,6 +151,21 @@ class TestHealthyState:
         tracer.emit(BLOCK_REPLICATED, 0.0, node=1, block=0, bytes=1)
         assert checker.records_seen == 2
         assert checker.sweeps_run == 1  # only the settled heartbeat swept
+
+    def test_finalize_sweeps_once_after_the_heartbeat_flush(self):
+        """The end-of-run flush beats every slave: its records still get
+        their node checks, and finalize's own sweep is the flush's one."""
+        config = ExperimentConfig(
+            dare=DareConfig.elephant_trap(), seed=5,
+            check_invariants=True, invariant_sweep_every=1,
+        )
+        workload = synthesize_wl2(np.random.default_rng(5), n_jobs=6)
+        sim = Simulation(config, workload, tracer=make_tracer(config))
+        sim.run()
+        swept, seen = sim.checker.sweeps_run, sim.checker.records_seen
+        result = sim.finalize()
+        assert result.invariant_sweeps == swept + 1
+        assert result.trace_records_checked >= seen + sim.cluster.n_slaves
 
 
 class TestSeededCorruption:

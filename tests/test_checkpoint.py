@@ -30,7 +30,7 @@ from repro.checkpoint.snapshot import _unpickler
 from repro.cluster.cluster import scale_spec
 from repro.core.config import DareConfig
 from repro.experiments.runner import ExperimentConfig, Simulation, make_tracer
-from repro.observability.profiling import CallbackProfiler
+from repro.observability.profiling import StackSampler
 from repro.observability.trace import NULL_TRACER, JsonlSink, Tracer
 from repro.workloads.swim import synthesize_wl1, synthesize_wl2
 
@@ -224,6 +224,10 @@ def test_load_rejects_unknown_format(tmp_path):
     # checkpoints whose delta referenced static objects by persistent id
     path.write_bytes(pickle.dumps({"format": 8, "payload": b""}))
     with pytest.raises(ValueError, match="unsupported snapshot format 8"):
+        Snapshot.load(str(path))
+    # checkpoints whose memos held a third token slot, for the profiler
+    path.write_bytes(pickle.dumps({"format": 9, "payload": b""}))
+    with pytest.raises(ValueError, match="unsupported snapshot format 9"):
         Snapshot.load(str(path))
 
 
@@ -521,10 +525,11 @@ def test_static_pool_caches_by_payload_bytes():
     sim.close()
 
 
-@pytest.mark.parametrize("stray", (Tracer, CallbackProfiler))
+@pytest.mark.parametrize("stray", (Tracer,))
 def test_snapshot_refuses_a_tracer_or_profiler_not_the_runs_own(stray):
-    """Only the run's own tracer and profiler (and NULL_TRACER) are token
-    slots; restoring any other one as the run's would rewire it silently."""
+    """Only the run's own tracer (and NULL_TRACER) are token slots;
+    restoring any other one as the run's would rewire it silently.  (The
+    simulation holds no profiler: see the sampler test below.)"""
     sim = _session_sim()
     sim.stray = stray()
     with pytest.raises(pickle.PicklingError, match=f"a {stray.__name__} that is not"):
@@ -532,12 +537,18 @@ def test_snapshot_refuses_a_tracer_or_profiler_not_the_runs_own(stray):
     sim.close()
 
 
-def test_the_runs_own_profiler_is_a_token_slot():
-    sim = _session_sim(profile=True)
-    assert isinstance(sim.profiler, CallbackProfiler)
-    fork = SnapshotSession(sim).snapshot().restore()
-    assert fork.profiler is None and fork.engine.profiler is None
-    sim.close()
+def test_a_snapshot_taken_under_the_sampler_is_byte_identical():
+    """The stack sampler lives outside the simulation: a run simulated and
+    snapshotted while it is armed pickles to the same bytes."""
+    plain = _session_sim()
+    with StackSampler():
+        sampled = _session_sim()
+        snap = SnapshotSession(sampled).snapshot()
+    expected = SnapshotSession(plain).snapshot()
+    assert snap.payload == expected.payload
+    assert snap.static_payload == expected.static_payload
+    plain.close()
+    sampled.close()
 
 
 def test_snapshot_makes_no_python_call_per_pickled_object():

@@ -49,9 +49,10 @@ class TestVirtualized:
 
     def test_same_rack_fewer_hops_than_cross_agg(self):
         topo = make(VIRTUALIZED, n=60, nodes_per_rack_mean=4.0)
-        racks = topo.racks()
         same_rack_pair = next(
-            (nodes[0], nodes[1]) for nodes in racks.values() if len(nodes) >= 2
+            (a, min(topo.rack_members(a) - {a}))
+            for a in range(60)
+            if len(topo.rack_members(a)) >= 2
         )
         # structural base: same rack is 2, cross-agg is 6; detours are +-2 max
         a, b = same_rack_pair
@@ -95,7 +96,6 @@ class TestValidation:
 
     def test_nodes_in_rack_partition(self):
         topo = make(VIRTUALIZED)
-        all_nodes = sorted(
-            n for rack in range(topo.n_racks) for n in topo.nodes_in_rack(rack)
-        )
+        racks = {topo.rack_members(n) for n in range(topo.n_nodes)}
+        all_nodes = sorted(n for members in racks for n in members)
         assert all_nodes == list(range(20))

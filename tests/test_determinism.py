@@ -1,19 +1,21 @@
 """Fixed-seed determinism: traces are byte-identical across reruns.
 
 The hot-path optimizations (inlined scheduling, heap compaction, heartbeat
-event reuse, locality indexing) and the sampling profiler are all required
+event reuse, locality indexing) and the stack sampler are all required
 to leave simulation behaviour untouched.  The proof is the JSONL trace: for
 every policy x scheduler cell, the same seed must produce the same bytes —
-run twice, and again with the profiler on.
+run twice, and again under the sampler.
 """
 
 import itertools
+import signal
 
 import numpy as np
 import pytest
 
 from repro.core.config import DareConfig
 from repro.experiments.runner import ExperimentConfig, run_experiment
+from repro.observability.profiling import StackSampler
 from repro.replay import diff_traces
 from repro.workloads.swim import synthesize_wl1
 from tests.conftest import materialize_hubs
@@ -28,7 +30,7 @@ SEED = 20110926
 N_JOBS = 12
 
 
-def _run_cell(policy, scheduler, trace_path, profile=False, engine_events=False):
+def _run_cell(policy, scheduler, trace_path, engine_events=False):
     rng = np.random.default_rng(SEED)
     workload = synthesize_wl1(rng, n_jobs=N_JOBS)
     config = ExperimentConfig(
@@ -37,26 +39,33 @@ def _run_cell(policy, scheduler, trace_path, profile=False, engine_events=False)
         seed=SEED,
         trace_path=str(trace_path),
         trace_engine_events=engine_events,
-        profile=profile,
     )
     return run_experiment(config, workload)
+
+
+def _run_sampled_cell(*args, **kwargs):
+    with StackSampler() as sampler:
+        _run_cell(*args, **kwargs)
+        # armed through the whole run; no tick count is asserted, as a
+        # short cell may take less CPU than one ~4 ms tick
+        assert signal.getsignal(signal.SIGPROF) == sampler._sample
+        assert signal.getitimer(signal.ITIMER_PROF)[1] > 0
 
 
 @pytest.mark.parametrize(
     "policy,scheduler", list(itertools.product(POLICIES, SCHEDULERS))
 )
 def test_cell_trace_is_reproducible(policy, scheduler, tmp_path):
-    """Same seed, same bytes — twice plain, once under the profiler."""
+    """Same seed, same bytes — twice plain, once under the sampler."""
     a = tmp_path / "a.jsonl"
     b = tmp_path / "b.jsonl"
     c = tmp_path / "profiled.jsonl"
     _run_cell(policy, scheduler, a)
     _run_cell(policy, scheduler, b)
-    result = _run_cell(policy, scheduler, c, profile=True)
+    _run_sampled_cell(policy, scheduler, c)
     bytes_a = a.read_bytes()
     assert bytes_a == b.read_bytes(), f"{policy}/{scheduler}: rerun diverged"
-    assert bytes_a == c.read_bytes(), f"{policy}/{scheduler}: profiler changed the run"
-    assert result.profiler is not None and result.profiler.samples > 0
+    assert bytes_a == c.read_bytes(), f"{policy}/{scheduler}: sampler changed the run"
 
 
 def test_engine_event_firehose_is_reproducible(tmp_path):
@@ -64,7 +73,7 @@ def test_engine_event_firehose_is_reproducible(tmp_path):
     a = tmp_path / "a.jsonl"
     b = tmp_path / "b.jsonl"
     _run_cell("et", "fair", a, engine_events=True)
-    _run_cell("et", "fair", b, profile=True, engine_events=True)
+    _run_sampled_cell("et", "fair", b, engine_events=True)
     assert a.read_bytes() == b.read_bytes()
     diff = diff_traces(str(a), str(b))
     assert diff.identical

@@ -1,180 +1,192 @@
-"""Unit tests: the sampling callback profiler."""
+"""Unit tests: the SIGPROF stack sampler.
+
+Shares are statistical, so the tests that take real samples assert
+coverage and ordering, never counts.  The report's arithmetic is pinned
+by feeding the handler frames from functions defined in named modules.
+"""
+
+import signal
+import sys
+import threading
+import time
 
 import pytest
 
-from repro.observability.profiling import (
-    N_BINS,
-    UNLABELED,
-    CallbackProfiler,
-    bucket_of,
-)
+from repro.observability.profiling import SamplerUnavailable, StackSampler
 from repro.simulation.engine import Engine
-from repro.simulation.events import Event
 
 
-def _event(label="", action=None):
-    return Event(0.0, 0, action or (lambda: None), label)
+def _in_module(module, name, body="return sample(sys._getframe())"):
+    """A function ``name`` defined as if in ``module``, whose frames the
+    sampler attributes to that module."""
+    namespace = {"__name__": module, "sys": sys}
+    exec(f"def {name}(sample, *args):\n    {body}\n", namespace)
+    return namespace[name]
 
 
-class FakeClock:
-    """Deterministic perf_counter: each call advances by the next delta."""
-
-    def __init__(self, step_s):
-        self.step_s = step_s
-        self.t = 0.0
-        self.ticks = 0
-
-    def __call__(self):
-        # observe() calls the clock twice per sample; advance on the stop call
-        if self.ticks % 2:
-            self.t += self.step_s
-        self.ticks += 1
-        return self.t
+def _feed(sampler, module, name, times=1):
+    """Take ``times`` samples with a frame of ``module.name`` on top."""
+    fn = _in_module(module, name)
+    for _ in range(times):
+        fn(lambda frame: sampler._sample(signal.SIGPROF, frame))
 
 
-class TestBucketOf:
-    def test_prefix_before_colon(self):
-        assert bucket_of("hb:node07") == "hb"
-        assert bucket_of("hb:node13") == "hb"
+class TestAttribution:
+    def test_counts_the_innermost_repro_frame(self):
+        prof = StackSampler()
+        outer = _in_module("repro.simulation.engine", "run", "return args[0](sample)")
+        inner = _in_module("repro.mapreduce.jobtracker", "heartbeat")
+        outer(lambda frame: prof._sample(signal.SIGPROF, frame), inner)
+        assert prof.packages == {"mapreduce": 1}
+        assert prof.functions == {("mapreduce", "heartbeat"): 1}
 
-    def test_no_colon_is_whole_label(self):
-        assert bucket_of("submit") == "submit"
+    def test_a_callback_from_elsewhere_counts_toward_its_repro_caller(self):
+        prof = StackSampler()
+        outer = _in_module("repro.simulation.engine", "run", "return args[0](sample)")
+        callback = _in_module("tests.some_callback", "action")
+        outer(lambda frame: prof._sample(signal.SIGPROF, frame), callback)
+        assert prof.packages == {"simulation": 1}
+        assert prof.coverage == 1.0
 
-    def test_empty_label(self):
-        assert bucket_of("") == UNLABELED
+    def test_a_sample_with_no_repro_frame_is_outside(self):
+        prof = StackSampler()
+        prof._sample(signal.SIGPROF, sys._getframe())
+        _feed(prof, "repro.hdfs.namenode", "process_heartbeat")
+        assert prof.samples == 2
+        assert prof.packages == {"hdfs": 1}
+        assert prof.coverage == pytest.approx(0.5)
 
-
-class TestSampling:
-    def test_samples_every_nth(self):
-        prof = CallbackProfiler(sample_every=5, clock=FakeClock(1e-6))
-        for _ in range(20):
-            prof.observe(_event("x"))
-        assert prof.events_seen == 20
-        assert prof.samples == 4  # events 1, 6, 11, 16
-
-    def test_every_1_samples_all(self):
-        prof = CallbackProfiler(sample_every=1, clock=FakeClock(1e-6))
-        for _ in range(10):
-            prof.observe(_event("x"))
-        assert prof.samples == 10
-
-    def test_sample_every_must_be_positive(self):
-        with pytest.raises(ValueError):
-            CallbackProfiler(sample_every=0)
-
-    def test_action_runs_for_unsampled_events(self):
-        calls = []
-        prof = CallbackProfiler(sample_every=100, clock=FakeClock(1e-6))
-        for i in range(10):
-            prof.observe(_event("x", lambda i=i: calls.append(i)))
-        assert calls == list(range(10))
+    def test_top_level_repro_modules_are_their_own_package(self):
+        prof = StackSampler()
+        _feed(prof, "repro.cli", "cmd_run")
+        _feed(prof, "reproducer.other", "f")  # not the repro package
+        assert prof.packages == {"cli": 1}
 
 
 class TestAggregation:
-    def test_labels_collapse_into_buckets(self):
-        prof = CallbackProfiler(sample_every=1, clock=FakeClock(2e-6))
-        for node in range(4):
-            prof.observe(_event(f"hb:node{node}"))
-        prof.observe(_event("submit"))
-        rows = {r.bucket: r for r in prof.report()}
-        assert set(rows) == {"hb", "submit"}
-        assert rows["hb"].samples == 4
+    def test_frames_collapse_into_packages(self):
+        prof = StackSampler()
+        _feed(prof, "repro.mapreduce.jobtracker", "heartbeat", 3)
+        _feed(prof, "repro.mapreduce.job", "find_pending_map", 2)
+        _feed(prof, "repro.scheduling.fair", "pick_map")
+        assert prof.packages == {"mapreduce": 5, "scheduling": 1}
+        assert prof.top_functions("mapreduce", 5) == [
+            ("heartbeat", pytest.approx(0.5)),
+            ("find_pending_map", pytest.approx(2 / 6)),
+        ]
 
     def test_shares_sum_to_one(self):
-        prof = CallbackProfiler(sample_every=1, clock=FakeClock(1e-6))
-        for label in ("a", "b", "c", "a"):
-            prof.observe(_event(label))
-        assert sum(r.share for r in prof.report()) == pytest.approx(1.0)
+        prof = StackSampler()
+        for module in ("repro.a.x", "repro.b.x", "repro.c.x", "repro.a.y"):
+            _feed(prof, module, "f")
+        assert sum(share for _, share in prof.shares()) == pytest.approx(1.0)
+        prof._sample(signal.SIGPROF, sys._getframe())  # one outside
+        assert sum(share for _, share in prof.shares()) == pytest.approx(prof.coverage)
 
     def test_report_sorted_hottest_first(self):
-        clock = FakeClock(1e-6)
-        prof = CallbackProfiler(sample_every=1, clock=clock)
-        clock.step_s = 1e-6
-        prof.observe(_event("cheap"))
-        clock.step_s = 1e-3
-        prof.observe(_event("dear"))
-        rows = prof.report()
-        assert [r.bucket for r in rows] == ["dear", "cheap"]
-
-    def test_histogram_binning(self):
-        # 2µs lands in bin 2 ([2, 4) µs)
-        prof = CallbackProfiler(sample_every=1, clock=FakeClock(2e-6))
-        prof.observe(_event("x"))
-        (row,) = prof.report()
-        assert len(row.histogram) == N_BINS
-        assert row.histogram[2] == 1
-        assert sum(row.histogram) == 1
-
-    def test_percentiles_bound_the_samples(self):
-        prof = CallbackProfiler(sample_every=1, clock=FakeClock(3e-6))
-        for _ in range(10):
-            prof.observe(_event("x"))
-        (row,) = prof.report()
-        # all samples are 3µs; upper-bound estimate from bin [2,4)µs is 4µs
-        assert row.p50_us == row.p95_us == 4.0
-        assert row.max_us == pytest.approx(3.0)
+        prof = StackSampler()
+        _feed(prof, "repro.hdfs.datanode", "f")
+        _feed(prof, "repro.mapreduce.job", "f", 3)
+        _feed(prof, "repro.core.manager", "f", 2)
+        _feed(prof, "repro.cluster.node", "f", 2)
+        assert [p for p, _ in prof.shares()] == ["mapreduce", "cluster", "core", "hdfs"]
 
     def test_top_limits_rows(self):
-        prof = CallbackProfiler(sample_every=1, clock=FakeClock(1e-6))
-        for label in "abcdef":
-            prof.observe(_event(label))
-        assert len(prof.report(top=3)) == 3
+        prof = StackSampler()
+        for name in "abcdef":
+            _feed(prof, "repro.simulation.engine", name)
+        assert len(prof.top_functions("simulation", 3)) == 3
+        assert prof.top_functions("absent", 3) == []
 
 
 class TestReporting:
     def test_format_report_empty(self):
-        assert "no callbacks" in CallbackProfiler().format_report()
+        assert "no samples" in StackSampler().format_report()
 
-    def test_format_report_mentions_buckets(self):
-        prof = CallbackProfiler(sample_every=1, clock=FakeClock(1e-6))
-        prof.observe(_event("hb:n1"))
-        text = prof.format_report()
-        assert "hb" in text
-        assert "1 sampled" in text
+    def test_format_report_mentions_packages(self):
+        prof = StackSampler()
+        _feed(prof, "repro.mapreduce.jobtracker", "heartbeat", 3)
+        _feed(prof, "repro.simulation.engine", "run")
+        prof._sample(signal.SIGPROF, sys._getframe())
+        lines = prof.format_report(top=1).splitlines()
+        assert lines[0] == "profile: 5 samples, 80.0% in named repro packages"
+        assert lines[2].split() == ["mapreduce", "60.0%", "heartbeat", "60.0%"]
+        assert lines[3].split() == ["simulation", "20.0%", "run", "20.0%"]
 
-    def test_to_dict_round_trips_through_json(self):
-        import json
 
-        prof = CallbackProfiler(sample_every=1, clock=FakeClock(1e-6))
-        prof.observe(_event("hb:n1"))
-        doc = json.loads(json.dumps(prof.to_dict()))
-        assert doc["samples"] == 1
-        assert doc["buckets"][0]["bucket"] == "hb"
+class TestArming:
+    def test_exit_restores_the_handler_and_disarms(self):
+        previous = signal.getsignal(signal.SIGPROF)
+        with StackSampler() as prof:
+            assert signal.getsignal(signal.SIGPROF) == prof._sample
+            assert signal.getitimer(signal.ITIMER_PROF)[1] > 0
+        assert signal.getsignal(signal.SIGPROF) == previous
+        assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+
+    def test_exit_restores_after_an_exception_inside(self):
+        previous = signal.getsignal(signal.SIGPROF)
+        with pytest.raises(KeyError):
+            with StackSampler():
+                raise KeyError("boom")
+        assert signal.getsignal(signal.SIGPROF) == previous
+        assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+
+    def test_the_real_timer_is_left_alone(self):
+        previous = signal.setitimer(signal.ITIMER_REAL, 50.0)
+        try:
+            with StackSampler():
+                pass
+            assert signal.getitimer(signal.ITIMER_REAL)[0] > 0
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, *previous)
+
+    def test_arming_off_the_main_thread_raises(self):
+        errors = []
+
+        def arm():
+            try:
+                with StackSampler():
+                    pass
+            except SamplerUnavailable as exc:
+                errors.append(exc)
+
+        worker = threading.Thread(target=arm)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert len(errors) == 1 and "main thread" in str(errors[0])
+        assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+
+
+def _tick_chain(engine):
+    """A self-rescheduling event chain: its callbacks, defined here, run
+    under Engine.run, so their samples count toward ``simulation``."""
+
+    def tick():
+        engine.schedule_in(1.0, tick, "tick")
+
+    engine.schedule(0.0, tick, "tick")
+
+
+class TestSampling:
+    def test_a_cpu_bound_engine_loop_gets_the_top_share(self):
+        engine = Engine()
+        _tick_chain(engine)
+        started = time.process_time()
+        with StackSampler() as prof:
+            while prof.samples < 40 and time.process_time() - started < 20:
+                engine.run(until=engine.now + 20_000)
+        assert prof.samples > 0
+        assert prof.shares()[0][0] == "simulation"
+        assert prof.coverage >= 0.95
+        top, _ = prof.top_functions("simulation", 1)[0]
+        assert top.split(".")[-1] in ("run", "schedule_in")
 
 
 class TestEngineIntegration:
-    def test_profiler_attaches_to_engine(self):
-        engine = Engine()
-        prof = CallbackProfiler(sample_every=1)
-        engine.profiler = prof
-        count = [0]
-
-        def tick():
-            count[0] += 1
-            if count[0] < 50:
-                engine.schedule_in(1.0, tick, f"tick:{count[0]}")
-
-        engine.schedule(0.0, tick, "tick:0")
-        engine.run()
-        assert count[0] == 50
-        assert prof.events_seen == 50
-        assert prof.samples == 50
-        assert prof.report()[0].bucket == "tick"
-
-    def test_disabled_profiler_is_detached(self):
-        engine = Engine()
-        prof = CallbackProfiler()
-        prof.enabled = False
-        engine.profiler = prof
-        engine.schedule(0.0, lambda: None)
-        engine.run()
-        assert prof.events_seen == 0
-
     def test_profiled_run_preserves_event_order(self):
         def run(profiled):
             engine = Engine()
-            if profiled:
-                engine.profiler = CallbackProfiler(sample_every=3)
             order = []
             count = [0]
 
@@ -187,7 +199,21 @@ class TestEngineIntegration:
                         engine.cancel(engine.schedule_in(0.25, tick))
 
             engine.schedule(0.0, tick)
-            engine.run()
+            if profiled:
+                with StackSampler():
+                    engine.run()
+            else:
+                engine.run()
             return order
 
         assert run(profiled=False) == run(profiled=True)
+
+    def test_the_simulator_holds_no_profiler(self):
+        import numpy as np
+
+        from repro.experiments.runner import ExperimentConfig, ExperimentResult, Simulation
+        from repro.workloads.swim import synthesize_wl1
+
+        sim = Simulation(ExperimentConfig(), synthesize_wl1(np.random.default_rng(1), n_jobs=2))
+        assert not hasattr(sim, "profiler") and not hasattr(sim.engine, "profiler")
+        assert "profiler" not in ExperimentResult.__dataclass_fields__

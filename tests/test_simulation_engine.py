@@ -1,7 +1,12 @@
 """Unit tests: the discrete-event engine."""
 
-import pytest
+import heapq
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.observability.trace import ENGINE_EVENT, NULL_TRACER, Tracer
 from repro.simulation.engine import Engine, SimulationError
 
 
@@ -188,3 +193,157 @@ class TestCancelSemantics:
         assert engine.pending == 2
         engine.run()
         assert engine.pending == 0
+
+
+# -- the one loop against the two loops it replaced ----------------------------
+
+
+def _oracle_run(self, until=None):
+    """``Engine.run`` as it was with two loops: a fast path without
+    horizon or firehose, and a general path that peeks and pops through
+    the ``EventQueue`` methods.  Verbatim but for the deleted profiler
+    hook."""
+    if self._running:
+        raise SimulationError("engine is already running (re-entrant run())")
+    self._running = True
+    self._stopped = False
+    self.drained_at = None
+    tracer = self.tracer
+    trace_events = tracer.enabled and tracer.engine_events
+    queue = self._queue
+    limit = self.max_events
+    try:
+        if until is None and not trace_events:
+            heap = queue._heap
+            heappop = heapq.heappop
+            processed = self.events_processed
+            try:
+                while heap and not self._stopped:
+                    time, _, ev = heappop(heap)
+                    if ev.cancelled:
+                        queue._cancelled -= 1
+                        continue
+                    ev.fired = True
+                    queue._live -= 1
+                    self.now = time
+                    processed += 1
+                    if processed > limit:
+                        raise SimulationError(
+                            f"exceeded max_events={limit}; runaway simulation?"
+                        )
+                    ev.action()
+            finally:
+                self.events_processed = processed
+            return
+
+        while queue and not self._stopped:
+            if until is not None:
+                next_time = queue.peek_time()
+                if next_time is not None and next_time > until:
+                    self.now = until
+                    return
+            ev = queue.pop()
+            if ev is None:
+                break
+            self.now = ev.time
+            self.events_processed += 1
+            if self.events_processed > limit:
+                raise SimulationError(
+                    f"exceeded max_events={limit}; runaway simulation?"
+                )
+            if trace_events:
+                tracer.emit(ENGINE_EVENT, ev.time, label=ev.label, seq=ev.seq)
+            ev.action()
+        if until is not None and not self._stopped and self.now < until:
+            self.drained_at = self.now
+            self.now = until
+    finally:
+        self._running = False
+
+
+_TIMES = st.sampled_from((0.0, 0.5, 1.0, 2.0, 5.0))
+_DELAYS = st.sampled_from((0.0, 0.5, 1.0, 2.5))
+_SCENARIOS = st.fixed_dictionaries({
+    # initial events, and which of them are cancelled before the first run
+    "initial": st.lists(_TIMES, max_size=8),
+    "cancel_before": st.lists(st.integers(0, 1 << 16), max_size=4),
+    # what each fired callback does next, in firing order
+    "ops": st.lists(
+        st.one_of(
+            st.tuples(st.just("schedule_in"), _DELAYS),
+            st.tuples(st.just("schedule"), _DELAYS),
+            st.tuples(st.just("cancel"), st.integers(0, 1 << 16)),
+            st.tuples(st.just("reschedule_in"), _DELAYS),
+            st.tuples(st.just("stop"), st.none()),
+            st.tuples(st.just("pass"), st.none()),
+        ),
+        max_size=60,
+    ),
+    # successive run() calls: None, or a horizon this far past the clock
+    "runs": st.lists(st.one_of(st.none(), _DELAYS), min_size=1, max_size=6),
+    "firehose": st.booleans(),
+    "max_events": st.sampled_from((1_000, 3, 12)),
+})
+
+
+def _drive(scenario, run):
+    """Play ``scenario`` on a fresh engine whose loop is ``run``; return
+    everything a caller can observe after each ``run`` call."""
+    records = []
+    tracer = NULL_TRACER
+    if scenario["firehose"]:
+        tracer = Tracer(engine_events=True)
+        tracer.subscribe(lambda r: records.append((r.type, r.time, dict(r.data))))
+    engine = Engine(max_events=scenario["max_events"], tracer=tracer)
+    ops = iter(scenario["ops"])
+    handles = []
+    fired = []
+
+    def add(event):
+        handles.append(event)
+
+    def action(label):
+        def fire():
+            fired.append((label, engine.now))
+            op, arg = next(ops, ("pass", None))
+            if op == "schedule_in":
+                add(engine.schedule_in(arg, action(len(handles)), f"e{len(handles)}"))
+            elif op == "schedule":
+                add(engine.schedule(engine.now + arg, action(len(handles))))
+            elif op == "cancel":
+                engine.cancel(handles[arg % len(handles)])
+            elif op == "reschedule_in":
+                engine.reschedule_in(arg, handles[label])
+            elif op == "stop":
+                engine.stop()
+        return fire
+
+    for time in scenario["initial"]:
+        add(engine.schedule(time, action(len(handles)), f"e{len(handles)}"))
+    for index in scenario["cancel_before"]:
+        if handles:
+            engine.cancel(handles[index % len(handles)])
+    seen = []
+    for delta in scenario["runs"]:
+        error = None
+        try:
+            run(engine, None if delta is None else engine.now + delta)
+        except SimulationError as exc:
+            error = str(exc)
+        seen.append((
+            list(fired), engine.now, engine.drained_at, engine.events_processed,
+            engine.pending, error, list(records),
+        ))
+    return seen
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SCENARIOS)
+# a cancelled event past the horizon: skipped, never pushed back
+@example({"initial": [0.5, 5.0], "cancel_before": [1], "ops": [],
+          "runs": [2.5, None], "firehose": False, "max_events": 1_000})
+# a queue that holds only cancelled events drains at the horizon
+@example({"initial": [1.0, 2.0], "cancel_before": [0, 1], "ops": [],
+          "runs": [2.5, 0.5, None], "firehose": True, "max_events": 1_000})
+def test_one_loop_matches_the_two_loop_oracle(scenario):
+    assert _drive(scenario, Engine.run) == _drive(scenario, _oracle_run)
