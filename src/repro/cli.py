@@ -646,7 +646,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 address,
                 worker_id=args.worker_id or None,
                 cache=cache,
-                no_cache=args.no_cache,
                 poll_s=args.poll,
                 chaos=chaos,
             )

@@ -12,10 +12,14 @@ onto the one :class:`~repro.experiments.service.WorkQueue` it owns:
   grids share the overlapping cells' single execution (the queue is
   keyed by :func:`~repro.experiments.sweep.cache_key`), and every
   completion fans out to every job that contains the cell.
+* **One result store.**  Every settled cell's result lives only in the
+  manager's :class:`~repro.experiments.sweep.ResultCache` (a private
+  temporary one when the caller has none) and is read back from it;
+  the queue keeps states and errors.
 * **Cache pre-resolution.**  Submission resolves every cell it can from
-  the :class:`~repro.experiments.sweep.ResultCache` before any executor
-  touches it, exactly like ``run_cells`` does — a warm grid completes at
-  submit time with zero ``run_experiment`` calls.
+  the cache before any executor touches it, exactly like ``run_cells``
+  does — a warm grid completes at submit time with zero
+  ``run_experiment`` calls.
 * **Idempotent submissions.**  A job's identity is a digest of its
   cells' cache keys (or an explicit client ``idempotency_key``);
   re-submitting an in-flight or finished grid returns the existing job
@@ -51,6 +55,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import tempfile
 import threading
 import time
 import traceback
@@ -58,7 +63,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
 
-from repro.experiments.serialize import canonical_json, result_from_dict, result_to_dict
+from repro.experiments.serialize import canonical_json, result_to_dict
 from repro.experiments.service import (
     DONE,
     PENDING,
@@ -73,6 +78,7 @@ from repro.experiments.sweep import (
     SweepCell,
     build_grid,
     cache_key,
+    outcomes_to_doc,
     run_cell_in_child,
     run_cells,
 )
@@ -219,6 +225,9 @@ class JobManager:
 
     The manager is the only owner of ``queue`` (default:
     :func:`server_queue`): every transition happens under its lock.
+    ``cache=None`` gives it a private cache in a temporary directory that
+    lives as long as the manager object (callers read outcomes after
+    :meth:`stop`).
     """
 
     def __init__(
@@ -238,7 +247,11 @@ class JobManager:
             raise ValueError(f"unknown isolation {isolation!r}")
         if isinstance(cache, (str, Path)):
             cache = ResultCache(cache)
-        self.cache = cache
+        self._private = None
+        if cache is None:
+            self._private = tempfile.TemporaryDirectory(prefix="repro-results-")
+            cache = ResultCache(self._private.name)
+        self.cache: ResultCache = cache
         self.isolation = isolation
         self.workers = workers
         self.max_queued_jobs = max_queued_jobs
@@ -261,6 +274,8 @@ class JobManager:
         self._stop = threading.Event()
         self._threads: List[threading.Thread] = []
         self._current: Dict[str, Optional[Dict]] = {}
+        #: state of each cell of a restored finished job (no queue entry)
+        self._restored: Dict[str, str] = {}
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -358,12 +373,13 @@ class JobManager:
         self._wake.set()
         return job, True
 
-    def adopt(self, job: Job, state: str) -> None:
+    def adopt(self, job: Job, state: str, error: str = "") -> None:
         """Re-create a journaled job after a restart (before serving).
 
-        Finished jobs keep their terminal state — their result documents
-        rebuild from the cache on demand.  Unfinished jobs re-enqueue;
-        cache pre-resolution makes the already-computed prefix instant.
+        Finished jobs keep their terminal state and error; their cells
+        stay out of the queue, each done if the cache holds its result
+        and quarantined if not.  Unfinished jobs re-enqueue; cache
+        pre-resolution makes the already-computed prefix instant.
         """
         with self._lock:
             job.stream = RecordStream(self.stream_capacity)
@@ -372,7 +388,11 @@ class JobManager:
             self._register(job)
             if state in (JOB_DONE, JOB_FAILED):
                 job.state = state
+                job.error = error
                 job.stream.close()
+                for key in job.keys:
+                    cached = self.cache.path(key).exists()
+                    self._restored[key] = DONE if cached else QUARANTINED
                 return
             self._enqueue(job)
         self._wake.set()
@@ -387,16 +407,14 @@ class JobManager:
         job.state = RUNNING
         job.error = ""
         self.queue.add_cells(job.cells)
-        if self.cache is not None:
-            for key in job.keys:
-                entry = self.queue.entries[key]
-                if entry.state != PENDING:
-                    continue
-                if entry.cell["config"].get("trace_path"):
-                    continue  # must really run so the trace gets written
-                hit = self.cache.load(key)
-                if hit is not None:
-                    self.queue.mark_cached(key, result_to_dict(hit))
+        for key in job.keys:
+            entry = self.queue.entries[key]
+            if entry.state != PENDING:
+                continue
+            if entry.cell["config"].get("trace_path"):
+                continue  # must really run so the trace gets written
+            if self.cache.load(key) is not None:
+                self.queue.mark_cached(key)
         job.stream.publish("job", {"id": job.id, "state": job.state})
         self._refresh_job(job)
 
@@ -453,16 +471,16 @@ class JobManager:
     ) -> Dict:
         """Record a finished cell (the ``complete`` op).
 
-        The first completion is stored in the cache and fanned out to
-        every job holding the cell; later ones are acknowledged
-        duplicates.
+        The first completion is stored in the cache, then announced to
+        every job holding the cell (a reader of the announcement finds
+        the result stored); later ones are acknowledged duplicates that
+        never touch the cache.
         """
         with self._lock:
             granted = self._granted(key, lease_id)
-            reply = self.queue.complete(key, lease_id, result_doc, cached=cached)
+            reply = self.queue.complete(key, lease_id, cached=cached)
             if reply.get("accepted"):
-                if self.cache is not None:
-                    self.cache.store(key, result_doc)
+                self.cache.store(key, result_doc)
                 self._finished(key, granted, ok=True, from_cache=cached, error="")
             return reply
 
@@ -576,24 +594,30 @@ class JobManager:
 
     # -- job state -------------------------------------------------------------
 
+    def _cell(self, key: str) -> Tuple[str, bool, int, str]:
+        """One cell's ``(state, from_cache, attempts, error)``: from its
+        queue entry, else as :meth:`adopt` restored it."""
+        entry = self.queue.entries.get(key)
+        if entry is not None:
+            return entry.state, entry.from_cache, entry.attempts, entry.error
+        if self._restored[key] == DONE:
+            return DONE, True, 0, ""
+        return QUARANTINED, False, 0, _no_result(key, QUARANTINED)
+
     def _progress(self, job: Job) -> Dict[str, int]:
-        done = cached = quarantined = 0
+        done = cached = failed = 0
         for key in job.keys:
-            entry = self.queue.entries.get(key)
-            if entry is None:
-                done += 1  # adopted-finished job; queue was rebuilt
-                continue
-            if entry.state == DONE:
+            state, from_cache, _, _ = self._cell(key)
+            if state == DONE:
                 done += 1
-                if entry.from_cache:
-                    cached += 1
-            elif entry.state == QUARANTINED:
-                quarantined += 1
+                cached += from_cache
+            elif state == QUARANTINED:
+                failed += 1
         return {
             "total": len(job.keys),
             "done": done,
             "cached": cached,
-            "failed": quarantined,
+            "failed": failed,
         }
 
     def _refresh_job(self, job: Job) -> None:
@@ -605,11 +629,10 @@ class JobManager:
         if progress["failed"]:
             job.state = JOB_FAILED
             lines = []
-            for key in job.keys:
-                entry = self.queue.entries.get(key)
-                if entry is not None and entry.state == QUARANTINED:
-                    lines.append(f"{entry.cell['tag'] or key[:12]}: "
-                                 f"{_last_line(entry.error)}")
+            for cell, key in zip(job.cells, job.keys):
+                state, _, _, error = self._cell(key)
+                if state == QUARANTINED:
+                    lines.append(f"{cell.tag or key[:12]}: {_last_line(error)}")
             job.error = "; ".join(lines)
         else:
             job.state = JOB_DONE
@@ -631,18 +654,11 @@ class JobManager:
         with self._lock:
             cells = []
             for cell, key in zip(job.cells, job.keys):
-                entry = self.queue.entries.get(key)
-                if entry is None:
-                    state = DONE if job.state == JOB_DONE else "unknown"
-                    cells.append({"tag": cell.tag, "x": cell.x, "key": key,
-                                  "state": state, "from_cache": True,
-                                  "attempts": 0, "error": ""})
-                    continue
+                state, from_cache, attempts, error = self._cell(key)
                 cells.append({
                     "tag": cell.tag, "x": cell.x, "key": key,
-                    "state": entry.state, "from_cache": entry.from_cache,
-                    "attempts": entry.attempts,
-                    "error": _last_line(entry.error),
+                    "state": state, "from_cache": from_cache,
+                    "attempts": attempts, "error": _last_line(error),
                 })
             return {
                 "id": job.id,
@@ -656,25 +672,19 @@ class JobManager:
                 "cells": cells,
             }
 
-    def _settled(self, key: str) -> Tuple[Optional[Dict], str, bool]:
-        """A cell's ``(result document, error, from_cache)``: from its
-        queue entry, else from the cache (a restored finished job's cells
-        have no entry)."""
-        entry = self.queue.entries.get(key)
-        if entry is not None and (entry.result is not None or entry.error):
-            return entry.result, entry.error, entry.from_cache
-        if self.cache is not None:
-            hit = self.cache.load(key)
-            if hit is not None:
-                return result_to_dict(hit), "", True
-        return None, "", False
-
     def outcome(self, cell: SweepCell, key: str) -> CellOutcome:
-        """One settled cell as a :class:`CellOutcome`."""
+        """One cell as a :class:`CellOutcome`: a quarantined cell's error,
+        else its result read back from the cache (neither a hit nor a
+        miss).  A result that is not there is an error naming the key."""
         with self._lock:
-            result_doc, error, from_cache = self._settled(key)
-        result = None if result_doc is None else result_from_dict(result_doc)
-        return CellOutcome(cell, result, error=error, from_cache=from_cache, key=key)
+            state, from_cache, _, error = self._cell(key)
+        if state == QUARANTINED:
+            return CellOutcome(cell, None, error=error, key=key)
+        try:
+            result = self.cache.read(key)
+        except Exception:
+            return CellOutcome(cell, None, error=_no_result(key, state), key=key)
+        return CellOutcome(cell, result, from_cache=from_cache, key=key)
 
     def outcomes(self, job: Job) -> List[CellOutcome]:
         """One outcome per job cell, in submission order."""
@@ -683,28 +693,17 @@ class JobManager:
     def job_result_doc(self, job: Job) -> Optional[Dict]:
         """The finished job's outcome document (``--out`` shape, no
         provenance) — byte-identical to the serial ``run_cells`` path for
-        the same cells.  None while the job is still running."""
+        the same cells.  None while the job is still running.  It reads
+        every cell from the cache: keep it off an event loop."""
         if job.active:
             return None
-        with self._lock:
-            cell_docs = []
-            for cell, key in zip(job.cells, job.keys):
-                result_doc, error, _ = self._settled(key)
-                cell_docs.append({
-                    "tag": cell.tag,
-                    "x": cell.x,
-                    "key": key,
-                    "ok": result_doc is not None,
-                    "error": error,
-                    "result": result_doc,
-                })
-            return {
-                "grid": job.spec.get("grid", ""),
-                "n_jobs": job.spec.get("n_jobs", 0),
-                "seed": job.spec.get("seed", 0),
-                "shard": "",
-                "cells": cell_docs,
-            }
+        return outcomes_to_doc(
+            self.outcomes(job),
+            grid=job.spec.get("grid", ""),
+            n_jobs=job.spec.get("n_jobs", 0),
+            seed=job.spec.get("seed", 0),
+            provenance=False,
+        )
 
     def cluster_doc(self) -> Dict:
         """The ``GET /api/cluster`` body: queue/worker/job/cache state."""
@@ -712,7 +711,7 @@ class JobManager:
             states = {RUNNING: 0, JOB_DONE: 0, JOB_FAILED: 0}
             for job in self.jobs.values():
                 states[job.state] = states.get(job.state, 0) + 1
-            doc = {
+            return {
                 "draining": self.draining,
                 "uptime_s": round(max(0.0, self._clock() - self.started), 3),
                 "cells_executed": self.cells_executed,
@@ -727,14 +726,12 @@ class JobManager:
                     "done": states[JOB_DONE],
                     "failed": states[JOB_FAILED],
                 },
-            }
-            if self.cache is not None:
-                doc["cache"] = {
+                "cache": {
                     "hits": self.cache.hits,
                     "misses": self.cache.misses,
                     "corrupt": self.cache.corrupt,
-                }
-            return doc
+                },
+            }
 
     def jobs_doc(self) -> List[Dict]:
         """The ``GET /api/jobs`` body: one summary row per job."""
@@ -754,3 +751,7 @@ class JobManager:
 def _last_line(text: str) -> str:
     lines = text.strip().splitlines()
     return lines[-1] if lines else ""
+
+
+def _no_result(key: str, state: str) -> str:
+    return f"no readable result for cell {key} ({state}) in the result cache"

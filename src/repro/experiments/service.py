@@ -15,9 +15,10 @@ content-addressed :class:`~repro.experiments.sweep.ResultCache`:
   idle workers *steal* a speculative second lease on the longest-running
   straggler (Wang/Joshi/Wornell-style task replication — whichever
   attempt finishes first wins).  Completions are idempotent: the first
-  completion of a cell is canonical, and duplicate or late completions
-  (lease expiry followed by a slow worker reporting anyway) are
-  acknowledged but discarded deterministically.  The queue lives in
+  completion of a cell is canonical (the queue's owner caches it; the
+  queue holds no result), and duplicate or late completions (lease
+  expiry followed by a slow worker reporting anyway) are acknowledged
+  but discarded deterministically.  The queue lives in
   memory: a restarted server rebuilds it from its job journal
   (:mod:`repro.server.jobstore`), and the result cache resolves the
   cells that already finished.
@@ -195,7 +196,6 @@ class QueueEntry:
     #: active leases: lease_id -> {"worker", "granted", "deadline"}
     leases: Dict[str, Dict] = field(default_factory=dict)
     error: str = ""
-    result: Optional[Dict] = None
     from_cache: bool = False
 
 
@@ -216,10 +216,10 @@ class WorkQueue:
       the replication factor).  Keys in ``skip`` are neither leased nor
       stolen.
     * ``complete`` is first-writer-wins: the first completion of a cell
-      becomes its one canonical result (cells are deterministic, so any
-      racing attempt computed identical bytes); later completions are
-      counted as duplicates and discarded, whether their lease is still
-      live, expired, or stolen-from.
+      is accepted, and its result is the one the owner caches (cells are
+      deterministic, so any racing attempt computed identical bytes);
+      later completions are counted as duplicates and discarded,
+      whether their lease is still live, expired, or stolen-from.
     * ``fail`` and lease expiry charge an attempt *only when the cell's
       last active lease is gone* (a stolen sibling may still win);
       ``attempts >= max_attempts`` quarantines the cell as poison,
@@ -277,13 +277,12 @@ class WorkQueue:
             added += 1
         return added
 
-    def mark_cached(self, key: str, result_doc: Dict) -> None:
+    def mark_cached(self, key: str) -> None:
         """Resolve a pending cell from the result cache (no lease needed)."""
         entry = self.entries[key]
         if entry.state != PENDING:
             return
         entry.state = DONE
-        entry.result = result_doc
         entry.from_cache = True
         entry.error = ""
 
@@ -396,14 +395,11 @@ class WorkQueue:
         entry.leases[lease_id]["deadline"] = self._clock() + self.lease_s
         return True
 
-    def complete(
-        self,
-        key: str,
-        lease_id: str,
-        result_doc: Dict,
-        cached: bool = False,
-    ) -> Dict:
-        """Record a finished cell; first completion wins, rest are duplicates."""
+    def complete(self, key: str, lease_id: str, cached: bool = False) -> Dict:
+        """Record a finished cell; first completion wins, rest are duplicates.
+
+        The queue keeps no result: its owner stores the accepted one.
+        """
         entry = self.entries.get(key)
         if entry is None:
             return {"ok": False, "error": f"unknown cell key {key!r}"}
@@ -415,7 +411,6 @@ class WorkQueue:
             # deterministic result of this cell, so it wins iff it is first
             self.late_completions += 1
         entry.state = DONE
-        entry.result = result_doc
         entry.from_cache = cached
         entry.error = ""
         entry.leases = {}
@@ -598,7 +593,6 @@ def run_worker(
     address: Tuple[str, int],
     worker_id: Optional[str] = None,
     cache: Union[ResultCache, str, None] = None,
-    no_cache: bool = False,
     poll_s: float = 0.5,
     chaos: Union[str, ChaosSpec] = "",
     max_cells: Optional[int] = None,
@@ -696,7 +690,7 @@ def run_worker(
             renewer = threading.Thread(target=_renew, daemon=True)
             renewer.start()
             try:
-                [outcome] = run_cells([cell], jobs=1, cache=cache, no_cache=no_cache)
+                [outcome] = run_cells([cell], cache=cache)
             finally:
                 stop.set()
                 renewer.join(timeout=renew_every + 1.0)

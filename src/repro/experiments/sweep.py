@@ -193,20 +193,25 @@ class ResultCache:
         return self.root / key[:2] / f"{key}.json"
 
     def load(self, key: str) -> Optional[ExperimentResult]:
-        """The cached result, or None on miss/corruption."""
+        """The cached result, or None on miss/corruption (both counted)."""
         try:
-            text = self.path(key).read_text()
+            result = self.read(key)
         except OSError:
             self.misses += 1
             return None
-        try:
-            result = result_from_dict(json.loads(text))
         except Exception:
             self.corrupt += 1
             self.misses += 1
             return None
         self.hits += 1
         return result
+
+    def read(self, key: str) -> ExperimentResult:
+        """The stored result, counted as neither a hit nor a miss: how a
+        job manager reads back a cell it already settled.  Raises
+        ``OSError`` when the entry is absent, anything else when it is
+        unparsable."""
+        return result_from_dict(json.loads(self.path(key).read_text()))
 
     def store(self, key: str, result_doc: Dict) -> Path:
         """Atomically write one serialized result; returns its path.
@@ -436,10 +441,7 @@ def run_cell_in_child(
             status, payload = "died", ""
         proc.join(timeout=5.0)
         if status == "ok":
-            # rebuilt rather than kept as unpickled: a server holds every
-            # result document, and an unpickled one is ~20% larger
-            # (over-allocated lists, its own copy of every key string)
-            return result_to_dict(result_from_dict(payload)), ""
+            return payload, ""
         return None, payload or f"worker died (exit code {proc.exitcode})"
     finally:
         recv_conn.close()
@@ -450,7 +452,6 @@ def run_cells(
     cells: Iterable[SweepCell],
     jobs: int = 1,
     cache: Union[ResultCache, str, Path, None] = None,
-    no_cache: bool = False,
     timeout_s: Optional[float] = None,
     progress: Optional[ProgressFn] = None,
 ) -> List[CellOutcome]:
@@ -462,14 +463,12 @@ def run_cells(
     with ``jobs`` executors, each running its cells in a child process:
     its work queue retries a failed cell once and then reports it with
     the last error.  ``cache`` may be a :class:`ResultCache` or a
-    directory path; ``no_cache`` disables it entirely.  ``timeout_s``
-    bounds each cell's wall time (child processes only).
+    directory path; None runs without one.  ``timeout_s`` bounds each
+    cell's wall time (child processes only).
     """
     cells = list(cells)
     if isinstance(cache, (str, Path)):
         cache = ResultCache(cache)
-    if no_cache:
-        cache = None
 
     total = len(cells)
     outcomes: List[Optional[CellOutcome]] = [None] * total
@@ -626,7 +625,6 @@ def fork_cache_key(cell: ForkCell) -> str:
 def run_fork_cells(
     cells: Iterable[ForkCell],
     cache: Union[ResultCache, str, Path, None] = None,
-    no_cache: bool = False,
     progress: Optional[ProgressFn] = None,
     share_prefix: bool = True,
 ) -> List[CellOutcome]:
@@ -648,8 +646,6 @@ def run_fork_cells(
     cells = list(cells)
     if isinstance(cache, (str, Path)):
         cache = ResultCache(cache)
-    if no_cache:
-        cache = None
 
     total = len(cells)
     outcomes: List[Optional[CellOutcome]] = [None] * total

@@ -13,8 +13,9 @@ replicated block must not already be live, the ``used`` value carried by a
 ``budget.charge`` must equal the shadow's prediction, heartbeat-reported
 free slots must match shadow occupancy, ...).  A violation raises
 :class:`ReconstructionError` carrying the offending record and a
-ring-buffer context tail — the same diagnostic shape as the live
-:class:`~repro.observability.invariants.InvariantChecker`.
+ring-buffer context tail: a subclass of the live
+:class:`~repro.observability.invariants.InvariantChecker`'s
+:class:`~repro.observability.invariants.InvariantViolation`.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from repro.metrics.locality import LocalityStats
+from repro.observability.invariants import InvariantViolation
 from repro.observability.trace import (
     BLOCK_EVICTED,
     BLOCK_REPLICATED,
@@ -48,24 +50,8 @@ from repro.observability.trace import (
 _LOCALITY_INDEX = {"NODE_LOCAL": 0, "RACK_LOCAL": 1, "REMOTE": 2}
 
 
-class ReconstructionError(AssertionError):
+class ReconstructionError(InvariantViolation):
     """A record contradicts the shadow state built from its predecessors."""
-
-    def __init__(
-        self,
-        message: str,
-        record: Optional[TraceRecord] = None,
-        tail: Iterable[TraceRecord] = (),
-    ) -> None:
-        self.record = record
-        self.tail = list(tail)
-        lines = [message]
-        if record is not None:
-            lines.append(f"  triggered by: {record.to_json()}")
-        if self.tail:
-            lines.append(f"  trace tail ({len(self.tail)} records, oldest first):")
-            lines.extend(f"    {r.to_json()}" for r in self.tail)
-        super().__init__("\n".join(lines))
 
 
 @dataclass

@@ -247,7 +247,8 @@ class Server:
                 return json_response(200, self.manager.job_status_doc(job))
             if sub == "result":
                 self._require_get(method, path)
-                return self._result(job)
+                # the result is read back from the cache (disk)
+                return await asyncio.to_thread(self._result, job)
             if sub == "events":
                 self._require_get(method, path)
                 await self._stream_events(request, writer, job)

@@ -10,12 +10,13 @@ The journal is append-only JSON lines, one event per line:
 
 On restart, :func:`restore` replays the journal into a fresh
 :class:`~repro.experiments.jobs.JobManager`: finished jobs keep their
-terminal state (result documents rebuild from the content-addressed
-cache on demand), unfinished jobs re-enqueue their cells — and because
-the cache pre-resolution runs again at adoption, the prefix computed
-before the crash is resolved instantly and only the genuinely
-unfinished cells re-execute.  A torn final line (the process died
-mid-append) is detected and ignored.
+terminal state and error (each cell reads as done when the
+content-addressed cache holds its result, else as quarantined), and
+unfinished jobs re-enqueue their cells — and because the cache
+pre-resolution runs again at adoption, the prefix computed before the
+crash is resolved instantly and only the genuinely unfinished cells
+re-execute.  A torn final line (the process died mid-append) is
+detected and ignored.
 """
 
 from __future__ import annotations
@@ -78,16 +79,17 @@ def restore(manager: JobManager, path: Union[str, Path]) -> int:
 
     Returns the number of jobs adopted.  Unfinished jobs re-enqueue
     (warm cells resolve from the cache at adoption); finished jobs are
-    kept queryable with their terminal state.
+    kept queryable with their terminal state and error.
     """
     submissions: List[Job] = []
-    states: Dict[str, str] = {}
+    states: Dict[str, Dict] = {}
     for event in JobJournal.events(path):
         kind = event.get("event")
         if kind == "submit":
             submissions.append(Job.from_doc(event["job"]))
         elif kind == "state":
-            states[event["id"]] = event["state"]
+            states[event["id"]] = event
     for job in submissions:
-        manager.adopt(job, states.get(job.id, RUNNING))
+        last = states.get(job.id, {})
+        manager.adopt(job, last.get("state", RUNNING), last.get("error", ""))
     return len(submissions)

@@ -379,8 +379,8 @@ def test_fork_cells_shared_prefix_matches_cold_path(tmp_path):
             ("flip-et", "policy:et"),
         )
     ]
-    shared = results_of(run_fork_cells(cells, no_cache=True, share_prefix=True))
-    cold = results_of(run_fork_cells(cells, no_cache=True, share_prefix=False))
+    shared = results_of(run_fork_cells(cells, share_prefix=True))
+    cold = results_of(run_fork_cells(cells, share_prefix=False))
     assert [result_to_json(r) for r in shared] == [result_to_json(r) for r in cold]
     # the kill patches actually produced futures distinct from the control
     control, kill2, kill5 = (result_to_json(shared[i]) for i in (0, 1, 2))

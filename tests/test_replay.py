@@ -176,6 +176,26 @@ class TestCorruptionDetection:
             return  # strict replay caught the hole directly
         assert not state.verify().ok
 
+    def test_replay_violation_is_an_invariant_violation(self, tmp_path):
+        """Replay raises the live checker's violation type, with its
+        message shape: the trigger record and the trace tail."""
+        from repro.observability.invariants import InvariantViolation
+
+        _, path = run_traced(tmp_path)
+        records = list(read_trace(path))
+        idx = next(
+            i for i, r in enumerate(records) if r.type == BLOCK_REPLICATED
+        )
+        records.insert(idx + 1, records[idx])  # the same replica twice
+        with pytest.raises(ReconstructionError, match="is already live") as err:
+            reconstruct(records)
+        assert isinstance(err.value, InvariantViolation)
+        assert err.value.record is records[idx]
+        assert err.value.tail and err.value.tail[-1] is records[idx]
+        message = str(err.value)
+        assert f"  triggered by: {records[idx].to_json()}" in message
+        assert f"  trace tail ({len(err.value.tail)} records, oldest first):" in message
+
 
 class TestReaderValidation:
     def _hb(self, t, node=1):

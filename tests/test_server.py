@@ -461,6 +461,137 @@ class TestJobManager:
         assert job2.state == JOB_DONE and job2.stream.closed
         assert doc_to_text(revived.job_result_doc(job2)) == expected
 
+    def test_restored_failed_job_reports_as_it_did_live(self, tmp_path):
+        """A failed job restored from its journal keeps its error, and
+        each cell reads as the cache says: done with a cached result,
+        quarantined without one.  A resubmission retries only the
+        quarantined cell."""
+        cache = ResultCache(tmp_path / "cache")
+        journal_path = tmp_path / "jobs.jsonl"
+        live = make_manager(tmp_path, cache=cache, workers=0,
+                            queue=server_queue(max_attempts=1),
+                            journal=JobJournal(journal_path))
+        spec = {"cells": [cell_to_doc(c) for c in CELLS[:2]]}
+        job, _ = live.submit(spec)
+        good = live.lease("w")
+        live.complete(good["key"], good["lease_id"],
+                      result_to_dict(run_cells([CELLS[0]])[0].result))
+        bad = live.lease("w")
+        live.fail(bad["key"], bad["lease_id"], "Traceback ...\nRuntimeError: boom")
+        assert job.state == JOB_FAILED and job.error == "c1: RuntimeError: boom"
+        before = live.job_status_doc(job)
+        live.journal.close()
+
+        revived = make_manager(tmp_path, cache=cache, workers=0)
+        restore(revived, journal_path)
+        job2 = revived.jobs[job.id]
+        after = revived.job_status_doc(job2)
+        assert after["state"] == JOB_FAILED and after["error"] == job.error
+        for doc in (before, after):
+            assert [c["state"] for c in doc["cells"]] == ["done", "quarantined"]
+            assert (doc["progress"]["done"], doc["progress"]["failed"]) == (1, 1)
+        assert revived.jobs_doc()[0]["progress"] == after["progress"]
+        good_cell, bad_cell = revived.job_result_doc(job2)["cells"]
+        assert good_cell["ok"] and not bad_cell["ok"]
+        assert bad["key"] in bad_cell["error"]
+
+        job3, created = revived.submit(spec)
+        assert job3 is job2 and not created and job2.active
+        assert revived.queue.entries[good["key"]].state == "done"
+        assert revived.queue.entries[bad["key"]].state == "pending"
+
+    def test_lost_result_is_an_error_naming_its_key(self, tmp_path):
+        """Results are read back from the cache without counting a hit or
+        a miss; a settled cell whose entry was removed or corrupted
+        comes back failed, with an error that names its key."""
+        cache = ResultCache(tmp_path / "cache")
+        manager = make_manager(tmp_path, cache=cache, workers=0)
+        job, _ = manager.submit({"cells": [cell_to_doc(CELLS[0])]})
+        grant = manager.lease("w")
+        key = grant["key"]
+        manager.complete(key, grant["lease_id"],
+                         result_to_dict(run_cells([CELLS[0]])[0].result))
+        assert job.state == JOB_DONE
+        lookups = (cache.hits, cache.misses)
+        assert manager.job_result_doc(job)["cells"][0]["ok"]
+        assert manager.outcome(CELLS[0], key).ok
+        assert (cache.hits, cache.misses) == lookups
+
+        assert cache.invalidate(key)
+        [cell_doc] = manager.job_result_doc(job)["cells"]
+        assert cell_doc["ok"] is False and key in cell_doc["error"]
+        cache.path(key).write_text("{not json")
+        outcome = manager.outcome(CELLS[0], key)
+        assert not outcome.ok and key in outcome.error
+
+    def test_private_cache_lives_as_long_as_the_manager(self, tmp_path, monkeypatch):
+        """Without a cache the manager keeps results in a private
+        temporary directory: readable after stop(), removed with the
+        manager."""
+        import gc
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        manager = JobManager(workers=1, isolation="thread").start()
+        root = manager.cache.root
+        assert root.parent == tmp_path
+        try:
+            job, _ = manager.submit({"cells": [cell_to_doc(CELLS[0])]})
+            wait_for(lambda: not job.active, what="job completion")
+        finally:
+            manager.stop()
+        assert manager.job_result_doc(job)["cells"][0]["ok"]
+        assert "cache" in manager.cluster_doc()
+        assert len(ResultCache(root)) == 1
+        del manager
+        gc.collect()
+        assert not root.exists()
+
+    def test_finished_jobs_keep_no_result_documents(self, tmp_path):
+        """A settled cell's result lives only in the cache.  Between N
+        and 4N finished one-cell jobs, retained memory (tracemalloc,
+        after gc) grows by well under one parsed result document per
+        job (~53 KB for this cell); the job's own records take ~8 KB."""
+        import gc
+        import tracemalloc
+
+        from repro.cluster.cluster import CCT_SPEC
+        from repro.experiments.runner import run_experiment
+
+        def config(seed):
+            return ExperimentConfig(cluster_spec=CCT_SPEC, scheduler="fair",
+                                    dare=DareConfig.elephant_trap(), seed=seed)
+
+        workload = WorkloadSpec("wl1", 60, SEED)
+        doc_text = json.dumps(result_to_dict(
+            run_experiment(config(SEED), workload.materialize())))
+        manager = make_manager(tmp_path, workers=0)
+
+        def finish(seeds):
+            for seed in seeds:
+                cell = SweepCell(config(seed), workload)
+                job, _ = manager.submit({"cells": [cell_to_doc(cell)]})
+                grant = manager.lease("remote")
+                # each completion arrives as its own parsed document
+                manager.complete(grant["key"], grant["lease_id"],
+                                 json.loads(doc_text))
+                assert job.state == JOB_DONE
+
+        def retained():
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0]
+
+        n = 40
+        tracemalloc.start()
+        try:
+            finish(range(n))
+            at_n = retained()
+            finish(range(n, 4 * n))
+            per_job = (retained() - at_n) / (3 * n)
+        finally:
+            tracemalloc.stop()
+        assert per_job < 16_000, f"{per_job:.0f} B retained per finished job"
+
     def test_job_ids_continue_past_j9999_after_adoption(self, tmp_path):
         submitted, _ = make_manager(tmp_path, workers=0).submit(
             {"cells": [cell_to_doc(CELLS[0])]}

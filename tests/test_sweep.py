@@ -157,12 +157,18 @@ class TestResultCache:
         assert outcome.from_cache and outcome.ok
 
     def test_no_cache_flag_bypasses(self, tmp_path):
+        """``cache=None`` is the one way to run without a cache: the
+        serial loop recomputes, and the parallel path keeps its results
+        in a private cache of its manager, never in a warm one."""
         cache = ResultCache(tmp_path)
         cell = _cell()
         run_cells([cell], cache=cache)
-        [outcome] = run_cells([cell], cache=cache, no_cache=True)
-        assert not outcome.from_cache
-        assert cache.hits == 0
+        for jobs in (1, 2):
+            [outcome] = run_cells([cell], jobs=jobs)
+            assert outcome.ok and not outcome.from_cache
+        assert cache.hits == 0 and len(cache) == 1
+        with pytest.raises(TypeError):
+            run_cells([cell], cache=cache, no_cache=True)
 
     def test_invalidate_forces_rerun(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -9,9 +9,9 @@ Three layers:
   job journal and result cache.
 * ``test_queue_state_machine_*`` — a hypothesis property over random
   interleavings of lease/complete/fail/expire/renew: the queue never
-  loses a cell, never double-counts a completion, keeps each canonical
-  result stable, and always terminates with every cell done or
-  quarantined.  Each op dimension is drawn independently (the
+  loses a cell, never double-counts a completion, the manager's cache
+  keeps each first accepted result, and the queue always terminates
+  with every cell done or quarantined.  Each op dimension is drawn independently (the
   ``tests/invariants`` shrinking convention), so counterexamples shrink
   toward the shortest readable schedule.
 * :class:`TestServiceIntegration` — what ``repro sweep --serve`` runs (a
@@ -123,6 +123,12 @@ def make_manager(clock, tmp_path, **kwargs) -> JobManager:
                       queue=make_queue(clock, n_cells=0), clock=clock, **kwargs)
 
 
+def cached_doc(manager: JobManager, key: str) -> dict:
+    """The document the manager's cache holds for ``key``, read raw (the
+    queue tests complete cells with marker documents, not results)."""
+    return json.loads(manager.cache.path(key).read_text())
+
+
 def make_queue(clock, n_cells: int = 2, **kwargs) -> WorkQueue:
     defaults = dict(
         lease_s=10.0, max_attempts=3, backoff_s=1.0, backoff_cap_s=8.0,
@@ -187,7 +193,7 @@ class TestWorkQueue:
         grant = q.lease("w1")
         assert grant["key"] == KEYS[0] and not grant["stolen"]
         assert q.counts()[LEASED] == 1
-        ack = q.complete(grant["key"], grant["lease_id"], {"m": 1})
+        ack = q.complete(grant["key"], grant["lease_id"])
         assert ack["accepted"]
         assert q.done
 
@@ -219,7 +225,7 @@ class TestWorkQueue:
         second = q.lease("w2")
         assert second["key"] == first["key"]
         assert second["lease_id"] != first["lease_id"]
-        assert q.complete(second["key"], second["lease_id"], {"m": 1})["accepted"]
+        assert q.complete(second["key"], second["lease_id"])["accepted"]
 
     def test_renew_keeps_lease_alive(self):
         clock = FakeClock()
@@ -234,30 +240,35 @@ class TestWorkQueue:
         assert q.expire() == 1
         assert not q.renew(grant["key"], grant["lease_id"])  # lease is gone
 
-    def test_late_completion_after_expiry_wins_if_first(self):
+    def test_late_completion_after_expiry_wins_if_first(self, tmp_path):
         clock = FakeClock()
-        q = make_queue(clock, n_cells=1)
-        grant = q.lease("w1")
+        manager = make_manager(clock, tmp_path)
+        manager.submit({"cells": [cell_to_doc(CELLS[0])]})
+        q = manager.queue
+        grant = manager.lease("w1")
         clock.advance(q.lease_s + 1)
-        q.expire()  # w1's lease reclaimed; w1 doesn't know and reports anyway
-        ack = q.complete(grant["key"], grant["lease_id"], {"m": "late"})
+        manager.expire()  # w1's lease reclaimed; w1 doesn't know and reports anyway
+        ack = manager.complete(grant["key"], grant["lease_id"], {"m": "late"})
         assert ack["accepted"]
         assert q.late_completions == 1
-        assert q.entries[KEYS[0]].result == {"m": "late"}
+        assert cached_doc(manager, KEYS[0]) == {"m": "late"}
 
-    def test_duplicate_completion_is_discarded(self):
+    def test_duplicate_completion_is_discarded(self, tmp_path):
         clock = FakeClock()
-        q = make_queue(clock, n_cells=1)
-        grant = q.lease("w1")
+        manager = make_manager(clock, tmp_path)
+        manager.submit({"cells": [cell_to_doc(CELLS[0])]})
+        q = manager.queue
+        grant = manager.lease("w1")
         clock.advance(q.lease_s + 1)
-        q.expire()  # reclaim
+        manager.expire()  # reclaim
         clock.advance(q.backoff_s + 0.1)
-        second = q.lease("w2")  # re-lease to another worker
-        assert q.complete(second["key"], second["lease_id"], {"m": "w2"})["accepted"]
-        late = q.complete(grant["key"], grant["lease_id"], {"m": "w1"})
+        second = manager.lease("w2")  # re-lease to another worker
+        assert manager.complete(second["key"], second["lease_id"],
+                                {"m": "w2"})["accepted"]
+        late = manager.complete(grant["key"], grant["lease_id"], {"m": "w1"})
         assert late == {"ok": True, "accepted": False, "reason": "duplicate"}
-        # deterministic resolution: the first completion stays canonical
-        assert q.entries[KEYS[0]].result == {"m": "w2"}
+        # deterministic resolution: the first completion stays the cached one
+        assert cached_doc(manager, KEYS[0]) == {"m": "w2"}
         assert q.duplicates == 1 and q.completions == 1
 
     def test_backoff_grows_exponentially_then_quarantines(self):
@@ -297,29 +308,34 @@ class TestWorkQueue:
         clock.advance(q.lease_s + 1)
         q.expire()  # single allowed attempt burnt: quarantined
         assert q.entries[KEYS[0]].state == QUARANTINED
-        ack = q.complete(grant["key"], grant["lease_id"], {"m": 1})
+        ack = q.complete(grant["key"], grant["lease_id"])
         assert ack["accepted"]  # a correct deterministic result still counts
         assert q.entries[KEYS[0]].state == DONE
 
-    def test_steal_releases_straggler_to_idle_worker(self):
+    def test_steal_releases_straggler_to_idle_worker(self, tmp_path):
         clock = FakeClock()
-        q = make_queue(clock, n_cells=2, steal_after_s=5.0)
-        straggler = q.lease("w1")
-        other = q.lease("w1")
-        q.complete(other["key"], other["lease_id"], {"m": 1})
-        assert q.lease("w2").get("wait")  # straggler not old enough yet
+        manager = make_manager(clock, tmp_path)
+        manager.submit({"cells": [cell_to_doc(c) for c in CELLS[:2]]})
+        q = manager.queue
+        assert q.steal_after_s == 5.0
+        straggler = manager.lease("w1")
+        other = manager.lease("w1")
+        manager.complete(other["key"], other["lease_id"], {"m": 1})
+        assert manager.lease("w2").get("wait")  # straggler not old enough yet
         clock.advance(6.0)
-        stolen = q.lease("w2")
+        stolen = manager.lease("w2")
         assert stolen["stolen"] and stolen["key"] == straggler["key"]
         assert q.steals == 1
         assert len(q.entries[straggler["key"]].leases) == 2
         # no third replica: max_leases bounds the speculative fan-out
-        assert q.lease("w3").get("wait")
+        assert manager.lease("w3").get("wait")
         # thief finishes first; the original attempt resolves to a duplicate
-        assert q.complete(stolen["key"], stolen["lease_id"], {"m": "thief"})["accepted"]
-        late = q.complete(straggler["key"], straggler["lease_id"], {"m": "orig"})
+        assert manager.complete(stolen["key"], stolen["lease_id"],
+                                {"m": "thief"})["accepted"]
+        late = manager.complete(straggler["key"], straggler["lease_id"],
+                                {"m": "orig"})
         assert not late["accepted"]
-        assert q.entries[straggler["key"]].result == {"m": "thief"}
+        assert cached_doc(manager, straggler["key"]) == {"m": "thief"}
         assert q.done
 
     def test_failed_sibling_does_not_reset_surviving_lease(self):
@@ -332,7 +348,7 @@ class TestWorkQueue:
         ack = q.fail(thief["key"], thief["lease_id"], "thief exploded")
         assert ack["accepted"] and ack["state"] == LEASED  # original still runs
         assert q.entries[KEYS[0]].attempts == 0  # no attempt charged
-        assert q.complete(orig["key"], orig["lease_id"], {"m": 1})["accepted"]
+        assert q.complete(orig["key"], orig["lease_id"])["accepted"]
 
     def test_stale_fail_after_expiry_is_not_double_charged(self):
         clock = FakeClock()
@@ -346,7 +362,7 @@ class TestWorkQueue:
 
     def test_unknown_key_is_rejected(self):
         q = make_queue(FakeClock(), n_cells=1)
-        assert not q.complete("feed" * 16, "L0", {})["ok"]
+        assert not q.complete("feed" * 16, "L0")["ok"]
         assert not q.fail("feed" * 16, "L0", "boom")["ok"]
 
     def test_drain_stops_leasing_but_accepts_completions(self):
@@ -355,7 +371,7 @@ class TestWorkQueue:
         grant = q.lease("w1")
         q.drain()
         assert q.lease("w2") == {"ok": True, "done": True}  # workers wind down
-        assert q.complete(grant["key"], grant["lease_id"], {"m": 1})["accepted"]
+        assert q.complete(grant["key"], grant["lease_id"])["accepted"]
         assert q.active_leases() == 0
 
     def test_journal_round_trip_and_restart(self, tmp_path, serial_docs):
@@ -382,7 +398,9 @@ class TestWorkQueue:
         assert q2.order == first.queue.order
         done_entry = q2.entries[done["key"]]
         assert done_entry.state == DONE and done_entry.from_cache
-        assert done_entry.result == serial_docs[done["key"]]
+        [restored] = [o for o in second.outcomes(job2) if o.key == done["key"]]
+        assert restored.from_cache
+        assert result_to_dict(restored.result) == serial_docs[done["key"]]
         counts = q2.counts()
         assert counts[PENDING] == 2 and counts[LEASED] == 0
         assert q2.active_leases() == 0
@@ -419,7 +437,9 @@ class TestWorkQueue:
 # -- hypothesis: random interleavings of the state machine --------------------
 
 
-def _check_queue_invariants(q: WorkQueue, total: int, done_results: dict) -> None:
+def _check_queue_invariants(manager: JobManager, total: int,
+                            done_results: dict) -> None:
+    q = manager.queue
     counts = q.counts()
     assert sum(counts.values()) == total  # no cell is ever lost
     for entry in q.entries.values():
@@ -429,11 +449,12 @@ def _check_queue_invariants(q: WorkQueue, total: int, done_results: dict) -> Non
         else:
             assert not entry.leases
         if entry.state == DONE:
-            assert entry.result is not None
-    # completions are counted exactly once and results stay canonical
+            assert manager.cache.path(entry.key).exists()
+    # completions are counted exactly once, and a late or racing
+    # completion never replaces the first accepted (cached) document
     assert q.completions == len(done_results)
     for key, marker in done_results.items():
-        assert q.entries[key].result == {"marker": marker}
+        assert cached_doc(manager, key) == {"marker": marker}
 
 
 @pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
@@ -451,11 +472,13 @@ def _check_queue_invariants(q: WorkQueue, total: int, done_results: dict) -> Non
 )
 def test_queue_state_machine_random_interleavings(n_cells, ops):
     """Random lease/complete/fail/expire/renew schedules never lose a cell,
-    never double-count a completion, and always terminate."""
+    never double-count a completion, and always terminate.  They run on a
+    manager (with its private cache), which is how workers reach a queue."""
     clock = FakeClock()
     q = WorkQueue(lease_s=10.0, max_attempts=3, backoff_s=1.0, backoff_cap_s=8.0,
                   steal_after_s=5.0, clock=clock)
-    q.add_cells(CELLS[:n_cells])
+    manager = JobManager(workers=0, queue=q, clock=clock)
+    manager.submit({"cells": [cell_to_doc(c) for c in CELLS[:n_cells]]})
     total = n_cells
     issued = []  # every (key, lease_id) ever granted, live or stale
     done_results = {}  # key -> marker of the accepted (canonical) completion
@@ -464,7 +487,7 @@ def test_queue_state_machine_random_interleavings(n_cells, ops):
     def try_complete(key: str, lease_id: str, worker: str) -> None:
         nonlocal marker
         marker += 1
-        ack = q.complete(key, lease_id, {"marker": marker})
+        ack = manager.complete(key, lease_id, {"marker": marker})
         if ack.get("accepted"):
             assert key not in done_results  # a cell completes exactly once
             done_results[key] = marker
@@ -472,7 +495,7 @@ def test_queue_state_machine_random_interleavings(n_cells, ops):
     for kind, a, b in ops:
         worker = f"w{b}"
         if kind == 0:
-            grant = q.lease(worker)
+            grant = manager.lease(worker)
             if "lease_id" in grant:
                 issued.append((grant["key"], grant["lease_id"]))
         elif kind == 1 and issued:
@@ -480,24 +503,24 @@ def test_queue_state_machine_random_interleavings(n_cells, ops):
             try_complete(key, lease_id, worker)
         elif kind == 2 and issued:
             key, lease_id = issued[a % len(issued)]
-            q.fail(key, lease_id, f"injected failure {a}")
+            manager.fail(key, lease_id, f"injected failure {a}")
         elif kind == 3:
             clock.advance(float(a))
-            q.expire()
+            manager.expire()
         elif kind == 4 and issued:
             key, lease_id = issued[a % len(issued)]
-            q.renew(key, lease_id)
-        _check_queue_invariants(q, total, done_results)
+            manager.renew(key, lease_id)
+        _check_queue_invariants(manager, total, done_results)
 
     # liveness: a worker that keeps pulling always drains the queue
     for _ in range(10 * total + 20):
         if q.done:
             break
         clock.advance(q.lease_s + q.backoff_cap_s + 1.0)
-        grant = q.lease("driver")
+        grant = manager.lease("driver")
         if "lease_id" in grant:
             try_complete(grant["key"], grant["lease_id"], "driver")
-        _check_queue_invariants(q, total, done_results)
+        _check_queue_invariants(manager, total, done_results)
     assert q.done
     counts = q.counts()
     assert counts[DONE] + counts[QUARANTINED] == total
@@ -605,7 +628,6 @@ def _spawn_cli_worker(port: int, *extra: str) -> subprocess.Popen:
 
 
 def _worker_thread(address, results: list, **kwargs):
-    kwargs.setdefault("no_cache", True)
     kwargs.setdefault("poll_s", 0.05)
     thread = threading.Thread(
         target=lambda: results.append(run_worker(address, **kwargs)), daemon=True
@@ -1012,8 +1034,7 @@ class TestProtocolHardening:
         with GridServer(cells, lease_s=10.0) as server:
             server.server.limiter = Refuse25()
             started = time.monotonic()
-            stats = run_worker(server.address, worker_id="paced",
-                               no_cache=True, poll_s=0.05)
+            stats = run_worker(server.address, worker_id="paced", poll_s=0.05)
             assert time.monotonic() - started >= 25 * 0.02  # it waited
             assert server.wait(timeout=10.0)
             assert _service_jsons(server) == serial
@@ -1048,7 +1069,7 @@ class TestWorkerGracefulShutdown:
             threading.Thread(target=fire_once_leased, daemon=True).start()
             # delay-complete holds the finished cell (and its lease) for
             # 30s before reporting — a deterministic window for the signal
-            stats = run_worker(address, worker_id="doomed", no_cache=True,
+            stats = run_worker(address, worker_id="doomed",
                                chaos="delay-complete:30")
             assert stats.stopped_by_signal == signal_mod.SIGTERM
             assert stats.released == 1
