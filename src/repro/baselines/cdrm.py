@@ -49,13 +49,13 @@ class CdrmConfig(NamedTuple):
     def validate(self) -> "CdrmConfig":
         """Raise on malformed configs; return self."""
         if not (0.0 < self.availability_target < 1.0):
-            raise ValueError("availability target must be in (0, 1)")
+            raise ValueError(f"availability_target {self.availability_target} is not in (0, 1)")
         if not (0.0 < self.node_availability < 1.0):
-            raise ValueError("node availability must be in (0, 1)")
+            raise ValueError(f"node_availability {self.node_availability} is not in (0, 1)")
         if self.period_s <= 0:
-            raise ValueError("period must be positive")
+            raise ValueError(f"period_s must be > 0, got {self.period_s}")
         if self.max_concurrent < 1:
-            raise ValueError("need at least one copy stream")
+            raise ValueError(f"max_concurrent must be >= 1, got {self.max_concurrent}")
         return self
 
     @property

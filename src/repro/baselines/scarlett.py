@@ -51,11 +51,11 @@ class ScarlettConfig(NamedTuple):
     def validate(self) -> "ScarlettConfig":
         """Raise on malformed configs; return self."""
         if self.epoch_s <= 0:
-            raise ValueError("epoch must be positive")
+            raise ValueError(f"epoch_s must be > 0, got {self.epoch_s}")
         if self.budget < 0:
-            raise ValueError("budget must be nonnegative")
+            raise ValueError(f"budget must be >= 0, got {self.budget}")
         if self.max_concurrent < 1:
-            raise ValueError("need at least one rebalancing stream")
+            raise ValueError(f"max_concurrent must be >= 1, got {self.max_concurrent}")
         return self
 
 

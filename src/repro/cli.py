@@ -68,7 +68,7 @@ import numpy as np
 
 from repro.baselines.scarlett import ScarlettConfig
 from repro.cluster.cluster import CCT_SPEC, EC2_SPEC
-from repro.core.config import DareConfig
+from repro.core.config import DareConfig, Policy
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.observability.profiling import SamplerUnavailable, StackSampler
 from repro.workloads.swim import Workload
@@ -117,23 +117,23 @@ def _scale_spec(args: argparse.Namespace):
 
 
 def _policy(args: argparse.Namespace) -> DareConfig:
+    """The DARE config the policy flags name; :func:`_cell` checks it with
+    the rest of the cell."""
     if args.policy == "off":
         return DareConfig.off()
-    if args.policy in ("lru", "rollout"):
-        # rollout-greedy runs the rollout engine over a greedy-lru host
-        return DareConfig.greedy_lru(budget=args.budget)
-    if args.policy == "lfu":
-        return DareConfig.greedy_lfu(budget=args.budget)
     if args.policy == "et":
-        return DareConfig.elephant_trap(
-            p=args.p, threshold=args.threshold, budget=args.budget
-        )
+        return DareConfig(Policy.ELEPHANT_TRAP, args.p, args.threshold, args.budget)
     if args.policy == "learned":
         from repro.policies.learned import DEFAULT_WEIGHTS, load_model
 
-        weights = load_model(args.model) if args.model else DEFAULT_WEIGHTS
-        return DareConfig.learned(weights, budget=args.budget)
-    raise SystemExit(f"unknown policy {args.policy!r}")
+        try:
+            weights = load_model(args.model) if args.model else DEFAULT_WEIGHTS
+        except OSError as exc:
+            raise SystemExit(f"cannot read model {args.model!r}: {exc}")
+        return DareConfig(Policy.LEARNED, budget=args.budget, model=weights)
+    # rollout-greedy runs the rollout engine over a greedy-lru host
+    policy = Policy.GREEDY_LFU if args.policy == "lfu" else Policy.GREEDY_LRU
+    return DareConfig(policy, budget=args.budget)
 
 
 def _rollout_config(args: argparse.Namespace):
@@ -149,7 +149,7 @@ def _rollout_config(args: argparse.Namespace):
         max_epochs=args.rollout_max_epochs,
         jobs=args.rollout_jobs,
         prune=args.rollout_prune,
-    ).validate()
+    )
 
 
 def _build_workload(name: str, n_jobs: int, seed: int) -> Workload:
@@ -191,7 +191,7 @@ def _cell(args: argparse.Namespace):
 
     ``run`` and ``checkpoint save`` share the cell flags; ``run``'s own
     scale, rollout and firehose flags are read when present, and
-    ``checkpoint save`` gets their defaults.
+    ``checkpoint save`` gets their defaults.  An out-of-range value exits.
     """
     if args.jobs < 1:
         raise SystemExit(f"--jobs must be at least 1 (got {args.jobs})")
@@ -213,7 +213,18 @@ def _cell(args: argparse.Namespace):
         trace_engine_events=getattr(args, "trace_engine_events", False),
         check_invariants=args.check_invariants,
     )
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise SystemExit(f"bad cell: {exc}")
     return config, workload
+
+
+def _pause_time(at: float) -> float:
+    """``--at``; a negative or non-finite pause time exits."""
+    if not 0 <= at < float("inf"):
+        raise SystemExit(f"--at must be a finite time >= 0 (got {at})")
+    return at
 
 
 # -- subcommands -------------------------------------------------------------
@@ -457,6 +468,7 @@ def cmd_replay_whatif(args: argparse.Namespace) -> int:
     from repro.experiments.runner import Simulation, make_tracer
     from repro.experiments.serialize import config_from_dict
 
+    at = _pause_time(args.at)
     index = _load_trace_or_exit(args.trace)
     header = index.config
     if header is None:
@@ -487,7 +499,7 @@ def cmd_replay_whatif(args: argparse.Namespace) -> int:
     config = dataclasses.replace(config, trace_path=args.out)
 
     base = Simulation(config, workload, tracer=make_tracer(config))
-    base.run(until=args.at)
+    base.run(until=at)
     snap = snapshot(base)
     base.close()
     print(f"reconstructed to t={snap.time:.1f}s "
@@ -521,9 +533,10 @@ def cmd_checkpoint_save(args: argparse.Namespace) -> int:
     from repro.checkpoint import snapshot
     from repro.experiments.runner import Simulation, make_tracer
 
+    at = _pause_time(args.at)
     config, workload = _cell(args)
     sim = Simulation(config, workload, tracer=make_tracer(config))
-    sim.run(until=args.at)
+    sim.run(until=at)
     snap = snapshot(sim)
     sim.close()
     snap.save(args.out)

@@ -14,8 +14,8 @@ from typing import NamedTuple, Sequence, Tuple
 class Policy(enum.Enum):
     """Which replica-management scheme a node runs.
 
-    The enum value doubles as the policy's name in the plugin registry
-    (:mod:`repro.policies.registry`), which is where instances are built.
+    :class:`~repro.core.manager.DareReplicationService` builds the node
+    policy each member names (OFF builds none).
     """
 
     #: vanilla Hadoop — no dynamic replication
@@ -63,7 +63,8 @@ class DareConfig(NamedTuple):
     def validate(self) -> "DareConfig":
         """Raise ``ValueError`` on out-of-range parameters; return self."""
         if not isinstance(self.policy, Policy):
-            raise ValueError(f"policy must be a Policy, got {self.policy!r}")
+            names = ", ".join(policy.value for policy in Policy)
+            raise ValueError(f"policy must be one of {names}, got {self.policy!r}")
         if not (0.0 <= self.p <= 1.0):
             raise ValueError(f"p must be in [0, 1], got {self.p}")
         if self.threshold < 0:

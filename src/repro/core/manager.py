@@ -14,12 +14,13 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.core.budget import ReplicationBudget
-from repro.core.config import DareConfig
+from repro.core.config import DareConfig, Policy
+from repro.core.elephant_trap import ElephantTrapPolicy
+from repro.core.greedy import GreedyLFUPolicy, GreedyLRUPolicy
 from repro.hdfs.block import Block
 from repro.hdfs.namenode import NameNode
 from repro.observability.trace import NULL_TRACER, REPLICATION_ABANDONED, Tracer
-from repro.policies.base import PolicyContext
-from repro.policies.registry import create_policy, policy_factory
+from repro.policies.learned import AccessStats, LearnedPolicy
 from repro.simulation.rng import RandomStreams
 
 
@@ -49,29 +50,6 @@ class NodeReplicaState:
         self.observe = getattr(self.policy, "on_access", None)
 
 
-def _make_policy(
-    config: DareConfig,
-    node_id: int,
-    streams: RandomStreams,
-    namenode: NameNode = None,
-    shared=None,
-):
-    """Resolve the node policy through the plugin registry.
-
-    ``Policy.value`` doubles as the registry name, so every baseline and
-    plugin is constructed through the same path (byte-identical to the
-    pre-registry inline constructors — pinned by tests/test_policies.py).
-    """
-    ctx = PolicyContext(
-        node_id=node_id,
-        config=config,
-        streams=streams,
-        namenode=namenode,
-        shared=shared if shared is not None else {},
-    )
-    return create_policy(config.policy.value, ctx)
-
-
 class DareReplicationService:
     """Cluster-wide coordinator of the per-node replication managers.
 
@@ -97,13 +75,10 @@ class DareReplicationService:
         #: run a map, and the algorithms act only "if a map task is
         #: scheduled")
         self.states: Dict[int, NodeReplicaState] = {}
-        #: cluster-wide singletons shared by this service's policy plugins
-        #: (e.g. the learned policy's AccessStats); see PolicyContext.shared
-        self.shared: Dict[str, object] = {}
+        #: the cluster-wide access statistics every learned node policy
+        #: reads and updates (None under the other policies)
+        self.access_stats = AccessStats() if config.policy is Policy.LEARNED else None
         if config.enabled:
-            # resolve the name now: an unknown policy fails at set-up,
-            # not at the first map task
-            policy_factory(config.policy.value)
             budget = ReplicationBudget(config.budget)
             self.per_node_budget_bytes = budget.apply(namenode)
         else:
@@ -125,13 +100,23 @@ class DareReplicationService:
             return self.states[node_id]
         except KeyError:
             pass
-        state = self.states[node_id] = NodeReplicaState(
-            node_id,
-            _make_policy(
-                self.config, node_id, self.streams, self.namenode, self.shared
-            ),
-        )
+        state = self.states[node_id] = NodeReplicaState(node_id, self._build_policy(node_id))
         return state
+
+    def _build_policy(self, node_id: int):
+        """A fresh instance of the policy ``config.policy`` names."""
+        config = self.config
+        if config.policy is Policy.GREEDY_LRU:
+            return GreedyLRUPolicy()
+        if config.policy is Policy.GREEDY_LFU:
+            return GreedyLFUPolicy()
+        if config.policy is Policy.ELEPHANT_TRAP:
+            # every fixed-seed trace draws the node's coins from this stream
+            coins = self.streams.python(f"dare.coin.{node_id}")
+            return ElephantTrapPolicy(config.p, config.threshold, coins)
+        if config.policy is Policy.LEARNED:
+            return LearnedPolicy(config.model, node_id, self.namenode, self.access_stats)
+        raise ValueError(f"policy {config.policy.value!r} builds no node policy")
 
     def on_map_task(self, node_id: int, block: Block, data_local: bool, now: float) -> bool:
         """Called when a map task is scheduled on ``node_id`` for ``block``.
@@ -144,7 +129,7 @@ class DareReplicationService:
         state = self.node_state(node_id)
         policy = state.policy
         if state.observe is not None:
-            # feature-aware plugins see every access before deciding
+            # feature-aware policies see every access before deciding
             state.observe(block, data_local, now)
         if data_local:
             # local read: (possibly coin-gated) usage refresh

@@ -110,7 +110,8 @@ def parse_job_spec(doc: object) -> Tuple[List[SweepCell], Dict]:
     """Validate one submission document into (cells, normalized spec).
 
     Accepts either a named grid (``{"grid": "smoke", "n_jobs": 8}``) or
-    explicit cells (``{"cells": [...]}`` in ``cell_to_doc`` form).
+    explicit cells (``{"cells": [...]}`` in ``cell_to_doc`` form, each
+    checked by ``ExperimentConfig.validate``).
     Raises :class:`JobRejected` (400-shaped) on anything malformed —
     unknown fields are rejected outright so typos fail loudly.
     """
@@ -132,6 +133,8 @@ def parse_job_spec(doc: object) -> Tuple[List[SweepCell], Dict]:
         spec["grid"] = "custom"
         try:
             cells = [cell_from_doc(d) for d in doc["cells"]]
+            for cell in cells:
+                cell.config.validate()
         except Exception:
             raise JobRejected(
                 400,

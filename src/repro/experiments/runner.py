@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 
-from repro.baselines.cdrm import CdrmConfig
-from repro.baselines.scarlett import ScarlettConfig
+from repro.baselines.cdrm import CdrmConfig, CdrmService
+from repro.baselines.scarlett import ScarlettConfig, ScarlettService
 from repro.cluster.cluster import Cluster, ClusterSpec, CCT_SPEC
 from repro.failures.injector import FailureInjector, FailurePlan
 from repro.failures.repair import ReReplicationService
@@ -31,7 +31,6 @@ from repro.observability.trace import (
     JsonlSink,
     Tracer,
 )
-from repro.policies.registry import create_service
 from repro.policies.rollout import RolloutConfig
 from repro.scheduling.base import Scheduler
 from repro.scheduling.fair import FairScheduler, SkipCountFairScheduler
@@ -107,6 +106,24 @@ class ExperimentConfig:
     #: drive the run through the checkpoint-fork rollout engine
     #: (repro.policies.rollout); None = plain single-trajectory run
     rollout: Optional[RolloutConfig] = None
+
+    def validate(self) -> "ExperimentConfig":
+        """Raise ``ValueError`` naming the first out-of-range part; return self.
+
+        Run where a cell enters (CLI flags, job submissions), not on journal
+        reads, so a journal written before this check still restores.
+        """
+        parts: Dict[str, Any] = {"dare": self.dare, "rollout": self.rollout,
+                                 "scarlett": self.scarlett, "cdrm": self.cdrm}
+        try:
+            for name, part in parts.items():
+                if part is not None:
+                    part.validate()
+            name = "failures"
+            FailurePlan(tuple(self.failures)).validate(self.cluster_spec.n_nodes)
+        except (TypeError, ValueError) as exc:  # a submitted cell may hold any type
+            raise ValueError(f"{name}: {exc}") from None
+        return self
 
     def label(self) -> str:
         """Readable cell label for reports."""
@@ -381,15 +398,9 @@ class Simulation:
 
         self.scarlett = None
         if config.scarlett is not None:
-            self.scarlett = create_service(
-                "scarlett",
-                config.scarlett,
-                namenode=namenode,
-                engine=engine,
-                traffic=traffic,
-                rng=streams.python("scarlett"),
-                stop_when=_JobsFinished(jobtracker),
-                tracer=tracer,
+            self.scarlett = ScarlettService(
+                config.scarlett, namenode, engine, traffic, streams.python("scarlett"),
+                stop_when=_JobsFinished(jobtracker), tracer=tracer,
             )
             jobtracker.submit_listeners.append(self.scarlett.observe_submission)
             self.scarlett.arm()
@@ -406,15 +417,9 @@ class Simulation:
 
         self.cdrm = None
         if config.cdrm is not None:
-            self.cdrm = create_service(
-                "cdrm",
-                config.cdrm,
-                namenode=namenode,
-                engine=engine,
-                traffic=traffic,
-                rng=streams.python("cdrm"),
+            self.cdrm = CdrmService(
+                config.cdrm, namenode, engine, traffic, streams.python("cdrm"),
                 stop_when=_JobsFinished(jobtracker),
-                tracer=tracer,
             )
             self.cdrm.arm()
 

@@ -33,8 +33,8 @@ class FailurePlan(NamedTuple):
         """Raise on malformed plans; return self."""
         seen = set()
         for t, node in self.events:
-            if t < 0:
-                raise ValueError(f"failure at negative time {t}")
+            if not 0 <= t < float("inf"):
+                raise ValueError(f"failure time must be finite and >= 0, got {t}")
             if not (1 <= node < n_nodes):
                 raise ValueError(f"node {node} is not a slave (master is 0)")
             if node in seen:

@@ -15,7 +15,7 @@ exactly (dict subclasses are restored item by item, in order).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, TypeVar
+from typing import Dict, Iterable, TypeVar
 
 T = TypeVar("T")
 
@@ -69,9 +69,6 @@ class OrderedSet(Dict[T, None]):
     def __ne__(self, other: object) -> bool:
         result = self.__eq__(other)
         return result if result is NotImplemented else not result
-
-    def __iter__(self) -> Iterator[T]:
-        return dict.__iter__(self)
 
     def __repr__(self) -> str:
         return f"OrderedSet({list(self)!r})"

@@ -93,6 +93,9 @@ RESERVED_KEYS = ("type", "t")
 #: prefix under which colliding data keys are namespaced in the JSONL form
 DATA_KEY_PREFIX = "data."
 
+#: built once: ``json.dumps(obj, sort_keys=True)`` builds one per call
+_encode = json.JSONEncoder(sort_keys=True).encode
+
 
 class TraceRecord(NamedTuple):
     """One published event: ``(type, time, data)``."""
@@ -115,7 +118,7 @@ class TraceRecord(NamedTuple):
             if key in RESERVED_KEYS or key.startswith(DATA_KEY_PREFIX):
                 key = DATA_KEY_PREFIX + key
             payload[key] = value
-        return json.dumps(payload, sort_keys=True)
+        return _encode(payload)
 
 
 # -- sinks ---------------------------------------------------------------------

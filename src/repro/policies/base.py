@@ -1,10 +1,10 @@
-"""The replication-policy plugin protocol.
+"""The replication-policy protocol.
 
 A *node policy* is the per-node object
 :class:`~repro.core.manager.DareReplicationService` consults on every
 scheduled map task.  The protocol below is exactly the surface the
-service uses; the Greedy/LFU/ElephantTrap baselines already satisfy it
-and are re-registered under it in :mod:`repro.policies.registry`.
+service uses; the service builds the policy ``DareConfig.policy`` names
+(greedy-LRU, greedy-LFU, ElephantTrap or learned), and each satisfies it.
 
 Decision flow (``DareReplicationService.on_map_task``):
 
@@ -27,40 +27,9 @@ relies on their state surviving the round-trip bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Protocol, runtime_checkable
+from typing import Optional, Protocol, runtime_checkable
 
-if TYPE_CHECKING:
-    from repro.core.config import DareConfig
-    from repro.hdfs.block import Block
-    from repro.hdfs.namenode import NameNode
-    from repro.simulation.rng import RandomStreams
-
-
-class UnknownPolicyError(ValueError):
-    """Raised by the registry for a name no plugin has claimed."""
-
-
-@dataclass(frozen=True)
-class PolicyContext:
-    """Everything a policy factory may draw on when building an instance.
-
-    ``shared`` is a mutable dict owned by the
-    :class:`~repro.core.manager.DareReplicationService` and passed to
-    every factory call of one service, so plugins can stash cluster-wide
-    singletons (e.g. the learned policy's shared access statistics) with
-    ``ctx.shared.setdefault(...)``.
-    """
-
-    node_id: int
-    config: "DareConfig"
-    streams: "RandomStreams"
-    namenode: "NameNode"
-    shared: Dict[str, object] = field(default_factory=dict)
-
-    def rng(self, name: str):
-        """A named deterministic RNG stream scoped to this node."""
-        return self.streams.python(f"{name}.{self.node_id}")
+from repro.hdfs.block import Block
 
 
 @runtime_checkable

@@ -10,9 +10,9 @@ picklable like every other cell.
 Feature definitions live here in one place (:func:`feature_vector`) and
 are computed identically in two settings:
 
-* **live** — :class:`LearnedPolicy` instances on every node share one
-  :class:`AccessStats` (stashed in the service's ``shared`` dict by the
-  registry factory) and update it from the
+* **live** — :class:`LearnedPolicy` instances on every node share the
+  one :class:`AccessStats` the ``DareReplicationService`` owns
+  (``access_stats``) and update it from the
   ``DareReplicationService.on_map_task`` observer hook;
 * **offline** — ``repro train`` replays the ``task.scheduled`` records
   of a JSONL trace through the same :class:`AccessStats`, emitting one

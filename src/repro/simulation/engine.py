@@ -144,9 +144,12 @@ class Engine:
         When ``until`` is given, the clock is advanced to exactly ``until``
         if the simulation would otherwise end earlier, mirroring SimPy's
         semantics so periodic processes can be resumed by a later ``run``.
+        An ``until`` before ``now`` or not finite raises: time never goes back.
         """
         if self._running:
             raise SimulationError("engine is already running (re-entrant run())")
+        if until is not None and not (self.now <= until < _INF):
+            raise SimulationError(f"run(until={until}) is before now={self.now} or not finite")
         self._running = True
         self._stopped = False
         self.drained_at = None

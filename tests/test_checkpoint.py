@@ -229,6 +229,11 @@ def test_load_rejects_unknown_format(tmp_path):
     path.write_bytes(pickle.dumps({"format": 9, "payload": b""}))
     with pytest.raises(ValueError, match="unsupported snapshot format 9"):
         Snapshot.load(str(path))
+    # checkpoints whose DARE service kept the learned policy's AccessStats
+    # in a ``shared`` dict
+    path.write_bytes(pickle.dumps({"format": 10, "payload": b""}))
+    with pytest.raises(ValueError, match="unsupported snapshot format 10"):
+        Snapshot.load(str(path))
 
 
 def test_restore_with_trace_requires_a_traced_source(tmp_path):

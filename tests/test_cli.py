@@ -77,6 +77,67 @@ class TestParser:
         assert not ckpt.exists()
 
 
+class TestOutOfRangeCells:
+    """An out-of-range cell parameter or pause time exits with one line,
+    before any simulation runs."""
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--p", "2"], "bad cell: dare: p must be in [0, 1], got 2.0"),
+        (["--budget", "-1"], "bad cell: dare: budget must be >= 0, got -1.0"),
+        (["--policy", "rollout", "--rollout-jobs", "0"],
+         "bad cell: rollout: jobs must be >= 1, got 0"),
+        (["--policy", "rollout", "--rollout-branches", "0"],
+         "bad cell: rollout: branches must be >= 1, got 0"),
+        (["--scarlett", "--scarlett-epoch", "0"],
+         "bad cell: scarlett: epoch_s must be > 0, got 0.0"),
+        (["--fail", "10:999"],
+         "bad cell: failures: node 999 is not a slave (master is 0)"),
+        (["--fail", "inf:3"],
+         "bad cell: failures: failure time must be finite and >= 0, got inf"),
+        (["--fail", "nan:3"],
+         "bad cell: failures: failure time must be finite and >= 0, got nan"),
+        (["--policy", "learned", "--model", "{missing}"],
+         "cannot read model '{missing}': "),
+    ], ids=["p", "budget", "rollout-jobs", "rollout-branches", "scarlett-epoch",
+            "failure-node", "failure-at-inf", "failure-at-nan", "missing-model"])
+    def test_run_exits_with_one_line(self, flags, message, tmp_path):
+        missing = str(tmp_path / "missing.json")
+        flags = [f.format(missing=missing) for f in flags]
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--jobs", "5", *flags])
+        code = exc.value.code
+        assert isinstance(code, str) and "\n" not in code
+        assert code.startswith(message.format(missing=missing))
+
+    @pytest.mark.parametrize("at", ["-5", "inf", "nan"])
+    def test_checkpoint_save_refuses_a_bad_pause_time(self, at, tmp_path):
+        ckpt = tmp_path / "c.ckpt"
+        with pytest.raises(SystemExit) as exc:
+            main(["checkpoint", "save", "--jobs", "5", "--at", at,
+                  "--out", str(ckpt)])
+        assert exc.value.code == f"--at must be a finite time >= 0 (got {float(at)})"
+        assert not ckpt.exists()
+
+    def test_checkpoint_save_refuses_an_out_of_range_cell(self, tmp_path):
+        ckpt = tmp_path / "c.ckpt"
+        with pytest.raises(SystemExit) as exc:
+            main(["checkpoint", "save", "--jobs", "5", "--at", "5",
+                  "--fail", "10:999", "--out", str(ckpt)])
+        assert exc.value.code.startswith("bad cell: failures: node 999")
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("at", ["-5", "inf", "nan"])
+    def test_whatif_refuses_a_bad_pause_time(self, at, tmp_path):
+        trace = tmp_path / "run.jsonl"
+        assert main(["run", "--jobs", "5", "--policy", "lru",
+                     "--trace", str(trace)]) == 0
+        out = tmp_path / "whatif.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["replay", "whatif", str(trace), "--at", at, "--out", str(out)])
+        assert exc.value.code == f"--at must be a finite time >= 0 (got {float(at)})"
+        assert not out.exists()
+
+
 class TestEmptyWorkloads:
     """A workload with no jobs is refused with a one-line reason."""
 

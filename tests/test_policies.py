@@ -1,12 +1,15 @@
-"""The policy plugin API: registry, learned scorer, and rollout engine.
+"""Replication policies: how they are built, the learned scorer, and
+the rollout engine.
 
-Pins the contracts the plugin layer promises:
+Pins the contracts the policy layer promises:
 
-* the registry resolves every baseline byte-identically to the old
-  inline constructors (same RNG stream names, same argument order);
-* unknown names and duplicate registrations fail loudly;
-* plugin state (the learned policy's shared ``AccessStats``) survives
-  checkpoint snapshot/fork round-trips;
+* the DARE service builds the policy ``DareConfig.policy`` names with
+  the historical arguments (same RNG stream names, same argument order),
+  so fixed-seed runs reproduce their pinned results;
+* configs naming no policy, or out-of-range service configs, fail loudly
+  before a simulation is built;
+* the learned policy's one ``AccessStats`` survives checkpoint
+  snapshot/fork round-trips, still shared by every node policy;
 * the rollout engine is seed-deterministic, degenerates to its host run
   when it never acts, and never scores below its greedy host on the
   pinned benchmark seeds (the CI ``policy-bench`` gate).
@@ -19,10 +22,14 @@ import threading
 import numpy as np
 import pytest
 
+from repro.baselines.cdrm import CdrmConfig
+from repro.baselines.scarlett import ScarlettConfig
 from repro.checkpoint import snapshot
+from repro.cluster.cluster import CCT_SPEC, Cluster
 from repro.core.config import DareConfig, Policy
 from repro.core.elephant_trap import ElephantTrapPolicy
 from repro.core.greedy import GreedyLFUPolicy, GreedyLRUPolicy
+from repro.core.manager import DareReplicationService
 from repro.experiments.runner import (
     ExperimentConfig,
     Simulation,
@@ -34,16 +41,8 @@ from repro.experiments.serialize import (
     config_to_dict,
     result_to_json,
 )
-from repro.policies import (
-    PolicyContext,
-    ReplicationPolicy,
-    UnknownPolicyError,
-    create_policy,
-    create_service,
-    policy_names,
-    register_policy,
-    service_names,
-)
+from repro.hdfs.namenode import NameNode
+from repro.policies import ReplicationPolicy
 from repro.policies.learned import (
     DEFAULT_WEIGHTS,
     FEATURE_NAMES,
@@ -66,66 +65,94 @@ from repro.workloads.swim import synthesize_wl1
 
 SEED = 20110926
 
+#: the class the service builds for each policy that replicates
+BUILT_CLASS = {
+    Policy.GREEDY_LRU: GreedyLRUPolicy,
+    Policy.GREEDY_LFU: GreedyLFUPolicy,
+    Policy.ELEPHANT_TRAP: ElephantTrapPolicy,
+    Policy.LEARNED: LearnedPolicy,
+}
+
 
 def _workload(n_jobs=12, seed=SEED):
     return synthesize_wl1(np.random.default_rng(seed), n_jobs=n_jobs)
 
 
-def _ctx(config, node_id=0, namenode=None, shared=None, seed=1234):
-    return PolicyContext(
-        node_id=node_id,
-        config=config,
-        streams=RandomStreams(seed),
-        namenode=namenode,
-        shared=shared if shared is not None else {},
+def _config(policy):
+    return DareConfig(
+        policy=policy,
+        model=DEFAULT_WEIGHTS if policy is Policy.LEARNED else (),
     )
 
 
+def _service(config, seed=1234):
+    """A DARE service over a fresh CCT NameNode, its RNG seeded ``seed``."""
+    streams = RandomStreams(seed)
+    namenode = NameNode(Cluster(CCT_SPEC, streams))
+    return DareReplicationService(config, namenode, streams)
+
+
 class TestRegistry:
+    """The service builds the node policy ``DareConfig.policy`` names."""
+
     def test_builtin_names_registered(self):
-        assert set(policy_names()) >= {
-            "greedy-lru", "greedy-lfu", "elephant-trap", "learned",
-        }
-        assert set(service_names()) >= {"scarlett", "cdrm"}
+        """Every policy but OFF builds its own class on first use."""
+        assert set(BUILT_CLASS) == set(Policy) - {Policy.OFF}
+        for policy, cls in BUILT_CLASS.items():
+            service = _service(_config(policy))
+            assert type(service.node_state(3).policy) is cls
+            assert isinstance(service.node_state(3).policy, ReplicationPolicy)
 
     def test_policy_enum_values_resolve(self):
+        """Each enum value, read back from its name, builds a policy that
+        satisfies the protocol; OFF builds none."""
         for policy in Policy:
+            service = _service(_config(Policy(policy.value)))
             if policy is Policy.OFF:
+                with pytest.raises(ValueError, match="off"):
+                    service.node_state(3)
+                assert service.states == {}
                 continue
-            config = DareConfig(
-                policy=policy,
-                model=DEFAULT_WEIGHTS if policy is Policy.LEARNED else (),
-            )
-            built = create_policy(policy.value, _ctx(config))
+            built = service.node_state(3).policy
             assert isinstance(built, ReplicationPolicy)
+            assert isinstance(built, BUILT_CLASS[policy])
 
     def test_unknown_policy_lists_registered(self):
-        with pytest.raises(UnknownPolicyError, match="greedy-lru"):
-            create_policy("no-such-policy", _ctx(DareConfig.greedy_lru()))
+        with pytest.raises(ValueError, match="greedy-lru") as info:
+            DareConfig(policy="no-such-policy").validate()
+        for policy in Policy:
+            assert policy.value in str(info.value)
+        assert "'no-such-policy'" in str(info.value)
 
     def test_unknown_service_rejected(self):
-        with pytest.raises(UnknownPolicyError, match="scarlett"):
-            create_service("no-such-service", None)
+        """Out-of-range baseline-service configs are refused by the cell
+        check, before any Simulation is built."""
+        with pytest.raises(ValueError, match="scarlett"):
+            ExperimentConfig(scarlett=ScarlettConfig(epoch_s=0.0)).validate()
+        with pytest.raises(ValueError, match="cdrm"):
+            ExperimentConfig(cdrm=CdrmConfig(period_s=-1.0)).validate()
+        ok = ExperimentConfig(scarlett=ScarlettConfig(), cdrm=CdrmConfig())
+        assert ok.validate() is ok
 
     def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_policy("greedy-lru", lambda ctx: None)
+        """Two services built from one config give each node a policy of
+        the same class with identical RNG draws."""
+        for policy in BUILT_CLASS:
+            a, b = _service(_config(policy)), _service(_config(policy))
+            for node in (1, 7, 19):
+                pa, pb = a.node_state(node).policy, b.node_state(node).policy
+                assert type(pa) is type(pb)
+                if policy is Policy.ELEPHANT_TRAP:
+                    assert [pa._rng.random() for _ in range(32)] == \
+                        [pb._rng.random() for _ in range(32)]
 
     def test_decorator_registration_roundtrip(self):
-        name = "test-only-policy"
-
-        @register_policy(name)
-        def _build(ctx):
-            return GreedyLRUPolicy()
-
-        try:
-            assert name in policy_names()
-            assert isinstance(create_policy(name, _ctx(DareConfig.greedy_lru())),
-                              GreedyLRUPolicy)
-        finally:
-            from repro.policies import registry
-
-            del registry._POLICIES[name]
+        """A learned service's node policies all share its one AccessStats."""
+        service = _service(_config(Policy.LEARNED))
+        assert isinstance(service.access_stats, AccessStats)
+        policies = [service.node_state(node).policy for node in (1, 2, 5, 19)]
+        assert all(p.stats is service.access_stats for p in policies)
+        assert _service(DareConfig.greedy_lru()).access_stats is None
 
     def test_baselines_satisfy_protocol(self):
         p = 0.3
@@ -136,58 +163,35 @@ class TestRegistry:
 
 
 class TestBaselineParity:
-    """The registry path is byte-identical to the legacy constructors."""
+    """The service builds the baselines with their historical arguments."""
 
     def test_elephant_trap_uses_historical_stream(self):
-        """Registry ET must draw from the pre-registry 'dare.coin.N'
-        stream so fixed-seed runs reproduce the old traces exactly."""
+        """ET must draw from the 'dare.coin.N' stream so fixed-seed runs
+        reproduce the old traces exactly."""
         config = DareConfig.elephant_trap(p=0.5)
-        built = create_policy("elephant-trap", _ctx(config, node_id=3, seed=99))
+        built = _service(config, seed=99).node_state(3).policy
         reference = ElephantTrapPolicy(
             0.5, config.threshold, RandomStreams(99).python("dare.coin.3")
         )
         draws = [built._rng.random() for _ in range(64)]
         assert draws == [reference._rng.random() for _ in range(64)]
 
+    #: (job_locality, makespan_s) of the 12-job WL1 cell at SEED, as the
+    #: direct constructors computed them
+    PINNED = {
+        "lru": (0.19444444444444442, 73.76557357270343),
+        "et": (0.19444444444444442, 74.06366030920226),
+    }
+
     @pytest.mark.parametrize("policy", ["lru", "et"])
-    def test_run_matches_pinned_golden(self, policy, pinned_results):
-        """End-to-end fixed-seed runs through the registry still produce
-        the exact pre-registry results."""
+    def test_run_matches_pinned_golden(self, policy):
+        """End-to-end fixed-seed runs still produce the pinned results."""
         dare = (DareConfig.greedy_lru() if policy == "lru"
                 else DareConfig.elephant_trap())
         result = run_experiment(
             ExperimentConfig(dare=dare, seed=SEED), _workload()
         )
-        golden = pinned_results[policy]
-        assert (result.job_locality, result.makespan_s) == golden
-
-    @pytest.fixture(scope="class")
-    def pinned_results(self):
-        """Golden (job_locality, makespan_s) computed once per class from
-        the direct constructors, bypassing the registry."""
-        from repro.core import manager as M
-
-        def direct_make_policy(config, node_id, streams, namenode=None, shared=None):
-            if config.policy is Policy.GREEDY_LRU:
-                return GreedyLRUPolicy()
-            return ElephantTrapPolicy(
-                config.p, config.threshold,
-                streams.python(f"dare.coin.{node_id}"),
-            )
-
-        original = M._make_policy
-        M._make_policy = direct_make_policy
-        try:
-            out = {}
-            for tag, dare in (("lru", DareConfig.greedy_lru()),
-                              ("et", DareConfig.elephant_trap())):
-                r = run_experiment(
-                    ExperimentConfig(dare=dare, seed=SEED), _workload()
-                )
-                out[tag] = (r.job_locality, r.makespan_s)
-            return out
-        finally:
-            M._make_policy = original
+        assert (result.job_locality, result.makespan_s) == self.PINNED[policy]
 
 
 class TestLearnedPolicy:
@@ -257,7 +261,7 @@ class TestPluginStateCheckpointing:
         warm.run(until=60.0)
         fork = snapshot(warm).restore()
 
-        shared = fork.dare.shared["access_stats"]
+        shared = fork.dare.access_stats
         assert isinstance(shared, AccessStats)
         assert fork.dare.states
         for state in fork.dare.states.values():

@@ -35,7 +35,8 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.core.config import DareConfig
+from repro.baselines.scarlett import ScarlettConfig
+from repro.core.config import DareConfig, Policy
 from repro.experiments.jobs import (
     JOB_DONE,
     JOB_FAILED,
@@ -48,7 +49,7 @@ from repro.experiments.jobs import (
 )
 from repro.experiments.runner import ExperimentConfig
 from repro.experiments.serialize import result_to_dict
-from repro.experiments.service import cell_to_doc
+from repro.experiments.service import cell_from_doc, cell_to_doc
 from repro.experiments.sweep import (
     ResultCache,
     SweepCell,
@@ -59,6 +60,7 @@ from repro.experiments.sweep import (
     run_cells,
 )
 from repro.observability.stream import RecordStream
+from repro.policies.rollout import RolloutConfig
 from repro.server.jobstore import JobJournal, restore
 from repro.server.ratelimit import RateLimiter, TokenBucket
 
@@ -222,6 +224,32 @@ class TestParseJobSpec:
         with pytest.raises(JobRejected, match=match) as err:
             parse_job_spec(doc)
         assert err.value.status in (400,)
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(dare=DareConfig(Policy.ELEPHANT_TRAP, p=2.0)),
+         "dare: p must be in [0, 1], got 2.0"),
+        (dict(dare=DareConfig(Policy.GREEDY_LRU, budget=-1.0)),
+         "dare: budget must be >= 0, got -1.0"),
+        (dict(scarlett=ScarlettConfig(epoch_s=0.0)),
+         "scarlett: epoch_s must be > 0, got 0.0"),
+        (dict(rollout=RolloutConfig(branches=0)),
+         "rollout: branches must be >= 1, got 0"),
+        (dict(failures=((10.0, 999),)),
+         "failures: node 999 is not a slave"),
+        (dict(dare=DareConfig(Policy.ELEPHANT_TRAP, p="high")),
+         "dare: '<=' not supported"),
+    ], ids=["dare-p", "dare-budget", "scarlett-epoch", "rollout-branches",
+            "failure-node", "dare-p-not-a-number"])
+    def test_out_of_range_cell_is_400_naming_the_field(self, change, message):
+        bad = CELLS[1]._replace(
+            config=dataclasses.replace(CELLS[1].config, **change))
+        with pytest.raises(JobRejected) as err:
+            parse_job_spec({"cells": [cell_to_doc(CELLS[0]), cell_to_doc(bad)]})
+        assert err.value.status == 400
+        assert err.value.message.startswith(
+            f"malformed cell document: ValueError: {message}")
+        # a journal written before the check still restores such a cell
+        assert cell_from_doc(cell_to_doc(bad)) == bad
 
 
 # -- the job manager over the in-process queue --------------------------------
@@ -891,6 +919,24 @@ class TestServerHTTP:
         finally:
             manager.stop()
         assert not target.exists()
+
+    def test_submitted_out_of_range_cell_is_refused(self, tmp_path):
+        """A cell that would fail in every executor is refused at the
+        door, naming the field, instead of queued and quarantined."""
+        bad = CELLS[0]._replace(config=dataclasses.replace(
+            CELLS[0].config, failures=((10.0, 999),)))
+        manager = make_manager(tmp_path).start()
+        try:
+            with ServerThread(manager) as st:
+                status, _, data = st.request(
+                    "POST", "/api/jobs", body={"cells": [cell_to_doc(bad)]})
+                assert status == 400
+                assert json.loads(data)["error"] == (
+                    "malformed cell document: ValueError: failures: "
+                    "node 999 is not a slave (master is 0)")
+                assert not manager.jobs
+        finally:
+            manager.stop()
 
     def test_submitted_cell_with_no_jobs_is_refused(self, tmp_path):
         empty = cell_to_doc(CELLS[0])

@@ -91,6 +91,24 @@ class TestRunUntil:
         engine.run(until=7.0)
         assert engine.now == 7.0
 
+    @pytest.mark.parametrize("until", [5.0, float("inf"), float("nan"), float("-inf")],
+                             ids=["past", "inf", "nan", "-inf"])
+    def test_until_in_the_past_or_not_finite_raises(self, engine, until):
+        """The clock never moves backwards: a later event still fires
+        after every earlier one."""
+        fired = []
+        engine.schedule(10.0, lambda: fired.append(10.0))
+        engine.schedule(30.0, lambda: fired.append(30.0))
+        engine.run(until=20.0)
+        with pytest.raises(SimulationError, match=r"until=.*now=20\.0") as err:
+            engine.run(until=until)
+        assert f"until={until}" in str(err.value)
+        assert engine.now == 20.0
+        engine.schedule_in(1.0, lambda: fired.append(engine.now))
+        engine.run()
+        assert fired == [10.0, 21.0, 30.0]
+        engine.run(until=engine.now)  # a horizon at the clock is no move
+
 
 class TestStopAndLimits:
     def test_stop_halts_loop(self, engine):
