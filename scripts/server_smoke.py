@@ -15,6 +15,11 @@ path end to end:
    ``Retry-After`` header while an independent client still gets 200;
 5. SIGTERM drains the server: it exits 0 and reports the drain.
 
+Before the clients start, two malformed cells are posted: one whose
+cluster has no map slots (a run that could never end) and one whose
+workload is a file on the server.  Each must get a 400, and neither
+may create a job.
+
 The flow runs twice: against ``--cache-dir`` and against ``--no-cache``.
 Without a cache the server keeps results in a private temporary cache;
 that run starts the server with ``TMPDIR`` set to a fresh directory and
@@ -36,6 +41,7 @@ import tempfile
 import threading
 from pathlib import Path
 
+from repro.experiments.service import cell_to_doc
 from repro.experiments.sweep import (
     build_grid,
     doc_to_text,
@@ -107,6 +113,24 @@ def client_run(port: int, index: int, out: dict) -> None:
                   "result": result}
 
 
+def refused_cells(port: int) -> None:
+    """Cells that cannot run, or that name a server path, get a 400 and
+    create no job."""
+    doc = cell_to_doc(build_grid(GRID, n_jobs=N_JOBS, seed=SEED)[0])
+    no_slots = json.loads(json.dumps(doc))
+    no_slots["config"]["cluster_spec"]["map_slots"] = 0
+    server_file = json.loads(json.dumps(doc))
+    server_file["workload"] = ["file", 5, 1, os.path.abspath(__file__)]
+    for name, cell in (("no map slots", no_slots), ("file workload", server_file)):
+        status, _, raw = request(port, "POST", "/api/jobs", "refused",
+                                 {"cells": [cell]})
+        check(status == 400, f"cell with {name} refused (status {status}: "
+                             f"{json.loads(raw).get('error')})")
+    status, _, raw = request(port, "GET", "/api/jobs", "refused")
+    check(status == 200 and json.loads(raw)["jobs"] == [],
+          "refused cells created no job")
+
+
 def result_files(root: str) -> list[Path]:
     return list(Path(root).rglob("*.json"))
 
@@ -128,6 +152,7 @@ def serve_flow(serial: bytes, n_cells: int, cache_flags: list[str],
         check(banner.startswith("serving on http://"),
               f"server came up ({banner.strip()!r})")
         port = int(banner.rsplit(":", 1)[1])
+        refused_cells(port)
 
         # four concurrent clients, one shared grid
         results: dict = {}

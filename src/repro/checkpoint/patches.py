@@ -15,7 +15,9 @@ continuations, so the what-if delta is attributable to the patch alone.
 ``kill:NODE[:DELAY]``        crash node ``NODE`` ``DELAY`` seconds from now
                              (default: immediately), with HDFS-style
                              detection and re-replication
-``policy:off|lru|lfu|et``    swap every node's DARE policy, carrying live
+``policy:NAME``              swap every node's DARE policy to the one a
+                             :data:`~repro.core.config.POLICY_NAMES` name
+                             gives (at its default tunables), carrying live
                              dynamic replicas over into the new policy state
 ``pin:BLOCK:NODE``           materialize a *static* replica of ``BLOCK`` on
                              ``NODE`` — static replicas are never
@@ -28,7 +30,7 @@ from __future__ import annotations
 from functools import partial
 from typing import TYPE_CHECKING
 
-from repro.core.config import DareConfig, Policy
+from repro.core.config import DareConfig
 from repro.core.manager import DareReplicationService
 from repro.failures.injector import FailureInjector, FailurePlan
 from repro.failures.repair import ReReplicationService
@@ -158,15 +160,6 @@ class PinReplica(Patch):
         return f"pin block {self.block_id} on node {self.node_id}"
 
 
-#: ``policy:`` spec values accepted by :func:`parse_patch`
-_POLICY_SPECS = {
-    "off": DareConfig.off(),
-    "lru": DareConfig.greedy_lru(),
-    "lfu": DareConfig(policy=Policy.GREEDY_LFU),
-    "et": DareConfig.elephant_trap(),
-}
-
-
 def parse_patch(spec: str) -> Patch:
     """Parse a CLI patch spec (see the module docstring's table)."""
     kind, _, rest = spec.partition(":")
@@ -175,12 +168,7 @@ def parse_patch(spec: str) -> Patch:
             node, _, delay = rest.partition(":")
             return KillNode(int(node), float(delay) if delay else 0.0)
         if kind == "policy":
-            if rest not in _POLICY_SPECS:
-                raise ValueError(
-                    f"unknown policy {rest!r} "
-                    f"(expected one of {sorted(_POLICY_SPECS)})"
-                )
-            return FlipPolicy(_POLICY_SPECS[rest])
+            return FlipPolicy(DareConfig.named(rest))
         if kind == "pin":
             block, _, node = rest.partition(":")
             return PinReplica(int(block), int(node))
@@ -188,5 +176,5 @@ def parse_patch(spec: str) -> Patch:
         raise ValueError(f"bad patch spec {spec!r}: {exc}") from None
     raise ValueError(
         f"bad patch spec {spec!r} (expected kill:NODE[:DELAY], "
-        "policy:off|lru|lfu|et, or pin:BLOCK:NODE)"
+        "policy:NAME, or pin:BLOCK:NODE)"
     )

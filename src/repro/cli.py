@@ -67,25 +67,13 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.baselines.scarlett import ScarlettConfig
-from repro.cluster.cluster import CCT_SPEC, EC2_SPEC
-from repro.core.config import DareConfig, Policy
-from repro.experiments.runner import ExperimentConfig, run_experiment
+from repro.cluster.cluster import CCT_SPEC, EC2_SPEC, MAX_SCALE_NODES, MESOSCALE_FLOOR
+from repro.core.config import POLICY_NAMES, DareConfig
+from repro.experiments.runner import SCHEDULERS, ExperimentConfig, run_experiment
 from repro.observability.profiling import SamplerUnavailable, StackSampler
 from repro.workloads.swim import Workload
 
 _CLUSTERS = {"cct": CCT_SPEC, "ec2": EC2_SPEC}
-
-#: the replica-management policies of a cell; ``run`` also offers
-#: ``rollout``, which ``checkpoint save`` does not
-_POLICIES = ("off", "lru", "et", "lfu", "learned")
-
-#: hard ceiling for --nodes; the simulator is sized (and CI-gated) up to here
-MAX_SCALE_NODES = 100_000
-
-#: above this, event-accurate per-node heartbeats are a footgun: tens of
-#: millions of heartbeat events per simulated hour — require the
-#: mesoscale opt-in instead of silently grinding
-MESOSCALE_FLOOR = 25_000
 
 
 def _scale_spec(args: argparse.Namespace):
@@ -116,24 +104,25 @@ def _scale_spec(args: argparse.Namespace):
         raise SystemExit(str(exc))
 
 
-def _policy(args: argparse.Namespace) -> DareConfig:
-    """The DARE config the policy flags name; :func:`_cell` checks it with
-    the rest of the cell."""
-    if args.policy == "off":
-        return DareConfig.off()
-    if args.policy == "et":
-        return DareConfig(Policy.ELEPHANT_TRAP, args.p, args.threshold, args.budget)
-    if args.policy == "learned":
-        from repro.policies.learned import DEFAULT_WEIGHTS, load_model
+def _model(path: str):
+    """The learned policy's weights: the model file at ``path``, or the
+    baked-in weights without one; an unreadable or malformed file exits."""
+    from repro.policies.learned import DEFAULT_WEIGHTS, load_model
 
-        try:
-            weights = load_model(args.model) if args.model else DEFAULT_WEIGHTS
-        except OSError as exc:
-            raise SystemExit(f"cannot read model {args.model!r}: {exc}")
-        return DareConfig(Policy.LEARNED, budget=args.budget, model=weights)
-    # rollout-greedy runs the rollout engine over a greedy-lru host
-    policy = Policy.GREEDY_LFU if args.policy == "lfu" else Policy.GREEDY_LRU
-    return DareConfig(policy, budget=args.budget)
+    if not path:
+        return DEFAULT_WEIGHTS
+    try:
+        return load_model(path)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"cannot read model {path!r}: {exc}")
+
+
+def _policy(args: argparse.Namespace) -> DareConfig:
+    """The DARE config the policy flags name (``rollout`` runs over a
+    greedy-lru host); :func:`_cell` checks it with the rest of the cell."""
+    name = "lru" if args.policy == "rollout" else args.policy
+    model = _model(args.model) if name == "learned" else ()
+    return DareConfig.named(name, args.p, args.threshold, args.budget, model)
 
 
 def _rollout_config(args: argparse.Namespace):
@@ -370,13 +359,11 @@ def cmd_policy_bench(args: argparse.Namespace) -> int:
         render_policy_grid,
         run_policy_bench,
     )
-    from repro.policies.learned import DEFAULT_WEIGHTS, load_model
 
     seeds = tuple(args.seeds) if args.seeds else BENCH_SEEDS
     n_jobs = FULL_JOBS if args.full else args.jobs
-    model = load_model(args.model) if args.model else DEFAULT_WEIGHTS
     doc = run_policy_bench(
-        n_jobs=n_jobs, seeds=seeds, model=model,
+        n_jobs=n_jobs, seeds=seeds, model=_model(args.model),
         progress=print if args.verbose else None,
     )
     print(format_report(doc))
@@ -724,7 +711,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.serve:
         import asyncio
 
-        from repro.experiments.jobs import JobManager
+        from repro.experiments.jobs import JobManager, JobRejected
         from repro.experiments.service import WorkQueue, cell_to_doc
         from repro.server.app import Server
         from repro.server.jobstore import restore
@@ -749,8 +736,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     f"grid: {', '.join(foreign)}; give each grid its own "
                     "--jobstore"
                 )
-        job, created = manager.submit(
-            {"cells": [cell_to_doc(c) for c in cells]}) if cells else (None, True)
+        try:
+            job, created = manager.submit(
+                {"cells": [cell_to_doc(c) for c in cells]}) if cells else (None, True)
+        except JobRejected as exc:  # a cell the queue refuses, e.g. over MAX_JOBS
+            raise SystemExit(f"cannot serve the grid: {exc.message}")
         resumed = not created  # the journal already held this grid
         server = Server(manager, host=host, port=port)
 
@@ -902,12 +892,13 @@ def _add_cell_flags(p: argparse.ArgumentParser, policies: Sequence[str]) -> None
     p.add_argument("--jobs", type=int, default=200)
     p.add_argument("--seed", type=int, default=20110926)
     p.add_argument("--cluster", choices=sorted(_CLUSTERS), default="cct")
-    p.add_argument("--scheduler", choices=("fifo", "fair", "fair-skip"), default="fifo")
+    p.add_argument("--scheduler", choices=tuple(SCHEDULERS), default="fifo")
     p.add_argument("--policy", choices=policies, default="et",
                    help="replica management: the paper baselines (lru/et), "
                         "the lfu ablation, the offline-trained scorer "
-                        "(learned), or the checkpoint-fork rollout engine "
-                        "over a greedy host (rollout, `run` only)")
+                        "(learned), each also by its full name, or the "
+                        "checkpoint-fork rollout engine over a greedy host "
+                        "(rollout, `run` only)")
     p.add_argument("--p", type=float, default=0.3, help="ElephantTrap probability")
     p.add_argument("--threshold", type=int, default=1)
     p.add_argument("--budget", type=float, default=0.2)
@@ -963,7 +954,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("run", help="run one cluster experiment")
-    _add_cell_flags(p, (*_POLICIES, "rollout"))
+    _add_cell_flags(p, (*POLICY_NAMES, "rollout"))
     _add_scale_flags(p)
     p.add_argument("--rollout-epoch", type=float, default=10.0, metavar="S",
                    help="simulation seconds between rollout decision epochs")
@@ -1054,8 +1045,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="simulation time to fork the run at")
     r.add_argument("--patch", action="append", default=[], metavar="SPEC",
                    help="counterfactual edit: kill:NODE[:DELAY], "
-                        "policy:off|lru|lfu|et, or pin:BLOCK:NODE "
-                        "(repeatable; none = plain resume)")
+                        "policy:NAME (any --policy name but rollout), or "
+                        "pin:BLOCK:NODE (repeatable; none = plain resume)")
     r.add_argument("--out", default="", metavar="PATH",
                    help="write the what-if run's trace to PATH and report "
                         "its first divergence from the original")
@@ -1077,7 +1068,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="simulation time to pause and snapshot at")
     c.add_argument("--out", required=True, metavar="PATH",
                    help="checkpoint file to write")
-    _add_cell_flags(c, _POLICIES)
+    _add_cell_flags(c, tuple(POLICY_NAMES))
     c.set_defaults(func=cmd_checkpoint_save)
     c = csub.add_parser("resume",
                         help="restore a checkpoint and run it to completion")
@@ -1087,7 +1078,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "the source run to have traced)")
     c.add_argument("--patch", action="append", default=[], metavar="SPEC",
                    help="counterfactual edit applied before resuming "
-                        "(kill:NODE[:DELAY], policy:..., pin:BLOCK:NODE)")
+                        "(kill:NODE[:DELAY], policy:NAME with any --policy "
+                        "name but rollout, pin:BLOCK:NODE)")
     c.set_defaults(func=cmd_checkpoint_resume)
 
     p = sub.add_parser("synth", help="synthesize, inspect, and save a workload")

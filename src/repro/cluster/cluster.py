@@ -17,7 +17,27 @@ from repro.cluster.network import (
 )
 from repro.cluster.node import Node
 from repro.cluster.topology import DEDICATED, VIRTUALIZED, Topology
+from repro.core.config import check_number
 from repro.simulation.rng import RandomStreams
+
+
+#: hard ceiling on a cluster's node count; the simulator is sized (and
+#: CI-gated) up to here
+MAX_SCALE_NODES = 100_000
+
+#: above this, event-accurate per-node heartbeats are a footgun: tens of
+#: millions of heartbeat events per simulated hour.  ``run --nodes``
+#: requires the mesoscale opt-in instead of silently grinding
+MESOSCALE_FLOOR = 25_000
+
+#: the pairwise network model and the virtualized family's hop detours
+#: each hold an N x N matrix (3.2 GB at 20k nodes); a larger cluster needs
+#: a dedicated-family spec with ``lite_network``
+MAX_PAIRWISE_NODES = 10_000
+
+#: heartbeat interval floor, ten times below the presets' 1 s: a shorter
+#: interval spends the engine's event budget on heartbeats
+MIN_HEARTBEAT_S = 0.1
 
 
 class ClusterSpec(NamedTuple):
@@ -25,12 +45,12 @@ class ClusterSpec(NamedTuple):
 
     name: str
     family: str  # DEDICATED or VIRTUALIZED
-    n_nodes: int  # master included
+    n_nodes: int  # master included; at most MAX_SCALE_NODES
     map_slots: int
     reduce_slots: int
     network: NetworkParams
     disk: DiskParams
-    heartbeat_s: float  # TaskTracker heartbeat interval
+    heartbeat_s: float  # TaskTracker heartbeat interval, >= MIN_HEARTBEAT_S
     storage_bytes: int  # per-node HDFS capacity
     racks_per_agg: int = 4
     nodes_per_rack_mean: float = 2.0
@@ -45,12 +65,70 @@ class ClusterSpec(NamedTuple):
     #: stall magnitude: uniform multiplier range
     cpu_stall_range: tuple = (2.0, 5.0)
     #: O(N) per-node network model instead of the O(N^2) pairwise matrix
-    #: (required beyond ~10k nodes; different draws, so opt-in)
+    #: (required beyond MAX_PAIRWISE_NODES; different draws, so opt-in)
     lite_network: bool = False
     #: per-rack heartbeat hubs instead of per-node heartbeat events, with
     #: idle nodes pooled into them; nodes with tasks, replicas, or control
     #: traffic stay event-accurate
     mesoscale: bool = False
+
+    def validate(self) -> "ClusterSpec":
+        """Raise ``ValueError`` naming the first field that cannot build a
+        cluster or lets no run end; return self.
+
+        O(1) and builds nothing, so a server can check every submitted
+        cell.  ``name`` and ``storage_bytes`` are labels the simulation
+        never reads.
+        """
+        if self.family not in (DEDICATED, VIRTUALIZED):
+            raise ValueError(
+                f"family must be {DEDICATED!r} or {VIRTUALIZED!r} (got {self.family!r})"
+            )
+        n = self.n_nodes
+        check_number("n_nodes", n, 2, MAX_SCALE_NODES, integer=True)
+        if n > MAX_PAIRWISE_NODES and not (self.lite_network and self.family == DEDICATED):
+            raise ValueError(
+                f"n_nodes above {MAX_PAIRWISE_NODES:,} needs lite_network and the "
+                f"{DEDICATED!r} family, whose models hold no N x N matrix (got {n:,})"
+            )
+        check_number("map_slots", self.map_slots, 1, integer=True)
+        check_number("reduce_slots", self.reduce_slots, 1, integer=True)
+        check_number("heartbeat_s", self.heartbeat_s, MIN_HEARTBEAT_S)
+        check_number("racks_per_agg", self.racks_per_agg, 1, integer=True)
+        check_number("dedicated_racks", self.dedicated_racks, 1, n, integer=True)
+        check_number("nodes_per_rack_mean", self.nodes_per_rack_mean, 1, n)
+        check_number("cpu_scale", self.cpu_scale, 0, above=True)
+        check_number("cpu_jitter_sigma", self.cpu_jitter_sigma, 0)
+        check_number("cpu_stall_prob", self.cpu_stall_prob, 0, 1)
+        stall = self.cpu_stall_range
+        if not isinstance(stall, tuple) or len(stall) != 2:
+            raise ValueError(f"cpu_stall_range must be (low, high) (got {stall!r})")
+        check_number("cpu_stall_range low", stall[0], 1)
+        check_number("cpu_stall_range high", stall[1], stall[0])
+
+        net = self.network
+        for field in ("jitter_mu", "bw_mean", "degraded_low"):
+            check_number(f"network.{field}", getattr(net, field))
+        check_number("network.degraded_high", net.degraded_high, net.degraded_low)
+        for field in ("per_hop_ms", "jitter_sigma", "stall_mean_ms", "bw_sigma"):
+            check_number(f"network.{field}", getattr(net, field), 0)
+        for field in ("stall_prob", "degraded_prob"):
+            check_number(f"network.{field}", getattr(net, field), 0, 1)
+        check_number("network.bw_min", net.bw_min, 0, above=True)
+        check_number("network.bw_max", net.bw_max, net.bw_min)
+        check_number("network.cross_rack_factor", net.cross_rack_factor, 1)
+
+        disk = self.disk
+        if disk.kind not in ("normal", "mixture"):
+            raise ValueError(f"disk.kind must be 'normal' or 'mixture' (got {disk.kind!r})")
+        for field in ("mean", "burst_mean"):
+            check_number(f"disk.{field}", getattr(disk, field))
+        for field in ("sigma", "burst_sigma"):
+            check_number(f"disk.{field}", getattr(disk, field), 0)
+        check_number("disk.lo", disk.lo, 0, above=True)
+        check_number("disk.hi", disk.hi, disk.lo)
+        check_number("disk.burst_prob", disk.burst_prob, 0, 1)
+        return self
 
 
 #: the Illinois Cloud Computing Testbed cluster of the paper:

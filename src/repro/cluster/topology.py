@@ -126,10 +126,6 @@ class Topology:
         """Number of distinct racks used by this allocation."""
         return int(self.rack_of.max()) + 1
 
-    def same_rack(self, a: int, b: int) -> bool:
-        """True when nodes ``a`` and ``b`` share a rack."""
-        return bool(self.rack_of[a] == self.rack_of[b])
-
     def hops(self, a: int, b: int) -> int:
         """Traceroute-style hop count between nodes ``a`` and ``b``."""
         if a == b:

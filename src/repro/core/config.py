@@ -2,13 +2,16 @@
 
 The three tunables match the configuration parameters the paper added to
 Hadoop (Section V-A): the ElephantTrap sampling probability ``p``, the aging
-``threshold``, and the storage ``budget``.
+``threshold``, and the storage ``budget``.  :func:`check_number` is the
+one numeric field check every part of a cell shares.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple, Sequence, Tuple
+import math
+import numbers
+from typing import Any, Dict, NamedTuple, Sequence, Tuple
 
 
 class Policy(enum.Enum):
@@ -28,6 +31,18 @@ class Policy(enum.Enum):
     GREEDY_LFU = "greedy-lfu"
     #: beyond the paper — offline-trained logistic scorer (repro train)
     LEARNED = "learned"
+
+
+#: every name a cell's policy goes by: the short CLI names and each
+#: :class:`Policy` value.  ``run --policy``, ``checkpoint save --policy``,
+#: ``policy:NAME`` what-if patches and the policy bench all read it.
+POLICY_NAMES: Dict[str, Policy] = {
+    "off": Policy.OFF,
+    "lru": Policy.GREEDY_LRU,
+    "et": Policy.ELEPHANT_TRAP,
+    "lfu": Policy.GREEDY_LFU,
+    **{policy.value: policy for policy in Policy},
+}
 
 
 class DareConfig(NamedTuple):
@@ -71,6 +86,8 @@ class DareConfig(NamedTuple):
             raise ValueError(f"threshold must be >= 0, got {self.threshold}")
         if not (0.0 <= self.budget):
             raise ValueError(f"budget must be >= 0, got {self.budget}")
+        if self.budget == float("inf"):
+            raise ValueError(f"budget must be finite, got {self.budget}")
         if self.policy is Policy.LEARNED:
             from repro.policies.learned import N_FEATURES
 
@@ -85,6 +102,34 @@ class DareConfig(NamedTuple):
     def enabled(self) -> bool:
         """True when dynamic replication is active."""
         return self.policy is not Policy.OFF
+
+    @classmethod
+    def named(cls, name: str, p: float = 0.3, threshold: int = 1, budget: float = 0.2,
+              model: Sequence[float] = ()) -> "DareConfig":
+        """The config a :data:`POLICY_NAMES` name describes, unvalidated.
+
+        Keeps only the parameters the policy reads, so a tunable it
+        ignores never changes the cell or its cache key: ElephantTrap
+        keeps ``p``, ``threshold`` and ``budget``; the greedy policies
+        keep ``budget``; the learned policy keeps ``budget`` and
+        ``model`` (the baked-in weights when empty); off keeps none.
+        An unknown name raises ``ValueError`` listing the table.
+        """
+        if name not in POLICY_NAMES:
+            raise ValueError(
+                f"unknown policy {name!r} (expected one of {', '.join(POLICY_NAMES)})"
+            )
+        policy = POLICY_NAMES[name]
+        if policy is Policy.OFF:
+            return cls()
+        if policy is Policy.ELEPHANT_TRAP:
+            return cls(policy, p, threshold, budget)
+        if policy is Policy.LEARNED:
+            from repro.policies.learned import DEFAULT_WEIGHTS
+
+            weights = tuple(float(w) for w in model or DEFAULT_WEIGHTS)
+            return cls(policy, budget=budget, model=weights)
+        return cls(policy, budget=budget)
 
     @classmethod
     def off(cls) -> "DareConfig":
@@ -106,11 +151,6 @@ class DareConfig(NamedTuple):
         ).validate()
 
     @classmethod
-    def greedy_lfu(cls, budget: float = 0.2) -> "DareConfig":
-        """The greedy-insertion / LFU-eviction ablation."""
-        return cls(policy=Policy.GREEDY_LFU, budget=budget).validate()
-
-    @classmethod
     def learned(
         cls, weights: Sequence[float], budget: float = 0.2
     ) -> "DareConfig":
@@ -120,3 +160,20 @@ class DareConfig(NamedTuple):
             budget=budget,
             model=tuple(float(w) for w in weights),
         ).validate()
+
+
+def check_number(field: str, value: Any, lo: float = -math.inf, hi: float = math.inf,
+                 *, integer: bool = False, above: bool = False) -> None:
+    """Raise ``ValueError`` naming ``field`` unless ``value`` is a finite
+    number (an integer when ``integer``; never a bool) in ``[lo, hi]``, or
+    in ``(lo, hi]`` when ``above``."""
+    kind = numbers.Integral if integer else numbers.Real
+    if (isinstance(value, kind) and not isinstance(value, bool) and lo <= value <= hi
+            and abs(value) < math.inf and not (above and value == lo)):
+        return
+    rule = "an integer" if integer else "a finite number"
+    if hi < math.inf:
+        rule += f" in [{lo:g}, {hi:g}]"
+    elif lo > -math.inf:
+        rule += f" {'>' if above else '>='} {lo:g}"
+    raise ValueError(f"{field} must be {rule} (got {value!r})")

@@ -427,41 +427,6 @@ def fig9b_budget_sweep_et(
     }
 
 
-def sweep_point_from_trace(path: str, x: Optional[float] = None) -> SweepPoint:
-    """Rebuild one :class:`SweepPoint` from a ``run --trace`` JSONL file.
-
-    A figure built this way carries replayable provenance: the trace *is*
-    the measurement, and ``python -m repro replay verify`` proves it equals
-    what the live run saw.  ``x`` defaults to the budget recorded in the
-    trace's ``run.config`` header.
-    """
-    from repro.replay import load_trace, reconstruct
-
-    index = load_trace(path)
-    state = reconstruct(index, strict=False)
-    config = index.config
-    scheduler = str(config.data["scheduler"]) if config is not None else ""
-    if x is None:
-        x = float(config.data.get("budget", 0.0)) if config is not None else 0.0
-    return SweepPoint(
-        x=x,
-        scheduler=scheduler,
-        locality=state.job_locality(),
-        blocks_per_job=state.blocks_created / max(1, len(state.jobs)),
-    )
-
-
-def sweep_from_traces(
-    paths: Sequence[str], xs: Optional[Sequence[float]] = None
-) -> List[SweepPoint]:
-    """Sweep points from a set of traces, one per x-value, in path order."""
-    if xs is None:
-        xs = [None] * len(paths)
-    if len(xs) != len(paths):
-        raise ValueError("xs and paths must have the same length")
-    return [sweep_point_from_trace(p, x) for p, x in zip(paths, xs)]
-
-
 def print_sweep(points: List[SweepPoint], xlabel: str) -> None:
     """Render a sensitivity sweep as rows."""
     print(f"{xlabel:>10s} {'scheduler':>10s} {'locality%':>10s} {'blocks/job':>11s}")

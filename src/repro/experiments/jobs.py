@@ -63,6 +63,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
 
+from repro.core.config import check_number
 from repro.experiments.serialize import canonical_json, result_to_dict
 from repro.experiments.service import (
     DONE,
@@ -89,6 +90,9 @@ RUNNING = "running"
 JOB_DONE = "done"
 JOB_FAILED = "failed"
 
+#: most jobs one submitted cell's workload may hold, grid or explicit
+MAX_JOBS = 100_000
+
 #: fields a submission document may carry
 _SPEC_FIELDS = frozenset(
     {"grid", "n_jobs", "seed", "cells", "check_invariants", "stream",
@@ -106,13 +110,23 @@ class JobRejected(Exception):
         self.retry_after_s = retry_after_s
 
 
+def check_cell(cell: SweepCell) -> SweepCell:
+    """Raise ``ValueError`` naming the first field that keeps ``cell`` off
+    the job queue; return the cell.  ``cell_from_doc`` checks none of it,
+    so a journal written before a rule existed still restores."""
+    cell.config.validate()
+    check_number("workload seed", cell.workload.seed, 0, integer=True)
+    check_number("workload n_jobs", cell.workload.n_jobs, 1, MAX_JOBS, integer=True)
+    return cell
+
+
 def parse_job_spec(doc: object) -> Tuple[List[SweepCell], Dict]:
     """Validate one submission document into (cells, normalized spec).
 
     Accepts either a named grid (``{"grid": "smoke", "n_jobs": 8}``) or
     explicit cells (``{"cells": [...]}`` in ``cell_to_doc`` form, each
-    checked by ``ExperimentConfig.validate``).
-    Raises :class:`JobRejected` (400-shaped) on anything malformed —
+    checked by :func:`check_cell` as the spec's ``check_invariants`` leaves
+    it).  Raises :class:`JobRejected` (400-shaped) on anything malformed —
     unknown fields are rejected outright so typos fail loudly.
     """
     if not isinstance(doc, dict):
@@ -127,14 +141,18 @@ def parse_job_spec(doc: object) -> Tuple[List[SweepCell], Dict]:
         "check_invariants": bool(doc.get("check_invariants", False)),
         "stream": bool(doc.get("stream", False)),
     }
+
+    def with_spec(cell: SweepCell) -> SweepCell:  # the spec may switch checks on
+        if not spec["check_invariants"]:
+            return cell
+        return cell._replace(config=dataclasses.replace(cell.config, check_invariants=True))
+
     if "cells" in doc:
         if not isinstance(doc["cells"], list) or not doc["cells"]:
             raise JobRejected(400, "'cells' must be a non-empty list")
         spec["grid"] = "custom"
         try:
-            cells = [cell_from_doc(d) for d in doc["cells"]]
-            for cell in cells:
-                cell.config.validate()
+            cells = [check_cell(with_spec(cell_from_doc(d))) for d in doc["cells"]]
         except Exception:
             raise JobRejected(
                 400,
@@ -144,20 +162,13 @@ def parse_job_spec(doc: object) -> Tuple[List[SweepCell], Dict]:
     else:
         if not isinstance(spec["grid"], str):
             raise JobRejected(400, "'grid' must be a string")
-        if not isinstance(spec["n_jobs"], int) or isinstance(spec["n_jobs"], bool) \
-                or not 1 <= spec["n_jobs"] <= 100_000:
-            raise JobRejected(400, "'n_jobs' must be an integer in [1, 100000]")
-        if not isinstance(spec["seed"], int) or isinstance(spec["seed"], bool):
-            raise JobRejected(400, "'seed' must be an integer")
         try:
+            check_number("'n_jobs'", spec["n_jobs"], 1, MAX_JOBS, integer=True)
+            check_number("'seed'", spec["seed"], integer=True)
             cells = build_grid(spec["grid"], n_jobs=spec["n_jobs"], seed=spec["seed"])
         except ValueError as exc:
             raise JobRejected(400, str(exc))
-    if spec["check_invariants"]:
-        cells = [
-            c._replace(config=dataclasses.replace(c.config, check_invariants=True))
-            for c in cells
-        ]
+        cells = [with_spec(c) for c in cells]
     return cells, spec
 
 

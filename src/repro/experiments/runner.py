@@ -13,7 +13,7 @@ from repro.cluster.cluster import Cluster, ClusterSpec, CCT_SPEC
 from repro.failures.injector import FailureInjector, FailurePlan
 from repro.failures.repair import ReReplicationService
 from repro.metrics.traffic import TrafficMeter
-from repro.core.config import DareConfig
+from repro.core.config import DareConfig, check_number
 from repro.core.manager import DareReplicationService
 from repro.hdfs.namenode import NameNode
 from repro.mapreduce.jobtracker import JobTracker
@@ -40,8 +40,12 @@ from repro.simulation.rng import RandomStreams
 from repro.workloads.swim import Workload
 
 
+#: the schedulers a cell may name (``--scheduler``'s choices)
+SCHEDULERS = {"fifo": FifoScheduler, "fair": FairScheduler, "fair-skip": SkipCountFairScheduler}
+
+
 def make_scheduler(name: str, fair_delay_s: Optional[float] = None) -> Scheduler:
-    """Scheduler factory: 'fifo', 'fair', or 'fair-skip'.
+    """Scheduler factory: a :data:`SCHEDULERS` name.
 
     ``fair_delay_s`` overrides both of the Fair scheduler's delays (the
     delay-sweep ablation); it is part of :class:`ExperimentConfig` so a
@@ -50,17 +54,14 @@ def make_scheduler(name: str, fair_delay_s: Optional[float] = None) -> Scheduler
     """
     if fair_delay_s is not None and name != "fair":
         raise ValueError(f"fair_delay_s only applies to 'fair', not {name!r}")
-    if name == "fifo":
-        return FifoScheduler()
-    if name == "fair":
-        if fair_delay_s is not None:
-            return FairScheduler(node_delay_s=fair_delay_s, rack_delay_s=fair_delay_s)
-        return FairScheduler()
-    if name == "fair-skip":
-        return SkipCountFairScheduler()
-    raise ValueError(
-        f"unknown scheduler {name!r} (expected 'fifo', 'fair', or 'fair-skip')"
-    )
+    if name not in SCHEDULERS:
+        raise ValueError(
+            f"unknown scheduler {name!r} (expected one of {', '.join(SCHEDULERS)})"
+        )
+    if fair_delay_s is not None:
+        check_number("fair_delay_s", fair_delay_s, 0)
+        return FairScheduler(node_delay_s=fair_delay_s, rack_delay_s=fair_delay_s)
+    return SCHEDULERS[name]()
 
 
 @dataclass(frozen=True)
@@ -108,21 +109,32 @@ class ExperimentConfig:
     rollout: Optional[RolloutConfig] = None
 
     def validate(self) -> "ExperimentConfig":
-        """Raise ``ValueError`` naming the first out-of-range part; return self.
+        """Raise ``ValueError`` naming the first field or part that cannot
+        build or lets no run end; return self.
 
         Run where a cell enters (CLI flags, job submissions), not on journal
-        reads, so a journal written before this check still restores.
+        reads, so a journal written before this check still restores.  It
+        is O(1) and builds no cluster.
         """
-        parts: Dict[str, Any] = {"dare": self.dare, "rollout": self.rollout,
-                                 "scarlett": self.scarlett, "cdrm": self.cdrm}
+        parts: Dict[str, Any] = {"cluster_spec": self.cluster_spec, "dare": self.dare,
+                                 "rollout": self.rollout, "scarlett": self.scarlett,
+                                 "cdrm": self.cdrm}
         try:
             for name, part in parts.items():
                 if part is not None:
                     part.validate()
+            name = "scheduler"
+            make_scheduler(self.scheduler, self.fair_delay_s)
             name = "failures"
             FailurePlan(tuple(self.failures)).validate(self.cluster_spec.n_nodes)
         except (TypeError, ValueError) as exc:  # a submitted cell may hold any type
             raise ValueError(f"{name}: {exc}") from None
+        check_number("seed", self.seed, integer=True)
+        check_number("replication", self.replication, 1, integer=True)
+        check_number("failure_detection_s", self.failure_detection_s, 0)
+        if self.check_invariants:
+            check_number("invariant_sweep_every", self.invariant_sweep_every, 1,
+                         integer=True)
         return self
 
     def label(self) -> str:

@@ -130,6 +130,10 @@ def config_from_dict(d: Dict) -> ExperimentConfig:
 
     dare = d["dare"]
     rollout = d.get("rollout")
+    try:
+        failures = tuple((float(t), int(node)) for t, node in d["failures"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"failures: {exc}") from None
     return ExperimentConfig(
         cluster_spec=cluster_spec_from_dict(d["cluster_spec"]),
         scheduler=d["scheduler"],
@@ -145,7 +149,7 @@ def config_from_dict(d: Dict) -> ExperimentConfig:
         replication=d["replication"],
         scarlett=None if d["scarlett"] is None else ScarlettConfig(**d["scarlett"]),
         cdrm=None if d["cdrm"] is None else CdrmConfig(**d["cdrm"]),
-        failures=tuple((float(t), int(node)) for t, node in d["failures"]),
+        failures=failures,
         failure_detection_s=d["failure_detection_s"],
         speculative=d["speculative"],
         fair_delay_s=d["fair_delay_s"],

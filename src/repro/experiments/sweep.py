@@ -105,7 +105,7 @@ class WorkloadSpec(NamedTuple):
     def validate(self) -> "WorkloadSpec":
         """Refuse a recipe that cannot build a workload; returns ``self``."""
         if self.kind in ("wl1", "wl2"):
-            if self.n_jobs < 1:
+            if not isinstance(self.n_jobs, (int, float)) or self.n_jobs < 1:
                 raise ValueError(
                     f"a {self.kind} workload needs at least 1 job (got {self.n_jobs!r})"
                 )
@@ -462,9 +462,10 @@ def run_cells(
     job to an in-process :class:`~repro.experiments.jobs.JobManager`
     with ``jobs`` executors, each running its cells in a child process:
     its work queue retries a failed cell once and then reports it with
-    the last error.  ``cache`` may be a :class:`ResultCache` or a
-    directory path; None runs without one.  ``timeout_s`` bounds each
-    cell's wall time (child processes only).
+    the last error; a cell it refuses (``jobs.check_cell``) fails alone.
+    ``cache`` may be a :class:`ResultCache` or a directory path; None
+    runs without one.  ``timeout_s`` bounds each cell's wall time (child
+    processes only).
     """
     cells = list(cells)
     if isinstance(cache, (str, Path)):
@@ -533,18 +534,30 @@ def _run_on_manager(
 ) -> None:
     """``run_cells``' parallel path: one job on an in-process JobManager.
 
-    Cells the cache resolves at submission are reported first; the rest
-    are reported as the job's stream announces them finished, and any
-    whose announcement the bounded stream dropped when the job settles.
+    Cells the queue refuses are reported first, failed with the traceback,
+    and cells the cache resolves at submission next; the rest as the job's
+    stream announces them finished, and any whose announcement the bounded
+    stream dropped when the job settles.
     """
-    from repro.experiments.jobs import JobManager
+    from repro.experiments.jobs import JobManager, check_cell
     from repro.experiments.service import DONE, QUARANTINED, cell_to_doc
 
+    queued: List[int] = []
+    for i, cell in enumerate(cells):
+        try:
+            check_cell(cell)
+        except Exception:
+            finish(i, CellOutcome(cell, None, error=traceback.format_exc(),
+                                  key=cache_key(cell.config, cell.workload)))
+        else:
+            queued.append(i)
+    if not queued:
+        return
     manager = JobManager(cache=cache, workers=jobs, cell_timeout_s=timeout_s,
-                         max_cells_per_job=len(cells))
-    job, _ = manager.submit({"cells": [cell_to_doc(c) for c in cells]})
+                         max_cells_per_job=len(queued))
+    job, _ = manager.submit({"cells": [cell_to_doc(cells[i]) for i in queued]})
     unreported: Dict[str, List[int]] = {}
-    for i, key in enumerate(job.keys):
+    for i, key in zip(queued, job.keys):
         unreported.setdefault(key, []).append(i)
 
     def report(key: str, duration_s: float = 0.0) -> None:

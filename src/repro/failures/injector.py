@@ -40,6 +40,10 @@ class FailurePlan(NamedTuple):
             if node in seen:
                 raise ValueError(f"node {node} fails twice")
             seen.add(node)
+        if seen and len(seen) == n_nodes - 1:
+            raise ValueError(
+                f"the plan fails every slave (n_nodes {n_nodes}), so no job could finish"
+            )
         return self
 
 

@@ -53,24 +53,15 @@ POLICY_COLUMNS: Tuple[str, ...] = (
 def bench_config(
     policy: str, model: Sequence[float] = DEFAULT_WEIGHTS
 ) -> ExperimentConfig:
-    """The experiment cell for one benchmark column."""
+    """The experiment cell for one benchmark column: a
+    :data:`~repro.core.config.POLICY_NAMES` name, or ``rollout`` (the
+    rollout engine over a greedy-lru host)."""
     base = ExperimentConfig(cluster_spec=CCT_SPEC, scheduler="fifo")
-    if policy == "off":
-        return dataclasses.replace(base, dare=DareConfig.off())
-    if policy == "greedy-lru":
-        return dataclasses.replace(base, dare=DareConfig.greedy_lru())
-    if policy == "greedy-lfu":
-        return dataclasses.replace(base, dare=DareConfig.greedy_lfu())
-    if policy == "elephant-trap":
-        return dataclasses.replace(base, dare=DareConfig.elephant_trap())
-    if policy == "learned":
-        return dataclasses.replace(base, dare=DareConfig.learned(model))
     if policy == "rollout":
-        # rollout-greedy: the rollout engine over a greedy-lru host
         return dataclasses.replace(
-            base, dare=DareConfig.greedy_lru(), rollout=BENCH_ROLLOUT
+            base, dare=DareConfig.named("lru"), rollout=BENCH_ROLLOUT
         )
-    raise ValueError(f"unknown benchmark column {policy!r}")
+    return dataclasses.replace(base, dare=DareConfig.named(policy, model=model))
 
 
 def _row(policy: str, seed: int, result: ExperimentResult) -> Dict:

@@ -11,10 +11,7 @@ first-class replayable artifact.  This package consumes it:
   run's final counters;
 * :mod:`repro.replay.divergence` — align two traces and pinpoint the
   first record where they disagree, with a shadow-state delta and a
-  ring-buffer-style context tail;
-* :mod:`repro.replay.metrics` — locality/eviction aggregates and
-  time-series derived from traces instead of live collector counters, so
-  figures get replayable provenance.
+  ring-buffer-style context tail.
 
 See ``docs/REPLAY.md`` for format guarantees and diff semantics.
 """

@@ -22,8 +22,8 @@ Edge behavior (documented for clients in ``docs/SERVER.md``):
   (``X-Client-Id`` header, else peer address) — empty bucket → **429**
   with ``Retry-After``;
 * the job backlog is bounded — full → **503**; draining → **503**;
-* a submitted cell may not name a file for the server to write (a
-  non-empty ``trace_path``) → **400**;
+* a submitted cell may not name a server path: a file to write (a
+  non-empty ``trace_path``) or to read (a ``file`` workload) → **400**;
 * request size/time limits from :mod:`repro.server.http` → 408/413/431;
 * SIGTERM/SIGINT → drain: refuse new jobs and leases, close SSE
   streams, keep answering workers until every outstanding lease has
@@ -271,14 +271,11 @@ class Server:
     async def _submit(self, request: Request) -> bytes:
         doc = request.json()
         cells = doc.get("cells") if isinstance(doc, dict) else None
-        if isinstance(cells, list) and any(
-            isinstance(cell, dict) and isinstance(cell.get("config"), dict)
-            and cell["config"].get("trace_path")
-            for cell in cells
-        ):
-            # the executor would write the trace wherever the client says
-            raise HttpError(400, "cells submitted over HTTP may not set "
-                                 "'trace_path'; stream trace records instead")
+        if isinstance(cells, list) and any(map(names_server_path, cells)):
+            # the server would write or read wherever the client says
+            raise HttpError(400, "cells submitted over HTTP may not name a server "
+                                 "path: no 'trace_path' (stream trace records "
+                                 "instead) and no 'file' workload")
         # submission touches the cache (disk) — keep it off the event loop
         job, created = await asyncio.to_thread(self.manager.submit, doc)
         body = {
@@ -392,6 +389,17 @@ class Server:
         finally:
             job.stream.remove_waiter(wake)
             self._sse_wakeups.discard(wakeup)
+
+
+def names_server_path(cell: object) -> bool:
+    """True when a submitted cell document names a path on the server: a
+    trace to write (``trace_path``) or a ``file`` workload to read."""
+    if not isinstance(cell, dict):
+        return False
+    config, workload = cell.get("config"), cell.get("workload")
+    return (isinstance(config, dict) and bool(config.get("trace_path"))) or (
+        isinstance(workload, list) and workload[:1] == ["file"]
+    )
 
 
 def _text(doc: Dict, name: str) -> str:

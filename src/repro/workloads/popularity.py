@@ -53,7 +53,3 @@ class PopularityModel:
     def cdf(self) -> np.ndarray:
         """The access CDF by rank (Fig. 6)."""
         return access_cdf(self.weights)
-
-    def expected_counts(self, n_accesses: int) -> np.ndarray:
-        """Expected access count per rank for an ``n_accesses`` workload."""
-        return self.weights * n_accesses

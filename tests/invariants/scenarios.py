@@ -161,19 +161,9 @@ def scenario_from_params(
     ``p`` and ``threshold`` only matter for the ElephantTrap policy,
     ``budget`` for any enabled policy.
     """
-    if policy == "off":
-        dare = DareConfig.off()
-    elif policy == "lru":
-        dare = DareConfig.greedy_lru(budget=budget)
-    elif policy == "lfu":
-        dare = DareConfig(policy=Policy.GREEDY_LFU, budget=budget)
-    elif policy == "et":
-        dare = DareConfig.elephant_trap(p=p, threshold=threshold, budget=budget)
-    else:
-        raise ValueError(f"unknown policy {policy!r}")
     return Scenario(
         name=name or f"{policy}-{scheduler}-{workload}-j{n_jobs}-s{seed}",
-        dare=dare,
+        dare=DareConfig.named(policy, p, threshold, budget),
         scheduler=scheduler,
         workload=workload,
         n_jobs=n_jobs,

@@ -308,6 +308,23 @@ def test_policy_flip_patch_swaps_the_service(tmp_path):
     sim.close()
 
 
+@pytest.mark.parametrize("host", ["et", "lru", "off"])
+def test_learned_flip_finishes_under_the_invariant_checker(host, tmp_path):
+    """``policy:learned`` takes over a live run from any host policy: the
+    new service scores from fresh access statistics and the run ends with
+    the checker quiet (a full sweep every 50 records)."""
+    config = _config(host, "fair", tmp_path / "warm.jsonl",
+                     check_invariants=True, invariant_sweep_every=50)
+    sim = _snapshot_at(config, 60.0).restore()
+    parse_patch("policy:learned").apply(sim)
+    assert sim.dare.config == DareConfig.named("learned")
+    assert sim.checker.dare is sim.dare
+    sim.run()
+    assert sim.finished
+    sim.finalize()
+    sim.close()
+
+
 def test_pin_patch_makes_the_block_local(tmp_path):
     snap = _snapshot_at(_config("off", "fifo", tmp_path / "warm.jsonl"), 20.0)
     sim = snap.restore()

@@ -5,7 +5,11 @@ import re
 
 import pytest
 
-from repro.cli import _parse_failures, build_parser, main
+from repro.checkpoint import parse_patch
+from repro.cli import _cell, _parse_failures, build_parser, main
+from repro.core.config import POLICY_NAMES, DareConfig
+from repro.experiments.sweep import WorkloadSpec, cache_key
+from repro.policies.bench import bench_config
 
 
 class TestParser:
@@ -60,11 +64,14 @@ class TestParser:
          "--jobs must be at least 1 (got -3)"),
         (["run", "--workload", "no-such-dir/missing.json"],
          "cannot read workload 'no-such-dir/missing.json': "),
+        (["sweep", "--serve", "127.0.0.1:0", "--no-cache", "--n-jobs", "100001"],
+         "cannot serve the grid: malformed cell document: ValueError: "
+         "workload n_jobs must be an integer in [1, 100000] (got 100001)"),
     ], ids=["run-mesoscale-alone", "sweep-mesoscale-alone", "nodes-over-cap",
             "nodes-need-mesoscale", "unknown-workload",
             "checkpoint-save-rollout", "checkpoint-save-nodes",
             "run-zero-jobs", "checkpoint-save-negative-jobs",
-            "missing-workload-file"])
+            "missing-workload-file", "sweep-serve-over-job-bound"])
     def test_bad_cell_flags_exit_with_advice(self, argv, message, tmp_path,
                                              capsys):
         ckpt = tmp_path / "c.ckpt"
@@ -75,6 +82,58 @@ class TestParser:
         assert exc.value.code not in (0, None)
         assert message in f"{exc.value.code}\n{capsys.readouterr().err}"
         assert not ckpt.exists()
+
+
+class TestPolicyVocabulary:
+    """One policy-name table, ``POLICY_NAMES``, read by every front door."""
+
+    @pytest.mark.parametrize("name", list(POLICY_NAMES))
+    def test_every_door_accepts_every_name(self, name):
+        dare = DareConfig.named(name)
+        assert parse_patch(f"policy:{name}").dare == dare
+        assert bench_config(name).dare == dare
+        full = POLICY_NAMES[name].value
+        workload = WorkloadSpec("wl1", 5, 7)
+        for command in (["run"], ["checkpoint", "save", "--at", "5", "--out", "c"]):
+            def cell(*flags):
+                args = build_parser().parse_args([*command, "--jobs", "5", *flags])
+                return _cell(args)[0]
+
+            short = cell("--policy", name, "--threshold", "2")
+            assert short.dare == dare._replace(
+                threshold=2 if full == "elephant-trap" else dare.threshold)
+            # a short name and its Policy value give one cell, one cache key
+            long = cell("--policy", full, "--threshold", "2")
+            assert long == short
+            assert cache_key(long, workload) == cache_key(short, workload)
+            if full != "elephant-trap":  # a tunable the policy never reads
+                plain = cell("--policy", name)
+                assert cache_key(plain, workload) == cache_key(short, workload)
+
+    @pytest.mark.parametrize("name", ["no-such-policy", "rollout"])
+    def test_unknown_name_is_refused_listing_the_table(self, name, capsys):
+        """One message from every code door; the CLI's is argparse's,
+        whose choices are the table."""
+        message = (f"unknown policy {name!r} "
+                   f"(expected one of {', '.join(POLICY_NAMES)})")
+        with pytest.raises(ValueError) as err:
+            DareConfig.named(name)
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            parse_patch(f"policy:{name}")
+        assert str(err.value) == f"bad patch spec 'policy:{name}': {message}"
+        if name == "rollout":
+            # rollout picks the run driver: `run` and the bench take it, and
+            # TestParser pins `checkpoint save`'s refusal
+            return
+        with pytest.raises(ValueError, match=re.escape(message)):
+            bench_config(name)
+        for command in (["run"], ["checkpoint", "save", "--at", "5", "--out", "c"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([*command, "--policy", name])
+            err = capsys.readouterr().err
+            assert f"argument --policy: invalid choice: {name!r}" in err
+            assert all(table_name in err for table_name in POLICY_NAMES)
 
 
 class TestOutOfRangeCells:
@@ -108,6 +167,23 @@ class TestOutOfRangeCells:
         code = exc.value.code
         assert isinstance(code, str) and "\n" not in code
         assert code.startswith(message.format(missing=missing))
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--jobs", "5", "--policy", "learned"],
+        ["checkpoint", "save", "--jobs", "5", "--at", "5", "--policy", "learned",
+         "--out", "{tmp}/c.ckpt"],
+        ["policy-bench", "--jobs", "5"],
+    ], ids=["run", "checkpoint-save", "policy-bench"])
+    @pytest.mark.parametrize("model", ["missing.json", "bad.json"])
+    def test_every_model_reader_exits_with_one_line(self, argv, model, tmp_path):
+        (tmp_path / "bad.json").write_text('{"format": 0}')
+        path = str(tmp_path / model)
+        with pytest.raises(SystemExit) as exc:
+            main([*(a.format(tmp=tmp_path) for a in argv), "--model", path])
+        code = exc.value.code
+        assert isinstance(code, str) and "\n" not in code
+        assert code.startswith(f"cannot read model {path!r}: ")
+        assert not (tmp_path / "c.ckpt").exists()
 
     @pytest.mark.parametrize("at", ["-5", "inf", "nan"])
     def test_checkpoint_save_refuses_a_bad_pause_time(self, at, tmp_path):

@@ -21,6 +21,7 @@ from repro.core.config import DareConfig
 from repro.experiments.runner import ExperimentConfig, Simulation, run_experiment
 from repro.mapreduce.heartbeat_hub import HeartbeatHub
 from repro.observability.trace import TASK_SCHEDULED, Tracer
+from repro.simulation.engine import SimulationError
 from repro.workloads.swim import synthesize_wl1, synthesize_wl2
 from tests.conftest import materialize_hubs
 
@@ -209,3 +210,17 @@ def test_tick_without_budget_or_control_traffic_beats_nobody(monkeypatch):
     # of promoted members: the idle walk itself visits no member
     assert datanodes.keys_read <= accurate
     sim.close()
+
+
+@pytest.mark.xfail(strict=True, raises=SimulationError, reason=(
+    "known defect: HeartbeatHub._tick charges an offer's budget unit to a "
+    "dead member, so a rack whose only pending work is one reduce offers it "
+    "to the failed node on every tick and the run never ends"))
+def test_a_failed_member_does_not_stall_its_rack():
+    config = ExperimentConfig(
+        cluster_spec=scale_spec(20, mesoscale=True), seed=7, failures=((30.0, 1),)
+    )
+    sim = Simulation(config, synthesize_wl1(np.random.default_rng(7), n_jobs=3))
+    sim.engine.max_events = 100_000
+    sim.run()
+    assert sim.finished

@@ -682,7 +682,11 @@ class TestPolicyBench:
         assert "gate" in format_report(doc)
 
     def test_unknown_column_rejected(self):
+        from repro.core.config import POLICY_NAMES
         from repro.policies.bench import bench_config
 
-        with pytest.raises(ValueError, match="unknown benchmark column"):
+        with pytest.raises(ValueError) as err:
             bench_config("no-such-policy")
+        assert str(err.value) == (
+            f"unknown policy 'no-such-policy' (expected one of "
+            f"{', '.join(POLICY_NAMES)})")

@@ -15,7 +15,6 @@ import pytest
 from repro.baselines.scarlett import ScarlettConfig
 from repro.cluster.cluster import CCT_SPEC
 from repro.core.config import DareConfig
-from repro.experiments.figures import sweep_from_traces
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.observability.trace import (
     BLOCK_REPLICATED,
@@ -302,16 +301,12 @@ class TestTraceIndex:
 
 class TestTraceBackedFigures:
     def test_sweep_points_match_live_results(self, tmp_path):
-        paths, live = [], []
+        """A trace alone gives a figure point: the reconstructed job
+        locality and blocks per job equal the live run's."""
         for policy in ("off", "lru"):
             result, path = run_traced(tmp_path, policy, "fifo")
-            live.append(result)
-            paths.append(path)
-        points = sweep_from_traces(paths, xs=[0.0, 0.15])
-        for point, result in zip(points, live):
-            assert point.scheduler == "fifo"
-            assert point.locality == pytest.approx(result.job_locality, abs=1e-9)
-            assert point.blocks_per_job == pytest.approx(
+            state = reconstruct(load_trace(path))
+            assert state.job_locality() == pytest.approx(result.job_locality, abs=1e-9)
+            assert state.blocks_created / len(state.jobs) == pytest.approx(
                 result.blocks_created_per_job
             )
-        assert [p.x for p in points] == [0.0, 0.15]

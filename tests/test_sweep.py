@@ -338,6 +338,7 @@ class TestFailures:
         good, bad = _cell(tag="good"), _cell(tag="bad", scheduler="nope")
         outcomes = run_cells([bad, good], jobs=2)
         assert not outcomes[0].ok and "Traceback" in outcomes[0].error
+        assert "nope" in outcomes[0].error  # refused alone, as serially
         assert outcomes[1].ok
 
     @needs_fork

@@ -44,7 +44,7 @@ import pytest
 
 import repro
 from repro.core.config import DareConfig
-from repro.experiments.jobs import JobManager
+from repro.experiments.jobs import JobManager, JobRejected
 from repro.experiments.runner import ExperimentConfig
 from repro.experiments.serialize import result_to_dict, result_to_json
 from repro.experiments.service import (
@@ -727,11 +727,25 @@ class TestServiceIntegration:
         [slow_stats] = stats_slow
         assert slow_stats.rejected + slow_stats.completed == 1
 
-    def test_failing_cell_backs_off_then_quarantines(self, tmp_path):
-        # a cell whose config crashes every worker deterministically
+    def test_config_poison_is_refused_at_submit(self):
+        # a config that would crash every worker never reaches the queue:
+        # the coordinator refuses the grid at submission, naming the field
         bad_config = ExperimentConfig(dare=DareConfig.elephant_trap(), seed=SEED,
                                       scheduler="no-such-scheduler")
         bad = SweepCell(bad_config, WorkloadSpec("wl1", N_JOBS, SEED), tag="bad")
+        with pytest.raises(JobRejected, match="scheduler: unknown scheduler "
+                                              "'no-such-scheduler'") as err:
+            GridServer([bad, CELLS[1]])
+        assert err.value.status == 400
+
+    def test_failing_cell_backs_off_then_quarantines(self, tmp_path):
+        # a cell that crashes every worker deterministically yet passes
+        # the submission check, which refuses a config poison (above): its
+        # workload file has a format no loader reads
+        poison = tmp_path / "poison.json"
+        poison.write_text('{"format": 0}')
+        bad = SweepCell(ExperimentConfig(dare=DareConfig.elephant_trap(), seed=SEED),
+                        WorkloadSpec("file", seed=SEED, path=str(poison)), tag="bad")
         cells = [bad, CELLS[1]]
         with GridServer(cells, lease_s=10.0, max_attempts=2,
                         backoff_s=0.05) as server:
@@ -740,7 +754,8 @@ class TestServiceIntegration:
             assert server.wait(timeout=60.0)
             thread.join(timeout=10.0)
             outcomes = server.outcomes()
-            assert not outcomes[0].ok and "no-such-scheduler" in outcomes[0].error
+            assert not outcomes[0].ok
+            assert "unsupported workload format 0" in outcomes[0].error
             assert outcomes[1].ok  # the grid survived the poison cell
             status = server.status()
             assert status["quarantined"] == 1 and status["failures"] == 2
