@@ -13,7 +13,9 @@ path end to end:
    (``cells_executed`` in ``/api/cluster``);
 4. a request burst from one client trips the 429 rate limit with a
    ``Retry-After`` header while an independent client still gets 200;
-5. SIGTERM drains the server: it exits 0 and reports the drain.
+5. SIGTERM drains the server: it exits 0, reports the drain, and no
+   process it started (its cell processes, one per executor) is still
+   running a few seconds later.
 
 Before the clients start, two malformed cells are posted: one whose
 cluster has no map slots (a run that could never end) and one whose
@@ -39,6 +41,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 from pathlib import Path
 
 from repro.experiments.service import cell_to_doc
@@ -131,6 +134,28 @@ def refused_cells(port: int) -> None:
           "refused cells created no job")
 
 
+def running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie (Linux ``/proc``)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def children(pid: int) -> list[int]:
+    """The running processes whose parent is ``pid``."""
+    kids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if fields[1] == str(pid) and fields[0] != "Z":
+            kids.append(int(stat.parent.name))
+    return kids
+
+
 def result_files(root: str) -> list[Path]:
     return list(Path(root).rglob("*.json"))
 
@@ -192,10 +217,18 @@ def serve_flow(serial: bytes, n_cells: int, cache_flags: list[str],
         status, _, _ = request(port, "GET", "/api/healthz", "calm")
         check(status == 200, "independent client unaffected by the burst")
 
+        # two executors ran the grid, each in its own cell process
+        kids = children(proc.pid)
+        check(len(kids) >= 2, f"the server runs cells in child processes ({kids})")
         proc.send_signal(signal.SIGTERM)
         out, _ = proc.communicate(timeout=120)
         check(proc.returncode == 0, "SIGTERM drained the server (exit 0)")
         check("server drained" in out, "drain was reported")
+        deadline = time.monotonic() + 5.0
+        while any(map(running, kids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        left = [pid for pid in kids if running(pid)]
+        check(not left, f"no process of the server outlived the drain ({left})")
         if private:
             check(not result_files(tmpdir),
                   "the private cache was removed at exit")

@@ -1192,8 +1192,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="executor threads leasing cells from the job queue")
     p.add_argument("--isolation", choices=("process", "thread"),
                    default="process",
-                   help="run each cell in a worker process (crash/timeout "
-                        "isolation) or in-thread")
+                   help="run cells in one reused process per executor "
+                        "(crash/timeout isolation) or in-thread")
     _add_cache_flags(p)
     p.add_argument("--jobstore", default="", metavar="PATH",
                    help="journal submissions to PATH; an existing journal "

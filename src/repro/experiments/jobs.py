@@ -1,7 +1,7 @@
 """The job manager: many clients' grids multiplexed onto one work queue.
 
 This is the bridge between the async HTTP front door
-(:mod:`repro.server`) and the process-pool/queue world of
+(:mod:`repro.server`) and the cell-process/queue world of
 :mod:`repro.experiments.sweep` and :mod:`repro.experiments.service`.
 The server thread hands :class:`JobManager` parsed submissions; the
 manager turns each into a :class:`Job` — a list of content-addressed
@@ -29,14 +29,17 @@ onto the one :class:`~repro.experiments.service.WorkQueue` it owns:
   for the manager's executor threads (in-process) and remote ``repro
   sweep --worker`` processes (``POST /api/queue``) alike.  An accepted
   completion is cached once and fanned out to every job holding the cell.
-* **Executor threads** run each leased cell once — in a child
-  *process* by default (``isolation='process'``, through
-  :func:`~repro.experiments.sweep.run_cell_in_child`, bounded by
-  ``cell_timeout_s``), or in-thread (``isolation='thread'``, used by
-  tests).  A failed execution is a failed attempt, so the queue's
-  ``max_attempts`` is the one retry count.  The executors alone get the
-  cells of active trace-streaming jobs, and run them in-process so
-  tracer records reach the job's
+* **Executor threads** run each leased cell once — by default
+  (``isolation='process'``) in the executor's own long-lived
+  :class:`~repro.experiments.sweep.CellProcess`, spawned on its first
+  cell and bounded per cell by ``cell_timeout_s`` (counted from the
+  moment the process is ready), or in-thread (``isolation='thread'``,
+  used by tests).  A failed execution is a failed attempt, so the
+  queue's ``max_attempts`` is the one retry count; a timed-out or dead
+  cell process is replaced on the executor's next cell, and
+  :meth:`~JobManager.stop` ends and reaps every one.  The executors
+  alone get the cells of active trace-streaming jobs, and run them
+  in-process so tracer records reach the job's
   :class:`~repro.observability.stream.RecordStream`.
 * **Bounded backlog.**  At most ``max_queued_jobs`` jobs may be active;
   beyond that submissions are rejected with a 503-shaped
@@ -75,12 +78,12 @@ from repro.experiments.service import (
 )
 from repro.experiments.sweep import (
     CellOutcome,
+    CellProcess,
     ResultCache,
     SweepCell,
     build_grid,
     cache_key,
     outcomes_to_doc,
-    run_cell_in_child,
     run_cells,
 )
 from repro.observability.stream import RecordStream
@@ -288,16 +291,21 @@ class JobManager:
         self._stop = threading.Event()
         self._threads: List[threading.Thread] = []
         self._current: Dict[str, Optional[Dict]] = {}
+        #: each executor's cell process (process isolation only)
+        self._cell_processes: Dict[str, CellProcess] = {}
         #: state of each cell of a restored finished job (no queue entry)
         self._restored: Dict[str, str] = {}
 
     # -- lifecycle -------------------------------------------------------------
 
     def start(self) -> "JobManager":
-        """Spawn the executor threads."""
+        """Start the executor threads; under process isolation each
+        spawns its cell process on its first cell."""
         for n in range(self.workers):
             name = f"exec-{n}"
             self._current[name] = None
+            if self.isolation == "process":
+                self._cell_processes[name] = CellProcess()
             thread = threading.Thread(
                 target=self._executor_loop, args=(name,), name=name, daemon=True
             )
@@ -312,13 +320,17 @@ class JobManager:
             self.queue.drain()
 
     def stop(self, timeout: Optional[float] = 30.0) -> None:
-        """Drain, stop the executors, and wait for in-flight cells."""
+        """Drain, stop the executors, wait for in-flight cells, then end
+        and reap every cell process (one still in a cell after
+        ``timeout`` is terminated)."""
         self.drain()
         self._stop.set()
         self._wake.set()
         for thread in self._threads:
             thread.join(timeout=timeout)
         self._threads = []
+        for cell_process in self._cell_processes.values():
+            cell_process.close()
 
     def busy(self) -> bool:
         """True while any lease is out (reclaiming expired ones first)."""
@@ -554,7 +566,7 @@ class JobManager:
             cell = cell_from_doc(reply["cell"])
             self._current[name] = {"key": key, "tag": cell.tag}
             try:
-                result_doc, error = self._execute(cell, key)
+                result_doc, error = self._execute(name, cell, key)
             except Exception:  # e.g. the OS refused a child process
                 result_doc, error = None, traceback.format_exc()
             finally:
@@ -564,20 +576,23 @@ class JobManager:
             else:
                 self.fail(key, reply["lease_id"], error)
 
-    def _execute(self, cell: SweepCell, key: str) -> Tuple[Optional[Dict], str]:
-        """Run one cell once: ``(result document, "")`` or ``(None, error)``.
+    def _execute(
+        self, name: str, cell: SweepCell, key: str
+    ) -> Tuple[Optional[Dict], str]:
+        """Run one cell once on executor ``name``: ``(result document,
+        "")`` or ``(None, error)``.
 
         Trace-streaming cells run in-process with a tracer.
         """
-        self.cells_executed += 1
         with self._lock:
+            self.cells_executed += 1
             streams = [
                 job.stream for job in self._holding(key) if job.spec.get("stream")
             ]
         if streams:
             return self._execute_streaming(cell, streams)
         if self.isolation == "process":
-            return run_cell_in_child(cell, self.cell_timeout_s)
+            return self._cell_processes[name].run(cell, self.cell_timeout_s)
         [outcome] = run_cells([cell])
         if outcome.ok:
             return result_to_dict(outcome.result), ""

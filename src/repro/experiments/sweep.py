@@ -20,12 +20,16 @@ perfectly cacheable:
   result (``trace_path``, the inert ``profile`` fields) are excluded from
   the key; cells that request a trace file bypass cache *reads* so the
   trace is actually written.
-* :func:`run_cell_in_child` runs one cell in a child process, which
-  reports its result, its traceback, or (by dying) its exit code.
-  ``timeout_s`` bounds the cell's wall time; a timed-out child is
-  terminated.  It retries nothing: the manager's work queue retries a
-  failed cell and then quarantines it, and the rest of the sweep keeps
-  going.
+* :class:`CellProcess` is one long-lived process that runs cells one
+  at a time: each job-manager executor owns one.  It is spawned (a fresh
+  interpreter, never a fork of the threaded server) on the executor's
+  first cell and reused for every later one, and it reports each cell's
+  result, its traceback, or (by dying) its exit code.  ``timeout_s``
+  bounds a cell's wall time from the moment the process is ready, so
+  start-up is never charged to a cell; a timed-out or dead process is
+  ended and the next cell spawns a fresh one.  It retries nothing: the
+  manager's work queue retries a failed cell and then quarantines it,
+  and the rest of the sweep keeps going.
 * :func:`shard_cells` splits a cell list into ``K/M`` round-robin
   shards for CI fan-out; the M shards partition the grid exactly.
 
@@ -34,6 +38,7 @@ perfectly cacheable:
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import json
@@ -373,32 +378,59 @@ def cache_progress(cache: Optional[ResultCache]) -> ProgressFn:
     return report
 
 
-# -- the executor -------------------------------------------------------------
+# -- the cell process ---------------------------------------------------------
+
+#: cell processes start as fresh interpreters: a fork of a multi-threaded
+#: parent (the server, a job manager's executors) would copy its locks
+#: in whatever state its other threads held them
+_SPAWN = mp.get_context("spawn")
 
 
-def _worker_main(conn, config_dict: Dict, workload_tuple: Tuple) -> None:
-    """Child-process entry: run one cell, ship the serialized result back.
+def execute_cell(config_doc: Dict, workload_tuple: Tuple) -> Dict:
+    """One cell from its wire form to its result document: what a cell
+    process does with each request.
 
     All randomness is derived from the config/workload seeds, never from
-    inherited process state, so the result is independent of which worker
-    runs the cell.
+    process state, so the document is the serial path's whichever cells
+    the process ran before.  A :class:`CellProcess` passes the
+    ``execute_cell`` of this module as it stands when the process starts,
+    so a test can swap in a module-level fault injector.
     """
-    try:
-        config = config_from_dict(config_dict)
-        workload = WorkloadSpec(*workload_tuple).materialize()
-        result = run_experiment(config, workload)
-        conn.send(("ok", result_to_dict(result)))
-    except BaseException:
+    workload = WorkloadSpec(*workload_tuple).materialize()
+    return result_to_dict(run_experiment(config_from_dict(config_doc), workload))
+
+
+def _cell_process_main(conn, execute: Callable[[Dict, Tuple], Dict]) -> None:
+    """Cell-process entry: answer each ``(config dict, workload tuple)``
+    with ``("ok", result document)`` or ``("error", traceback)`` until
+    the parent hangs up.
+
+    Start-up's objects (the imported simulator) are frozen out of the
+    collector, and each cell's garbage is collected once its answer is
+    sent, so every cell starts from the same heap and the process's
+    peak memory is one cell's.
+    """
+    gc.freeze()
+    conn.send(("ready", ""))
+    while True:
         try:
-            conn.send(("error", traceback.format_exc()))
-        except Exception:
-            pass
-    finally:
-        conn.close()
+            request = conn.recv()
+        except (EOFError, OSError, KeyboardInterrupt):
+            return
+        try:
+            reply = ("ok", execute(*request))
+        except BaseException:
+            reply = ("error", traceback.format_exc())
+        try:
+            conn.send(reply)
+        except OSError:
+            return
+        del request, reply
+        gc.collect()
 
 
 def _stop(proc: mp.process.BaseProcess) -> None:
-    """Terminate (then kill) a worker and reap it."""
+    """Terminate (then kill) a process and reap it."""
     if proc.is_alive():
         proc.terminate()
         proc.join(timeout=2.0)
@@ -407,44 +439,92 @@ def _stop(proc: mp.process.BaseProcess) -> None:
         proc.join(timeout=2.0)
 
 
-def run_cell_in_child(
-    cell: SweepCell, timeout_s: Optional[float] = None
-) -> Tuple[Optional[Dict], str]:
-    """Run one cell in a forked child: ``(result document, "")`` or
-    ``(None, error)``.
-
-    The error is the child's traceback, the timeout, or the exit code of
-    a child that died without reporting.  Nothing is retried here: the
-    caller's work queue owns the retry count.
-    """
-    ctx = mp.get_context()
-    recv_conn, send_conn = ctx.Pipe(duplex=False)
-    proc = ctx.Process(
-        target=_worker_main,
-        args=(send_conn, config_to_dict(cell.config), tuple(cell.workload)),
-        daemon=True,
-    )
+def _next_message(proc: mp.process.BaseProcess, conn, timeout_s: Optional[float]):
+    """``proc``'s next message on ``conn``, or None after ``timeout_s``;
+    raises ``EOFError`` once the process died without sending one."""
     started = time.perf_counter()
-    proc.start()
-    send_conn.close()
-    try:
-        # a sibling forked meanwhile may hold the pipe's write end, so a
-        # dead child shows up as a dead process, not as end-of-file
-        while not recv_conn.poll(0.1):
-            if not proc.is_alive() and not recv_conn.poll(0):
-                return None, f"worker died (exit code {proc.exitcode})"
-            if timeout_s is not None and time.perf_counter() - started > timeout_s:
-                return None, f"cell timed out after {timeout_s:g}s and was terminated"
+    while not conn.poll(0.1):
+        if not proc.is_alive() and not conn.poll(0):
+            raise EOFError
+        if timeout_s is not None and time.perf_counter() - started > timeout_s:
+            return None
+    return conn.recv()
+
+
+class CellProcess:
+    """One long-lived process that runs cells one at a time.
+
+    The process is spawned on the first :meth:`run` and serves every
+    later cell.  A cell that times out or kills the process ends it; the
+    next cell spawns a fresh one.  :meth:`close` ends it for good.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._proc: Optional[mp.process.BaseProcess] = None
+        self._conn = None
+        self._closed = False
+
+    def run(
+        self, cell: SweepCell, timeout_s: Optional[float] = None
+    ) -> Tuple[Optional[Dict], str]:
+        """Run one cell: ``(result document, "")`` or ``(None, error)``.
+
+        The error is the cell's traceback, the timeout, or the exit code
+        of a process that died without answering.  ``timeout_s`` bounds
+        the cell's wall time from the moment the process is ready, so a
+        start-up is never charged to a cell.  Nothing is retried here:
+        the caller's work queue owns the retry count.
+        """
+        with self._lock:
+            if self._closed:
+                return None, "the cell process was closed"
+            fresh = self._proc is None
+            if fresh:
+                conn, child = _SPAWN.Pipe()
+                proc = _SPAWN.Process(
+                    target=_cell_process_main, args=(child, execute_cell),
+                    name="repro-cell", daemon=True,
+                )
+                try:
+                    proc.start()
+                finally:
+                    child.close()
+                self._proc, self._conn = proc, conn
+            proc, conn = self._proc, self._conn
         try:
-            status, payload = recv_conn.recv()
-        except (EOFError, OSError):  # died mid-send
-            status, payload = "died", ""
-        proc.join(timeout=5.0)
-        if status == "ok":
-            return payload, ""
-        return None, payload or f"worker died (exit code {proc.exitcode})"
-    finally:
-        recv_conn.close()
+            if fresh:
+                _next_message(proc, conn, None)  # ready
+            conn.send((config_to_dict(cell.config), tuple(cell.workload)))
+            reply = _next_message(proc, conn, timeout_s)
+        except (EOFError, OSError):  # died before or while answering
+            self._end(proc, grace_s=5.0)
+            return None, f"worker died (exit code {proc.exitcode})"
+        if reply is None:
+            self._end(proc, grace_s=0.0)
+            return None, f"cell timed out after {timeout_s:g}s and was terminated"
+        status, payload = reply
+        return (payload, "") if status == "ok" else (None, payload)
+
+    def close(self) -> None:
+        """Terminate the process, even mid-cell, and reap it.  Any thread
+        may call it; later cells are refused."""
+        with self._lock:
+            self._closed = True
+            proc = self._proc
+        if proc is not None:
+            self._end(proc, grace_s=0.0)
+
+    def _end(self, proc: mp.process.BaseProcess, grace_s: float) -> None:
+        """Close ``proc``'s pipe, give it ``grace_s`` to exit, then
+        terminate and reap it.  Only the first caller for a process acts."""
+        with self._lock:
+            if self._proc is not proc:
+                return
+            conn = self._conn
+            self._proc = self._conn = None
+        conn.close()
+        proc.join(timeout=grace_s)
         _stop(proc)
 
 
@@ -460,11 +540,12 @@ def run_cells(
     ``jobs == 1`` executes in-process (identical to calling
     ``run_experiment`` in a loop).  ``jobs > 1`` submits the cells as one
     job to an in-process :class:`~repro.experiments.jobs.JobManager`
-    with ``jobs`` executors, each running its cells in a child process:
+    with ``jobs`` executors, each running its cells in its own
+    :class:`CellProcess`:
     its work queue retries a failed cell once and then reports it with
     the last error; a cell it refuses (``jobs.check_cell``) fails alone.
     ``cache`` may be a :class:`ResultCache` or a directory path; None
-    runs without one.  ``timeout_s`` bounds each cell's wall time (child
+    runs without one.  ``timeout_s`` bounds each cell's wall time (cell
     processes only).
     """
     cells = list(cells)

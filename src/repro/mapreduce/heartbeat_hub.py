@@ -11,7 +11,7 @@ when they have something to do:
 * replica holders of currently-pending map blocks get first slot offers
   (the JobTracker maintains that set per rack, invalidated whenever the
   schedule or the block map changes), keeping data-local placement sharp;
-* remaining free-slot members are offered work only while the cluster-wide
+* remaining live free-slot members are offered work only while the cluster-wide
   pending-work budget lasts.  A tick with no budget left visits only the
   rack's control set (the NameNode's per-rack set of nodes with queued
   control traffic), not every member, so an idle 100k-node cluster costs
@@ -161,6 +161,7 @@ class HeartbeatHub:
         free_map = jt.slots.free_map
         free_reduce = jt.slots.free_reduce
         trackers = jt.tasktrackers
+        nodes = jt.cluster.nodes
         self.ticks += 1
 
         budget = jt.pending_work_units()
@@ -185,7 +186,10 @@ class HeartbeatHub:
         for nid in walk:
             dn = datanodes.get(nid)  # a node without one has no traffic
             control = dn is not None and (bool(dn.outbox) or bool(dn.pending_deletion))
-            offer = budget > 0 and (free_map[nid] > 0 or free_reduce[nid] > 0)
+            # a dead member cannot take an offer: charging it a budget
+            # unit would stall a rack whose only pending work is one task
+            offer = (budget > 0 and (free_map[nid] > 0 or free_reduce[nid] > 0)
+                     and nodes[nid].alive)
             if not control and not offer:
                 continue
             before = jt.sched_version

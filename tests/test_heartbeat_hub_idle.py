@@ -21,7 +21,6 @@ from repro.core.config import DareConfig
 from repro.experiments.runner import ExperimentConfig, Simulation, run_experiment
 from repro.mapreduce.heartbeat_hub import HeartbeatHub
 from repro.observability.trace import TASK_SCHEDULED, Tracer
-from repro.simulation.engine import SimulationError
 from repro.workloads.swim import synthesize_wl1, synthesize_wl2
 from tests.conftest import materialize_hubs
 
@@ -54,7 +53,8 @@ def _seed_tick(self) -> None:
     for nid in self.member_ids:
         dn = datanodes.get(nid)
         control = dn is not None and (bool(dn.outbox) or bool(dn.pending_deletion))
-        offer = budget > 0 and (free_map[nid] > 0 or free_reduce[nid] > 0)
+        offer = (budget > 0 and (free_map[nid] > 0 or free_reduce[nid] > 0)
+                 and jt.cluster.nodes[nid].alive)
         if not control and not offer:
             continue
         tt = trackers.get(nid)
@@ -212,10 +212,6 @@ def test_tick_without_budget_or_control_traffic_beats_nobody(monkeypatch):
     sim.close()
 
 
-@pytest.mark.xfail(strict=True, raises=SimulationError, reason=(
-    "known defect: HeartbeatHub._tick charges an offer's budget unit to a "
-    "dead member, so a rack whose only pending work is one reduce offers it "
-    "to the failed node on every tick and the run never ends"))
 def test_a_failed_member_does_not_stall_its_rack():
     config = ExperimentConfig(
         cluster_spec=scale_spec(20, mesoscale=True), seed=7, failures=((30.0, 1),)

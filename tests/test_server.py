@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import http.client
 import json
 import math
@@ -71,6 +72,7 @@ from repro.policies.rollout import RolloutConfig
 from repro.server.app import names_server_path
 from repro.server.jobstore import JobJournal, restore
 from repro.server.ratelimit import RateLimiter, TokenBucket
+from tests import cell_faults
 
 SEED = 20110926
 N_JOBS = 4  # tiny cells keep the suite fast
@@ -456,6 +458,43 @@ class TestJobManager:
         finally:
             manager.stop()
 
+    def test_executed_cell_count_survives_contending_executors(self, tmp_path):
+        """More executor threads than CPUs, many distinct one-job cells
+        and a short switch interval: every executed cell is counted.  The
+        count's read yields the GIL, so an increment made outside the
+        manager's lock loses updates whatever the interpreter's bytecode
+        atomicity."""
+
+        class YieldingCount(JobManager):
+            @property
+            def cells_executed(self):
+                count = self._count
+                time.sleep(0)
+                return count
+
+            @cells_executed.setter
+            def cells_executed(self, count):
+                self._count = count
+
+        cells = [SweepCell(ExperimentConfig(seed=SEED + 100 + i),
+                           WorkloadSpec("wl1", 1, SEED), tag=f"s{i}")
+                 for i in range(24)]
+        manager = YieldingCount(cache=ResultCache(tmp_path / "cache"),
+                                workers=4 * (os.cpu_count() or 1) + 4,
+                                isolation="thread")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            manager.start()
+            job, _ = manager.submit({"cells": [cell_to_doc(c) for c in cells]})
+            wait_for(lambda: not job.active, what="job completion")
+        finally:
+            sys.setswitchinterval(interval)
+            manager.stop()
+        assert job.state == JOB_DONE
+        assert manager.cells_executed == len(cells)
+        assert manager.cluster_doc()["cells_executed"] == len(cells)
+
     def test_warm_cache_completes_at_submit_with_zero_runs(
         self, tmp_path, monkeypatch
     ):
@@ -568,26 +607,15 @@ class TestJobManager:
                     if e.kind == "cell" and e.data["phase"] == "finished"]
         assert [f["key"] for f in finished] == [grant["key"]]
 
-    @pytest.mark.skipif(
-        __import__("multiprocessing").get_start_method() != "fork",
-        reason="the crash is monkeypatched into fork-inherited children",
-    )
     def test_crashing_cell_runs_once_per_queue_attempt(self, tmp_path, monkeypatch):
         """The queue's max_attempts is the only retry count: a cell whose
-        child dies starts one child per attempt, then is quarantined with
+        process dies is run once per attempt, then is quarantined with
         the exit code."""
-        import multiprocessing as mp
-
         import repro.experiments.sweep as sweep_mod
 
-        children = mp.Value("i", 0)
-
-        def die(*args, **kwargs):
-            with children.get_lock():
-                children.value += 1
-            os._exit(3)
-
-        monkeypatch.setattr(sweep_mod, "run_experiment", die)
+        counter = tmp_path / "attempts"
+        monkeypatch.setattr(sweep_mod, "execute_cell", functools.partial(
+            cell_faults.crash, str(counter), 3, ""))
         manager = make_manager(tmp_path, workers=1, isolation="process",
                                queue=server_queue(max_attempts=2)).start()
         try:
@@ -596,9 +624,40 @@ class TestJobManager:
         finally:
             manager.stop()
         assert job.state == JOB_FAILED
-        assert children.value == 2
+        assert len(cell_faults.attempts(counter)) == 2
         entry = manager.queue.entries[job.keys[0]]
         assert entry.state == "quarantined" and "exit code 3" in entry.error
+
+    def test_stop_ends_and_reaps_every_cell_process(self, tmp_path, monkeypatch):
+        """stop() leaves no cell process behind: the idle one and the one
+        still in a cell when the executors' join gives up are both
+        terminated and reaped."""
+        import repro.experiments.sweep as sweep_mod
+
+        counter = tmp_path / "attempts"
+        monkeypatch.setattr(sweep_mod, "execute_cell", functools.partial(
+            cell_faults.hang, str(counter), "fair"))
+        hangs = CELLS[1]._replace(
+            config=dataclasses.replace(CELLS[1].config, scheduler="fair"))
+        manager = make_manager(tmp_path, isolation="process").start()
+        try:
+            # the executor that takes the hanging cell keeps it, so the
+            # other executor runs the second cell in a second process
+            manager.submit({"cells": [cell_to_doc(hangs)]})
+            done, _ = manager.submit({"cells": [cell_to_doc(CELLS[0])]})
+            wait_for(lambda: not done.active
+                     and len(cell_faults.attempts(counter)) == 2,
+                     what="one finished cell and one hanging cell")
+        finally:
+            manager.stop(timeout=0.5)
+        assert done.state == JOB_DONE
+        pids = cell_faults.attempts(counter)
+        assert len(set(pids)) == 2
+        for pid in pids:
+            with pytest.raises(ChildProcessError):  # reaped
+                os.waitpid(pid, os.WNOHANG)
+            with pytest.raises(ProcessLookupError):  # and gone
+                os.kill(pid, 0)
 
     def test_stream_jobs_need_an_executor(self, tmp_path):
         manager = make_manager(tmp_path, workers=0)

@@ -4,17 +4,22 @@
 tests also pin the job queue's retry policy for local sweeps.
 """
 
+import functools
 import json
 import multiprocessing as mp
 import os
+import signal
 import threading
+import time
 
 import pytest
 
+from repro.cluster.cluster import CCT_SPEC, EC2_SPEC
 from repro.core.config import DareConfig
 from repro.experiments import sweep as sweep_mod
 from repro.experiments.runner import ExperimentConfig
 from repro.experiments.serialize import (
+    canonical_json,
     config_from_dict,
     config_to_dict,
     result_from_dict,
@@ -22,6 +27,7 @@ from repro.experiments.serialize import (
     result_to_json,
 )
 from repro.experiments.sweep import (
+    CellProcess,
     ResultCache,
     SweepCell,
     SweepError,
@@ -33,14 +39,10 @@ from repro.experiments.sweep import (
     run_cells,
     shard_cells,
 )
+from tests import cell_faults
 
 SEED = 20110926
 N_JOBS = 6
-
-needs_fork = pytest.mark.skipif(
-    mp.get_start_method() != "fork",
-    reason="crash-injection monkeypatching needs fork-inherited workers",
-)
 
 
 def _cell(tag="cell", scheduler="fifo", dare=None, seed=SEED, **config_kwargs):
@@ -341,33 +343,21 @@ class TestFailures:
         assert "nope" in outcomes[0].error  # refused alone, as serially
         assert outcomes[1].ok
 
-    @needs_fork
-    def test_worker_crash_is_retried_then_reported(self, monkeypatch):
-        calls = mp.Value("i", 0)
-
-        def die(*a, **k):
-            with calls.get_lock():
-                calls.value += 1
-            os._exit(3)
-
-        monkeypatch.setattr(sweep_mod, "run_experiment", die)
+    def test_worker_crash_is_retried_then_reported(self, tmp_path, monkeypatch):
+        counter = tmp_path / "attempts"
+        monkeypatch.setattr(sweep_mod, "execute_cell", functools.partial(
+            cell_faults.crash, str(counter), 3, ""))
         [outcome] = run_cells([_cell()], jobs=2)
         assert not outcome.ok
         assert "worker died" in outcome.error and "exit code 3" in outcome.error
-        # the job queue's two attempts are the only retry count: one child
-        # per attempt, then the cell is quarantined with the last error
-        assert calls.value == 2
+        # the job queue's two attempts are the only retry count: one
+        # process per attempt, then the cell is quarantined with the last
+        # error
+        assert len(cell_faults.attempts(counter)) == 2
 
-    @needs_fork
-    def test_worker_crash_does_not_poison_other_cells(self, monkeypatch):
-        real = sweep_mod.run_experiment
-
-        def die_on_fair(config, workload):
-            if config.scheduler == "fair":
-                os._exit(7)
-            return real(config, workload)
-
-        monkeypatch.setattr(sweep_mod, "run_experiment", die_on_fair)
+    def test_worker_crash_does_not_poison_other_cells(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sweep_mod, "execute_cell", functools.partial(
+            cell_faults.crash, str(tmp_path / "attempts"), 7, "fair"))
         outcomes = run_cells(
             [_cell(tag="dies", scheduler="fair"), _cell(tag="lives")], jobs=2,
         )
@@ -394,17 +384,79 @@ class TestFailures:
         assert [done for _, done in seen] == [1, 2, 3]
         assert seen[0][0] == "b"  # cache hits are reported first
 
-    @needs_fork
-    def test_timeout_kills_cell(self, monkeypatch):
-        import time as time_mod
-
-        def hang(*a, **k):
-            time_mod.sleep(60.0)
-
-        monkeypatch.setattr(sweep_mod, "run_experiment", hang)
+    def test_timeout_kills_cell(self, tmp_path, monkeypatch):
+        counter = tmp_path / "attempts"
+        monkeypatch.setattr(sweep_mod, "execute_cell", functools.partial(
+            cell_faults.hang, str(counter), ""))
         [outcome] = run_cells([_cell()], jobs=2, timeout_s=0.5)
         assert not outcome.ok
         assert "timed out" in outcome.error
+        # a timed-out cell ends its process: the retry starts a fresh one
+        pids = cell_faults.attempts(counter)
+        assert len(pids) == 2 and pids[0] != pids[1]
+
+
+# -- the cell process ---------------------------------------------------------
+
+
+class TestCellProcess:
+    def test_one_process_runs_a_grid_byte_equal_to_serial(self):
+        """Cells run back to back in one process answer exactly what the
+        serial path computes: nothing carries over from cell to cell."""
+        cells = [
+            SweepCell(
+                ExperimentConfig(cluster_spec=spec, scheduler=scheduler,
+                                 dare=dare, seed=SEED),
+                WorkloadSpec("wl1", N_JOBS, SEED),
+                tag=f"{spec.name}/{scheduler}/{dare.policy.value}",
+            )
+            for spec in (CCT_SPEC, EC2_SPEC)
+            for scheduler in ("fifo", "fair")
+            for dare in (DareConfig.off(), DareConfig.greedy_lru(),
+                         DareConfig.elephant_trap())
+        ]
+        serial = [canonical_json(result_to_dict(r))
+                  for r in results_of(run_cells(cells))]
+        process = CellProcess()
+        served, pids = [], set()
+        try:
+            for cell in cells:
+                doc, error = process.run(cell)
+                assert error == "", error
+                served.append(canonical_json(doc))
+                pids.add(process._proc.pid)
+        finally:
+            process.close()
+        assert len(pids) == 1
+        assert served == serial
+
+    def test_killed_process_reports_its_signal_and_is_replaced(
+        self, tmp_path, monkeypatch
+    ):
+        counter = tmp_path / "attempts"
+        monkeypatch.setattr(sweep_mod, "execute_cell", functools.partial(
+            cell_faults.hang, str(counter), "fair"))
+        process = CellProcess()
+        answers = []
+        runner = threading.Thread(
+            target=lambda: answers.append(process.run(_cell(scheduler="fair"))))
+        runner.start()
+        deadline = time.monotonic() + 60.0
+        while not cell_faults.attempts(counter) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        [victim] = cell_faults.attempts(counter)
+        os.kill(victim, signal.SIGKILL)
+        runner.join(timeout=60.0)
+        try:
+            assert answers == [(None, "worker died (exit code -9)")]
+            doc, error = process.run(_cell(tag="next"))
+        finally:
+            process.close()
+        assert error == ""
+        [expected] = results_of(run_cells([_cell(tag="next")]))
+        assert canonical_json(doc) == canonical_json(result_to_dict(expected))
+        pids = cell_faults.attempts(counter)
+        assert len(pids) == 2 and pids[1] != victim
 
 
 # -- grids --------------------------------------------------------------------
