@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.cluster.cluster import Cluster
 from repro.hdfs.block import DEFAULT_BLOCK_SIZE, Block
@@ -49,15 +49,28 @@ class ReplicaSet(OrderedSet[int]):
         self.block_id, self.rf = state
 
     def __init__(
-        self, nn: "NameNode", block_id: int, rf: int, targets: tuple = ()
+        self, nn: "NameNode", block_id: int, rf: int, targets: Sequence[int] = ()
     ) -> None:
-        super().__init__()
         self._nn = nn
         self.block_id = block_id
         self.rf = rf
-        self.rack_counts: Dict[int, int] = {}
-        for t in targets:
-            self.add(t)
+        counts: Dict[int, int] = {}
+        self.rack_counts = counts
+        # one pass files each distinct target as :meth:`add` would
+        rack_of = nn._rack_of
+        blocks_on = nn._blocks_on
+        for node_id in targets:
+            if node_id in self:
+                continue
+            self[node_id] = None
+            rack = rack_of[node_id]
+            counts[rack] = counts.get(rack, 0) + 1
+            held = blocks_on.get(node_id)
+            if held is None:
+                blocks_on[node_id] = {block_id}
+            else:
+                held.add(block_id)
+        nn.replica_version += len(self)
         if len(self) < rf:
             # short placement (fewer slaves than the replication factor):
             # under-replicated from birth, not only after a discard
@@ -215,14 +228,25 @@ class NameNode:
         self._next_file_id += 1
         blocks = inode.allocate_blocks(size_bytes, self._next_block_id, self.block_size)
         self._next_block_id += len(blocks)
+        # one pass per block: place it, index its replicas, store them
+        choose_targets = self.placement.choose_targets
+        block_map = self.blocks
+        locations = self._locations
+        locs_by_id = self._locs_by_id
+        datanodes = self.datanodes
         for block in blocks:
-            targets = self.placement.choose_targets(replication, writer)
-            self.blocks[block.block_id] = block
-            locs = ReplicaSet(self, block.block_id, replication, tuple(targets))
-            self._locations[block.block_id] = locs
-            self._locs_by_id.append(locs)
+            block_id = block.block_id
+            targets = choose_targets(replication, writer)
+            block_map[block_id] = block
+            locs = locations[block_id] = ReplicaSet(
+                self, block_id, replication, targets
+            )
+            locs_by_id.append(locs)
             for t in targets:
-                self.datanode(t).store_static(block)
+                dn = datanodes.get(t)
+                if dn is None:
+                    dn = self.datanode(t)
+                dn.store_static(block)
         self.files[name] = inode
         return inode
 
@@ -395,7 +419,10 @@ class NameNode:
         no DataNode is a claim of the first kind.
         """
         datanodes = self.datanodes
-        for block_id, locs in self._locations.items():
+        locations = self._locations
+        # cheap membership tests first: the outbox scans only run for the
+        # rare claim or stored block that they are left to excuse
+        for block_id, locs in locations.items():
             for node_id in locs:
                 dn = datanodes.get(node_id)
                 if dn is None:
@@ -403,10 +430,11 @@ class NameNode:
                         f"NameNode claims block {block_id} on node {node_id}, "
                         "which has no DataNode"
                     )
-                pending_inval = any(
+                if dn.has_block(block_id) or block_id in dn.pending_deletion:
+                    continue
+                if not any(
                     c.op == DNA_INVALIDATE and c.block_id == block_id for c in dn.outbox
-                ) or block_id in dn.pending_deletion
-                if not dn.has_block(block_id) and not pending_inval:
+                ):
                     raise AssertionError(
                         f"NameNode claims block {block_id} on node {node_id}, "
                         "but the DataNode does not store it"
@@ -415,10 +443,9 @@ class NameNode:
             if not (dn.static_blocks or dn.dynamic_blocks):
                 continue  # e.g. a node that only ran maps
             for bid in dn.stored_block_ids():
-                pending_ann = any(
-                    c.op == DNA_DYNREPL and c.block_id == bid for c in dn.outbox
-                )
-                if node_id not in self._locations[bid] and not pending_ann:
+                if node_id in locations[bid]:
+                    continue
+                if not any(c.op == DNA_DYNREPL and c.block_id == bid for c in dn.outbox):
                     raise AssertionError(
                         f"node {node_id} stores block {bid} unknown to the NameNode"
                     )

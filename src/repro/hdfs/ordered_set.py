@@ -26,9 +26,7 @@ class OrderedSet(Dict[T, None]):
     __slots__ = ()
 
     def __init__(self, iterable: Iterable[T] = ()) -> None:
-        dict.__init__(self)
-        for item in iterable:
-            dict.__setitem__(self, item, None)
+        dict.__init__(self, dict.fromkeys(iterable))
 
     # -- set mutations -------------------------------------------------------
 

@@ -9,12 +9,16 @@ Hadoop's actual behaviour there too.
 
 Draws are order statistics over rack shards: instead of materialising an
 O(N) candidate list per replica (ruinous at 10k-100k nodes), the policy
-draws ``randrange(n_candidates)`` and resolves the k-th eligible node with
-a bisect over per-rack sorted id arrays.  ``random.Random.choice(seq)`` and
-``randrange(len(seq))`` consume the identical underlying ``_randbelow``
-stream, so placements are byte-identical to the candidate-list
-implementation — ``tests/test_properties_scale.py`` holds this property
-against a candidate-list oracle.
+draws an index below the candidate count and resolves the k-th eligible
+node with a bisect over ascending id lists: the slave list minus the
+first replica's rack for the off-rack second replica, the second's rack
+for the third.  Each index comes from the generator's ``_randbelow(n)``,
+the call that both ``randrange(n)`` and ``choice(seq)`` (with
+``n = len(seq)``) make on CPython 3.10-3.12, so placements, and the
+generator's state after them, are identical to the candidate-list
+implementation: ``tests/test_properties_scale.py`` holds this against a
+standalone candidate-list oracle that calls ``choice`` over the
+materialised lists.
 """
 
 from __future__ import annotations
@@ -89,36 +93,6 @@ class DefaultPlacementPolicy:
         self._id_set = frozenset(self.slave_ids)
         self._rack_ids = rack_ids
 
-    def _random_slave(self, exclude: set) -> Optional[int]:
-        ex = [n for n in exclude if n in self._id_set]
-        n_cand = len(self.slave_ids) - len(ex)
-        if n_cand <= 0:
-            return None
-        k = self._rng.randrange(n_cand)
-        return _kth_excluding(self.slave_ids, sorted(ex), k)
-
-    def _random_slave_in_rack(self, rack: int, exclude: set) -> Optional[int]:
-        rack_ids = self._rack_ids.get(rack, [])
-        rack_of = self.topology.rack_of
-        ex = [
-            n for n in exclude if n in self._id_set and int(rack_of[n]) == rack
-        ]
-        n_cand = len(rack_ids) - len(ex)
-        if n_cand <= 0:
-            return None
-        k = self._rng.randrange(n_cand)
-        return _kth_excluding(rack_ids, sorted(ex), k)
-
-    def _random_slave_off_rack(self, rack: int, exclude: set) -> Optional[int]:
-        rack_ids = self._rack_ids.get(rack, [])
-        skip = {n for n in exclude if n in self._id_set}
-        skip.update(rack_ids)
-        n_cand = len(self.slave_ids) - len(skip)
-        if n_cand <= 0:
-            return None
-        k = self._rng.randrange(n_cand)
-        return _kth_excluding(self.slave_ids, sorted(skip), k)
-
     def choose_targets(
         self,
         n_replicas: int,
@@ -127,42 +101,43 @@ class DefaultPlacementPolicy:
         """Pick replica target nodes per the default policy."""
         if n_replicas < 1:
             raise ValueError("need at least one replica")
-        n_replicas = min(n_replicas, len(self.slave_ids))
-        chosen: List[int] = []
-        used: set = set()
+        ids = self.slave_ids
+        n = len(ids)
+        if n_replicas > n:
+            n_replicas = n
+        # what randrange(k) calls for k > 0 (see the module docstring)
+        randbelow = self._rng._randbelow
 
         # replica 1: writer node if it is a slave, else random
-        first = writer if writer in self._id_set else self._random_slave(used)
-        chosen.append(first)
-        used.add(first)
-        if len(chosen) == n_replicas:
-            return chosen
+        first = writer if writer in self._id_set else ids[randbelow(n)]
+        if n_replicas == 1:
+            return [first]
 
-        # replica 2: different rack if one exists
-        rack1 = int(self.topology.rack_of[first])
-        second = self._random_slave_off_rack(rack1, used)
-        if second is None:
-            second = self._random_slave(used)
-        if second is not None:
-            chosen.append(second)
-            used.add(second)
-        if len(chosen) >= n_replicas:
-            return chosen[:n_replicas]
+        # replica 2: a node off the first's rack if one exists, else any
+        # other node (then every slave shares that rack)
+        rack_of = self.topology.rack_of
+        rack1 = self._rack_ids[rack_of.item(first)]
+        n_off = n - len(rack1)
+        if n_off:
+            second = _kth_excluding(ids, rack1, randbelow(n_off))
+        else:
+            second = _kth_excluding(ids, [first], randbelow(n - 1))
+        if n_replicas == 2:
+            return [first, second]
 
-        # replica 3: same rack as replica 2
-        rack2 = int(self.topology.rack_of[chosen[-1]])
-        third = self._random_slave_in_rack(rack2, used)
-        if third is None:
-            third = self._random_slave(used)
-        if third is not None:
-            chosen.append(third)
-            used.add(third)
+        # replica 3: another node on the second's rack if one exists; when
+        # that rack holds the first too, it holds every slave
+        rack2 = self._rack_ids[rack_of.item(second)] if n_off else ()
+        if len(rack2) > 1:
+            third = _kth_excluding(rack2, [second], randbelow(len(rack2) - 1))
+        else:
+            pair = [first, second] if first < second else [second, first]
+            third = _kth_excluding(ids, pair, randbelow(n - 2))
+        chosen = [first, second, third]
 
         # replicas 4+: random remaining nodes
         while len(chosen) < n_replicas:
-            nxt = self._random_slave(used)
-            if nxt is None:
-                break
-            chosen.append(nxt)
-            used.add(nxt)
+            chosen.append(
+                _kth_excluding(ids, sorted(chosen), randbelow(n - len(chosen)))
+            )
         return chosen

@@ -33,17 +33,18 @@ def popularity_indices(
     workload-specific popularity assignment.  A slave without a DataNode
     stores nothing: its PI is zero, and it still counts in the cv.
     """
-    file_pop = {
-        inode.file_id: access_counts.get(name, 0)
+    # each block's term, so the walk over stored replicas is one lookup each
+    weight = {
+        block.block_id: block.size_bytes * access_counts.get(name, 0)
         for name, inode in namenode.files.items()
+        for block in inode.blocks
     }
     # slaves are nodes 1..n-1, so slave i's entry is index i - 1
     pis = np.zeros(namenode.cluster.n_slaves)
     for node_id, dn in namenode.datanodes.items():
         pi = 0.0
         for bid in dn.stored_block_ids():
-            block = namenode.block(bid)
-            pi += block.size_bytes * file_pop[block.file_id]
+            pi += weight[bid]
         pis[node_id - 1] = pi
     return pis
 

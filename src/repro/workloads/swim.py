@@ -14,6 +14,7 @@ under control (wl1 small-job dominated, wl2 with periodic large jobs).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from typing import Dict, List, NamedTuple, Optional
 
@@ -152,6 +153,24 @@ def _arrival_times(params: SwimParams, rng: np.random.Generator) -> np.ndarray:
     return np.asarray(times)
 
 
+def _choice_cdf(p: np.ndarray) -> List[float]:
+    """The normalised cumulative weights ``Generator.choice(len(p), p=p)``
+    searches.
+
+    For one draw, ``choice`` takes ``cdf = p.cumsum(); cdf /= cdf[-1]``,
+    one ``random()`` and ``cdf.searchsorted(u, side="right")``, so
+    ``bisect_right`` over this list with the next ``rng.random()`` picks
+    the same index and leaves the generator in the same state, without
+    ``choice``'s per-call argument checks.  ``tests/test_workloads.py``
+    holds the equivalence against a per-job ``choice`` loop.
+    """
+    if not (p >= 0).all():
+        raise ValueError("probabilities are not non-negative")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
 def synthesize_workload(
     params: SwimParams,
     rng: np.random.Generator,
@@ -165,20 +184,20 @@ def synthesize_workload(
     for c in _CLASSES:
         if not class_indices[c]:
             raise ValueError(f"catalog has no {c!r} files")
-    class_weights = {
-        c: zipf_weights(len(class_indices[c]), params.zipf_s) for c in _CLASSES
+    class_cdf = {
+        c: _choice_cdf(zipf_weights(len(class_indices[c]), params.zipf_s))
+        for c in _CLASSES
     }
+    mix_cdf = _choice_cdf(np.asarray(params.class_mix) / sum(params.class_mix))
     arrivals = _arrival_times(params, rng)
     specs: List[JobSpec] = []
     for i in range(params.n_jobs):
         if params.large_period and i % params.large_period == 0:
             size_class = "large"
         else:
-            size_class = _CLASSES[
-                int(rng.choice(3, p=np.asarray(params.class_mix) / sum(params.class_mix)))
-            ]
+            size_class = _CLASSES[bisect_right(mix_cdf, rng.random())]
         members = class_indices[size_class]
-        fidx = members[int(rng.choice(len(members), p=class_weights[size_class]))]
+        fidx = members[bisect_right(class_cdf[size_class], rng.random())]
         fspec = catalog[fidx]
         n_reduces = max(1, min(20, fspec.n_blocks // 6))
         specs.append(

@@ -174,6 +174,65 @@ class TestHeartbeatControlPlane:
             nn.check_integrity()
 
 
+class TestIntegrityExemptions:
+    """Each way ``check_integrity`` excuses a lagging view, and each way
+    it refuses one, pinned one state at a time."""
+
+    @staticmethod
+    def _dynamic_replica(nn, announced):
+        """A dynamic replica of a "hot" block on a node without a static
+        one, its DNA_DYNREPL applied (``announced``) or still queued."""
+        blk = nn.file("hot").blocks[0]
+        outsider = next(
+            nid for nid in nn.cluster.slave_ids if nid not in nn.locations(blk.block_id)
+        )
+        dn = nn.datanode(outsider)
+        dn.dynamic_capacity_bytes = DEFAULT_BLOCK_SIZE
+        dn.insert_dynamic(blk, now=1.0)
+        if announced:
+            nn.process_heartbeat(outsider, now=2.0)
+        return blk.block_id, outsider, dn
+
+    def test_claim_excused_by_a_queued_invalidate(self, loaded_namenode):
+        nn = loaded_namenode
+        bid, node, dn = self._dynamic_replica(nn, announced=True)
+        dn.mark_for_deletion(bid, 3.0)
+        dn.complete_deletions()  # dropped before the heartbeat reports it
+        assert not dn.has_block(bid) and bid not in dn.pending_deletion
+        assert node in nn.locations(bid)
+        nn.check_integrity()
+        dn.outbox.clear()  # without the queued DNA_INVALIDATE: refused
+        with pytest.raises(AssertionError, match="does not store"):
+            nn.check_integrity()
+
+    def test_claim_excused_by_a_pending_deletion(self, loaded_namenode):
+        nn = loaded_namenode
+        bid, node, dn = self._dynamic_replica(nn, announced=True)
+        dn.mark_for_deletion(bid, 3.0)
+        dn.outbox.clear()  # only the pending deletion is left to excuse it
+        assert not dn.has_block(bid) and bid in dn.pending_deletion
+        nn.check_integrity()
+        dn.complete_deletions()  # dropped, and nothing queued: refused
+        with pytest.raises(AssertionError, match="does not store"):
+            nn.check_integrity()
+
+    def test_stored_block_unknown_to_the_namenode(self, loaded_namenode):
+        nn = loaded_namenode
+        bid, node, dn = self._dynamic_replica(nn, announced=True)
+        nn.locations(bid).discard(node)
+        with pytest.raises(AssertionError, match="unknown to the NameNode"):
+            nn.check_integrity()
+
+    def test_stored_block_excused_by_a_queued_dynrepl(self, loaded_namenode):
+        nn = loaded_namenode
+        bid, node, dn = self._dynamic_replica(nn, announced=False)
+        assert node not in nn.locations(bid)
+        nn.check_integrity()
+        dn.outbox.clear()  # the announcement lost: refused
+        with pytest.raises(AssertionError, match="unknown to the NameNode"):
+            nn.check_integrity()
+
+
 class TestProtocolValidation:
     def test_unknown_op_rejected(self):
         cmd = DatanodeCommand("DNA_WHATEVER", 1, 2, 0.0)

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.config import DareConfig
+from repro.experiments.runner import ExperimentConfig, Simulation
 from repro.metrics.collector import JobRecord, MetricsCollector
 from repro.metrics.locality import LocalityStats, cluster_locality, mean_job_locality
 from repro.metrics.placement import (
@@ -98,6 +100,22 @@ class TestPlacement:
     def test_unread_files_contribute_zero(self, loaded_namenode):
         pis = popularity_indices(loaded_namenode, {})
         assert pis.sum() == 0.0
+
+    def test_popularity_indices_equal_a_per_replica_walk(self, wl1_small):
+        # a greedy-LRU run leaves dynamic replicas beside the static ones
+        sim = Simulation(ExperimentConfig(dare=DareConfig.greedy_lru()), wl1_small)
+        sim.run()
+        nn = sim.namenode
+        assert any(dn.dynamic_blocks for dn in nn.datanodes.values())
+        counts = wl1_small.access_counts()
+        expected = np.zeros(nn.cluster.n_slaves)
+        for node_id, dn in nn.datanodes.items():
+            pi = 0.0
+            for bid in dn.stored_block_ids():
+                block = nn.block(bid)
+                pi += block.size_bytes * counts.get(block.inode.name, 0)
+            expected[node_id - 1] = pi
+        assert popularity_indices(nn, counts).tolist() == expected.tolist()
 
 
 class TestCollector:

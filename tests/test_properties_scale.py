@@ -6,9 +6,10 @@ inputs:
 
 * ``_kth_excluding`` (the placement order statistic) against filtering
   the candidate list;
-* the full :class:`DefaultPlacementPolicy` against a candidate-list
-  oracle driven by an identically seeded RNG — the two must consume the
-  same ``_randbelow`` stream draw for draw;
+* the full :class:`DefaultPlacementPolicy` against a standalone
+  candidate-list oracle driven by an identically seeded RNG, on the CCT,
+  EC2 and scale topologies — the two must consume the same
+  ``_randbelow`` stream draw for draw;
 * ``NameNode.new_holders`` (Scarlett and repair targets) against
   ``rng.choice`` over the list of alive slaves without the block;
 * the NameNode's rack-sharded replica indexes (``rack_counts``, the
@@ -25,7 +26,7 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.cluster import Cluster, scale_spec
+from repro.cluster.cluster import CCT_SPEC, EC2_SPEC, Cluster, scale_spec
 from repro.hdfs.block import DEFAULT_BLOCK_SIZE
 from repro.hdfs.namenode import NameNode
 from repro.hdfs.placement import DefaultPlacementPolicy, _kth_excluding
@@ -52,52 +53,69 @@ def test_kth_excluding_matches_list_filter(data):
     assert _kth_excluding(ids, skip, k) == remaining[k]
 
 
-class _CandidateListPlacement(DefaultPlacementPolicy):
-    """Oracle: each draw materialises its O(N) candidate list."""
+class _CandidateListPlacement:
+    """Oracle: Hadoop's default placement, each replica a ``choice`` over
+    its materialised O(N) candidate list.
 
-    def _random_slave(self, exclude):
-        candidates = [n for n in self.slave_ids if n not in exclude]
+    Standalone on purpose: it shares no code with the policy under test,
+    so the comparison holds the direct ``_randbelow`` draws against the
+    lists they stand for, draw for draw.
+    """
+
+    def __init__(self, slave_ids, topology, rng):
+        self.slave_ids = sorted(slave_ids)
+        self.rack_of = topology.rack_of.tolist()
+        self._rng = rng
+
+    def _draw(self, chosen, keep=lambda n: True):
+        candidates = [n for n in self.slave_ids if n not in chosen and keep(n)]
         return self._rng.choice(candidates) if candidates else None
 
-    def _random_slave_in_rack(self, rack, exclude):
-        rack_of = self.topology.rack_of
-        candidates = [
-            n for n in self.slave_ids if n not in exclude and rack_of[n] == rack
-        ]
-        return self._rng.choice(candidates) if candidates else None
+    def choose_targets(self, n_replicas, writer=None):
+        rack_of = self.rack_of
+        n_replicas = min(n_replicas, len(self.slave_ids))
+        first = writer if writer in self.slave_ids else self._draw([])
+        chosen = [first]
+        if n_replicas > 1:
+            second = self._draw(chosen, lambda n: rack_of[n] != rack_of[first])
+            if second is None:
+                second = self._draw(chosen)
+            chosen.append(second)
+        if n_replicas > 2:
+            third = self._draw(chosen, lambda n: rack_of[n] == rack_of[second])
+            if third is None:
+                third = self._draw(chosen)
+            chosen.append(third)
+        while len(chosen) < n_replicas:
+            chosen.append(self._draw(chosen))
+        return chosen
 
-    def _random_slave_off_rack(self, rack, exclude):
-        rack_of = self.topology.rack_of
-        candidates = [
-            n for n in self.slave_ids if n not in exclude and rack_of[n] != rack
-        ]
-        return self._rng.choice(candidates) if candidates else None
 
-
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
     st.integers(0, 2**31 - 1),
-    st.integers(3, 60),
+    st.one_of(
+        st.sampled_from([CCT_SPEC, EC2_SPEC]),
+        st.integers(3, 1000).map(scale_spec),
+    ),
     st.integers(1, 6),
 )
-def test_placement_fast_path_matches_candidate_list(seed, n_nodes, rf):
-    """Order-statistic draws == candidate-list draws, stream for stream."""
-    spec = scale_spec(n_nodes)
+def test_placement_fast_path_matches_candidate_list(seed, spec, rf):
+    """Order-statistic draws == candidate-list draws, stream for stream:
+    the same targets, and the generator left in the same state."""
     cluster = Cluster(spec, RandomStreams(seed))
+    fast_rng, ref_rng = random.Random(seed), random.Random(seed)
     fast = DefaultPlacementPolicy(
-        cluster.slave_ids,
-        cluster.slaves_by_rack,
-        cluster.topology,
-        random.Random(seed),
+        cluster.slave_ids, cluster.slaves_by_rack, cluster.topology, fast_rng
     )
-    # the oracle's draws scan slave_ids and never read the rack grouping
-    ref = _CandidateListPlacement(
-        cluster.slave_ids, {}, cluster.topology, random.Random(seed)
-    )
+    ref = _CandidateListPlacement(cluster.slave_ids, cluster.topology, ref_rng)
     writers = random.Random(seed + 1)
-    for _ in range(20):
-        writer = writers.choice([None, 0] + cluster.slave_ids)
+    for i in range(24):
+        # no writer (a load from outside), the master (not a DataNode),
+        # or a slave
+        writer = (None, 0, writers.choice(cluster.slave_ids))[i % 3]
         assert fast.choose_targets(rf, writer) == ref.choose_targets(rf, writer)
+    assert fast_rng.getstate() == ref_rng.getstate()
 
 
 @settings(max_examples=25, deadline=None)

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.mapreduce.job import JobSpec
 from repro.workloads.catalog import FileCatalog, FileSpec, generate_catalog
 from repro.workloads.popularity import PopularityModel, access_cdf, zipf_weights
 from repro.workloads.swim import (
     WL1_PARAMS,
     WL2_PARAMS,
+    _arrival_times,
     synthesize_wl1,
     synthesize_wl2,
     synthesize_workload,
@@ -132,3 +134,66 @@ class TestSwimSynthesis:
         with pytest.raises(ValueError, match="no 'medium'"):
             synthesize_workload(WL1_PARAMS._replace(n_jobs=10),
                                 np.random.default_rng(0), cat)
+
+
+def _synthesize_with_choice(params, rng):
+    """Reference synthesis: one ``Generator.choice(n, p=...)`` per draw.
+
+    The loop ``synthesize_workload`` ran before it bisected over
+    cumulative weights computed once per trace; the two must agree on
+    every spec and leave the generator in the same state.
+    """
+    catalog = generate_catalog(rng, **params.catalog_kwargs)
+    classes = ("small", "medium", "large")
+    class_indices = {c: catalog.by_class(c) for c in classes}
+    class_weights = {
+        c: zipf_weights(len(class_indices[c]), params.zipf_s) for c in classes
+    }
+    arrivals = _arrival_times(params, rng)
+    specs = []
+    for i in range(params.n_jobs):
+        if params.large_period and i % params.large_period == 0:
+            size_class = "large"
+        else:
+            size_class = classes[
+                int(rng.choice(3, p=np.asarray(params.class_mix) / sum(params.class_mix)))
+            ]
+        members = class_indices[size_class]
+        fidx = members[int(rng.choice(len(members), p=class_weights[size_class]))]
+        fspec = catalog[fidx]
+        specs.append(
+            JobSpec(
+                job_id=i,
+                submit_time=float(arrivals[i]),
+                input_file=fspec.name,
+                map_cpu_s=float(rng.lognormal(*params.map_cpu)),
+                n_reduces=max(1, min(20, fspec.n_blocks // 6)),
+                reduce_cpu_s=float(rng.lognormal(*params.reduce_cpu)),
+                shuffle_ratio=float(rng.uniform(0.2, 0.7)),
+                output_ratio=float(rng.uniform(0.1, 0.4)),
+            )
+        )
+    return catalog, specs
+
+
+class TestSynthesisMatchesChoice:
+    """The bisect draws stand for ``Generator.choice`` exactly; this is
+    the guard on numpy's ``choice`` internals across numpy versions."""
+
+    @pytest.mark.parametrize("params", [WL1_PARAMS, WL2_PARAMS], ids=["wl1", "wl2"])
+    @pytest.mark.parametrize("n_jobs", [1, 7, 60, 500, 2000])
+    def test_same_specs_catalog_and_generator_state(self, params, n_jobs):
+        params = params._replace(n_jobs=n_jobs)
+        for seed in (0, 7, 20110926, 2**40 + 3):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            wl = synthesize_workload(params, rng)
+            catalog, specs = _synthesize_with_choice(params, ref_rng)
+            assert wl.specs == specs
+            assert wl.catalog.files == catalog.files
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_negative_class_mix_rejected(self):
+        # choice refused such weights; the cumulative weights refuse them too
+        params = WL1_PARAMS._replace(n_jobs=5, class_mix=(1.2, -0.1, -0.1))
+        with pytest.raises(ValueError, match="not non-negative"):
+            synthesize_workload(params, np.random.default_rng(0))
