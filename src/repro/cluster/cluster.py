@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from bisect import insort
 from functools import cached_property
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -172,6 +172,12 @@ class Cluster:
 
     Node 0 is the master (NameNode + JobTracker host) and runs no tasks and
     stores no blocks, mirroring the paper's "1 master, N-1 slaves" setups.
+
+    Every node's hardware is drawn at construction.  A mesoscale cluster
+    builds a slave's :class:`Node` from those draws only when
+    :meth:`node` first asks for it (in practice: when it gets a DataNode
+    or a TaskTracker, or stops); any other cluster builds every node up
+    front.
     """
 
     def __init__(self, spec: ClusterSpec, streams: RandomStreams) -> None:
@@ -194,39 +200,55 @@ class Cluster:
         )
         # every node's disk bandwidth in one call: the same floats as one
         # draw per node (DiskModel.sample_nodes)
-        disk_bw = (
-            DiskModel(spec.disk, streams.numpy("cluster.disk"))
-            .sample_nodes(spec.n_nodes)
-            .tolist()
+        disk_bw = DiskModel(spec.disk, streams.numpy("cluster.disk")).sample_nodes(
+            spec.n_nodes
         )
         net_rng = streams.numpy("cluster.node-nics")
         if spec.lite_network:
             # lite model: the node's own sampled line rate, jittered
-            nic_bw = (
-                self.network._node_bw * net_rng.uniform(0.97, 1.03, size=spec.n_nodes)
-            ).tolist()
+            nic_bw = self.network._node_bw * net_rng.uniform(
+                0.97, 1.03, size=spec.n_nodes
+            )
         else:
             # steady per-node NIC capacity: mean of this node's pair
             # bandwidths
-            nic_bw = []
+            nic_list = []
             for pair_bws in self.network._pair_bw:
                 finite = pair_bws[np.isfinite(pair_bws)]
                 nic = float(finite.mean()) if finite.size else spec.network.bw_mean
-                nic_bw.append(nic * float(net_rng.uniform(0.97, 1.03)))
-        racks = self.topology.rack_of.tolist()
-        m, r, storage = spec.map_slots, spec.reduce_slots, spec.storage_bytes
-        # positional Node(node_id, rack, disk_bw_mbps, net_bw_mbps,
-        # map_slots, reduce_slots, storage_bytes, is_master): one call per
-        # node, and keywords cost ~25% more at 100k nodes
-        self.nodes: List[Node] = [
-            Node(0, racks[0], disk_bw[0], nic_bw[0], 0, 0, storage, True)
-        ]
-        self.nodes += [
-            Node(i, rack, disk, nic, m, r, storage)
-            for i, rack, disk, nic in zip(
-                range(1, spec.n_nodes), racks[1:], disk_bw[1:], nic_bw[1:]
-            )
-        ]
+                nic_list.append(nic * float(net_rng.uniform(0.97, 1.03)))
+            nic_bw = np.array(nic_list)
+        storage = spec.storage_bytes
+        master = Node(0, self.topology.rack_of.item(0), disk_bw.item(0),
+                      nic_bw.item(0), 0, 0, storage, True)
+        #: every node by id, the master first.  A mesoscale cluster holds
+        #: None for a slave until :meth:`node` builds it; an unbuilt node
+        #: is alive with no contention
+        self.nodes: List[Optional[Node]]
+        #: (disk, NIC) bandwidth per node id while some node is unbuilt,
+        #: else None
+        self._columns: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        if spec.mesoscale:
+            # only nodes that get a DataNode or a TaskTracker are ever
+            # built: ~4% of a 100k-node cell's slaves
+            self.nodes = [master] + [None] * (spec.n_nodes - 1)
+            self._columns = (disk_bw, nic_bw)
+        else:
+            # every slave gets a TaskTracker at start: build them all now,
+            # in one pass (positional Node(node_id, rack, disk_bw_mbps,
+            # net_bw_mbps, map_slots, reduce_slots, storage_bytes); keywords
+            # cost ~25% more at 100k nodes)
+            m, r = spec.map_slots, spec.reduce_slots
+            self.nodes = [master]
+            self.nodes += [
+                Node(i, rack, disk, nic, m, r, storage)
+                for i, rack, disk, nic in zip(
+                    range(1, spec.n_nodes),
+                    self.topology.rack_of[1:].tolist(),
+                    disk_bw[1:].tolist(),
+                    nic_bw[1:].tolist(),
+                )
+            ]
         #: ascending ids of the stopped slaves (see :meth:`stop_node`)
         self.dead_slaves: List[int] = []
 
@@ -239,18 +261,22 @@ class Cluster:
 
     @property
     def slaves(self) -> List[Node]:
-        """All worker nodes (DataNode + TaskTracker)."""
+        """All worker nodes (DataNode + TaskTracker), every one built."""
+        if self._columns is not None:
+            self._build_all()
         return self.nodes[1:]
 
     @property
     def slave_ids(self) -> List[int]:
         """Node ids of the workers."""
-        return [n.node_id for n in self.slaves]
+        if self._columns is None:  # every node built: share their id ints
+            return [n.node_id for n in self.nodes[1:]]
+        return list(range(1, self.spec.n_nodes))
 
     @property
     def n_slaves(self) -> int:
         """Worker count."""
-        return len(self.nodes) - 1
+        return self.spec.n_nodes - 1
 
     @cached_property
     def slaves_by_rack(self) -> Dict[int, List[int]]:
@@ -259,31 +285,80 @@ class Cluster:
         Built once and shared, not copied, by the default placement
         policy and the mesoscale rack hubs.
         """
-        by_rack: Dict[int, List[int]] = {}
-        for node_id, rack in enumerate(self.topology.rack_of[1:].tolist(), 1):
-            by_rack.setdefault(rack, []).append(node_id)
-        return {rack: by_rack[rack] for rack in sorted(by_rack)}
+        racks = self.topology.rack_of[1:]
+        order = np.argsort(racks, kind="stable")  # ids ascending per rack
+        ranked = racks[order]
+        ids = (order + 1).tolist()
+        bounds = [0, *(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), len(ids)]
+        return {
+            rack: ids[lo:hi]
+            for rack, lo, hi in zip(ranked[bounds[:-1]].tolist(), bounds, bounds[1:])
+        }
 
-    # node slot counts never change after __init__: sum them once (the
-    # slowdown metric reads both totals once per job)
-    @cached_property
+    @property
     def total_map_slots(self) -> int:
         """Cluster-wide map slot count."""
-        return sum(n.map_slots for n in self.slaves)
+        return self.n_slaves * self.spec.map_slots
 
-    @cached_property
+    @property
     def total_reduce_slots(self) -> int:
         """Cluster-wide reduce slot count."""
-        return sum(n.reduce_slots for n in self.slaves)
+        return self.n_slaves * self.spec.reduce_slots
+
+    def slave_bandwidths(self) -> Tuple[List[float], List[float]]:
+        """Every slave's disk and NIC bandwidth (MB/s) in id order; builds
+        no node."""
+        if self._columns is None:
+            slaves = self.nodes[1:]
+            return [n.disk_bw_mbps for n in slaves], [n.net_bw_mbps for n in slaves]
+        disk_bw, nic_bw = self._columns
+        return disk_bw[1:].tolist(), nic_bw[1:].tolist()
 
     def node(self, node_id: int) -> Node:
-        """Node by id."""
-        return self.nodes[node_id]
+        """Node by id; a mesoscale cluster builds it on first use.
+
+        Raises ``IndexError`` naming an id outside ``[0, n_nodes)``.
+        """
+        if node_id >= 0:
+            try:
+                node = self.nodes[node_id]
+            except IndexError:
+                pass
+            else:
+                return node if node is not None else self._build(node_id)
+        raise IndexError(
+            f"node id {node_id} is outside [0, {self.spec.n_nodes}) "
+            f"({self.spec.name!r} has {self.spec.n_nodes} nodes)"
+        )
+
+    def _build(self, node_id: int) -> Node:
+        """Build slave ``node_id`` from its set-up draws."""
+        spec = self.spec
+        disk_bw, nic_bw = self._columns
+        node = self.nodes[node_id] = Node(
+            node_id,
+            self.topology.rack_of.item(node_id),
+            disk_bw.item(node_id),
+            nic_bw.item(node_id),
+            spec.map_slots,
+            spec.reduce_slots,
+            spec.storage_bytes,
+        )
+        return node
+
+    def _build_all(self) -> None:
+        """Build every unbuilt slave; the set-up draws go."""
+        nodes = self.nodes
+        for node_id in range(1, len(nodes)):
+            if nodes[node_id] is None:
+                self._build(node_id)
+        self._columns = None
 
     def stop_node(self, node_id: int) -> None:
         """A slave's machine stops: the one writer of ``Node.alive = False``
-        and of :attr:`dead_slaves`, which it keeps ascending."""
-        self.nodes[node_id].alive = False
+        and of :attr:`dead_slaves`, which it keeps ascending.  An unbuilt
+        node is built first, so ``Node.alive`` stays the one record."""
+        self.node(node_id).alive = False
         insort(self.dead_slaves, node_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

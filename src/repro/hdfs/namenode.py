@@ -294,11 +294,10 @@ class NameNode:
         """
         dn = self.datanodes.get(node_id)
         if dn is None:
-            nodes = self.cluster.nodes
-            if not 0 <= node_id < len(nodes) or nodes[node_id].is_master:
+            if not 0 < node_id < self.cluster.spec.n_nodes:  # node 0 is the master
                 raise KeyError(node_id)
             dn = self.datanodes[node_id] = DataNode(
-                nodes[node_id],
+                self.cluster.node(node_id),
                 self.dynamic_capacity_bytes,
                 tracer=self.tracer,
                 control=self.control_by_rack[self._rack_of[node_id]],

@@ -47,6 +47,12 @@ def _kth_excluding(ids: List[int], skip_sorted: List[int], k: int) -> int:
     return ids[idx]
 
 
+def _holds(ids: List[int], node_id: int) -> bool:
+    """True when ascending ``ids`` holds ``node_id`` (one bisect)."""
+    pos = bisect_left(ids, node_id)
+    return pos < len(ids) and ids[pos] == node_id
+
+
 class Excluding:
     """Ascending ``ids`` minus ``skip`` (a subset of them), built on demand.
 
@@ -90,7 +96,6 @@ class DefaultPlacementPolicy:
         self.slave_ids = sorted(slave_ids)
         self.topology = topology
         self._rng = rng
-        self._id_set = frozenset(self.slave_ids)
         self._rack_ids = rack_ids
 
     def choose_targets(
@@ -109,7 +114,10 @@ class DefaultPlacementPolicy:
         randbelow = self._rng._randbelow
 
         # replica 1: writer node if it is a slave, else random
-        first = writer if writer in self._id_set else ids[randbelow(n)]
+        if writer is not None and _holds(ids, writer):
+            first = writer
+        else:
+            first = ids[randbelow(n)]
         if n_replicas == 1:
             return [first]
 

@@ -151,7 +151,8 @@ class HeartbeatHub:
         """
         if tt is not None:
             tt.beat()
-        elif self.jobtracker.cluster.nodes[node_id].alive:
+        # an unbuilt node (None) has never been stopped
+        elif (node := self.jobtracker.cluster.nodes[node_id]) is None or node.alive:
             self.jobtracker.heartbeat(node_id, None, self.promote)
 
     def _tick(self) -> None:
@@ -161,7 +162,7 @@ class HeartbeatHub:
         free_map = jt.slots.free_map
         free_reduce = jt.slots.free_reduce
         trackers = jt.tasktrackers
-        nodes = jt.cluster.nodes
+        nodes = jt.cluster.nodes  # None for an unbuilt (alive) node
         self.ticks += 1
 
         budget = jt.pending_work_units()
@@ -189,7 +190,7 @@ class HeartbeatHub:
             # a dead member cannot take an offer: charging it a budget
             # unit would stall a rack whose only pending work is one task
             offer = (budget > 0 and (free_map[nid] > 0 or free_reduce[nid] > 0)
-                     and nodes[nid].alive)
+                     and ((node := nodes[nid]) is None or node.alive))
             if not control and not offer:
                 continue
             before = jt.sched_version

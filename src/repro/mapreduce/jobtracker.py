@@ -10,6 +10,7 @@ than ``id(task)``, which dangles across a pickle round-trip.
 
 from __future__ import annotations
 
+from array import array
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
@@ -134,10 +135,12 @@ class JobTracker:
         self.finished = False
         #: dense free/capacity slot counters for every node (TaskTrackers
         #: read and write their own entry; the heartbeat hubs scan the raw
-        #: arrays)
-        nodes = cluster.nodes
+        #: arrays): the spec's counts on every slave, none on the master
+        spec = cluster.spec
+        master, n_slaves = array("l", [0]), cluster.n_slaves
         self.slots = SlotStore(
-            [n.map_slots for n in nodes], [n.reduce_slots for n in nodes]
+            master + array("l", [spec.map_slots]) * n_slaves,
+            master + array("l", [spec.reduce_slots]) * n_slaves,
         )
         self.tasktrackers: Dict[int, TaskTracker] = {}
         #: per-rack heartbeat actors (mesoscale mode)

@@ -49,9 +49,9 @@ class TaskTimeModel:
         self._rng = rng
         self.overhead_s = overhead_s
         # cluster-wide means used by the ideal-runtime (slowdown) model
-        slaves = cluster.slaves
-        self.mean_disk_bw = sum(n.disk_bw_mbps for n in slaves) / len(slaves)
-        self.mean_net_bw = sum(n.net_bw_mbps for n in slaves) / len(slaves)
+        disk_bw, net_bw = cluster.slave_bandwidths()
+        self.mean_disk_bw = sum(disk_bw) / len(disk_bw)
+        self.mean_net_bw = sum(net_bw) / len(net_bw)
 
     # -- source selection ---------------------------------------------------
 

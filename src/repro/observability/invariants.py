@@ -55,6 +55,10 @@ throttled by ``full_sweep_every`` records, a full sweep additionally asserts:
   map-ready job's delay clock runs and none may launch REMOTE at
   ``now``: the two facts that let an offer from a rack without a replica
   be refused without a walk.
+* **Node identity** — every built DataNode's and TaskTracker's ``node`` is
+  the object ``Cluster.node`` returns, and every id in
+  ``Cluster.dead_slaves`` is built with ``alive`` False (a mesoscale
+  cluster builds a node on first use).
 * **Per-rack control sets** — each of the NameNode's ``control_by_rack``
   sets holds exactly the rack's nodes whose DataNode has a non-empty
   ``outbox`` or ``pending_deletion``, and every DataNode's ``control``
@@ -220,6 +224,7 @@ class InvariantChecker:
             for node_id in sorted(self.dare.states.keys() - datanodes.keys()):
                 self._check_policy(node_id, None, record, strict=True)
         self._check_all_slots(record)
+        self._check_nodes(record)
         self._check_scarlett(record)
         self._check_ready_lists(record)
         self._check_hot_nodes(record)
@@ -283,7 +288,8 @@ class InvariantChecker:
         state = self.dare.states.get(node_id)
         if state is None and dn is None:
             return  # nothing tracked, nothing stored
-        if not self.namenode.cluster.nodes[node_id].alive:
+        node = self.namenode.cluster.nodes[node_id]  # None: unbuilt, alive
+        if node is not None and not node.alive:
             # a failed node's policy state is frozen garbage; it can never
             # be consulted again (dead nodes don't heartbeat)
             return
@@ -320,6 +326,36 @@ class InvariantChecker:
                         record,
                     )
 
+    def _check_nodes(self, record: Optional[TraceRecord]) -> None:
+        """Each built DataNode's and TaskTracker's node is the cluster's
+        own, and each dead slave is built and stopped.
+
+        Walks only those three populations, never every node, and builds
+        none: a DataNode or tracker holds its node already, and a dead
+        slave is read from the node table.
+        """
+        cluster = self.namenode.cluster
+        holders = [("DataNode", self.namenode.datanodes)]
+        if self.jobtracker is not None:
+            holders.append(("TaskTracker", self.jobtracker.tasktrackers))
+        for kind, by_id in holders:
+            for node_id, holder in by_id.items():
+                if holder.node is not cluster.node(node_id):
+                    self._fail(
+                        f"node {node_id}: its {kind} runs on a Node object "
+                        "the cluster does not hold",
+                        record,
+                    )
+        nodes = cluster.nodes
+        for node_id in cluster.dead_slaves:
+            node = nodes[node_id]
+            if node is None or node.alive:
+                self._fail(
+                    f"node {node_id}: listed dead but "
+                    f"{'never built' if node is None else 'alive'}",
+                    record,
+                )
+
     def _check_scarlett(self, record: Optional[TraceRecord]) -> None:
         if self.scarlett is None:
             return
@@ -347,7 +383,8 @@ class InvariantChecker:
         datanodes = self.namenode.datanodes
         for name, pairs in svc._extra.items():
             for bid, node_id in pairs:
-                if not nodes[node_id].alive:
+                node = nodes[node_id]
+                if node is not None and not node.alive:
                     continue  # dead-node pairs linger until aged out
                 dn = datanodes.get(node_id)
                 if dn is None or bid not in dn.static_blocks:

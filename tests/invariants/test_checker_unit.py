@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import re
 
 import numpy as np
@@ -423,6 +424,35 @@ class TestSeededCorruption:
         else:
             jt.slots.free_map[bare] = -1
         with pytest.raises(InvariantViolation, match=problem.format(bare=bare)):
+            checker.check_now()
+
+    @pytest.mark.parametrize("corruption, problem", [
+        ("DataNode", "node {node}: its DataNode runs on a Node object the cluster does not hold"),
+        ("TaskTracker", "node {node}: its TaskTracker runs on a Node object the cluster does not hold"),
+        ("unbuilt-dead", "node {node}: listed dead but never built"),
+        ("alive-dead", "node {node}: listed dead but alive"),
+    ], ids=["datanode", "tracker", "unbuilt-dead", "alive-dead"])
+    def test_node_identity_drift_is_caught(self, corruption, problem):
+        """A holder on a Node the cluster would not return, or a dead
+        slave the node table does not show stopped, fails the sweep."""
+        sim, bare = _sparse_mesoscale_sim()
+        cluster, jt = sim.cluster, sim.jobtracker
+        checker = InvariantChecker(sim.namenode, dare=sim.dare, jobtracker=jt)
+        checker.check_now()
+        assert cluster.nodes[bare] is None  # no DataNode, never promoted
+        node = min(sim.namenode.datanodes)
+        if corruption == "DataNode":
+            sim.namenode.datanodes[node].node = copy.copy(cluster.node(node))
+        elif corruption == "TaskTracker":
+            node = bare
+            hub = next(h for h in jt.hubs if bare in h.member_ids)
+            hub.promote(bare).node = copy.copy(cluster.node(bare))
+        elif corruption == "unbuilt-dead":
+            node = bare
+            cluster.dead_slaves.append(bare)
+        else:
+            cluster.dead_slaves.append(node)
+        with pytest.raises(InvariantViolation, match=re.escape(problem.format(node=node))):
             checker.check_now()
 
     def test_replica_on_a_node_without_a_datanode_is_caught(self):

@@ -11,6 +11,8 @@ drain:
 * ``accurate`` members are exactly the nodes with a live TaskTracker, and
   ``promotions - demotions`` always equals the accurate population;
 * pooled members never hold an occupied slot (work implies promotion);
+* a slave's ``Node`` is built only once it holds a DataNode, is promoted
+  or is stopped (the cluster builds nodes on first use);
 * an explicitly mis-sequenced promote/demote raises instead of corrupting
   the pool;
 * a mesoscale run produces **identical** results to hubs whose members
@@ -36,6 +38,7 @@ from repro.cluster.cluster import scale_spec
 from repro.core.config import DareConfig
 from repro.experiments.runner import ExperimentConfig, Simulation, run_experiment
 from repro.experiments.serialize import result_to_dict
+from repro.mapreduce.heartbeat_hub import HeartbeatHub
 from repro.observability.invariants import InvariantViolation
 from repro.workloads.swim import synthesize_wl1
 from tests.conftest import materialize_hubs
@@ -54,7 +57,7 @@ def _build(n_nodes: int, n_jobs: int, seed: int, *,
     return Simulation(config, workload)
 
 
-def _check_hub_invariants(sim: Simulation) -> None:
+def _check_hub_invariants(sim: Simulation, promoted: set) -> None:
     jt = sim.jobtracker
     hubs = jt.hubs
     assert hubs, "mesoscale mode must create rack hubs"
@@ -82,9 +85,29 @@ def _check_hub_invariants(sim: Simulation) -> None:
 
     assert seen == set(sim.cluster.slave_ids)
 
+    # a Node is built iff it is the master, holds a DataNode or a tracker
+    # (now, or since a promotion: demotion keeps the Node), or was stopped
+    cluster = sim.cluster
+    built = {nid for nid, node in enumerate(cluster.nodes) if node is not None}
+    users = {0, *sim.namenode.datanodes, *jt.tasktrackers, *promoted, *cluster.dead_slaves}
+    assert built == users, (sorted(built - users), sorted(users - built))
+
+
+def _record_promotions(monkeypatch) -> set:
+    """Every node id a rack hub promotes from now on."""
+    promoted: set = set()
+    promote = HeartbeatHub.promote
+
+    def recording(self, node_id):
+        promoted.add(node_id)
+        return promote(self, node_id)
+
+    monkeypatch.setattr(HeartbeatHub, "promote", recording)
+    return promoted
+
 
 @pytest.mark.parametrize("case", range(N_RANDOM))
-def test_random_mesoscale_run_preserves_pool_invariants(case: int) -> None:
+def test_random_mesoscale_run_preserves_pool_invariants(case: int, monkeypatch) -> None:
     rng = random.Random(0xDA7E + case)
     sim = _build(
         n_nodes=rng.randrange(60, 300),
@@ -92,10 +115,11 @@ def test_random_mesoscale_run_preserves_pool_invariants(case: int) -> None:
         seed=rng.randrange(1, 10_000_000),
         scheduler=rng.choice(["fifo", "fair"]),
     )
+    promoted = _record_promotions(monkeypatch)
     sim.run(until=40.0)
-    _check_hub_invariants(sim)  # mid-run: promotions in flight
+    _check_hub_invariants(sim, promoted)  # mid-run: promotions in flight
     sim.run()
-    _check_hub_invariants(sim)  # drained: stragglers demoted or inert
+    _check_hub_invariants(sim, promoted)  # drained: stragglers demoted or inert
     result = sim.finalize()
     sim.close()
     assert result.n_jobs == sim.workload.n_jobs

@@ -234,6 +234,10 @@ def test_load_rejects_unknown_format(tmp_path):
     path.write_bytes(pickle.dumps({"format": 10, "payload": b""}))
     with pytest.raises(ValueError, match="unsupported snapshot format 10"):
         Snapshot.load(str(path))
+    # checkpoints whose clusters built every Node up front
+    path.write_bytes(pickle.dumps({"format": 11, "payload": b""}))
+    with pytest.raises(ValueError, match="unsupported snapshot format 11"):
+        Snapshot.load(str(path))
 
 
 def test_restore_with_trace_requires_a_traced_source(tmp_path):

@@ -1,5 +1,7 @@
 """Unit tests: cluster assembly and the measurement probes."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -96,14 +98,39 @@ def _bits(value):
 ], ids=["cct", "ec2", "scale1000", "scale2000-meso"])
 @pytest.mark.parametrize("seed", [1, 20110926])
 def test_bulk_draws_build_the_same_nodes(spec, seed):
-    built = build_cluster(spec, seed=seed).nodes
+    """Every node read through ``Cluster.node`` in shuffled order (a
+    mesoscale cluster builds each then, after its draws) equals the
+    per-node-draw oracle bit for bit."""
+    cluster = build_cluster(spec, seed=seed)
     oracle = _nodes_drawn_one_at_a_time(spec, seed)
-    assert len(built) == len(oracle) == spec.n_nodes
-    for got, want in zip(built, oracle):
+    assert len(cluster.nodes) == len(oracle) == spec.n_nodes
+    order = list(range(spec.n_nodes))
+    random.Random(seed).shuffle(order)
+    for node_id in order:
+        got = cluster.node(node_id)
         for attr in Node.__slots__:
-            assert _bits(getattr(got, attr)) == _bits(getattr(want, attr)), (
-                got.node_id, attr
+            assert _bits(getattr(got, attr)) == _bits(getattr(oracle[node_id], attr)), (
+                node_id, attr
             )
+    assert cluster.slaves == cluster.nodes[1:]
+
+
+@pytest.mark.parametrize("spec", [CCT_SPEC, EC2_SPEC, scale_spec(1000, mesoscale=True)],
+                         ids=["cct", "ec2", "scale1000-meso"])
+def test_grouping_and_bandwidth_sums_build_no_node(spec):
+    """``slaves_by_rack`` and ``slave_bandwidths`` read the set-up draws:
+    the same groups and floats as a walk over the built nodes."""
+    cluster = build_cluster(spec, seed=3)
+    by_rack = cluster.slaves_by_rack
+    disk_bw, net_bw = cluster.slave_bandwidths()
+    if spec.mesoscale:
+        assert cluster.nodes[1:] == [None] * cluster.n_slaves
+    oracle = {}
+    for node in cluster.slaves:
+        oracle.setdefault(node.rack, []).append(node.node_id)
+    assert list(by_rack.items()) == sorted(oracle.items())
+    assert disk_bw == [n.disk_bw_mbps for n in cluster.slaves]
+    assert net_bw == [n.net_bw_mbps for n in cluster.slaves]
 
 
 class TestClusterAssembly:
@@ -120,6 +147,37 @@ class TestClusterAssembly:
     def test_total_slots(self, small_cluster):
         n_slaves = len(small_cluster.slaves)
         assert small_cluster.total_map_slots == n_slaves * small_cluster.spec.map_slots
+
+    @pytest.mark.parametrize("spec", [CCT_SPEC, scale_spec(40, mesoscale=True)],
+                             ids=["cct", "meso"])
+    def test_node_refuses_an_id_outside_the_cluster(self, spec):
+        """A negative id used to index from the end (``node(-1)`` was the
+        last slave); a lazy cluster would file a bogus node there."""
+        cluster = build_cluster(spec)
+        n = spec.n_nodes
+        for node_id in (-1, -n, n, n + 5):
+            with pytest.raises(IndexError, match=rf"node id {node_id} is outside \[0, {n}\)"):
+                cluster.node(node_id)
+            with pytest.raises(IndexError, match=f"node id {node_id} "):
+                cluster.stop_node(node_id)
+        assert cluster.dead_slaves == []
+        assert all(n is None for n in cluster.nodes[1:]) == spec.mesoscale
+
+    def test_mesoscale_cluster_builds_a_node_on_first_use(self):
+        cluster = build_cluster(scale_spec(200, mesoscale=True))
+        assert cluster.master.is_master and cluster.nodes[0] is cluster.master
+        assert cluster.nodes[1:] == [None] * 199
+        node = cluster.node(5)
+        assert cluster.node(5) is node and cluster.nodes[5] is node
+        assert [i for i, n in enumerate(cluster.nodes) if n is not None] == [0, 5]
+        cluster.stop_node(7)  # stopping builds the node it stops
+        assert cluster.nodes[7] is not None and not cluster.nodes[7].alive
+        assert cluster.dead_slaves == [7]
+        assert cluster.slave_ids == list(range(1, 200))
+        assert cluster.total_map_slots == 199 * cluster.spec.map_slots
+        slaves = cluster.slaves  # builds the rest
+        assert None not in cluster.nodes and slaves[4] is node
+        assert [n.alive for n in slaves].count(False) == 1
 
     def test_build_cluster_deterministic(self):
         a = build_cluster(CCT_SPEC, seed=5)

@@ -40,6 +40,18 @@ class TestChooseTargets:
         t = policy.choose_targets(3, writer=0)  # master can't store blocks
         assert t[0] != 0
 
+    @pytest.mark.parametrize("rf", [1, 3])
+    @pytest.mark.parametrize("writer", [0, 20, -1], ids=["master", "n_nodes", "negative"])
+    def test_writer_outside_the_slaves_places_as_an_outside_load(self, writer, rf):
+        """A writer that is no slave draws its first replica as a file
+        loaded from outside the cluster does: the same targets, and the
+        generator left in the same state."""
+        policy, _ = make_policy()
+        outside, _ = make_policy()
+        for _ in range(20):
+            assert policy.choose_targets(rf, writer=writer) == outside.choose_targets(rf)
+        assert policy._rng.getstate() == outside._rng.getstate()
+
     def test_second_replica_off_rack_when_possible(self):
         policy, topo = make_policy()
         for _ in range(30):

@@ -53,8 +53,9 @@ def _seed_tick(self) -> None:
     for nid in self.member_ids:
         dn = datanodes.get(nid)
         control = dn is not None and (bool(dn.outbox) or bool(dn.pending_deletion))
+        # liveness read as the hub reads it: an unbuilt node is alive
         offer = (budget > 0 and (free_map[nid] > 0 or free_reduce[nid] > 0)
-                 and jt.cluster.nodes[nid].alive)
+                 and ((node := jt.cluster.nodes[nid]) is None or node.alive))
         if not control and not offer:
             continue
         tt = trackers.get(nid)

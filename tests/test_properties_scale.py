@@ -112,8 +112,8 @@ def test_placement_fast_path_matches_candidate_list(seed, spec, rf):
     writers = random.Random(seed + 1)
     for i in range(24):
         # no writer (a load from outside), the master (not a DataNode),
-        # or a slave
-        writer = (None, 0, writers.choice(cluster.slave_ids))[i % 3]
+        # a slave, or an id outside the cluster
+        writer = (None, 0, writers.choice(cluster.slave_ids), spec.n_nodes, -1)[i % 5]
         assert fast.choose_targets(rf, writer) == ref.choose_targets(rf, writer)
     assert fast_rng.getstate() == ref_rng.getstate()
 
