@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import math
 import random
-from functools import partial
-from typing import TYPE_CHECKING, List, NamedTuple, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple
 
+from repro.hdfs.copier import BlockCopier
 from repro.metrics.traffic import TrafficMeter
 from repro.simulation.engine import Engine
 
@@ -85,11 +85,12 @@ class CdrmService:
         self.config = config.validate()
         self.namenode = namenode
         self.engine = engine
-        self.traffic = traffic
         self._rng = rng
         self.stop_when = stop_when
-        self._active = 0
-        self._queue: List[Tuple[int, int, int]] = []  # (block, src, dst)
+        self.copier = BlockCopier(
+            namenode, engine, traffic, "rebalancing", "cdrm-copy:",
+            self.config.max_concurrent, self._landed,
+        )
         self.replicas_created = 0
         self.passes_run = 0
 
@@ -99,73 +100,55 @@ class CdrmService:
 
     # -- reconciliation -------------------------------------------------------
 
-    def _least_loaded_targets(self, bid: int, count: int) -> List[int]:
-        locs = self.namenode.locations(bid)
-        candidates = [
-            n for n in self.namenode.cluster.slaves
-            if n.alive and n.node_id not in locs
-        ]
+    def _ranking(self) -> List[int]:
+        """The alive slaves, least loaded first: fewest network transfers,
+        then least stored, then lowest id.  Reads load and liveness from
+        ``Cluster.nodes`` (an unbuilt node is alive and idle) and
+        ``NameNode.datanodes`` (a missing DataNode is empty), so it builds
+        nothing."""
+        nodes = self.namenode.cluster.nodes
         datanodes = self.namenode.datanodes
-
-        def stored(node_id: int) -> int:
-            # ranking reads, so it builds no DataNode: a missing one is empty
+        keys = []
+        for node_id in self.namenode.cluster.slave_ids:
+            node = nodes[node_id]
+            if node is not None and not node.alive:
+                continue
             dn = datanodes.get(node_id)
-            return 0 if dn is None else dn.dynamic_bytes_used + len(dn.static_blocks)
-
-        candidates.sort(
-            key=lambda n: (n.active_net_transfers, stored(n.node_id), n.node_id)
-        )
-        return [n.node_id for n in candidates[:count]]
+            keys.append((
+                0 if node is None else node.active_net_transfers,
+                0 if dn is None else dn.dynamic_bytes_used + len(dn.static_blocks),
+                node_id,
+            ))
+        keys.sort()
+        return [node_id for _, _, node_id in keys]
 
     def _reconcile(self) -> None:
         self.passes_run += 1
+        namenode = self.namenode
         target = self.config.target_replicas
-        for bid, locs in self.namenode._locations.items():
-            live = [n for n in locs if self.namenode.cluster.node(n).alive]
+        queue = self.copier.queue
+        # one ranking per pass: copies start only in the pump after the
+        # loop, so no key it sorts by moves while the queue fills
+        ranking = None
+        for bid in namenode.blocks:
+            locs = namenode.locations(bid)
+            live = [n for n in locs if namenode.cluster.node(n).alive]
             missing = target - len(live)
             if missing <= 0 or not live:
                 continue
-            for dst in self._least_loaded_targets(bid, missing):
-                src = self._rng.choice(live)
-                self._queue.append((bid, src, dst))
-        self._pump()
+            if ranking is None:
+                ranking = self._ranking()
+            for dst in ranking:
+                if dst in locs:
+                    continue
+                queue.append((bid, self._rng.choice(live), dst))
+                missing -= 1
+                if not missing:
+                    break
+        self.copier.pump()
         if self.stop_when is None or not self.stop_when():
             self.engine.schedule_in(self.config.period_s, self._reconcile, "cdrm-pass")
 
-    def _pump(self) -> None:
-        while self._active < self.config.max_concurrent and self._queue:
-            bid, src, dst = self._queue.pop(0)
-            self._start_copy(bid, src, dst)  # skips simply continue the loop
-
-    def _start_copy(self, bid: int, src: int, dst: int) -> None:
-        cluster = self.namenode.cluster
-        block = self.namenode.blocks[bid]
-        if (
-            not cluster.node(src).alive
-            or not cluster.node(dst).alive
-            or self.namenode.datanode(dst).has_block(bid)
-        ):
-            return  # skipped; the caller's pump loop moves on
-        self._active += 1
-        cluster.node(src).active_net_transfers += 1
-        cluster.node(dst).active_net_transfers += 1
-        duration = cluster.network.transfer_seconds(
-            block.size_bytes, src, dst,
-            contention=max(1, cluster.node(src).active_net_transfers),
-        )
-        self.traffic.record("rebalancing", block.size_bytes)
-        self.engine.schedule_in(
-            duration, partial(self._finish_copy, bid, src, dst), f"cdrm-copy:{bid}"
-        )
-
-    def _finish_copy(self, bid: int, src: int, dst: int) -> None:
-        cluster = self.namenode.cluster
-        cluster.node(src).active_net_transfers -= 1
-        cluster.node(dst).active_net_transfers -= 1
-        self._active -= 1
-        dn = self.namenode.datanode(dst)
-        if cluster.node(dst).alive and not dn.has_block(bid):
-            dn.store_static(self.namenode.blocks[bid])
-            self.namenode._locations[bid].add(dst)
+    def _landed(self, bid: int, dst: int, installed: bool) -> None:
+        if installed:
             self.replicas_created += 1
-        self._pump()

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from functools import partial
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
+from repro.hdfs.copier import BlockCopier
 from repro.metrics.traffic import TrafficMeter
 from repro.observability.trace import NULL_TRACER, SCARLETT_EPOCH, Tracer
 from repro.simulation.engine import Engine
@@ -77,16 +77,16 @@ class ScarlettService:
         self.stop_when = stop_when
         self.namenode = namenode
         self.engine = engine
-        self.traffic = traffic
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._rng = rng
         #: accesses per file name in the current epoch
         self._epoch_counts: Counter = Counter()
         #: extra replicas this service created: file -> [(block_id, node_id)]
         self._extra: Dict[str, List[Tuple[int, int]]] = {}
-        #: copies in flight
-        self._active = 0
-        self._copy_queue: List[Tuple[int, int, int]] = []  # (block, src, dst)
+        self.copier = BlockCopier(
+            namenode, engine, traffic, "rebalancing", "scarlett-copy:",
+            self.config.max_concurrent, self._landed,
+        )
         self.replicas_created = 0
         self.replicas_removed = 0
         self.epochs_run = 0
@@ -171,7 +171,7 @@ class ScarlettService:
         # drop copy work left over from the previous epoch: those copies
         # were sized against the *old* water-fill plan, and letting them
         # land on top of the new plan overshoots the budget without bound
-        self._copy_queue.clear()
+        self.copier.queue.clear()
         counts = self._epoch_counts
         self._epoch_counts = Counter()
         targets = self._water_fill(counts)
@@ -185,7 +185,7 @@ class ScarlettService:
             missing = want - self._extra_count(name)
             for _ in range(max(0, missing)):
                 self._enqueue_file_copy(name)
-        self._pump()
+        self.copier.pump()
         if self.tracer.enabled:
             self.tracer.emit(
                 SCARLETT_EPOCH,
@@ -198,7 +198,7 @@ class ScarlettService:
                 slack_bytes=self.slack_bytes(),
                 replicas_created=self.replicas_created,
                 replicas_removed=self.replicas_removed,
-                queued=len(self._copy_queue),
+                queued=len(self.copier.queue),
             )
         if self.stop_when is None or not self.stop_when():
             self.engine.schedule_in(
@@ -223,10 +223,7 @@ class ScarlettService:
             if not pairs:
                 break
             bid, node_id = pairs.pop()
-            dn = self.namenode.datanode(node_id)
-            if bid in dn.static_blocks:
-                del dn.static_blocks[bid]
-                self.namenode._locations[bid].discard(node_id)
+            if self.namenode.remove_static_replica(bid, node_id):
                 self.replicas_removed += 1
         if not pairs:
             self._extra.pop(name, None)
@@ -246,44 +243,10 @@ class ScarlettService:
                 continue
             dst = self._rng.choice(candidates)
             src = self._rng.choice(src_choices)
-            self._copy_queue.append((block.block_id, src, dst))
+            self.copier.queue.append((block.block_id, src, dst))
 
-    def _pump(self) -> None:
-        while self._active < self.config.max_concurrent and self._copy_queue:
-            bid, src, dst = self._copy_queue.pop(0)
-            self._start_copy(bid, src, dst)  # skips simply continue the loop
-
-    def _start_copy(self, bid: int, src: int, dst: int) -> None:
-        cluster = self.namenode.cluster
-        block = self.namenode.blocks[bid]
-        if (
-            not cluster.node(src).alive
-            or not cluster.node(dst).alive
-            or self.namenode.datanode(dst).has_block(bid)
-        ):
-            return  # skipped; the caller's pump loop moves on
-        self._active += 1
-        cluster.node(src).active_net_transfers += 1
-        cluster.node(dst).active_net_transfers += 1
-        duration = cluster.network.transfer_seconds(
-            block.size_bytes, src, dst,
-            contention=max(1, cluster.node(src).active_net_transfers),
-        )
-        self.traffic.record("rebalancing", block.size_bytes)
-        self.engine.schedule_in(
-            duration, partial(self._finish_copy, bid, src, dst), f"scarlett-copy:{bid}"
-        )
-
-    def _finish_copy(self, bid: int, src: int, dst: int) -> None:
-        cluster = self.namenode.cluster
-        cluster.node(src).active_net_transfers -= 1
-        cluster.node(dst).active_net_transfers -= 1
-        self._active -= 1
-        block = self.namenode.blocks[bid]
-        dn = self.namenode.datanode(dst)
-        if cluster.node(dst).alive and not dn.has_block(bid):
-            dn.store_static(block)
-            self.namenode._locations[bid].add(dst)
-            self._extra.setdefault(block.inode.name, []).append((bid, dst))
+    def _landed(self, bid: int, dst: int, installed: bool) -> None:
+        if installed:
+            name = self.namenode.blocks[bid].inode.name
+            self._extra.setdefault(name, []).append((bid, dst))
             self.replicas_created += 1
-        self._pump()

@@ -32,8 +32,6 @@ from typing import TYPE_CHECKING
 
 from repro.core.config import DareConfig
 from repro.core.manager import DareReplicationService
-from repro.failures.injector import FailureInjector, FailurePlan
-from repro.failures.repair import ReReplicationService
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.runner import Simulation
@@ -71,22 +69,9 @@ class KillNode(Patch):
                 f"node {self.node_id} is not a slave (master is 0, "
                 f"cluster has {n_nodes} nodes)"
             )
-        if sim.injector is None:
-            sim.repair = ReReplicationService(
-                sim.namenode, sim.engine, sim.traffic, sim.streams.python("repair")
-            )
-            sim.injector = FailureInjector(
-                FailurePlan(()),
-                sim.engine,
-                sim.namenode,
-                sim.jobtracker,
-                sim.repair,
-                detection_delay_s=sim.config.failure_detection_s,
-                tracer=sim.tracer,
-            )
         sim.engine.schedule_in(
             self.delay_s,
-            partial(sim.injector._fail, self.node_id),
+            partial(sim.failure_injector()._fail, self.node_id),
             f"fail:node{self.node_id}",
         )
 

@@ -53,7 +53,7 @@ from repro.experiments.runner import Simulation
 from repro.observability.trace import NULL_TRACER, JsonlSink, Tracer
 
 #: bump when the pickled payload layout changes shape
-SNAPSHOT_FORMAT = 12
+SNAPSHOT_FORMAT = 13
 
 #: memo slots ahead of a payload's own objects (see :func:`_token_memo`)
 _N_TOKENS = 2

@@ -435,22 +435,10 @@ class Simulation:
             )
             self.cdrm.arm()
 
-        self.injector = None
-        self.repair = None
+        self.injector: Optional[FailureInjector] = None
+        self.repair: Optional[ReReplicationService] = None
         if config.failures:
-            self.repair = ReReplicationService(
-                namenode, engine, traffic, streams.python("repair")
-            )
-            self.injector = FailureInjector(
-                FailurePlan(tuple(config.failures)),
-                engine,
-                namenode,
-                jobtracker,
-                self.repair,
-                detection_delay_s=config.failure_detection_s,
-                tracer=tracer,
-            )
-            self.injector.arm()
+            self.failure_injector(FailurePlan(tuple(config.failures))).arm()
 
         #: cumulative wall-clock spent inside engine.run() (across pauses)
         self.engine_wall_s = 0.0
@@ -461,6 +449,21 @@ class Simulation:
         state = self.__dict__.copy()
         state["engine_wall_s"] = 0.0
         return state
+
+    def failure_injector(self, plan: FailurePlan = FailurePlan(())) -> FailureInjector:
+        """The run's failure injector.  The first call builds it, with
+        ``plan`` and its re-replication service: set-up does for a failure
+        plan, a ``kill:`` what-if patch otherwise, so a run that fails no
+        node builds neither."""
+        if self.injector is None:
+            self.repair = ReReplicationService(
+                self.namenode, self.engine, self.traffic, self.streams.python("repair")
+            )
+            self.injector = FailureInjector(
+                plan, self.engine, self.namenode, self.jobtracker, self.repair,
+                detection_delay_s=self.config.failure_detection_s, tracer=self.tracer,
+            )
+        return self.injector
 
     # -- driving -------------------------------------------------------------
 

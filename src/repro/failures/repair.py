@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import random
-from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Set, Tuple
 
+from repro.hdfs.copier import BlockCopier
 from repro.metrics.traffic import TrafficMeter
 from repro.simulation.engine import Engine
 
@@ -17,9 +17,10 @@ class ReReplicationService:
     """Repairs under-replicated blocks the way the HDFS NameNode does.
 
     Blocks that fell below their replication factor are queued (fewest
-    remaining replicas first — HDFS's priority order) and copied from a
-    surviving holder to a fresh target over the network.  A cluster-wide
-    concurrency cap throttles repair the way
+    remaining replicas first — HDFS's priority order); when a stream is
+    free, one is copied from a surviving holder to a fresh target, both
+    drawn then, through the service's :class:`BlockCopier`.  Its
+    cluster-wide cap throttles repair the way
     ``dfs.namenode.replication.max-streams`` does, so a failure does not
     instantly saturate the fabric.
     """
@@ -35,15 +36,15 @@ class ReReplicationService:
         if max_concurrent < 1:
             raise ValueError("need at least one repair stream")
         self.namenode = namenode
-        self.engine = engine
-        self.traffic = traffic
         self._rng = rng
-        self.max_concurrent = max_concurrent
+        self.copier = BlockCopier(
+            namenode, engine, traffic, "re_replication", "repair:block",
+            max_concurrent, self._landed,
+        )
         #: (remaining_replicas, seq, block_id) min-queue, drained in order
         self._queue: List[Tuple[int, int, int]] = []
         self._queued_blocks: Set[int] = set()
         self._seq = 0
-        self._active = 0
         self.repairs_completed = 0
         self.repairs_unrecoverable = 0
 
@@ -62,7 +63,8 @@ class ReReplicationService:
         self._pump()
 
     def _pump(self) -> None:
-        while self._active < self.max_concurrent and self._queue:
+        copier = self.copier
+        while copier.in_flight < copier.max_concurrent and self._queue:
             _, _, bid = self._queue.pop(0)
             self._queued_blocks.discard(bid)
             self._start_repair(bid)  # skips simply continue the loop
@@ -88,38 +90,13 @@ class ReReplicationService:
             return
         source = self._rng.choice(locs)
         target = self._rng.choice(targets)
-        self._active += 1
-        cluster = self.namenode.cluster
-        cluster.node(source).active_net_transfers += 1
-        cluster.node(target).active_net_transfers += 1
-        duration = cluster.network.transfer_seconds(
-            block.size_bytes, source, target,
-            contention=max(1, cluster.node(source).active_net_transfers),
-        )
-        self.traffic.record("re_replication", block.size_bytes)
-        self.engine.schedule_in(
-            duration,
-            partial(self._finish_repair, bid, source, target),
-            f"repair:block{bid}",
-        )
+        self.copier.start(bid, source, target)
 
-    def _finish_repair(self, bid: int, source: int, target: int) -> None:
-        cluster = self.namenode.cluster
-        cluster.node(source).active_net_transfers -= 1
-        cluster.node(target).active_net_transfers -= 1
-        self._active -= 1
-        block = self.namenode.blocks[bid]
-        if cluster.node(target).alive and not self.namenode.datanode(target).has_block(bid):
-            self.namenode.add_repaired_replica(bid, target)
+    def _landed(self, bid: int, target: int, installed: bool) -> None:
+        if installed:
             self.repairs_completed += 1
             # still under-replicated (e.g. rf 3 lost 2)? queue another copy
-            if len(self.namenode.locations(bid)) < block.inode.replication:
-                self.enqueue_repairs({bid: len(self.namenode.locations(bid))})
+            remaining = len(self.namenode.locations(bid))
+            if remaining < self.namenode.blocks[bid].inode.replication:
+                self.enqueue_repairs({bid: remaining})
         self._pump()
-
-    # -- reporting ---------------------------------------------------------------
-
-    @property
-    def pending(self) -> int:
-        """Repairs queued but not yet started."""
-        return len(self._queue)

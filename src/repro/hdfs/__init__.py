@@ -14,7 +14,9 @@ Modeled components (HDFS terminology, as the paper uses it):
   (including the ``DNA_DYNREPL`` analogue by which DARE-created replicas
   become visible to the scheduler);
 * **placement** — the default Hadoop placement policy used for the initial
-  (static) replicas.
+  (static) replicas;
+* **BlockCopier** — the throttled replication stream through which
+  Scarlett, CDRM and re-replication copy blocks over the network.
 """
 
 from repro.hdfs.block import Block, DEFAULT_BLOCK_SIZE

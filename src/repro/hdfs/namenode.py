@@ -18,16 +18,15 @@ class ReplicaSet(OrderedSet[int]):
     """One block's location set, wired into the NameNode's replica indexes.
 
     Every mutation — wherever it originates (heartbeat control plane,
-    repair, Scarlett/CDRM rebalancing, tests poking ``_locations``
-    directly) — bumps the NameNode's ``replica_version`` and keeps three
-    structures consistent:
+    block copies, Scarlett's aging, tests poking ``_locations`` directly)
+    — bumps the NameNode's ``replica_version`` and keeps two structures
+    consistent:
 
     * ``rack_counts``: replicas per rack, the rack-shard the locality scan
       (:meth:`repro.mapreduce.job.Job.find_pending_map`) tests in O(1)
       instead of an ``isdisjoint`` over the rack's member set;
     * the NameNode's per-node reverse index (``_blocks_on``), which turns
-      ``fail_node`` from a full block-map scan into a per-node lookup;
-    * the NameNode's incremental under-replicated set (``_under``).
+      ``fail_node`` from a full block-map scan into a per-node lookup.
 
     Iteration order stays insertion order (it feeds RNG draws downstream),
     and pickling restores entries through ``__setitem__``.  The backref and
@@ -38,22 +37,20 @@ class ReplicaSet(OrderedSet[int]):
     :meth:`NameNode.__setstate__` has re-linked it.
     """
 
-    __slots__ = ("_nn", "block_id", "rf", "rack_counts")
+    __slots__ = ("_nn", "block_id", "rack_counts")
 
     def __getstate__(self):
         # membership travels as dict items; _nn and rack_counts are
-        # rebuilt by NameNode.__setstate__
-        return (self.block_id, self.rf)
+        # rebuilt by NameNode.__setstate__ (a tuple: a falsy state, block
+        # 0's id, would skip __setstate__)
+        return (self.block_id,)
 
     def __setstate__(self, state) -> None:
-        self.block_id, self.rf = state
+        (self.block_id,) = state
 
-    def __init__(
-        self, nn: "NameNode", block_id: int, rf: int, targets: Sequence[int] = ()
-    ) -> None:
+    def __init__(self, nn: "NameNode", block_id: int, targets: Sequence[int] = ()) -> None:
         self._nn = nn
         self.block_id = block_id
-        self.rf = rf
         counts: Dict[int, int] = {}
         self.rack_counts = counts
         # one pass files each distinct target as :meth:`add` would
@@ -71,10 +68,6 @@ class ReplicaSet(OrderedSet[int]):
             else:
                 held.add(block_id)
         nn.replica_version += len(self)
-        if len(self) < rf:
-            # short placement (fewer slaves than the replication factor):
-            # under-replicated from birth, not only after a discard
-            nn._under.add(block_id)
 
     def add(self, node_id: int) -> None:
         if node_id in self:
@@ -85,8 +78,6 @@ class ReplicaSet(OrderedSet[int]):
         rack = nn._rack_of[node_id]
         self.rack_counts[rack] = self.rack_counts.get(rack, 0) + 1
         nn._blocks_on.setdefault(node_id, set()).add(self.block_id)
-        if len(self) >= self.rf:
-            nn._under.discard(self.block_id)
 
     def discard(self, node_id: int) -> None:
         if node_id not in self:
@@ -103,8 +94,6 @@ class ReplicaSet(OrderedSet[int]):
         holder = nn._blocks_on.get(node_id)
         if holder is not None:
             holder.discard(self.block_id)
-        if len(self) < self.rf:
-            nn._under.add(self.block_id)
 
     def remove(self, node_id: int) -> None:
         if node_id not in self:
@@ -151,8 +140,6 @@ class NameNode:
         self._rack_of: List[int] = cluster.topology.rack_of.tolist()
         #: node id -> block ids the NameNode's view places on that node
         self._blocks_on: Dict[int, Set[int]] = {}
-        #: block ids whose live replica count is below the file's factor
-        self._under: Set[int] = set()
         #: bumped by every replica-set change (see ReplicaSet), so a cache
         #: over replica holders can key on it
         self.replica_version = 0
@@ -189,14 +176,13 @@ class NameNode:
         # per-set counters, see ReplicaSet.__getstate__) keeps checkpoint
         # snapshots at their pre-index size
         state = self.__dict__.copy()
-        for key in ("_blocks_on", "_under", "_locs_by_id"):
+        for key in ("_blocks_on", "_locs_by_id"):
             del state[key]
         return state
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
         self._blocks_on = {}
-        self._under = set()
         self._locs_by_id = []
         rack_of = self._rack_of
         for locs in self._locations.values():
@@ -207,8 +193,6 @@ class NameNode:
                 counts[rack] = counts.get(rack, 0) + 1
                 self._blocks_on.setdefault(node_id, set()).add(locs.block_id)
             locs.rack_counts = counts
-            if len(locs) < locs.rf:
-                self._under.add(locs.block_id)
             self._locs_by_id.append(locs)
 
     # -- namespace ----------------------------------------------------------
@@ -238,9 +222,7 @@ class NameNode:
             block_id = block.block_id
             targets = choose_targets(replication, writer)
             block_map[block_id] = block
-            locs = locations[block_id] = ReplicaSet(
-                self, block_id, replication, targets
-            )
+            locs = locations[block_id] = ReplicaSet(self, block_id, targets)
             locs_by_id.append(locs)
             for t in targets:
                 dn = datanodes.get(t)
@@ -392,19 +374,23 @@ class NameNode:
         dn.dynamic_bytes_used = 0
         return lost
 
-    def under_replicated(self) -> Dict[int, int]:
-        """Blocks whose live replica count is below the file's factor."""
-        locs_by_id = self._locs_by_id
-        return {bid: len(locs_by_id[bid]) for bid in sorted(self._under)}
-
     def add_repaired_replica(self, block_id: int, node_id: int) -> None:
-        """Install a re-replicated block on a target node."""
+        """Install a static replica on a target node: a landed
+        :class:`~repro.hdfs.copier.BlockCopier` copy or a pinned block."""
         block = self.blocks[block_id]
         dn = self.datanode(node_id)
         if dn.has_block(block_id):
             raise ValueError(f"node {node_id} already stores block {block_id}")
         dn.store_static(block)
         self._locations[block_id].add(node_id)
+
+    def remove_static_replica(self, block_id: int, node_id: int) -> bool:
+        """Drop a static replica (Scarlett ages out its copies this way);
+        False when the node does not store it, e.g. since it failed."""
+        if self.datanode(node_id).static_blocks.pop(block_id, None) is None:
+            return False
+        self._locations[block_id].discard(node_id)
+        return True
 
     # -- integrity ---------------------------------------------------------------
 

@@ -8,8 +8,8 @@ every settled event (``invariant_sweep_every`` deliberately tiny).
 Two generators feed the tests:
 
 * :func:`named_scenarios` — a fixed grid guaranteeing coverage of greedy
-  LRU/LFU, ElephantTrap, the Scarlett baseline, failure injection, and all
-  three schedulers;
+  LRU/LFU, ElephantTrap, the Scarlett and CDRM baselines, failure
+  injection, and all three schedulers;
 * :func:`random_scenario` — seeded-random cells for the property sweep
   (`INVARIANT_EXAMPLES` controls how many; hypothesis, when installed,
   drives extra seeds through the same builder).
@@ -34,6 +34,7 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.baselines.cdrm import CdrmConfig
 from repro.baselines.scarlett import ScarlettConfig
 from repro.cluster.cluster import CCT_SPEC
 from repro.core.config import DareConfig, Policy
@@ -56,6 +57,7 @@ class Scenario:
     seed: int = 20110926
     scarlett: bool = False
     failures: Tuple[Tuple[float, int], ...] = ()
+    cdrm: bool = False
 
     def to_config(self) -> ExperimentConfig:
         return ExperimentConfig(
@@ -64,6 +66,7 @@ class Scenario:
             dare=self.dare,
             seed=self.seed,
             scarlett=ScarlettConfig(epoch_s=60.0) if self.scarlett else None,
+            cdrm=CdrmConfig(period_s=40.0) if self.cdrm else None,
             failures=self.failures,
             check_invariants=True,
             invariant_sweep_every=50,
@@ -127,6 +130,16 @@ def named_scenarios() -> Tuple[Scenario, ...]:
             scarlett=True,
             failures=((40.0, 4),),
             scheduler="fair",
+            n_jobs=12,
+        ),
+        Scenario("lru-cdrm", DareConfig.greedy_lru(budget=0.15), cdrm=True, n_jobs=12),
+        Scenario(
+            "et-cdrm-failures",
+            DareConfig.elephant_trap(p=0.5, threshold=1, budget=0.1),
+            cdrm=True,
+            failures=((30.0, 3), (90.0, 7)),
+            scheduler="fair",
+            workload="wl2",
             n_jobs=12,
         ),
     )

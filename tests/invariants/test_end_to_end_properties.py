@@ -1,8 +1,8 @@
 """Property harness: randomized end-to-end runs with the checker armed.
 
 Every scenario replays a full workload through the complete stack —
-engine, HDFS, MapReduce, DARE, optional Scarlett baseline, optional node
-failures — with :class:`~repro.observability.invariants.InvariantChecker`
+engine, HDFS, MapReduce, DARE, optional Scarlett and CDRM baselines,
+optional node failures — with :class:`~repro.observability.invariants.InvariantChecker`
 validating cross-component bookkeeping at every settled event.  A passing
 run is the property; any accounting drift raises ``InvariantViolation``
 with the trace tail.
@@ -47,7 +47,7 @@ except ImportError:  # pragma: no cover - hypothesis is in the base image
 
 
 # ---------------------------------------------------------------------------
-# fixed coverage grid: greedy LRU/LFU, ElephantTrap, Scarlett, failures
+# fixed coverage grid: greedy LRU/LFU, ElephantTrap, Scarlett, CDRM, failures
 # ---------------------------------------------------------------------------
 
 
@@ -68,6 +68,7 @@ def test_named_grid_covers_required_dimensions() -> None:
     assert {"off", "greedy-lru", "greedy-lfu", "elephant-trap"} <= policies
     assert {s.scheduler for s in grid} == {"fifo", "fair", "fair-skip"}
     assert any(s.scarlett for s in grid)
+    assert any(s.cdrm for s in grid)
     assert any(s.failures for s in grid)
     assert len(grid) >= 8
 

@@ -1,11 +1,21 @@
 """Unit/integration tests: the CDRM availability-driven baseline."""
 
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.baselines.cdrm import CdrmConfig
+from repro.baselines.cdrm import CdrmConfig, CdrmService
+from repro.cluster.cluster import Cluster, scale_spec
 from repro.core.config import DareConfig
 from repro.experiments.runner import ExperimentConfig, run_experiment
+from repro.hdfs.block import DEFAULT_BLOCK_SIZE
+from repro.hdfs.namenode import NameNode
+from repro.metrics.traffic import TrafficMeter
+from repro.simulation.engine import Engine
+from repro.simulation.rng import RandomStreams
 from repro.workloads.swim import synthesize_wl1
 from tests.conftest import SMALL_SPEC
 
@@ -89,3 +99,64 @@ class TestCdrmRuns:
         b = run_experiment(cfg, wl)
         assert a.cdrm_replicas_created == b.cdrm_replicas_created
         assert a.gmtt_s == b.gmtt_s
+
+
+def _per_block_reconcile(svc):
+    """The oracle: the copies one pass queued when CDRM sorted every alive
+    slave once per block that needed targets."""
+    nn = svc.namenode
+
+    def least_loaded_targets(bid, count):
+        locs = nn.locations(bid)
+        candidates = [n for n in nn.cluster.slaves if n.alive and n.node_id not in locs]
+        datanodes = nn.datanodes
+
+        def stored(node_id):
+            dn = datanodes.get(node_id)
+            return 0 if dn is None else dn.dynamic_bytes_used + len(dn.static_blocks)
+
+        candidates.sort(key=lambda n: (n.active_net_transfers, stored(n.node_id), n.node_id))
+        return [n.node_id for n in candidates[:count]]
+
+    queue = []
+    for bid, locs in nn._locations.items():
+        live = [n for n in locs if nn.cluster.node(n).alive]
+        missing = svc.config.target_replicas - len(live)
+        if missing <= 0 or not live:
+            continue
+        for dst in least_loaded_targets(bid, missing):
+            queue.append((bid, svc._rng.choice(live), dst))
+    return queue
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_one_ranking_per_pass_queues_what_a_per_block_sort_queued(seed):
+    rng = random.Random(seed)
+    cluster = Cluster(scale_spec(rng.randint(4, 90), mesoscale=True), RandomStreams(seed))
+    nn = NameNode(cluster)
+    for f in range(rng.randint(1, 4)):
+        nn.create_file(
+            f"f{f}", rng.randint(1, 5) * DEFAULT_BLOCK_SIZE, replication=rng.randint(1, 3)
+        )
+    slaves = cluster.slave_ids
+    # load: transfers on some (now built) nodes, dynamic bytes on some
+    # DataNodes, small enough that keys tie and the later keys decide
+    for node_id in rng.sample(slaves, rng.randint(0, len(slaves) // 2)):
+        cluster.node(node_id).active_net_transfers = rng.randint(0, 2)
+    for dn in list(nn.datanodes.values()):
+        dn.dynamic_bytes_used = rng.choice([0, 0, 1, 2])
+    # dead slaves: some already pruned from the block map, some not yet
+    for node_id in rng.sample(slaves, rng.randint(0, min(3, len(slaves) - 1))):
+        cluster.stop_node(node_id)
+        if rng.random() < 0.5:
+            nn.fail_node(node_id)
+    built = [node is not None for node in cluster.nodes]
+    config = CdrmConfig(node_availability=rng.choice([0.5, 0.7, 0.85, 0.95]))
+    svc = CdrmService(config, nn, Engine(), TrafficMeter(), random.Random(seed))
+    svc.copier.pump = lambda: None  # keep the pass's queue; start nothing
+    svc._reconcile()
+    assert [node is not None for node in cluster.nodes] == built  # built nothing
+    oracle = CdrmService(config, nn, Engine(), TrafficMeter(), random.Random(seed))
+    assert list(svc.copier.queue) == _per_block_reconcile(oracle)
+    assert svc._rng.getstate() == oracle._rng.getstate()

@@ -75,7 +75,7 @@ class TestEpochMechanics:
         engine.run()
         # every installed replica was paid for over the network (racing
         # duplicate copies may pay without installing, never the reverse)
-        assert svc.traffic.bytes("rebalancing") >= (
+        assert svc.copier.traffic.bytes("rebalancing") >= (
             svc.replicas_created * DEFAULT_BLOCK_SIZE
         )
 

@@ -238,6 +238,11 @@ def test_load_rejects_unknown_format(tmp_path):
     path.write_bytes(pickle.dumps({"format": 11, "payload": b""}))
     with pytest.raises(ValueError, match="unsupported snapshot format 11"):
         Snapshot.load(str(path))
+    # checkpoints whose copy services kept their own queues and in-flight
+    # counts, and whose block replica sets carried a replication factor
+    path.write_bytes(pickle.dumps({"format": 12, "payload": b""}))
+    with pytest.raises(ValueError, match="unsupported snapshot format 12"):
+        Snapshot.load(str(path))
 
 
 def test_restore_with_trace_requires_a_traced_source(tmp_path):

@@ -76,7 +76,7 @@ class TestRepairFlow:
         lost = nn.fail_node(victim)
         svc.enqueue_repairs(lost)
         # immediately after enqueue, at most max_concurrent copies started
-        assert svc._active <= svc.max_concurrent
+        assert svc.copier.in_flight <= svc.copier.max_concurrent
         engine.run()
 
     def test_double_failure_needs_two_copies(self, world):

@@ -149,11 +149,17 @@ class TestHeartbeatControlPlane:
         dn.mark_for_deletion(blk.block_id, 3.0)
         nn.process_heartbeat(outsider, 4.0)
         assert nn.replica_version == version + 2
-        # a change made outside any heartbeat (repair, Scarlett, CDRM)
+        # changes made outside any heartbeat: a landed copy, Scarlett's aging
         nn.add_repaired_replica(blk.block_id, outsider)
         assert nn.replica_version == version + 3
         nn._locations[blk.block_id].add(outsider)  # already there: no change
         assert nn.replica_version == version + 3
+        assert nn.remove_static_replica(blk.block_id, outsider)
+        assert nn.replica_version == version + 4
+        assert outsider not in nn.locations(blk.block_id)
+        assert not nn.remove_static_replica(blk.block_id, outsider)  # gone already
+        assert nn.replica_version == version + 4
+        nn.check_integrity()
 
     def test_heartbeat_with_empty_outbox_is_noop(self, loaded_namenode):
         before = dict(loaded_namenode._locations)
@@ -275,7 +281,6 @@ class TestDataNodesOnFirstUse:
     def test_read_only_paths_build_nothing(self, namenode):
         namenode.flush_all_heartbeats(1.0)
         namenode.check_integrity()
-        assert namenode.under_replicated() == {}
         # every slave still has a (zero) popularity index
         assert popularity_indices(namenode, {}).tolist() == [0.0] * 7
         assert namenode.datanodes == {}

@@ -51,14 +51,21 @@ class _BuiltCluster(Cluster):
         self.slaves  # noqa: B018 - builds every unbuilt node
 
 
-def _run(cell: str, trace_path):
+def _config(cell: str, **extra) -> ExperimentConfig:
     overrides = dict(_CELLS[cell])
     overrides.setdefault("replication", 1)
-    config = ExperimentConfig(
-        cluster_spec=scale_spec(N_NODES, mesoscale=True), seed=SEED,
-        trace_path=str(trace_path), trace_engine_events=True, **overrides,
+    return ExperimentConfig(
+        cluster_spec=scale_spec(N_NODES, mesoscale=True), seed=SEED, **overrides, **extra
     )
-    result = run_experiment(config, synthesize_wl2(np.random.default_rng(SEED), n_jobs=60))
+
+
+def _workload():
+    return synthesize_wl2(np.random.default_rng(SEED), n_jobs=60)
+
+
+def _run(cell: str, trace_path):
+    config = _config(cell, trace_path=str(trace_path), trace_engine_events=True)
+    result = run_experiment(config, _workload())
     return result, trace_path.read_bytes()
 
 
@@ -88,3 +95,14 @@ def test_nodes_built_on_first_use_match_nodes_built_up_front(cell, tmp_path, mon
         assert lazy.scarlett_replicas_created > 0 and lazy.repairs_completed > 0
     if cell == "cdrm":
         assert lazy.cdrm_replicas_created > 0
+
+
+def test_cdrm_passes_build_no_node():
+    """A CDRM pass ranks the slaves from ``Cluster.nodes`` without building
+    them, so a cell where every block is under target still leaves the
+    slaves that never hold or run anything unbuilt."""
+    sim = runner.Simulation(_config("cdrm"), _workload())
+    sim.run()
+    assert sim.finalize().cdrm_replicas_created > 0
+    assert sim.cdrm.passes_run > 0
+    assert sum(node is not None for node in sim.cluster.nodes) < N_NODES

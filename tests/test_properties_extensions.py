@@ -116,6 +116,3 @@ def test_fail_node_leaves_consistent_locations(victim, file_blocks):
     # reported remaining counts match the map
     for bid, remaining in lost.items():
         assert len(nn.locations(bid)) == remaining
-    # under-replication is detected consistently
-    for bid, count in nn.under_replicated().items():
-        assert count < nn.blocks[bid].inode.replication

@@ -159,7 +159,6 @@ def _assert_replica_indexes_consistent(nn: NameNode) -> None:
     """Every derived index equals its recomputation from the membership."""
     rack_of = nn._rack_of
     blocks_on: dict = {}
-    under = set()
     for bid, locs in nn._locations.items():
         assert nn._locs_by_id[bid] is locs
         assert dict(locs.rack_counts) == dict(
@@ -167,14 +166,8 @@ def _assert_replica_indexes_consistent(nn: NameNode) -> None:
         )
         for n in locs:
             blocks_on.setdefault(n, set()).add(bid)
-        if len(locs) < locs.rf:
-            under.add(bid)
         assert nn.replica_count(bid) == len(locs)
     assert {n: s for n, s in nn._blocks_on.items() if s} == blocks_on
-    assert nn._under == under
-    assert nn.under_replicated() == {
-        bid: len(nn._locs_by_id[bid]) for bid in sorted(under)
-    }
 
 
 @settings(max_examples=20, deadline=None)
@@ -192,8 +185,8 @@ def test_replica_indexes_survive_random_mutations(data):
         )
     block_ids = sorted(nn.blocks)
     slave_ids = cluster.slave_ids
-    # direct location pokes, the way Scarlett/CDRM and repair mutate the
-    # map, plus the occasional whole-node failure
+    # direct location pokes, the way landed copies and Scarlett's aging
+    # mutate the map, plus the occasional whole-node failure
     for _ in range(data.draw(st.integers(0, 40))):
         op = data.draw(
             st.sampled_from(["add", "add", "discard", "fail"])
