@@ -173,11 +173,11 @@ def main() -> int:
 
     cache_dir = tempfile.mkdtemp(prefix="server-load-cache-")
     # small bucket (429s appear as soon as a client outruns 10 req/s) and
-    # tiny backlog (503s as soon as two jobs are active); thread isolation
-    # keeps the load test about the HTTP edge, not worker processes
+    # tiny backlog (503s as soon as two jobs are active); each executor
+    # runs its cells in one reused cell process, as every server does
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--workers", "2", "--isolation", "thread", "--no-cache",
+         "--workers", "2", "--no-cache",
          "--cache-dir", cache_dir, "--max-jobs", "2",
          "--rate", "10", "--burst", "10"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,

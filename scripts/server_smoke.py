@@ -11,9 +11,13 @@ path end to end:
    ``run_cells`` rendering computed in this process;
 3. the queue executed each distinct cell exactly once
    (``cells_executed`` in ``/api/cluster``);
-4. a request burst from one client trips the 429 rate limit with a
+4. one ``stream: true`` job of new cells gets ``trace`` events on its
+   SSE stream, which closes with ``done``, and its result is
+   byte-identical to the serial one: its cells run in the same cell
+   processes as every other cell;
+5. a request burst from one client trips the 429 rate limit with a
    ``Retry-After`` header while an independent client still gets 200;
-5. SIGTERM drains the server: it exits 0, reports the drain, and no
+6. SIGTERM drains the server: it exits 0, reports the drain, and no
    process it started (its cell processes, one per executor) is still
    running a few seconds later.
 
@@ -57,6 +61,8 @@ N_JOBS = 8
 SEED = 20110926
 SPEC = {"grid": GRID, "n_jobs": N_JOBS, "seed": SEED}
 CLIENTS = 4
+#: the trace-streaming job: the same grid at another length, so new cells
+STREAM_SPEC = {"grid": GRID, "n_jobs": 5, "seed": SEED, "stream": True}
 
 
 def check(cond: bool, message: str) -> None:
@@ -78,6 +84,15 @@ def request(port: int, method: str, path: str, client: str,
         return resp.status, dict(resp.getheaders()), raw
     finally:
         conn.close()
+
+
+def serial_text(spec: dict) -> bytes:
+    """The serial ``run_cells`` result document of a named-grid spec."""
+    cells = build_grid(spec["grid"], n_jobs=spec["n_jobs"], seed=spec["seed"])
+    return doc_to_text(outcomes_to_doc(
+        run_cells(cells, jobs=1), grid=spec["grid"], n_jobs=spec["n_jobs"],
+        seed=spec["seed"], provenance=False,
+    )).encode()
 
 
 def stream_until_done(port: int, job_id: str, client: str) -> list[str]:
@@ -114,6 +129,22 @@ def client_run(port: int, index: int, out: dict) -> None:
     check(status == 200, f"{me} result ready after done event")
     out[index] = {"id": doc["id"], "created": doc["created"],
                   "result": result}
+
+
+def stream_job(port: int, serial: bytes) -> None:
+    """A ``stream: true`` job streams its cells' trace records, closes
+    its stream with ``done`` and serves the serial result."""
+    status, _, raw = request(port, "POST", "/api/jobs", "streamer", STREAM_SPEC)
+    check(status == 202, f"stream job accepted (status {status})")
+    job_id = json.loads(raw)["id"]
+    kinds = stream_until_done(port, job_id, "streamer")
+    check(kinds.count("trace") > 0,
+          f"stream job got trace events ({kinds.count('trace')})")
+    check(kinds[-1] == "done", "stream job's SSE stream ended with done")
+    status, _, result = request(
+        port, "GET", f"/api/jobs/{job_id}/result", "streamer")
+    check(status == 200 and result == serial,
+          "stream job result byte-identical to serial run_cells")
 
 
 def refused_cells(port: int) -> None:
@@ -160,8 +191,8 @@ def result_files(root: str) -> list[Path]:
     return list(Path(root).rglob("*.json"))
 
 
-def serve_flow(serial: bytes, n_cells: int, cache_flags: list[str],
-               tmpdir: str) -> None:
+def serve_flow(serial: bytes, serial_stream: bytes, n_cells: int,
+               cache_flags: list[str], tmpdir: str) -> None:
     """Boot ``repro serve`` with ``cache_flags`` and ``TMPDIR=tmpdir``,
     then drive the whole client flow against it."""
     print(f"-- repro serve {' '.join(cache_flags)}")
@@ -206,6 +237,7 @@ def serve_flow(serial: bytes, n_cells: int, cache_flags: list[str],
         if private:
             check(len(result_files(tmpdir)) == n_cells,
                   "results live in a private cache under TMPDIR")
+        stream_job(port, serial_stream)
 
         # a burst trips the limiter; an independent client is unaffected
         codes = [request(port, "GET", "/api/healthz", "bursty")[0]
@@ -239,11 +271,8 @@ def serve_flow(serial: bytes, n_cells: int, cache_flags: list[str],
 
 
 def main() -> None:
-    cells = build_grid(GRID, n_jobs=N_JOBS, seed=SEED)
-    serial = doc_to_text(outcomes_to_doc(
-        run_cells(cells, jobs=1), grid=GRID, n_jobs=N_JOBS, seed=SEED,
-        provenance=False,
-    )).encode()
+    n_cells = len(build_grid(GRID, n_jobs=N_JOBS, seed=SEED))
+    serial, serial_stream = serial_text(SPEC), serial_text(STREAM_SPEC)
 
     scratch = tempfile.mkdtemp(prefix="server-smoke-")
     try:
@@ -251,7 +280,7 @@ def main() -> None:
                             ("no-cache", ["--no-cache"])):
             tmpdir = os.path.join(scratch, f"tmp-{name}")
             os.mkdir(tmpdir)
-            serve_flow(serial, len(cells), flags, tmpdir)
+            serve_flow(serial, serial_stream, n_cells, flags, tmpdir)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     print("server smoke passed")

@@ -102,10 +102,10 @@ class CdrmService:
 
     def _ranking(self) -> List[int]:
         """The alive slaves, least loaded first: fewest network transfers,
-        then least stored, then lowest id.  Reads load and liveness from
-        ``Cluster.nodes`` (an unbuilt node is alive and idle) and
-        ``NameNode.datanodes`` (a missing DataNode is empty), so it builds
-        nothing."""
+        then fewest stored blocks (static and dynamic), then lowest id.
+        Reads load and liveness from ``Cluster.nodes`` (an unbuilt node is
+        alive and idle) and ``NameNode.datanodes`` (a missing DataNode is
+        empty), so it builds nothing."""
         nodes = self.namenode.cluster.nodes
         datanodes = self.namenode.datanodes
         keys = []
@@ -116,7 +116,7 @@ class CdrmService:
             dn = datanodes.get(node_id)
             keys.append((
                 0 if node is None else node.active_net_transfers,
-                0 if dn is None else dn.dynamic_bytes_used + len(dn.static_blocks),
+                0 if dn is None else len(dn.static_blocks) + len(dn.dynamic_blocks),
                 node_id,
             ))
         keys.sort()

@@ -352,6 +352,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_policy_bench(args: argparse.Namespace) -> int:
     import json as _json
 
+    from repro.experiments.sweep import print_progress
     from repro.policies.bench import (
         BENCH_SEEDS,
         FULL_JOBS,
@@ -364,7 +365,7 @@ def cmd_policy_bench(args: argparse.Namespace) -> int:
     n_jobs = FULL_JOBS if args.full else args.jobs
     doc = run_policy_bench(
         n_jobs=n_jobs, seeds=seeds, model=_model(args.model),
-        progress=print if args.verbose else None,
+        progress=print_progress if args.verbose else None,
     )
     print(format_report(doc))
     if args.json:
@@ -451,7 +452,7 @@ def cmd_replay_whatif(args: argparse.Namespace) -> int:
     """Reconstruct a traced run to time t, apply patches, resume live."""
     import dataclasses
 
-    from repro.checkpoint import parse_patch, snapshot
+    from repro.checkpoint import parse_patch
     from repro.experiments.runner import Simulation, make_tracer
     from repro.experiments.serialize import config_from_dict
 
@@ -485,20 +486,16 @@ def cmd_replay_whatif(args: argparse.Namespace) -> int:
     workload = _build_workload(name, n_jobs, seed)
     config = dataclasses.replace(config, trace_path=args.out)
 
-    base = Simulation(config, workload, tracer=make_tracer(config))
-    base.run(until=at)
-    snap = snapshot(base)
-    base.close()
-    print(f"reconstructed to t={snap.time:.1f}s "
-          f"({snap.events_processed} events replayed)")
-
-    fork = snap.restore(trace_path=args.out)
+    sim = Simulation(config, workload, tracer=make_tracer(config))
+    sim.run(until=at)
+    print(f"reconstructed to t={sim.now:.1f}s "
+          f"({sim.engine.events_processed} events replayed)")
     for patch in patches:
-        patch.apply(fork)
+        patch.apply(sim)
         print(f"  applied: {patch.describe()}")
-    fork.run()
-    result = fork.finalize()
-    fork.close()
+    sim.run()
+    result = sim.finalize()
+    sim.close()
     print(result.summary_row())
     if args.out:
         from repro.replay import diff_traces
@@ -829,7 +826,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     manager = JobManager(
         cache=cache,
         workers=args.workers,
-        isolation=args.isolation,
         max_queued_jobs=args.max_jobs,
         max_cells_per_job=args.max_cells,
         cell_timeout_s=args.timeout or None,
@@ -1016,7 +1012,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-gate", action="store_true",
                    help="report but do not fail on a gate violation")
     p.add_argument("--verbose", action="store_true",
-                   help="print each cell as it runs")
+                   help="print each cell once it has run")
     p.set_defaults(func=cmd_policy_bench)
 
     p = sub.add_parser("replay", help="inspect, verify, and diff JSONL run traces")
@@ -1190,10 +1186,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="listen port (0 = pick a free port)")
     p.add_argument("--workers", type=int, default=2, metavar="N",
                    help="executor threads leasing cells from the job queue")
-    p.add_argument("--isolation", choices=("process", "thread"),
-                   default="process",
-                   help="run cells in one reused process per executor "
-                        "(crash/timeout isolation) or in-thread")
+    p.add_argument("--isolation", choices=("process",), default="process",
+                   help="accepted for old command lines: every cell runs "
+                        "in its executor's reused cell process")
     _add_cache_flags(p)
     p.add_argument("--jobstore", default="", metavar="PATH",
                    help="journal submissions to PATH; an existing journal "
@@ -1204,7 +1199,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest grid accepted per job (413 beyond)")
     p.add_argument("--timeout", type=float, default=0.0, metavar="SECONDS",
                    help="kill any cell exceeding this wall time "
-                        "(process isolation only; 0 = no limit)")
+                        "(0 = no limit)")
     p.add_argument("--lease", type=float, default=3600.0, metavar="SECONDS")
     p.add_argument("--max-attempts", type=int, default=2, metavar="N",
                    help="quarantine a cell after N failed attempts")

@@ -29,17 +29,17 @@ onto the one :class:`~repro.experiments.service.WorkQueue` it owns:
   for the manager's executor threads (in-process) and remote ``repro
   sweep --worker`` processes (``POST /api/queue``) alike.  An accepted
   completion is cached once and fanned out to every job holding the cell.
-* **Executor threads** run each leased cell once — by default
-  (``isolation='process'``) in the executor's own long-lived
-  :class:`~repro.experiments.sweep.CellProcess`, spawned on its first
-  cell and bounded per cell by ``cell_timeout_s`` (counted from the
-  moment the process is ready), or in-thread (``isolation='thread'``,
-  used by tests).  A failed execution is a failed attempt, so the
-  queue's ``max_attempts`` is the one retry count; a timed-out or dead
-  cell process is replaced on the executor's next cell, and
+* **Executor threads** run each leased cell once, always in the
+  executor's own long-lived :class:`~repro.experiments.sweep.CellProcess`,
+  spawned on its first cell and bounded per cell by ``cell_timeout_s``
+  (counted from the moment the process is ready to its answer).  A
+  failed execution is a failed attempt, so the queue's
+  ``max_attempts`` is the one retry count; a timed-out or dead cell
+  process is replaced on the executor's next cell, and
   :meth:`~JobManager.stop` ends and reaps every one.  The executors
-  alone get the cells of active trace-streaming jobs, and run them
-  in-process so tracer records reach the job's
+  alone get the cells of active trace-streaming jobs: their cell
+  process sends the run's trace records back over its pipe, and the
+  executor publishes each to the holding jobs'
   :class:`~repro.observability.stream.RecordStream`.
 * **Bounded backlog.**  At most ``max_queued_jobs`` jobs may be active;
   beyond that submissions are rejected with a 503-shaped
@@ -67,7 +67,7 @@ from pathlib import Path
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro.core.config import check_number
-from repro.experiments.serialize import canonical_json, result_to_dict
+from repro.experiments.serialize import canonical_json
 from repro.experiments.service import (
     DONE,
     PENDING,
@@ -84,7 +84,6 @@ from repro.experiments.sweep import (
     build_grid,
     cache_key,
     outcomes_to_doc,
-    run_cells,
 )
 from repro.observability.stream import RecordStream
 
@@ -231,8 +230,9 @@ def job_identity(keys: List[str], spec: Dict) -> str:
 def server_queue(lease_s: float = 3600.0, max_attempts: int = 2,
                  clock: Callable[[], float] = time.time) -> WorkQueue:
     """The ``repro serve`` queue: long leases, quick retries, no stealing
-    (in-process executors cannot crash apart from the manager, so
-    speculative duplicates would only waste CPU)."""
+    (executor threads cannot die apart from the manager, and a dead cell
+    process is a failed attempt, so speculative duplicates would only
+    waste CPU)."""
     return WorkQueue(lease_s=lease_s, max_attempts=max_attempts, backoff_s=0.2,
                      backoff_cap_s=5.0, max_leases=1, clock=clock)
 
@@ -251,7 +251,6 @@ class JobManager:
         self,
         cache: Union[ResultCache, str, Path, None] = None,
         workers: int = 2,
-        isolation: str = "process",
         max_queued_jobs: int = 16,
         max_cells_per_job: int = 512,
         cell_timeout_s: Optional[float] = None,
@@ -260,8 +259,6 @@ class JobManager:
         journal: Optional[object] = None,
         clock: Callable[[], float] = time.time,
     ) -> None:
-        if isolation not in ("process", "thread"):
-            raise ValueError(f"unknown isolation {isolation!r}")
         if isinstance(cache, (str, Path)):
             cache = ResultCache(cache)
         self._private = None
@@ -269,7 +266,6 @@ class JobManager:
             self._private = tempfile.TemporaryDirectory(prefix="repro-results-")
             cache = ResultCache(self._private.name)
         self.cache: ResultCache = cache
-        self.isolation = isolation
         self.workers = workers
         self.max_queued_jobs = max_queued_jobs
         self.max_cells_per_job = max_cells_per_job
@@ -291,7 +287,7 @@ class JobManager:
         self._stop = threading.Event()
         self._threads: List[threading.Thread] = []
         self._current: Dict[str, Optional[Dict]] = {}
-        #: each executor's cell process (process isolation only)
+        #: each executor's cell process
         self._cell_processes: Dict[str, CellProcess] = {}
         #: state of each cell of a restored finished job (no queue entry)
         self._restored: Dict[str, str] = {}
@@ -299,13 +295,12 @@ class JobManager:
     # -- lifecycle -------------------------------------------------------------
 
     def start(self) -> "JobManager":
-        """Start the executor threads; under process isolation each
-        spawns its cell process on its first cell."""
+        """Start the executor threads; each spawns its cell process on
+        its first cell."""
         for n in range(self.workers):
             name = f"exec-{n}"
             self._current[name] = None
-            if self.isolation == "process":
-                self._cell_processes[name] = CellProcess()
+            self._cell_processes[name] = CellProcess()
             thread = threading.Thread(
                 target=self._executor_loop, args=(name,), name=name, daemon=True
             )
@@ -579,47 +574,25 @@ class JobManager:
     def _execute(
         self, name: str, cell: SweepCell, key: str
     ) -> Tuple[Optional[Dict], str]:
-        """Run one cell once on executor ``name``: ``(result document,
-        "")`` or ``(None, error)``.
+        """Run one cell once in executor ``name``'s cell process:
+        ``(result document, "")`` or ``(None, error)``.
 
-        Trace-streaming cells run in-process with a tracer.
+        The cell's trace records go to the streams of the trace-streaming
+        jobs that hold it.
         """
         with self._lock:
             self.cells_executed += 1
             streams = [
                 job.stream for job in self._holding(key) if job.spec.get("stream")
             ]
-        if streams:
-            return self._execute_streaming(cell, streams)
-        if self.isolation == "process":
-            return self._cell_processes[name].run(cell, self.cell_timeout_s)
-        [outcome] = run_cells([cell])
-        if outcome.ok:
-            return result_to_dict(outcome.result), ""
-        return None, outcome.error
 
-    def _execute_streaming(
-        self, cell: SweepCell, streams: List[RecordStream]
-    ) -> Tuple[Optional[Dict], str]:
-        """In-process execution with trace-bus fan-out to the job streams."""
-        from repro.experiments.runner import run_experiment
-        from repro.observability.trace import Tracer
-
-        tracer = Tracer(engine_events=False)
-
-        def fan_out(record) -> None:
-            doc = {"type": record.type, "t": record.time, "data": dict(record.data)}
+        def publish(record: Dict) -> None:
             for stream in streams:
-                stream.publish("trace", doc)
+                stream.publish("trace", record)
 
-        tracer.subscribe(fan_out)
-        try:
-            result = run_experiment(
-                cell.config, cell.workload.materialize(), tracer=tracer
-            )
-        except Exception:
-            return None, traceback.format_exc()
-        return result_to_dict(result), ""
+        return self._cell_processes[name].run(
+            cell, self.cell_timeout_s, publish if streams else None
+        )
 
     # -- job state -------------------------------------------------------------
 

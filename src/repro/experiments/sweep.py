@@ -24,12 +24,13 @@ perfectly cacheable:
   at a time: each job-manager executor owns one.  It is spawned (a fresh
   interpreter, never a fork of the threaded server) on the executor's
   first cell and reused for every later one, and it reports each cell's
-  result, its traceback, or (by dying) its exit code.  ``timeout_s``
-  bounds a cell's wall time from the moment the process is ready, so
-  start-up is never charged to a cell; a timed-out or dead process is
-  ended and the next cell spawns a fresh one.  It retries nothing: the
-  manager's work queue retries a failed cell and then quarantines it,
-  and the rest of the sweep keeps going.
+  result (after its trace records, on request), its traceback, or (by
+  dying) its exit code.  ``timeout_s`` bounds a cell's wall time from
+  the moment the process is ready, so start-up is never charged to a
+  cell; a timed-out or dead process is ended and the next cell spawns a
+  fresh one.  It retries nothing: the manager's work queue retries a
+  failed cell and then quarantines it, and the rest of the sweep keeps
+  going.
 * :func:`shard_cells` splits a cell list into ``K/M`` round-robin
   shards for CI fan-out; the M shards partition the grid exactly.
 
@@ -70,6 +71,7 @@ from repro.experiments.serialize import (
     result_from_dict,
     result_to_dict,
 )
+from repro.observability.trace import Tracer
 from repro.workloads.swim import Workload
 
 #: the code-relevant version tag mixed into every cache key.  Bump this
@@ -386,9 +388,16 @@ def cache_progress(cache: Optional[ResultCache]) -> ProgressFn:
 _SPAWN = mp.get_context("spawn")
 
 
-def execute_cell(config_doc: Dict, workload_tuple: Tuple) -> Dict:
+#: takes one trace record as ``{"type": ..., "t": ..., "data": {...}}``
+RecordSink = Callable[[Dict], None]
+
+
+def execute_cell(
+    config_doc: Dict, workload_tuple: Tuple, sink: Optional[RecordSink] = None
+) -> Dict:
     """One cell from its wire form to its result document: what a cell
-    process does with each request.
+    process does with each request.  With a ``sink``, every trace record
+    of the run is passed to it as it is emitted.
 
     All randomness is derived from the config/workload seeds, never from
     process state, so the document is the serial path's whichever cells
@@ -396,14 +405,19 @@ def execute_cell(config_doc: Dict, workload_tuple: Tuple) -> Dict:
     ``execute_cell`` of this module as it stands when the process starts,
     so a test can swap in a module-level fault injector.
     """
+    tracer = None
+    if sink is not None:
+        tracer = Tracer(engine_events=False)
+        tracer.subscribe(lambda r: sink({"type": r.type, "t": r.time, "data": dict(r.data)}))
     workload = WorkloadSpec(*workload_tuple).materialize()
-    return result_to_dict(run_experiment(config_from_dict(config_doc), workload))
+    return result_to_dict(run_experiment(config_from_dict(config_doc), workload, tracer=tracer))
 
 
-def _cell_process_main(conn, execute: Callable[[Dict, Tuple], Dict]) -> None:
-    """Cell-process entry: answer each ``(config dict, workload tuple)``
-    with ``("ok", result document)`` or ``("error", traceback)`` until
-    the parent hangs up.
+def _cell_process_main(conn, execute: Callable[..., Dict]) -> None:
+    """Cell-process entry: answer each ``(config dict, workload tuple,
+    stream)`` request with ``("ok", result document)`` or ``("error",
+    traceback)`` until the parent hangs up.  A ``stream`` request first
+    sends each trace record of the run as ``("trace", record)``.
 
     Start-up's objects (the imported simulator) are frozen out of the
     collector, and each cell's garbage is collected once its answer is
@@ -412,20 +426,24 @@ def _cell_process_main(conn, execute: Callable[[Dict, Tuple], Dict]) -> None:
     """
     gc.freeze()
     conn.send(("ready", ""))
+
+    def send_record(record: Dict) -> None:
+        conn.send(("trace", record))
+
     while True:
         try:
-            request = conn.recv()
+            config_doc, workload, stream = conn.recv()
         except (EOFError, OSError, KeyboardInterrupt):
             return
         try:
-            reply = ("ok", execute(*request))
+            reply = ("ok", execute(config_doc, workload, send_record if stream else None))
         except BaseException:
             reply = ("error", traceback.format_exc())
         try:
             conn.send(reply)
         except OSError:
             return
-        del request, reply
+        del config_doc, workload, reply
         gc.collect()
 
 
@@ -439,16 +457,16 @@ def _stop(proc: mp.process.BaseProcess) -> None:
         proc.join(timeout=2.0)
 
 
-def _next_message(proc: mp.process.BaseProcess, conn, timeout_s: Optional[float]):
-    """``proc``'s next message on ``conn``, or None after ``timeout_s``;
-    raises ``EOFError`` once the process died without sending one."""
-    started = time.perf_counter()
-    while not conn.poll(0.1):
+def _next_message(proc: mp.process.BaseProcess, conn, deadline: Optional[float]):
+    """``proc``'s next message on ``conn``, or None once the
+    ``time.perf_counter`` time ``deadline`` has passed; raises
+    ``EOFError`` once the process died without sending one."""
+    while deadline is None or time.perf_counter() < deadline:
+        if conn.poll(0.1):
+            return conn.recv()
         if not proc.is_alive() and not conn.poll(0):
             raise EOFError
-        if timeout_s is not None and time.perf_counter() - started > timeout_s:
-            return None
-    return conn.recv()
+    return None
 
 
 class CellProcess:
@@ -465,16 +483,17 @@ class CellProcess:
         self._conn = None
         self._closed = False
 
-    def run(
-        self, cell: SweepCell, timeout_s: Optional[float] = None
-    ) -> Tuple[Optional[Dict], str]:
+    def run(self, cell: SweepCell, timeout_s: Optional[float] = None,
+            on_trace: Optional[RecordSink] = None) -> Tuple[Optional[Dict], str]:
         """Run one cell: ``(result document, "")`` or ``(None, error)``.
 
         The error is the cell's traceback, the timeout, or the exit code
         of a process that died without answering.  ``timeout_s`` bounds
-        the cell's wall time from the moment the process is ready, so a
-        start-up is never charged to a cell.  Nothing is retried here:
-        the caller's work queue owns the retry count.
+        the cell's wall time from the moment the process is ready to its
+        answer, so a start-up is never charged to a cell.  ``on_trace``
+        gets the cell's trace records, in order, before the answer.
+        Nothing is retried here: the caller's work queue owns the retry
+        count.
         """
         with self._lock:
             if self._closed:
@@ -495,8 +514,13 @@ class CellProcess:
         try:
             if fresh:
                 _next_message(proc, conn, None)  # ready
-            conn.send((config_to_dict(cell.config), tuple(cell.workload)))
-            reply = _next_message(proc, conn, timeout_s)
+            conn.send((config_to_dict(cell.config), tuple(cell.workload),
+                       on_trace is not None))
+            deadline = None if timeout_s is None else time.perf_counter() + timeout_s
+            reply = _next_message(proc, conn, deadline)
+            while reply is not None and reply[0] == "trace":
+                on_trace(reply[1])
+                reply = _next_message(proc, conn, deadline)
         except (EOFError, OSError):  # died before or while answering
             self._end(proc, grace_s=5.0)
             return None, f"worker died (exit code {proc.exitcode})"
@@ -883,23 +907,6 @@ def _smoke_cells(n_jobs: int, seed: int) -> List[SweepCell]:
     ]
 
 
-def _policy_cells(n_jobs: int) -> List[SweepCell]:
-    """The policy-benchmark grid: every registered policy (baselines,
-    learned, rollout-greedy) on the pinned benchmark workload seeds."""
-    from repro.policies.bench import BENCH_SEEDS, POLICY_COLUMNS, bench_config
-
-    return [
-        SweepCell(
-            bench_config(policy),
-            WorkloadSpec("wl1", n_jobs, wseed),
-            tag=f"policies/{policy}/s{wseed}",
-            x=float(wseed),
-        )
-        for wseed in BENCH_SEEDS
-        for policy in POLICY_COLUMNS
-    ]
-
-
 def build_grid(
     name: str, n_jobs: int = 200, seed: int = DEFAULT_SEED
 ) -> List[SweepCell]:
@@ -925,7 +932,9 @@ def build_grid(
     if name == "ablations":
         return A.ablation_cells(n_jobs=n_jobs, seed=seed)
     if name == "policies":
-        return _policy_cells(n_jobs)
+        from repro.policies.bench import policy_cells
+
+        return policy_cells(n_jobs)
     if name == "all":
         cells: List[SweepCell] = []
         for grid in ("fig7", "fig8", "fig9", "fig10", "fig11", "ablations"):

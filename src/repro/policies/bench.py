@@ -18,13 +18,13 @@ simulation seed, and the baked-in model weights.  Two invocations of
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.cluster.cluster import CCT_SPEC
 from repro.core.config import DareConfig
-from repro.experiments.runner import ExperimentConfig, ExperimentResult, run_experiment
+from repro.experiments.runner import ExperimentConfig, ExperimentResult
+from repro.experiments.sweep import ProgressFn, SweepCell, WorkloadSpec, results_of, run_cells
 from repro.policies.learned import DEFAULT_WEIGHTS
 from repro.policies.rollout import RolloutConfig
 
@@ -64,6 +64,21 @@ def bench_config(
     return dataclasses.replace(base, dare=DareConfig.named(policy, model=model))
 
 
+def policy_cells(
+    n_jobs: int = SMOKE_JOBS,
+    seeds: Sequence[int] = BENCH_SEEDS,
+    model: Sequence[float] = DEFAULT_WEIGHTS,
+    policies: Sequence[str] = POLICY_COLUMNS,
+) -> List[SweepCell]:
+    """The benchmark grid, seed-major: every policy column on each
+    seed's WL1 trace (``sweep --grid policies`` runs the same cells)."""
+    return [
+        SweepCell(bench_config(policy, model), WorkloadSpec("wl1", n_jobs, seed),
+                  tag=f"policies/{policy}/s{seed}", x=float(seed))
+        for seed, policy in itertools.product(seeds, policies)
+    ]
+
+
 def _row(policy: str, seed: int, result: ExperimentResult) -> Dict:
     return {
         "policy": policy,
@@ -82,19 +97,13 @@ def run_policy_bench(
     seeds: Sequence[int] = BENCH_SEEDS,
     model: Sequence[float] = DEFAULT_WEIGHTS,
     policies: Sequence[str] = POLICY_COLUMNS,
-    progress=None,
+    progress: Optional[ProgressFn] = None,
 ) -> Dict:
-    """Run the grid and reduce it to the benchmark document."""
-    from repro.workloads.swim import synthesize_wl1
-
-    rows: List[Dict] = []
-    for seed in seeds:
-        workload = synthesize_wl1(np.random.default_rng(seed), n_jobs=n_jobs)
-        for policy in policies:
-            if progress is not None:
-                progress(f"policy-bench: {policy} seed={seed} ...")
-            result = run_experiment(bench_config(policy, model), workload)
-            rows.append(_row(policy, seed, result))
+    """Run the grid serially (``progress`` as in ``run_cells``) and
+    reduce it to the benchmark document."""
+    outcomes = run_cells(policy_cells(n_jobs, seeds, model, policies), progress=progress)
+    rows = [_row(policy, seed, result) for (seed, policy), result
+            in zip(itertools.product(seeds, policies), results_of(outcomes))]
     mean_locality = {
         policy: sum(r["job_locality"] for r in rows if r["policy"] == policy)
         / len(seeds)

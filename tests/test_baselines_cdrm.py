@@ -11,7 +11,7 @@ from repro.baselines.cdrm import CdrmConfig, CdrmService
 from repro.cluster.cluster import Cluster, scale_spec
 from repro.core.config import DareConfig
 from repro.experiments.runner import ExperimentConfig, run_experiment
-from repro.hdfs.block import DEFAULT_BLOCK_SIZE
+from repro.hdfs.block import DEFAULT_BLOCK_SIZE, Block
 from repro.hdfs.namenode import NameNode
 from repro.metrics.traffic import TrafficMeter
 from repro.simulation.engine import Engine
@@ -113,7 +113,7 @@ def _per_block_reconcile(svc):
 
         def stored(node_id):
             dn = datanodes.get(node_id)
-            return 0 if dn is None else dn.dynamic_bytes_used + len(dn.static_blocks)
+            return 0 if dn is None else len(dn.static_blocks) + len(dn.dynamic_blocks)
 
         candidates.sort(key=lambda n: (n.active_net_transfers, stored(n.node_id), n.node_id))
         return [n.node_id for n in candidates[:count]]
@@ -140,12 +140,14 @@ def test_one_ranking_per_pass_queues_what_a_per_block_sort_queued(seed):
             f"f{f}", rng.randint(1, 5) * DEFAULT_BLOCK_SIZE, replication=rng.randint(1, 3)
         )
     slaves = cluster.slave_ids
-    # load: transfers on some (now built) nodes, dynamic bytes on some
+    # load: transfers on some (now built) nodes, dynamic replicas on some
     # DataNodes, small enough that keys tie and the later keys decide
     for node_id in rng.sample(slaves, rng.randint(0, len(slaves) // 2)):
         cluster.node(node_id).active_net_transfers = rng.randint(0, 2)
+    blocks = list(nn.blocks.values())
     for dn in list(nn.datanodes.values()):
-        dn.dynamic_bytes_used = rng.choice([0, 0, 1, 2])
+        for block in rng.sample(blocks, min(len(blocks), rng.choice([0, 0, 1, 2]))):
+            dn.dynamic_blocks[block.block_id] = block
     # dead slaves: some already pruned from the block map, some not yet
     for node_id in rng.sample(slaves, rng.randint(0, min(3, len(slaves) - 1))):
         cluster.stop_node(node_id)
@@ -160,3 +162,19 @@ def test_one_ranking_per_pass_queues_what_a_per_block_sort_queued(seed):
     oracle = CdrmService(config, nn, Engine(), TrafficMeter(), random.Random(seed))
     assert list(svc.copier.queue) == _per_block_reconcile(oracle)
     assert svc._rng.getstate() == oracle._rng.getstate()
+
+
+def test_ranking_counts_stored_blocks_in_one_unit():
+    """At equal transfers, a slave holding one dynamic replica ranks ahead
+    of one holding five static blocks: "stored" counts blocks of both
+    kinds, not dynamic bytes plus static blocks."""
+    nn = NameNode(Cluster(SMALL_SPEC, RandomStreams(1)))  # no files
+    blocks = [Block(bid, None, bid, DEFAULT_BLOCK_SIZE) for bid in range(6)]
+    five_static, one_dynamic = nn.datanode(1), nn.datanode(2)
+    for block in blocks[:5]:
+        five_static.store_static(block)
+    one_dynamic.dynamic_capacity_bytes = DEFAULT_BLOCK_SIZE
+    one_dynamic.insert_dynamic(blocks[5], now=0.0)
+    svc = CdrmService(CdrmConfig(), nn, Engine(), TrafficMeter(), random.Random(0))
+    ranking = svc._ranking()
+    assert ranking.index(2) < ranking.index(1)

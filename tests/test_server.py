@@ -427,7 +427,6 @@ def make_manager(tmp_path, **kwargs):
     defaults = dict(
         cache=ResultCache(tmp_path / "cache"),
         workers=2,
-        isolation="thread",
     )
     defaults.update(kwargs)
     return JobManager(**defaults)
@@ -458,12 +457,28 @@ class TestJobManager:
         finally:
             manager.stop()
 
-    def test_executed_cell_count_survives_contending_executors(self, tmp_path):
+    def test_executed_cell_count_survives_contending_executors(
+        self, tmp_path, monkeypatch
+    ):
         """More executor threads than CPUs, many distinct one-job cells
         and a short switch interval: every executed cell is counted.  The
         count's read yields the GIL, so an increment made outside the
         manager's lock loses updates whatever the interpreter's bytecode
-        atomicity."""
+        atomicity.  Each executor's cell process is a stand-in that
+        answers at once, so the threads contend without spawning one
+        interpreter each."""
+        import repro.experiments.jobs as jobs_mod
+
+        answer = result_to_dict(run_cells([CELLS[0]])[0].result)
+
+        class InstantCellProcess:
+            def run(self, cell, timeout_s=None, on_trace=None):
+                return answer, ""
+
+            def close(self):
+                pass
+
+        monkeypatch.setattr(jobs_mod, "CellProcess", InstantCellProcess)
 
         class YieldingCount(JobManager):
             @property
@@ -480,8 +495,7 @@ class TestJobManager:
                            WorkloadSpec("wl1", 1, SEED), tag=f"s{i}")
                  for i in range(24)]
         manager = YieldingCount(cache=ResultCache(tmp_path / "cache"),
-                                workers=4 * (os.cpu_count() or 1) + 4,
-                                isolation="thread")
+                                workers=4 * (os.cpu_count() or 1) + 4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -557,16 +571,11 @@ class TestJobManager:
     def test_failed_cell_fails_job_and_resubmit_retries(self, tmp_path, monkeypatch):
         import repro.experiments.sweep as sweep_mod
 
-        calls = {"n": 0}
-        real = sweep_mod.run_experiment
-
-        def flaky(config, workload, **kwargs):
-            calls["n"] += 1
-            raise RuntimeError("injected cell failure")
-
-        monkeypatch.setattr(sweep_mod, "run_experiment", flaky)
+        counter = tmp_path / "attempts"
+        monkeypatch.setattr(sweep_mod, "execute_cell", functools.partial(
+            cell_faults.fails_once, str(counter)))
         manager = make_manager(
-            tmp_path, queue=server_queue(max_attempts=1)).start()
+            tmp_path, workers=1, queue=server_queue(max_attempts=1)).start()
         try:
             spec = {"cells": [cell_to_doc(CELLS[0])]}
             job, _ = manager.submit(spec)
@@ -575,14 +584,15 @@ class TestJobManager:
             assert "injected cell failure" in job.error
             doc = manager.job_result_doc(job)
             assert doc["cells"][0]["ok"] is False
-            # resubmitting the same spec re-arms the quarantined cell
-            monkeypatch.setattr(sweep_mod, "run_experiment", real)
+            # resubmitting the same spec re-arms the quarantined cell,
+            # whose second attempt runs
             job2, created = manager.submit(spec)
             assert job2 is job and not created
             wait_for(lambda: not job.active, what="retried job")
             assert job.state == JOB_DONE
         finally:
             manager.stop()
+        assert len(cell_faults.attempts(counter)) == 2
 
     def test_completion_fans_out_and_caches_once(self, tmp_path):
         """A remote-style completion settles every job holding the cell
@@ -616,7 +626,7 @@ class TestJobManager:
         counter = tmp_path / "attempts"
         monkeypatch.setattr(sweep_mod, "execute_cell", functools.partial(
             cell_faults.crash, str(counter), 3, ""))
-        manager = make_manager(tmp_path, workers=1, isolation="process",
+        manager = make_manager(tmp_path, workers=1,
                                queue=server_queue(max_attempts=2)).start()
         try:
             job, _ = manager.submit({"cells": [cell_to_doc(CELLS[0])]})
@@ -639,7 +649,7 @@ class TestJobManager:
             cell_faults.hang, str(counter), "fair"))
         hangs = CELLS[1]._replace(
             config=dataclasses.replace(CELLS[1].config, scheduler="fair"))
-        manager = make_manager(tmp_path, isolation="process").start()
+        manager = make_manager(tmp_path).start()
         try:
             # the executor that takes the hanging cell keeps it, so the
             # other executor runs the second cell in a second process
@@ -664,6 +674,60 @@ class TestJobManager:
         with pytest.raises(JobRejected) as err:
             manager.submit({"cells": [cell_to_doc(CELLS[0])], "stream": True})
         assert err.value.status == 400
+
+    def test_stream_job_cell_is_bounded_by_the_cell_timeout(self, tmp_path):
+        """A ``stream: true`` cell runs in its executor's cell process, so
+        ``cell_timeout_s`` ends it however many trace records it has sent
+        meanwhile.  CPU times stretched 1e9-fold make this valid cell run
+        until the engine's 200M-event guard."""
+        spec = CCT_SPEC._replace(cpu_scale=1e9)
+        endless = SweepCell(ExperimentConfig(cluster_spec=spec, seed=SEED),
+                            WorkloadSpec("wl1", 3, SEED))
+        manager = make_manager(tmp_path, workers=1, cell_timeout_s=1.0,
+                               queue=server_queue(max_attempts=1)).start()
+        try:
+            job, _ = manager.submit({"cells": [cell_to_doc(endless)],
+                                     "stream": True})
+            wait_for(lambda: not job.active, timeout=30, what="the timeout")
+        finally:
+            manager.stop()
+        assert job.state == JOB_FAILED
+        assert job.error.endswith(": cell timed out after 1s and was terminated")
+        events, _, closed = job.stream.read_since(0)
+        assert closed and any(e.kind == "trace" for e in events)
+
+    def test_stream_job_whose_cell_process_dies_is_quarantined(
+        self, tmp_path, monkeypatch
+    ):
+        """A ``stream: true`` cell whose process exits fails its attempt
+        like any cell: after ``max_attempts`` it is quarantined with the
+        exit code, and the executor then serves the next stream job from
+        a fresh process."""
+        import repro.experiments.sweep as sweep_mod
+
+        counter = tmp_path / "attempts"
+        monkeypatch.setattr(sweep_mod, "execute_cell", functools.partial(
+            cell_faults.crash, str(counter), 5, "fair"))
+        dies = CELLS[0]._replace(
+            config=dataclasses.replace(CELLS[0].config, scheduler="fair"))
+        manager = make_manager(tmp_path, workers=1,
+                               queue=server_queue(max_attempts=2)).start()
+        try:
+            job, _ = manager.submit({"cells": [cell_to_doc(dies)], "stream": True})
+            wait_for(lambda: not job.active, what="job failure")
+            entry = manager.queue.entries[job.keys[0]]
+            assert job.state == JOB_FAILED and entry.state == "quarantined"
+            assert entry.error == "worker died (exit code 5)"
+            assert len(cell_faults.attempts(counter)) == 2
+            served, _ = manager.submit({"cells": [cell_to_doc(CELLS[1])],
+                                        "stream": True})
+            wait_for(lambda: not served.active, what="the next job")
+        finally:
+            manager.stop()
+        assert served.state == JOB_DONE
+        events, _, _ = served.stream.read_since(0)
+        assert any(e.kind == "trace" for e in events)
+        assert len(set(cell_faults.attempts(counter))) == 3
 
     def test_journal_restore_resumes_unfinished_job(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -811,7 +875,7 @@ class TestJobManager:
         import tempfile
 
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        manager = JobManager(workers=1, isolation="thread").start()
+        manager = JobManager(workers=1).start()
         root = manager.cache.root
         assert root.parent == tmp_path
         try:
@@ -1225,6 +1289,19 @@ class TestServerHTTP:
             manager.stop()
 
     def test_sse_streams_trace_records(self, tmp_path):
+        """A ``stream: true`` job's SSE ``trace`` events are, in order, the
+        records a Tracer subscriber collects from an in-process run of the
+        same cell, which emits fewer records than the job's ring holds."""
+        from repro.experiments.runner import run_experiment
+        from repro.observability.trace import Tracer
+
+        tracer = Tracer(engine_events=False)
+        records = []
+        tracer.subscribe(records.append)
+        run_experiment(CELLS[0].config, CELLS[0].workload.materialize(),
+                       tracer=tracer)
+        expected = json.loads(json.dumps([[r.type, r.time, r.data] for r in records]))
+        assert 1000 < len(expected) < RecordStream().capacity - 100
         manager = make_manager(tmp_path).start()
         try:
             with ServerThread(manager) as st:
@@ -1235,11 +1312,11 @@ class TestServerHTTP:
                 assert status == 202
                 job_id = json.loads(data)["id"]
                 events = st.stream_events(f"/api/jobs/{job_id}/events")
-                traces = [d for k, _, d in events if k == "trace"]
-                types = {t["type"] for t in traces}
-                assert "run.config" in types and "run.summary" in types
-                assert all("t" in t and "data" in t for t in traces)
+                traces = [[d["type"], d["t"], d["data"]]
+                          for k, _, d in events if k == "trace"]
+                assert traces == expected
                 assert events[-1][0] == "done"
+                assert "dropped" not in {k for k, _, _ in events}
         finally:
             manager.stop()
 
@@ -1247,8 +1324,8 @@ class TestServerHTTP:
         self, tmp_path
     ):
         """A remote worker polling POST /api/queue is handed the plain
-        job's cell but never the ``stream: true`` job's, which runs in
-        the server so its trace records reach the SSE stream."""
+        job's cell but never the ``stream: true`` job's, which runs on the
+        server's executors so its trace records reach the SSE stream."""
         manager = make_manager(tmp_path, workers=1)  # executors start later
         try:
             with ServerThread(manager) as st:
@@ -1388,7 +1465,7 @@ def test_repro_serve_sigterm_drains_cleanly(tmp_path):
         [sys.executable, "-m", "repro", "serve", "--port", "0",
          "--cache-dir", str(tmp_path / "cache"),
          "--jobstore", str(tmp_path / "jobs.jsonl"),
-         "--isolation", "thread", "--grace", "10"],
+         "--grace", "10"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         text=True, env=env, cwd=str(tmp_path),
     )

@@ -355,6 +355,17 @@ class TestFailures:
         # error
         assert len(cell_faults.attempts(counter)) == 2
 
+    def test_cell_that_raises_is_retried_then_reported_with_its_traceback(
+        self, tmp_path, monkeypatch
+    ):
+        counter = tmp_path / "attempts"
+        monkeypatch.setattr(sweep_mod, "execute_cell", functools.partial(
+            cell_faults.raises, str(counter)))
+        [outcome] = run_cells([_cell()], jobs=2)
+        assert not outcome.ok and "Traceback" in outcome.error
+        assert outcome.error.strip().endswith("RuntimeError: injected cell failure")
+        assert len(cell_faults.attempts(counter)) == 2  # the queue's attempts
+
     def test_worker_crash_does_not_poison_other_cells(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sweep_mod, "execute_cell", functools.partial(
             cell_faults.crash, str(tmp_path / "attempts"), 7, "fair"))
